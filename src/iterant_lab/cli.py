@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -191,6 +192,8 @@ def cmd_clifford_braid(args) -> int:
 
 
 def cmd_clifford_fusion(args) -> int:
+    if args.power < 0:
+        raise ValueError(f"--power must be non-negative, got {args.power}")
     powers = [
         {"n": n, "unit": clifford.fusion_power(n).unit, "p": clifford.fusion_power(n).p}
         for n in range(args.power + 1)
@@ -300,7 +303,10 @@ def cmd_dirac_majorana(args) -> int:
 def cmd_discrete_commutator(args) -> int:
     values = [Fraction(tok) for tok in args.seq.split(",")]
     seq = discrete.Sequence.from_values(values)
-    report = discrete.basic_commutator(seq, Fraction(args.dt))
+    dt = Fraction(args.dt)
+    if dt == 0:
+        raise ValueError("--dt must be nonzero")
+    report = discrete.basic_commutator(seq, dt)
 
     def poly_payload(poly):
         terms = []
@@ -338,6 +344,10 @@ def cmd_schrodinger_run(args) -> int:
               file=sys.stderr)
     if args.dispersion is not None:
         report = schrodinger.dispersion_check(cfg, args.dispersion)
+        if not all(map(math.isfinite, (report.measured_omega, report.rel_error))):
+            print(f"dispersion check failed: the fields overflowed at r = {cfg.ratio:.4f}",
+                  file=sys.stderr)
+            return 1
         payload = {
             "k_mode": report.k_mode,
             "measured_omega": report.measured_omega,

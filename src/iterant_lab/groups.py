@@ -231,10 +231,16 @@ def klein4() -> Group:
     return group
 
 
+# The desk-scale cap: S_6 has 720 elements, S_7 already a 5040^2 table.
+MAX_SYMMETRIC_DEGREE = 6
+
+
 @lru_cache(maxsize=None)
 def _symmetric_with_perms(n: int) -> tuple[Group, tuple[Permutation, ...]]:
     if n < 1:
         raise ValueError("symmetric group degree must be positive")
+    if n > MAX_SYMMETRIC_DEGREE:
+        raise ValueError(f"symmetric group degree {n} exceeds the cap of {MAX_SYMMETRIC_DEGREE}")
     if n == 3:
         # Listing 1, R, R^2, F, RF, R^2F with R = (123), F = (12), so that
         # R^3 = F^2 = 1 and FR = R^2 F under left-to-right composition.
@@ -354,6 +360,7 @@ def regular_action(group: Group) -> GroupAction:
     return GroupAction(group, group.order, maps, label=f"{group.label} regular")
 
 
+@lru_cache(maxsize=None)
 def natural_action(n: int) -> GroupAction:
     """Symmetric group of degree n acting on n points the obvious way."""
     group, perms = _symmetric_with_perms(n)

@@ -20,7 +20,7 @@ from .iterants import (
     IterantElement,
     natural_sn_algebra,
 )
-from .matrix import SquareMatrix
+from .matrix import SquareMatrix, bareiss, integer_rows
 from .scalars import GaussianRational
 
 MAX_EMBED_DIM = 5
@@ -145,26 +145,8 @@ def _random_element(algebra: IterantAlgebra, rng: random.Random, max_terms: int 
 
 
 def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
-    """Rank over the scalar field by exact elimination."""
-    work = [list(v) for v in vectors]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(work)) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        for r in range(len(work)):
-            if r != row and not work[r][col].is_zero():
-                factor = work[r][col] / pv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
+    """Rank over the scalar field, by Bareiss elimination of the rows scaled to integers."""
+    return bareiss(integer_rows(vectors)[0])[0]
 
 
 def iso_check(action: GroupAction, samples: int = 100, seed: int = 0) -> IsoReport:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -199,3 +200,42 @@ def test_out_flag_writes_file(tmp_path, capsys):
                       "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["group"] == "c3"
+
+
+def one_error_line(err: str) -> bool:
+    return len([line for line in err.splitlines() if "error" in line.lower()]) == 1
+
+
+def test_discrete_commutator_zero_dt(capsys):
+    code = main(["discrete", "commutator", "--seq", "0,1,0,1,0", "--dt", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert one_error_line(captured.err)
+
+
+def test_clifford_fusion_negative_power(capsys):
+    code = main(["clifford", "fusion", "--power", "-1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured.err)
+
+
+def test_schrodinger_dispersion_overflow_fails_without_nan(capsys):
+    code = main(["schrodinger", "run", "--dt", "1", "--dispersion", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "nan" not in captured.out.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "table", "--group", "s9"],
+    ["matrep", "isocheck", "--group", "s7", "--natural"],
+])
+def test_symmetric_degree_cap_exits_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert one_error_line(capsys.readouterr().err)
+    assert elapsed < 1.0

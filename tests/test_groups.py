@@ -213,3 +213,15 @@ def test_builtin_group_lookup():
     assert groups.builtin_group("s4").order == 24
     with pytest.raises(KeyError):
         groups.builtin_group("dihedral5")
+
+
+def test_symmetric_degree_cap():
+    assert groups.symmetric(groups.MAX_SYMMETRIC_DEGREE).order == 720
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        groups.symmetric(groups.MAX_SYMMETRIC_DEGREE + 1)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        groups.natural_action(groups.MAX_SYMMETRIC_DEGREE + 1)
+
+
+def test_natural_action_is_built_once_per_degree():
+    assert groups.natural_action(4) is groups.natural_action(4)
