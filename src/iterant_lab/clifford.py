@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .iterants import polarity_element, shift_element
+from .matrep import to_matrix
 from .matrix import SquareMatrix
-from .scalars import GaussianRational, sqrt_exact
+from .scalars import I_UNIT, GaussianRational, sqrt_exact
 
 
 @dataclass(frozen=True)
@@ -28,10 +30,10 @@ class SplitQuaternions:
 
 
 def split_quaternions() -> SplitQuaternions:
-    one = SquareMatrix.identity(2)
-    polarity = SquareMatrix.from_rows([[-1, 0], [0, 1]])
-    shift = SquareMatrix.from_rows([[0, 1], [1, 0]])
-    return SplitQuaternions(one, polarity, shift, polarity * shift)
+    """The period-two iterants polarity [-1,1] and shift e, read as matrices."""
+    polarity = to_matrix(polarity_element())
+    shift = to_matrix(shift_element())
+    return SplitQuaternions(SquareMatrix.identity(2), polarity, shift, polarity * shift)
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,8 @@ def quaternion_triple(variant: str) -> QuaternionTriple:
         return QuaternionTriple(alpha * a_mat, beta * b_mat, gamma * c_mat)
     if variant == "iota_2x2":
         sq = split_quaternions()
-        iota = GaussianRational(Fraction(0), Fraction(1))
         return QuaternionTriple(
-            sq.polarity.scale(iota), sq.polarity * sq.shift, sq.shift.scale(iota)
+            sq.polarity.scale(I_UNIT), sq.polarity * sq.shift, sq.shift.scale(I_UNIT)
         )
     if variant == "majorana_triple":
         rep = clifford_generators(3)
@@ -142,7 +143,7 @@ def clifford_generators(n: int) -> CliffordRep:
     if n < 1 or n > MAX_CLIFFORD_GENERATORS:
         raise ValueError(f"generator count must be in 1..{MAX_CLIFFORD_GENERATORS}, got {n}")
     sq = split_quaternions()
-    parity = sq.root.scale(GaussianRational(Fraction(0), Fraction(1)))  # squares to +1
+    parity = sq.root.scale(I_UNIT)  # squares to +1
     blocks = (n + 1) // 2
     gens: list[SquareMatrix] = []
     for k in range(n):
@@ -242,9 +243,8 @@ def fermion_pair(rep: CliffordRep, j: int = 1, k: int = 2) -> FermionPair:
         raise ValueError(f"need distinct generator indices in 1..{rep.n}, got ({j}, {k})")
     c, cp = rep.generators[j - 1], rep.generators[k - 1]
     half = Fraction(1, 2)
-    i_unit = GaussianRational(Fraction(0), Fraction(1))
-    psi = (c + cp.scale(i_unit)).scale(half)
-    psi_dag = (c - cp.scale(i_unit)).scale(half)
+    psi = (c + cp.scale(I_UNIT)).scale(half)
+    psi_dag = (c - cp.scale(I_UNIT)).scale(half)
     identity = SquareMatrix.identity(rep.dim)
     return FermionPair(
         psi=psi,
@@ -283,13 +283,22 @@ FUSION_ONE = FusionElement(1, 0)
 FUSION_P = FusionElement(0, 1)
 
 
-def fusion_power(n: int) -> FusionElement:
-    if n < 0:
-        raise ValueError("fusion powers are defined for n >= 0")
-    total = FUSION_ONE
+# P^n has coefficients of about 0.7 n bits; the cap keeps a table desk-scale.
+MAX_FUSION_POWER = 1000
+
+
+def fusion_powers(n: int) -> list[FusionElement]:
+    """P^0, P^1, ..., P^n, one product each."""
+    if not 0 <= n <= MAX_FUSION_POWER:
+        raise ValueError(f"fusion powers are defined for 0 <= n <= {MAX_FUSION_POWER}, got {n}")
+    powers = [FUSION_ONE]
     for _ in range(n):
-        total = total * FUSION_P
-    return total
+        powers.append(powers[-1] * FUSION_P)
+    return powers
+
+
+def fusion_power(n: int) -> FusionElement:
+    return fusion_powers(n)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .clifford import split_quaternions
 from .matrix import SquareMatrix, scalar_matrix
-from .scalars import GaussianRational
+from .scalars import I_UNIT
 
 VERSIONS = ("conjugate", "time_reversed")
 
@@ -101,10 +101,9 @@ def dirac_frame(dim: str = "1d") -> DiracFrame:
         one = sq.one
         alpha = sq.polarity.kron(one)
         beta = sq.shift.kron(one)
-        i_unit = GaussianRational(Fraction(0), Fraction(1))
         s1 = sq.shift
         s2 = -sq.polarity
-        s3 = (s1 * s2).scale(i_unit)
+        s3 = (s1 * s2).scale(I_UNIT)
         sigmas = tuple(one.kron(s) for s in (s1, s2, s3))
         return DiracFrame(alpha=alpha, beta=beta, sigmas=sigmas, space_dim=3)
     raise ValueError(f"dim must be '1d' or '3d', got {dim!r}")
@@ -166,13 +165,11 @@ def majorana_split(frame: DiracFrame, params: OnShellParams) -> MajoranaSplit:
     p_op = frame.momentum_operator(params)
     inv_e = Fraction(1) / params.energy
     a = (frame.beta * p_op - frame.alpha.scale(params.mass)).scale(inv_e)
-    minus_i = GaussianRational(Fraction(0), Fraction(-1))
-    b = (frame.beta * frame.alpha).scale(minus_i)
+    b = (frame.beta * frame.alpha).scale(-I_UNIT)
     identity = SquareMatrix.identity(frame.dim)
     u, u_dag = nilpotent_pair(frame, params, "time_reversed")
-    i_unit = GaussianRational(Fraction(0), Fraction(1))
-    rebuilt_u = (a + b.scale(i_unit)).scale(params.energy)
-    rebuilt_dag = (a - b.scale(i_unit)).scale(params.energy)
+    rebuilt_u = (a + b.scale(I_UNIT)).scale(params.energy)
+    rebuilt_dag = (a - b.scale(I_UNIT)).scale(params.energy)
     return MajoranaSplit(
         A=a,
         B=b,
@@ -214,6 +211,49 @@ def plane_wave_residual(frame: DiracFrame, params: OnShellParams) -> PlaneWaveRe
         factorization_ok=(factored == u),
         shell_defect=params.shell_defect,
     )
+
+
+def relation_report(frame: DiracFrame, params: OnShellParams) -> dict[str, bool]:
+    """Every relation of U = ba E + b p - a m for one (E, p, m), keyed by name.
+
+    U^2 = 0 for the plain U and for each version's (U, U+), each version's
+    anticommutator and sum/difference squares, the Majorana split and the
+    plane-wave residual.  The split keys are left out when E = 0, where the
+    split is undefined.  Off shell the nilpotency keys read False.
+    """
+    identity = SquareMatrix.identity(frame.dim)
+    zero = SquareMatrix.zero(frame.dim)
+    p_op = frame.momentum_operator(params)
+    m_term = p_op + identity.scale(params.mass)
+    checks = {}
+    u_plain = nilpotent_u(frame, params)
+    checks["u-squared-zero"] = u_plain * u_plain == zero
+    for version in VERSIONS:
+        u, u_dag = nilpotent_pair(frame, params, version)
+        checks[f"{version}-u-squared"] = u * u == zero
+        checks[f"{version}-dagger-squared"] = u_dag * u_dag == zero
+        anti = u * u_dag + u_dag * u
+        if version == "conjugate":
+            expected = (m_term * m_term).scale(2)
+            checks["conjugate-anticommutator"] = anti == expected
+            plus = u + u_dag
+            minus = u - u_dag
+            checks["conjugate-sum-squared"] = plus * plus == expected
+            checks["conjugate-diff-squared"] = minus * minus == -expected
+        else:
+            e2 = params.energy * params.energy
+            checks["time-reversed-anticommutator"] = anti == identity.scale(4 * e2)
+            minus = u - u_dag
+            checks["time-reversed-diff-squared"] = minus * minus == identity.scale(-4 * e2)
+    if params.energy != 0:
+        split = majorana_split(frame, params)
+        checks["split-a-squared"] = split.a_squared_one
+        checks["split-b-squared"] = split.b_squared_one
+        checks["split-anticommute"] = split.anticommute
+        checks["split-rebuild"] = split.reconstructs_u and split.reconstructs_u_dagger
+    residual = plane_wave_residual(frame, params)
+    checks["plane-wave"] = residual.is_solution and residual.factorization_ok
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +302,7 @@ def majorana_dirac_generators() -> RealGenerators:
         "ay^2 = 1": ay * ay == identity,
         "az^2 = 1": az * az == identity,
         "beta_prime^2 = -1": beta_prime * beta_prime == -identity,
-        "(i beta_prime)^2 = 1": (
-            beta_prime.scale(GaussianRational(Fraction(0), Fraction(1))) ** 2 == identity
-        ),
+        "(i beta_prime)^2 = 1": beta_prime.scale(I_UNIT) ** 2 == identity,
     }
     for idx_a in range(len(named)):
         for idx_b in range(idx_a + 1, len(named)):

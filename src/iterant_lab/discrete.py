@@ -38,10 +38,6 @@ class Sequence:
     def constant(value) -> Sequence:
         return Sequence(None, 0, Fraction(value))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.samples is None
-
     def window(self) -> tuple[int, int] | None:
         """Half-open tick range of definition, or None for all ticks."""
         if self.samples is None:

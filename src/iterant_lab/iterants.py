@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import Group, GroupAction, Permutation, natural_action, regular_action
+from .groups import MAX_ENUMERATED_DEGREE, Group, GroupAction, Permutation
+from .groups import natural_action, regular_action
 from .scalars import GaussianRational, ScalarLike, scalar_from_json, scalar_to_json
 
 Vector = tuple[GaussianRational, ...]
@@ -63,12 +64,6 @@ class IterantAlgebra:
     def element_of(self, g: int | str) -> IterantElement:
         """The group element itself (all-ones coefficient vector)."""
         return self.term([1] * self.degree, g)
-
-    def from_terms(self, terms) -> IterantElement:
-        total = self.zero()
-        for entries, g in terms:
-            total = total + self.term(entries, g)
-        return total
 
     def shifted_vector(self, vec: Vector, g: int) -> Vector:
         """The action of g on a coefficient vector: (b^g)_i = b_{i*g}."""
@@ -331,14 +326,11 @@ def regular_algebra(group: Group) -> IterantAlgebra:
     return IterantAlgebra(regular_action(group))
 
 
-MAX_SYMMETRIC_DEGREE = 5
-
-
 def an_basis(n: int) -> list[IterantElement]:
     """The n * n! basis elements e_i * g of the natural S_n algebra."""
-    if n < 1 or n > MAX_SYMMETRIC_DEGREE:
+    if n < 1 or n > MAX_ENUMERATED_DEGREE:
         raise ValueError(
-            f"basis enumeration supports 1 <= n <= {MAX_SYMMETRIC_DEGREE}; n! terms blow up beyond that"
+            f"basis enumeration supports 1 <= n <= {MAX_ENUMERATED_DEGREE}; n! terms blow up beyond that"
         )
     return natural_sn_algebra(n).basis()
 

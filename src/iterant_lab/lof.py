@@ -282,6 +282,18 @@ def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport
     return ConfluenceReport(trials, reference, values, values == (reference,))
 
 
+def confluence_fuzz(count: int, max_depth: int, orders: int, seed: int) -> int:
+    """Probe count seeded random expressions, each in the given number of random
+    rule orders; return how many reached a value other than the reference."""
+    rng = random.Random(seed)
+    disagreements = 0
+    for _ in range(count):
+        expr = random_expression(rng, max_depth=max_depth)
+        if not confluence_probe(expr, trials=orders, seed=rng.randrange(1 << 30)).all_agree:
+            disagreements += 1
+    return disagreements
+
+
 def random_expression(rng: random.Random, max_depth: int = 6, max_width: int = 4) -> MarkExpr:
     def build(depth: int) -> Node:
         if depth >= max_depth or rng.random() < 0.3:

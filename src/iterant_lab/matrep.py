@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .groups import GroupAction, Permutation, perm_matrix, symmetric_permutations
+from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation
+from .groups import perm_matrix, symmetric_permutations
 from .iterants import (
     IterantAlgebra,
     IterantElement,
@@ -22,8 +23,6 @@ from .iterants import (
 )
 from .matrix import SquareMatrix, bareiss, integer_rows
 from .scalars import GaussianRational
-
-MAX_EMBED_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,8 @@ def _entry_vector(m: SquareMatrix, p: Permutation) -> tuple[GaussianRational, ..
 def embed_matrix(m: SquareMatrix) -> IterantElement:
     """The section of to_matrix: (1/(n-1)!) * sum of entry-vectors times permutations."""
     n = m.n
-    if n > MAX_EMBED_DIM:
-        raise ValueError(f"embedding enumerates n! permutations; n <= {MAX_EMBED_DIM} required, got {n}")
+    if n > MAX_ENUMERATED_DEGREE:
+        raise ValueError(f"embedding enumerates n! permutations; n <= {MAX_ENUMERATED_DEGREE} required, got {n}")
     algebra = natural_sn_algebra(n)
     factor = Fraction(1, factorial(n - 1))
     perms = symmetric_permutations(n)
@@ -68,8 +67,8 @@ def embed_matrix(m: SquareMatrix) -> IterantElement:
 def decompose_matrix(m: SquareMatrix) -> list[DecompositionTerm]:
     """All n! diagonal-times-permutation summands (leading 1/(n-1)! not folded in)."""
     n = m.n
-    if n > MAX_EMBED_DIM:
-        raise ValueError(f"decomposition enumerates n! permutations; n <= {MAX_EMBED_DIM} required, got {n}")
+    if n > MAX_ENUMERATED_DEGREE:
+        raise ValueError(f"decomposition enumerates n! permutations; n <= {MAX_ENUMERATED_DEGREE} required, got {n}")
     return [
         DecompositionTerm(_entry_vector(m, p), p) for p in symmetric_permutations(n)
     ]

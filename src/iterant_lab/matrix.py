@@ -20,7 +20,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import GaussianRational, ScalarLike, scalar_from_json, scalar_to_json
+from .scalars import GaussianRational, ScalarLike, parse_rational, parse_scalar
+from .scalars import scalar_from_json, scalar_to_json
 
 GaussianInteger = tuple[int, int]
 
@@ -218,11 +219,9 @@ class SquareMatrix:
                 if isinstance(cell, dict):
                     parsed.append(scalar_from_json(cell))
                 elif isinstance(cell, str):
-                    from .scalars import parse_scalar
-
                     parsed.append(parse_scalar(cell))
                 elif isinstance(cell, list) and len(cell) == 2:
-                    parsed.append(GaussianRational(Fraction(cell[0], cell[1])))
+                    parsed.append(GaussianRational(parse_rational(*cell)))
                 else:
                     parsed.append(GaussianRational.of(cell))
             rows.append(tuple(parsed))

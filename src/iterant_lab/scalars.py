@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals (a + b*i).
 
 Every algebra module shares these coefficients; nothing here touches floating
-point.  ``Rational`` is the standard library ``fractions.Fraction``, which
+point.  Rationals are the standard library ``fractions.Fraction``, which
 already maintains the canonical-form invariants (positive denominator,
 numerator and denominator coprime, zero stored as 0/1).
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
@@ -110,8 +108,6 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
@@ -132,13 +128,22 @@ def format_scalar(z: GaussianRational) -> str:
     return f"{z.re}{sign}{imag}"
 
 
+def parse_rational(value, denominator=1) -> Fraction:
+    """value/denominator from ints or text like "-2/5"; a zero denominator is a ValueError."""
+    try:
+        return Fraction(value) / Fraction(denominator)
+    except ZeroDivisionError:
+        literal = value if denominator == 1 else f"{value}/{denominator}"
+        raise ValueError(f"zero denominator in {literal!r}") from None
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse "a/b", "a/b+c/d i", "-i", "3-2i", ... into an exact scalar."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")
     if "i" not in s:
-        return GaussianRational(Fraction(s))
+        return GaussianRational(parse_rational(s))
     if not s.endswith("i"):
         raise ValueError(f"malformed scalar literal {text!r}: i must end the imaginary part")
     body = s[:-1]
@@ -151,8 +156,8 @@ def parse_scalar(text: str) -> GaussianRational:
     elif imag_text == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(imag_text)
-    re = Fraction(real_text) if real_text else Fraction(0)
+        im = parse_rational(imag_text)
+    re = parse_rational(real_text) if real_text else Fraction(0)
     return GaussianRational(re, im)
 
 
@@ -166,7 +171,7 @@ def scalar_to_json(z: GaussianRational) -> dict:
 def scalar_from_json(obj: dict) -> GaussianRational:
     re_num, re_den = obj.get("re", [0, 1])
     im_num, im_den = obj.get("im", [0, 1])
-    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+    return GaussianRational(parse_rational(re_num, re_den), parse_rational(im_num, im_den))
 
 
 def sqrt_exact(value: Fraction) -> Fraction | None:

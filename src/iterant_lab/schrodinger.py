@@ -31,15 +31,12 @@ class LatticeConfig:
     dt: float
     kappa: float
     steps: int
-    boundary: str = "periodic"
 
     def __post_init__(self) -> None:
         if self.cells < 2:
             raise ValueError("need at least two cells")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
-        if self.boundary != "periodic":
-            raise ValueError(f"only periodic boundaries are supported, got {self.boundary!r}")
 
     @property
     def ratio(self) -> float:
@@ -93,9 +90,6 @@ class RunResult:
     def norm(self, index: int) -> float:
         e, o = self.psi_e[index], self.psi_o[index]
         return float(np.sum(e * e + o * o) * self.cfg.dx)
-
-    def time_of(self, index: int) -> float:
-        return index * self.cfg.dt
 
 
 def run(cfg: LatticeConfig, initial_even: FieldState, initial_odd: FieldState) -> RunResult:

@@ -627,13 +627,7 @@ def check_lof(seed: int, fuzz: int = 1000) -> list[CheckResult]:
                       lof.reduce_expression(lof.parse("()()")).value == "marked",
                       lof.reduce_expression(lof.parse("()()")).value, "marked"))
 
-    rng = random.Random(seed + 13)
-    all_agree = True
-    for _ in range(fuzz):
-        expr = lof.random_expression(rng, max_depth=6, max_width=4)
-        probe = lof.confluence_probe(expr, trials=3, seed=rng.randrange(1 << 30))
-        if not probe.all_agree:
-            all_agree = False
+    all_agree = lof.confluence_fuzz(fuzz, max_depth=6, orders=3, seed=seed + 13) == 0
     out.append(_entry("C13.confluence", "mark-calculus",
                       f"{fuzz} random expressions reduce to the same value in random rule order",
                       all_agree, "all agree", "all agree"))
@@ -704,41 +698,6 @@ THREE_D_CASES = [
 ]
 
 
-def _dirac_checks_for(frame, params) -> dict[str, bool]:
-    identity = SquareMatrix.identity(frame.dim)
-    zero = SquareMatrix.zero(frame.dim)
-    p_op = frame.momentum_operator(params)
-    m_term = p_op + identity.scale(params.mass)
-    checks = {}
-    u_plain = dirac.nilpotent_u(frame, params)
-    checks["u-squared-zero"] = u_plain * u_plain == zero
-    for version in dirac.VERSIONS:
-        u, u_dag = dirac.nilpotent_pair(frame, params, version)
-        checks[f"{version}-u-squared"] = u * u == zero
-        checks[f"{version}-dagger-squared"] = u_dag * u_dag == zero
-        anti = u * u_dag + u_dag * u
-        if version == "conjugate":
-            expected = (m_term * m_term).scale(2)
-            checks["conjugate-anticommutator"] = anti == expected
-            plus = u + u_dag
-            minus = u - u_dag
-            checks["conjugate-sum-squared"] = plus * plus == expected
-            checks["conjugate-diff-squared"] = minus * minus == -expected
-        else:
-            e2 = params.energy * params.energy
-            checks["time-reversed-anticommutator"] = anti == identity.scale(4 * e2)
-            minus = u - u_dag
-            checks["time-reversed-diff-squared"] = minus * minus == identity.scale(-4 * e2)
-    split = dirac.majorana_split(frame, params)
-    checks["split-a-squared"] = split.a_squared_one
-    checks["split-b-squared"] = split.b_squared_one
-    checks["split-anticommute"] = split.anticommute
-    checks["split-rebuild"] = split.reconstructs_u and split.reconstructs_u_dagger
-    residual = dirac.plane_wave_residual(frame, params)
-    checks["plane-wave"] = residual.is_solution and residual.factorization_ok
-    return checks
-
-
 def check_dirac(seed: int, triples: int = 50) -> list[CheckResult]:
     out = []
     frame1 = dirac.dirac_frame("1d")
@@ -747,7 +706,7 @@ def check_dirac(seed: int, triples: int = 50) -> list[CheckResult]:
         params = dirac.OnShellParams.of(e, p, m)
         if not params.on_shell:
             raise AssertionError("triple generator produced an off-shell case")
-        for key, value in _dirac_checks_for(frame1, params).items():
+        for key, value in dirac.relation_report(frame1, params).items():
             all_ok[key] = all_ok.get(key, True) and value
     for key, value in sorted(all_ok.items()):
         out.append(_entry(f"C14.1d-{key}", "dirac",
@@ -760,7 +719,7 @@ def check_dirac(seed: int, triples: int = 50) -> list[CheckResult]:
         params = dirac.OnShellParams.of(e, p, m)
         if not params.on_shell:
             raise AssertionError("bad 3d case")
-        for key, value in _dirac_checks_for(frame3, params).items():
+        for key, value in dirac.relation_report(frame3, params).items():
             ok3[key] = ok3.get(key, True) and value
     three_ok = all(ok3.values())
     out.append(_entry("C14.3d-identities", "dirac",

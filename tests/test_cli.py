@@ -239,3 +239,138 @@ def test_symmetric_degree_cap_exits_two_at_once(capsys, argv):
     assert code == 2
     assert one_error_line(capsys.readouterr().err)
     assert elapsed < 1.0
+
+
+DIRAC_OFF_SHELL_ROWS = [
+    ("on_shell", "1", "4", False),
+    ("u_squared_zero", "U^2", "0", False),
+    ("dagger_squared_zero", "U+^2", "0", False),
+    ("anticommutator", "U U+ + U+ U", "4E^2", False),
+    ("split_squares", "A^2, B^2", "1, 1", False),
+    ("split_anticommute", "AB + BA", "0", True),
+    ("split_rebuild", "(A + iB)E, (A - iB)E", "U, U+", True),
+    ("plane_wave_residual", "D ba U", "defect -3", True),
+]
+DIRAC_3D_ROWS = [
+    ("on_shell", "25", "25", True),
+    ("u_squared_zero", "U^2", "0", True),
+    ("dagger_squared_zero", "U+^2", "0", True),
+    ("anticommutator", "U U+ + U+ U", "4E^2", True),
+    ("split_squares", "A^2, B^2", "1, 1", True),
+    ("split_anticommute", "AB + BA", "0", True),
+    ("split_rebuild", "(A + iB)E, (A - iB)E", "U, U+", True),
+    ("plane_wave_residual", "D ba U", "0", True),
+]
+
+
+def _conjugate_rows(rows):
+    return [(c, lhs, "2(p+m)^2" if c == "anticommutator" else rhs, ok)
+            for c, lhs, rhs, ok in rows]
+
+
+@pytest.mark.parametrize("argv, code, rows", [
+    (["--E", "2", "--p", "1", "--m", "0"], 1, DIRAC_OFF_SHELL_ROWS),
+    (["--E", "2", "--p", "1", "--m", "0", "--version", "conjugate"], 1,
+     _conjugate_rows(DIRAC_OFF_SHELL_ROWS)),
+    # E = 0: the Majorana split divides by E, so its rows are left out.
+    (["--E", "0", "--p", "0", "--m", "0"], 0, [
+        ("on_shell", "0", "0", True),
+        ("u_squared_zero", "U^2", "0", True),
+        ("dagger_squared_zero", "U+^2", "0", True),
+        ("anticommutator", "U U+ + U+ U", "4E^2", True),
+        ("plane_wave_residual", "D ba U", "0", True),
+    ]),
+    (["--E", "0", "--p", "1", "--m", "2", "--version", "conjugate"], 1, [
+        ("on_shell", "5", "0", False),
+        ("u_squared_zero", "U^2", "0", False),
+        ("dagger_squared_zero", "U+^2", "0", False),
+        ("anticommutator", "U U+ + U+ U", "2(p+m)^2", False),
+        ("plane_wave_residual", "D ba U", "defect 5", True),
+    ]),
+    (["--E", "5", "--p", "1,2,2", "--m", "4", "--dim", "3d"], 0, DIRAC_3D_ROWS),
+    (["--E", "5", "--p", "1,2,2", "--m", "4", "--dim", "3d", "--version", "conjugate"], 0,
+     _conjugate_rows(DIRAC_3D_ROWS)),
+])
+def test_dirac_verify_rows(capsys, argv, code, rows):
+    got_code, out = run_cli(capsys, "dirac", "verify", *argv)
+    payload = json.loads(out)
+    assert got_code == code
+    assert [(c["check"], c["lhs"], c["rhs"], c["pass"]) for c in payload["checks"]] == rows
+    assert payload["all_pass"] is (code == 0)
+
+
+def test_lof_random_fuzz_json(capsys):
+    code, out = run_cli(capsys, "lof", "reduce", "--random", "50", "5", "11",
+                        "--format", "json")
+    assert code == 0
+    assert out == '{\n  "disagreements": 0,\n  "trials": 50\n}\n'
+
+
+@pytest.mark.parametrize("argv, matrix", [
+    (["discrete", "commutator", "--seq", "1/0,1"], None),
+    (["discrete", "commutator", "--seq", "0,1,0", "--dt", "1/0"], None),
+    (["dirac", "verify", "--E", "1/0", "--p", "1", "--m", "1"], None),
+    (["iterant", "eval", "[1/0,2]", "[1,2]"], None),
+    (["matrep", "decompose"], [["1/0", 1], [2, 3]]),
+    (["matrep", "decompose"], [[[1, 0], 1], [2, 3]]),
+])
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, matrix):
+    if matrix is not None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        argv = argv + ["--matrix", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in '1/0'\n"
+
+
+def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
+    code = main(["schrodinger", "run", "--n", "8", "--dt", "1", "--steps", "400",
+                 "--init", "planewave:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "schrodinger run failed: the fields overflowed at r = 1.0000"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sample-every", "0"], "error: --sample-every must be positive, got 0"),
+    (["--init", "gaussian:mu"], "error: cannot read init 'gaussian:mu'; "
+                                "use gaussian:mu=..,sigma=.. or planewave:k"),
+    (["--init", "planewave:x"], "error: cannot read init 'planewave:x'; "
+                                "use gaussian:mu=..,sigma=.. or planewave:k"),
+])
+def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
+    code = main(["schrodinger", "run", "--n", "8", "--steps", "4", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "table", "--group", "c100000"],
+    ["matrep", "isocheck", "--group", "c100000"],
+    ["clifford", "fusion", "--power", "1001"],
+])
+def test_size_caps_exit_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert one_error_line(capsys.readouterr().err)
+    assert elapsed < 1.0
+
+
+def test_clifford_fusion_rows_are_fibonacci(capsys):
+    code, out = run_cli(capsys, "clifford", "fusion", "--power", "300", "--format", "json")
+    assert code == 0
+    fib = [0, 1]
+    while len(fib) < 302:
+        fib.append(fib[-1] + fib[-2])
+    expected = [{"n": 0, "unit": 1, "p": 0}] + [
+        {"n": n, "unit": fib[n - 1], "p": fib[n]} for n in range(1, 301)]
+    assert json.loads(out)["powers"] == expected

@@ -302,3 +302,10 @@ def test_minkowski_random_events():
         h = rep.matrix
         zero = h * h - h.scale(2 * t) + identity(2).scale(rep.determinant)
         assert zero.is_zero()
+
+
+def test_split_pair_is_the_period_two_iterant_pair():
+    sq = split_quaternions()
+    assert sq.polarity == SquareMatrix.from_rows([[-1, 0], [0, 1]])
+    assert sq.shift == SquareMatrix.from_rows([[0, 1], [1, 0]])
+    assert sq.root * sq.root == -identity(2)

@@ -13,6 +13,7 @@ from iterant_lab.dirac import (
     nilpotent_pair,
     nilpotent_u,
     plane_wave_residual,
+    relation_report,
     u_dagger,
 )
 from iterant_lab.matrix import SquareMatrix
@@ -228,3 +229,15 @@ def test_commuting_copies():
     assert report.ok
     assert report.commutators_vanish
     assert report.hatted_root_squares_to_minus_one
+
+
+def test_relation_report_leaves_out_the_split_at_zero_energy():
+    frame = dirac_frame("1d")
+    on_shell = relation_report(frame, OnShellParams.of(5, 3, 4))
+    assert all(on_shell.values())
+    at_rest = relation_report(frame, OnShellParams.of(0, 0, 0))
+    assert all(at_rest.values())
+    assert set(on_shell) - set(at_rest) == {
+        "split-a-squared", "split-b-squared", "split-anticommute", "split-rebuild"}
+    off_shell = relation_report(frame, OnShellParams.of(2, 1, 0))
+    assert not off_shell["u-squared-zero"] and not off_shell["plane-wave"]

@@ -225,3 +225,9 @@ def test_symmetric_degree_cap():
 
 def test_natural_action_is_built_once_per_degree():
     assert groups.natural_action(4) is groups.natural_action(4)
+
+
+def test_cyclic_order_cap_is_the_symmetric_cap():
+    assert groups.MAX_GROUP_ORDER == groups.symmetric(groups.MAX_SYMMETRIC_DEGREE).order
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        cyclic(groups.MAX_GROUP_ORDER + 1)

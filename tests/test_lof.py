@@ -6,6 +6,7 @@ from iterant_lab.lof import (
     Mark,
     MarkExpr,
     MarkParseError,
+    confluence_fuzz,
     confluence_probe,
     eval_logic,
     majorana_pair_bridge,
@@ -165,3 +166,7 @@ def test_depth_and_counts():
     assert expr.depth() == 3
     assert expr.mark_count() == 4
     assert MarkExpr(()).depth() == 0
+
+
+def test_confluence_fuzz_finds_no_disagreement():
+    assert confluence_fuzz(40, max_depth=5, orders=3, seed=2) == 0

@@ -6,6 +6,7 @@ import pytest
 from iterant_lab.scalars import (
     GaussianRational,
     format_scalar,
+    parse_rational,
     parse_scalar,
     scalar,
     scalar_from_json,
@@ -128,3 +129,12 @@ def test_sqrt_exact():
     assert sqrt_exact(Fraction(2)) is None
     assert sqrt_exact(Fraction(-1)) is None
     assert sqrt_exact(Fraction(0)) == 0
+
+
+def test_zero_denominator_is_a_value_error():
+    assert parse_rational("-6/4") == Fraction(-3, 2)
+    assert parse_rational(3, -6) == Fraction(-1, 2)
+    for bad in (lambda: parse_rational("1/0"), lambda: parse_rational(1, 0),
+                lambda: parse_scalar("2+1/0i"), lambda: scalar_from_json({"re": [1, 0]})):
+        with pytest.raises(ValueError, match="zero denominator"):
+            bad()

@@ -28,8 +28,6 @@ def test_config_validation():
         LatticeConfig(cells=1, dx=1.0, dt=0.1, kappa=1.0, steps=1)
     with pytest.raises(ValueError):
         LatticeConfig(cells=8, dx=0.0, dt=0.1, kappa=1.0, steps=1)
-    with pytest.raises(ValueError):
-        LatticeConfig(cells=8, dx=1.0, dt=0.1, kappa=1.0, steps=1, boundary="dirichlet")
 
 
 def test_stability_warning_flag():
