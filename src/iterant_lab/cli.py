@@ -99,9 +99,9 @@ def cmd_matrep_isocheck(args) -> int:
         action = groups.natural_action(int(key[1:]))
     else:
         group = groups.builtin_group(args.group)
-        if group.order > 8:
-            print(f"group order {group.order} exceeds the desk-scale cap of 8", file=sys.stderr)
-            return 2
+        if group.order > groups.MAX_ISOCHECK_ORDER:
+            raise ValueError(f"group order {group.order} exceeds the desk-scale cap of "
+                             f"{groups.MAX_ISOCHECK_ORDER}")
         action = groups.regular_action(group)
     report = matrep.iso_check(action, samples=args.samples, seed=args.seed)
     payload = {

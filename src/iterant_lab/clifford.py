@@ -134,14 +134,18 @@ class CliffordRep:
 MAX_CLIFFORD_GENERATORS = 8
 
 
+def _check_generator_count(n: int) -> None:
+    if not 1 <= n <= MAX_CLIFFORD_GENERATORS:
+        raise ValueError(f"generator count must be in 1..{MAX_CLIFFORD_GENERATORS}, got {n}")
+
+
 def clifford_generators(n: int) -> CliffordRep:
     """Ladder of n anticommuting square-one matrices in dimension 2^ceil(n/2).
 
     Block j contributes the split pair (polarity, shift) in slot j, preceded by
     parity factors i * polarity * shift (square +1, anticommuting with both).
     """
-    if n < 1 or n > MAX_CLIFFORD_GENERATORS:
-        raise ValueError(f"generator count must be in 1..{MAX_CLIFFORD_GENERATORS}, got {n}")
+    _check_generator_count(n)
     sq = split_quaternions()
     parity = sq.root.scale(I_UNIT)  # squares to +1
     blocks = (n + 1) // 2
@@ -178,16 +182,20 @@ def braid_conjugate(rep: CliffordRep, k: int, x: SquareMatrix) -> SquareMatrix:
     return ((identity + w) * x * (identity - w)).scale(Fraction(1, 2))
 
 
+def _span_identity_rows(n: int) -> list[list[int]]:
+    """The identity on the span of an n-generator ladder, which stops at 8."""
+    _check_generator_count(n)
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def braid_basis_matrix(n: int, k: int) -> SquareMatrix:
     """Signed permutation of the generator span: c_k -> c_{k+1}, c_{k+1} -> -c_k.
 
     Row i holds the coordinates of the image of c_{i+1}.
     """
+    rows = _span_identity_rows(n)
     if not 1 <= k < n:
         raise ValueError(f"braid index must satisfy 1 <= k < {n}, got {k}")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
     rows[k - 1][k - 1] = 0
     rows[k - 1][k] = 1
     rows[k][k] = 0
@@ -196,7 +204,7 @@ def braid_basis_matrix(n: int, k: int) -> SquareMatrix:
 
 
 def braid_word_matrix(n: int, word: list[int]) -> SquareMatrix:
-    total = SquareMatrix.identity(n)
+    total = SquareMatrix.from_rows(_span_identity_rows(n))
     for k in word:
         total = total * braid_basis_matrix(n, k)
     return total

@@ -19,11 +19,14 @@ from math import factorial
 from .matrix import SquareMatrix
 
 
-# The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table, and
-# enumerating the n * n! basis of the natural S_n algebra stops at n = 5.
+# The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
+# enumerating the n * n! basis of the natural S_n algebra stops at n = 5, and
+# the isocheck of a regular action, whose algebra has dimension order^2,
+# stops at order 8.
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
+MAX_ISOCHECK_ORDER = 8
 
 
 class GroupTableError(ValueError):

@@ -8,8 +8,11 @@ Two rewrite rules drive reduction:
   vanishes.
 
 Every variable-free expression reduces to the marked state (one empty mark)
-or the unmarked state (nothing), independently of rule order; the seeded
-random prober exercises that order-independence.  Letters extend the grammar
+or the unmarked state (nothing), independently of rule order.  That value is
+the linear rule of ``eval_logic``: a mark is marked iff none of its contents
+is.  One rewrite loop applies the rules; the deterministic reducer and the
+seeded random prober differ only in how they pick the next redex, and the
+prober checks each run against the linear value.  Letters extend the grammar
 to the primary algebra, where juxtaposition reads as OR and enclosure as NOT.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Node = Union["Mark", "Var"]
 
@@ -48,13 +51,6 @@ class MarkExpr:
 
     def is_empty(self) -> bool:
         return not self.items
-
-    def is_single_empty_mark(self) -> bool:
-        return (
-            len(self.items) == 1
-            and isinstance(self.items[0], Mark)
-            and not self.items[0].children
-        )
 
     def mark_count(self) -> int:
         return sum(_count_marks(node) for node in self.items)
@@ -160,102 +156,79 @@ class ReductionResult:
     trace: tuple[ReductionStep, ...]
 
 
-@dataclass(frozen=True)
-class _Redex:
-    rule: str
-    path: tuple[int, ...]  # path to the containing sibling list
-    indices: tuple[int, ...]  # positions inside that list
+Redex = tuple[str, tuple[int, ...], int]  # (rule, path to the sibling list, index)
 
 
-def _forest_at(items: tuple[Node, ...], path: tuple[int, ...]) -> tuple[Node, ...]:
-    for idx in path:
-        node = items[idx]
-        assert isinstance(node, Mark)
-        items = node.children
-    return items
+def _is_empty_mark(node: Node) -> bool:
+    return isinstance(node, Mark) and not node.children
 
 
-def _replace_at(
-    items: tuple[Node, ...], path: tuple[int, ...], new_children: tuple[Node, ...]
-) -> tuple[Node, ...]:
-    if not path:
-        return new_children
-    idx = path[0]
-    node = items[idx]
-    assert isinstance(node, Mark)
-    replaced = Mark(_replace_at(node.children, path[1:], new_children))
-    return items[:idx] + (replaced,) + items[idx + 1 :]
+def _redexes(items: tuple[Node, ...], path: tuple[int, ...] = ()) -> list[Redex]:
+    """Every distinct rewrite once, visiting sibling lists in preorder.
 
-
-def _find_redexes(items: tuple[Node, ...], path: tuple[int, ...] = ()) -> list[_Redex]:
-    """All applicable rewrites anywhere in the forest.
-
-    calling targets a pair of empty-mark siblings; crossing targets a mark
-    whose children are exactly one empty mark.
+    Any two empty siblings condense to the same forest, so a list offers one
+    calling, which drops its second empty mark; then come its crossings by
+    index, each dropping a mark whose children are exactly one empty mark.
     """
-    out: list[_Redex] = []
-    empties = [
-        i for i, n in enumerate(items) if isinstance(n, Mark) and not n.children
+    empties = [i for i, node in enumerate(items) if _is_empty_mark(node)]
+    out: list[Redex] = [("calling", path, empties[1])] if len(empties) > 1 else []
+    marks = [(i, node) for i, node in enumerate(items) if isinstance(node, Mark)]
+    out += [
+        ("crossing", path, i)
+        for i, node in marks
+        if len(node.children) == 1 and _is_empty_mark(node.children[0])
     ]
-    for a in range(len(empties)):
-        for b in range(a + 1, len(empties)):
-            out.append(_Redex("calling", path, (empties[a], empties[b])))
-    for i, node in enumerate(items):
-        if not isinstance(node, Mark):
-            continue
-        inner = MarkExpr(node.children)
-        if inner.is_single_empty_mark():
-            out.append(_Redex("crossing", path, (i,)))
-        out.extend(_find_redexes(node.children, path + (i,)))
+    for i, node in marks:
+        out += _redexes(node.children, path + (i,))
     return out
 
 
-def _apply_redex(items: tuple[Node, ...], redex: _Redex) -> tuple[Node, ...]:
-    siblings = list(_forest_at(items, redex.path))
-    if redex.rule == "calling":
-        _, drop = redex.indices
-        del siblings[drop]
-    else:
-        del siblings[redex.indices[0]]
-    return _replace_at(items, redex.path, tuple(siblings))
+def _drop(items: tuple[Node, ...], path: tuple[int, ...], index: int) -> tuple[Node, ...]:
+    """The forest with the node at index of the sibling list at path removed."""
+    if not path:
+        return items[:index] + items[index + 1 :]
+    head = path[0]
+    inner = Mark(_drop(items[head].children, path[1:], index))  # type: ignore[union-attr]
+    return items[:head] + (inner,) + items[head + 1 :]
 
 
-def _terminal_value(expr: MarkExpr) -> str | None:
-    if expr.is_empty():
-        return "unmarked"
-    if expr.is_single_empty_mark():
-        return "marked"
-    return None
+def _value(items: tuple[Node, ...]) -> str:
+    return "marked" if eval_logic(MarkExpr(items), {}) else "unmarked"
 
 
-def _deepest_redex(items: tuple[Node, ...]) -> _Redex:
-    redexes = _find_redexes(items)
-    if not redexes:
-        raise AssertionError("non-terminal expression without a redex")
-    return max(redexes, key=lambda r: len(r.path))
+def _rewrite(
+    expr: MarkExpr,
+    pick: Callable[[list[Redex]], Redex],
+    record: Callable[[str, tuple[int, ...], MarkExpr, MarkExpr], None] = lambda *step: None,
+) -> str:
+    """The one rewrite loop: apply the redex that pick chooses until none is
+    left, hand each step to record, and return the value of what remains."""
+    if expr.variables():
+        raise ValueError("cannot reduce an expression containing variables")
+    items, count = expr.items, expr.mark_count()
+    while redexes := _redexes(items):
+        rule, path, index = pick(redexes)
+        after = MarkExpr(_drop(items, path, index))
+        if (shrunk := after.mark_count()) >= count:
+            raise AssertionError("reduction step failed to shrink the expression")
+        record(rule, path, MarkExpr(items), after)
+        items, count = after.items, shrunk
+    return _value(items)
+
+
+def _first_deepest(redexes: list[Redex]) -> Redex:
+    return max(redexes, key=lambda redex: len(redex[1]))
 
 
 def reduce_expression(expr: MarkExpr) -> ReductionResult:
     """Deepest-first reduction to marked/unmarked, with a step-by-step trace."""
-    if expr.variables():
-        raise ValueError("cannot reduce an expression containing variables")
-    items = expr.items
     trace: list[ReductionStep] = []
-    while True:
-        current = MarkExpr(items)
-        value = _terminal_value(current)
-        if value is not None:
-            return ReductionResult(value, tuple(trace))
-        redex = _deepest_redex(items)
-        before = unparse(current)
-        next_items = _apply_redex(items, redex)
-        after_expr = MarkExpr(next_items)
-        if after_expr.mark_count() >= current.mark_count():
-            raise AssertionError("reduction step failed to shrink the expression")
-        trace.append(
-            ReductionStep(redex.rule, redex.path, before, unparse(after_expr))
-        )
-        items = next_items
+
+    def record(rule: str, path: tuple[int, ...], before: MarkExpr, after: MarkExpr) -> None:
+        trace.append(ReductionStep(rule, path, unparse(before), unparse(after)))
+
+    value = _rewrite(expr, _first_deepest, record)
+    return ReductionResult(value, tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -268,17 +241,10 @@ class ConfluenceReport:
 
 def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport:
     """Reduce with rules applied in seeded-random order; all runs must land on
-    the same terminal value as the deterministic reducer."""
-    reference = reduce_expression(expr).value
+    the linear value of the expression."""
     rng = random.Random(seed)
-    seen = set()
-    for _ in range(trials):
-        items = expr.items
-        while _terminal_value(MarkExpr(items)) is None:
-            redexes = _find_redexes(items)
-            items = _apply_redex(items, rng.choice(redexes))
-        seen.add(_terminal_value(MarkExpr(items)))
-    values = tuple(sorted(seen))
+    values = tuple(sorted({_rewrite(expr, rng.choice) for _ in range(trials)}))
+    reference = _value(expr.items)
     return ConfluenceReport(trials, reference, values, values == (reference,))
 
 

@@ -213,17 +213,21 @@ class SquareMatrix:
     @staticmethod
     def from_lists(data: Sequence[Sequence]) -> SquareMatrix:
         rows = []
-        for row in data:
+        for r, row in enumerate(data):
             parsed = []
-            for cell in row:
+            for c, cell in enumerate(row):
                 if isinstance(cell, dict):
                     parsed.append(scalar_from_json(cell))
                 elif isinstance(cell, str):
                     parsed.append(parse_scalar(cell))
                 elif isinstance(cell, list) and len(cell) == 2:
                     parsed.append(GaussianRational(parse_rational(*cell)))
-                else:
+                elif isinstance(cell, int):
                     parsed.append(GaussianRational.of(cell))
+                else:
+                    raise ValueError(
+                        f"matrix cell ({r}, {c}) is {cell!r}; use an int, a text literal, "
+                        'a [num, den] pair or a {"re", "im"} object')
             rows.append(tuple(parsed))
         return SquareMatrix(tuple(rows))
 

@@ -135,6 +135,8 @@ def parse_rational(value, denominator=1) -> Fraction:
     except ZeroDivisionError:
         literal = value if denominator == 1 else f"{value}/{denominator}"
         raise ValueError(f"zero denominator in {literal!r}") from None
+    except TypeError:
+        raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational") from None
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -127,6 +127,8 @@ def field_norm(psi_e: np.ndarray, psi_o: np.ndarray, dx: float) -> float:
 
 
 def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[FieldState, FieldState]:
+    if not sigma > 0:
+        raise ValueError(f"gaussian width sigma must be positive, got {sigma}")
     x = np.arange(cfg.cells) * cfg.dx
     envelope = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
     return FieldState(0, envelope), FieldState(1, np.zeros(cfg.cells))

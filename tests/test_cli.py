@@ -326,6 +326,23 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, matrix):
     assert captured.err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("cell, message", [
+    (0.5, "error: matrix cell (0, 0) is 0.5; "),
+    (None, "error: matrix cell (0, 0) is None; "),
+    ([1, 2, 3], "error: matrix cell (0, 0) is [1, 2, 3]; "),
+    ([None, 1], "error: cannot read None/1 as a rational"),
+])
+def test_decompose_bad_cell_is_a_usage_error(tmp_path, capsys, cell, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[cell, 1], [2, 3]]}))
+    code = main(["matrep", "decompose", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(message)
+
+
 def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
     code = main(["schrodinger", "run", "--n", "8", "--dt", "1", "--steps", "400",
                  "--init", "planewave:1"])
@@ -342,6 +359,11 @@ def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
                                 "use gaussian:mu=..,sigma=.. or planewave:k"),
     (["--init", "planewave:x"], "error: cannot read init 'planewave:x'; "
                                 "use gaussian:mu=..,sigma=.. or planewave:k"),
+    # numpy's divide-by-zero warning would print its own stderr lines
+    pytest.param(["--init", "gaussian:mu=4,sigma=0"],
+                 "error: cannot read init 'gaussian:mu=4,sigma=0'; "
+                 "use gaussian:mu=..,sigma=.. or planewave:k",
+                 marks=pytest.mark.filterwarnings("error")),
 ])
 def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     code = main(["schrodinger", "run", "--n", "8", "--steps", "4", *flags])
@@ -355,6 +377,8 @@ def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     ["group", "table", "--group", "c100000"],
     ["matrep", "isocheck", "--group", "c100000"],
     ["clifford", "fusion", "--power", "1001"],
+    ["clifford", "braid", "--n", "100000", "--word", "1"],
+    ["matrep", "isocheck", "--group", "c9"],
 ])
 def test_size_caps_exit_two_at_once(capsys, argv):
     start = time.perf_counter()

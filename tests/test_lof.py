@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterant_lab.lof import (
     Mark,
     MarkExpr,
     MarkParseError,
+    ReductionStep,
     confluence_fuzz,
     confluence_probe,
     eval_logic,
@@ -60,6 +63,32 @@ def test_worked_example_reduces_to_marked():
     result = reduce_expression(parse(WORKED))
     assert result.value == "marked"
     assert len(result.trace) == 5
+
+
+def test_worked_example_trace_rows():
+    assert reduce_expression(parse(WORKED)).trace == (
+        ReductionStep("calling", (0, 0, 0, 0), "((((()())())())())()", "((((())())())())()"),
+        ReductionStep("crossing", (0, 0, 0), "((((())())())())()", "(((())())())()"),
+        ReductionStep("crossing", (0, 0), "(((())())())()", "((())())()"),
+        ReductionStep("crossing", (0,), "((())())()", "(())()"),
+        ReductionStep("crossing", (), "(())()", "()"),
+    )
+
+
+def test_flat_list_offers_one_calling_per_step():
+    assert reduce_expression(parse("()()()()")).trace == (
+        ReductionStep("calling", (), "()()()()", "()()()"),
+        ReductionStep("calling", (), "()()()", "()()"),
+        ReductionStep("calling", (), "()()", "()"),
+    )
+
+
+def test_deepest_list_rewrites_first():
+    assert reduce_expression(parse("((()())(()))")).trace == (
+        ReductionStep("calling", (0, 0), "((()())(()))", "((())(()))"),
+        ReductionStep("crossing", (0,), "((())(()))", "((()))"),
+        ReductionStep("crossing", (0,), "((()))", "()"),
+    )
 
 
 def test_crossing_and_calling():
@@ -170,3 +199,21 @@ def test_depth_and_counts():
 
 def test_confluence_fuzz_finds_no_disagreement():
     assert confluence_fuzz(40, max_depth=5, orders=3, seed=2) == 0
+
+
+mark_forests = st.recursive(
+    st.just(()),
+    lambda forests: st.lists(forests.map(Mark), max_size=4).map(tuple),
+    max_leaves=40,
+).map(MarkExpr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mark_forests, st.integers(min_value=0, max_value=(1 << 30) - 1))
+def test_every_rewrite_order_reaches_the_linear_value(expr, seed):
+    result = reduce_expression(expr)
+    assert result.value == ("marked" if eval_logic(expr, {}) else "unmarked")
+    for step in result.trace:
+        removed = parse(step.before).mark_count() - parse(step.after).mark_count()
+        assert removed == (1 if step.rule == "calling" else 2)
+    assert confluence_probe(expr, 3, seed).all_agree
