@@ -182,20 +182,17 @@ def braid_conjugate(rep: CliffordRep, k: int, x: SquareMatrix) -> SquareMatrix:
     return ((identity + w) * x * (identity - w)).scale(Fraction(1, 2))
 
 
-def _span_identity_rows(n: int) -> list[list[int]]:
-    """The identity on the span of an n-generator ladder, which stops at 8."""
-    _check_generator_count(n)
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def braid_basis_matrix(n: int, k: int) -> SquareMatrix:
     """Signed permutation of the generator span: c_k -> c_{k+1}, c_{k+1} -> -c_k.
 
     Row i holds the coordinates of the image of c_{i+1}.
     """
-    rows = _span_identity_rows(n)
+    _check_generator_count(n)
     if not 1 <= k < n:
         raise ValueError(f"braid index must satisfy 1 <= k < {n}, got {k}")
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
     rows[k - 1][k - 1] = 0
     rows[k - 1][k] = 1
     rows[k][k] = 0
@@ -204,7 +201,8 @@ def braid_basis_matrix(n: int, k: int) -> SquareMatrix:
 
 
 def braid_word_matrix(n: int, word: list[int]) -> SquareMatrix:
-    total = SquareMatrix.from_rows(_span_identity_rows(n))
+    _check_generator_count(n)
+    total = SquareMatrix.identity(n)
     for k in word:
         total = total * braid_basis_matrix(n, k)
     return total

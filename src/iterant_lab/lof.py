@@ -192,17 +192,14 @@ def _drop(items: tuple[Node, ...], path: tuple[int, ...], index: int) -> tuple[N
     return items[:head] + (inner,) + items[head + 1 :]
 
 
-def _value(items: tuple[Node, ...]) -> str:
-    return "marked" if eval_logic(MarkExpr(items), {}) else "unmarked"
-
-
 def _rewrite(
     expr: MarkExpr,
     pick: Callable[[list[Redex]], Redex],
     record: Callable[[str, tuple[int, ...], MarkExpr, MarkExpr], None] = lambda *step: None,
 ) -> str:
     """The one rewrite loop: apply the redex that pick chooses until none is
-    left, hand each step to record, and return the value of what remains."""
+    left, hand each step to record, and read the value off the normal form,
+    which must be one empty mark or nothing."""
     if expr.variables():
         raise ValueError("cannot reduce an expression containing variables")
     items, count = expr.items, expr.mark_count()
@@ -213,7 +210,9 @@ def _rewrite(
             raise AssertionError("reduction step failed to shrink the expression")
         record(rule, path, MarkExpr(items), after)
         items, count = after.items, shrunk
-    return _value(items)
+    if items not in ((), (Mark(),)):
+        raise AssertionError("non-terminal expression without a redex")
+    return "marked" if items else "unmarked"
 
 
 def _first_deepest(redexes: list[Redex]) -> Redex:
@@ -244,7 +243,7 @@ def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport
     the linear value of the expression."""
     rng = random.Random(seed)
     values = tuple(sorted({_rewrite(expr, rng.choice) for _ in range(trials)}))
-    reference = _value(expr.items)
+    reference = "marked" if eval_logic(expr, {}) else "unmarked"
     return ConfluenceReport(trials, reference, values, values == (reference,))
 
 

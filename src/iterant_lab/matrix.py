@@ -222,7 +222,7 @@ class SquareMatrix:
                     parsed.append(parse_scalar(cell))
                 elif isinstance(cell, list) and len(cell) == 2:
                     parsed.append(GaussianRational(parse_rational(*cell)))
-                elif isinstance(cell, int):
+                elif isinstance(cell, int) and not isinstance(cell, bool):
                     parsed.append(GaussianRational.of(cell))
                 else:
                     raise ValueError(

@@ -129,14 +129,16 @@ def format_scalar(z: GaussianRational) -> str:
 
 
 def parse_rational(value, denominator=1) -> Fraction:
-    """value/denominator from ints or text like "-2/5"; a zero denominator is a ValueError."""
+    """value/denominator from ints or text like "-2/5"; any other part (a float,
+    a bool, null) and a zero denominator are ValueErrors."""
+    if not all(isinstance(part, (int, str)) and not isinstance(part, bool)
+               for part in (value, denominator)):
+        raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational")
     try:
         return Fraction(value) / Fraction(denominator)
     except ZeroDivisionError:
         literal = value if denominator == 1 else f"{value}/{denominator}"
         raise ValueError(f"zero denominator in {literal!r}") from None
-    except TypeError:
-        raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational") from None
 
 
 def parse_scalar(text: str) -> GaussianRational:

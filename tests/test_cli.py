@@ -330,7 +330,11 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, matrix):
     (0.5, "error: matrix cell (0, 0) is 0.5; "),
     (None, "error: matrix cell (0, 0) is None; "),
     ([1, 2, 3], "error: matrix cell (0, 0) is [1, 2, 3]; "),
+    (True, "error: matrix cell (0, 0) is True; "),
     ([None, 1], "error: cannot read None/1 as a rational"),
+    ([0.5, 1], "error: cannot read 0.5/1 as a rational"),
+    ([1e400, 1], "error: cannot read inf/1 as a rational"),
+    ({"re": [0.5, 1]}, "error: cannot read 0.5/1 as a rational"),
 ])
 def test_decompose_bad_cell_is_a_usage_error(tmp_path, capsys, cell, message):
     path = tmp_path / "m.json"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterant_lab import lof
 from iterant_lab.lof import (
     Mark,
     MarkExpr,
@@ -117,6 +118,21 @@ def test_trace_rules_are_single_rewrites():
 def test_reduce_rejects_variables():
     with pytest.raises(ValueError, match="variables"):
         reduce_expression(parse("(A)"))
+
+
+@pytest.mark.parametrize("run", [reduce_expression, lambda e: confluence_probe(e, 3, seed=0)])
+def test_a_redex_walk_that_stops_early_is_caught(monkeypatch, run):
+    real = lof._redexes
+    walks = []
+
+    def stops_after_two_steps(items, path=()):
+        if not path:
+            walks.append(items)
+        return real(items, path) if len(walks) <= 2 else []
+
+    monkeypatch.setattr(lof, "_redexes", stops_after_two_steps)
+    with pytest.raises(AssertionError, match="non-terminal expression without a redex"):
+        run(parse(WORKED))
 
 
 def test_confluence_two_crossings():
