@@ -91,6 +91,8 @@ def cmd_matrep_decompose(args) -> int:
 
 
 def cmd_matrep_isocheck(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     if args.natural:
         key = args.group.lower()
         if not (key.startswith("s") and key[1:].isdigit()):
@@ -387,6 +389,10 @@ def cmd_schrodinger_run(args) -> int:
 def cmd_lof_reduce(args) -> int:
     if args.random:
         trials, depth, seed = args.random
+        if trials < 1:
+            raise ValueError(f"--random N must be positive, got {trials}")
+        if not 1 <= depth <= groups.MAX_LOF_DEPTH:
+            raise ValueError(f"--random DEPTH {depth} is outside 1..{groups.MAX_LOF_DEPTH}")
         disagreements = lof.confluence_fuzz(trials, max_depth=depth, orders=4, seed=seed)
         with _output(args) as stream:
             if args.format == "text":

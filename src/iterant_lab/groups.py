@@ -22,11 +22,13 @@ from .matrix import SquareMatrix
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
 # enumerating the n * n! basis of the natural S_n algebra stops at n = 5, and
 # the isocheck of a regular action, whose algebra has dimension order^2,
-# stops at order 8.
+# stops at order 8, and the random mark trees of the confluence fuzz, which
+# hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8.
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
 MAX_ISOCHECK_ORDER = 8
+MAX_LOF_DEPTH = 8
 
 
 class GroupTableError(ValueError):

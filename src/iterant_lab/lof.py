@@ -10,17 +10,22 @@ Two rewrite rules drive reduction:
 Every variable-free expression reduces to the marked state (one empty mark)
 or the unmarked state (nothing), independently of rule order.  That value is
 the linear rule of ``eval_logic``: a mark is marked iff none of its contents
-is.  One rewrite loop applies the rules; the deterministic reducer and the
-seeded random prober differ only in how they pick the next redex, and the
-prober checks each run against the linear value.  Letters extend the grammar
-to the primary algebra, where juxtaposition reads as OR and enclosure as NOT.
+is.  One rewrite loop applies the rules to a mutable copy of the forest and
+keeps a worklist of the sibling lists that hold a redex, so each step looks
+again at three lists, not at the whole forest.  The deterministic reducer and
+the seeded random prober differ only in how they pick the next redex, and the
+prober checks each run against the linear value.  Every walk over a forest
+keeps its own stack, so nesting depth is bounded by memory, not by Python's
+recursion limit.  Letters extend the grammar to the primary algebra, where
+juxtaposition reads as OR and enclosure as NOT.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 Node = Union["Mark", "Var"]
 
@@ -53,49 +58,63 @@ class MarkExpr:
         return not self.items
 
     def mark_count(self) -> int:
-        return sum(_count_marks(node) for node in self.items)
+        return sum(token == "(" for token in _tokens(self.items))
 
     def depth(self) -> int:
-        return max((_depth(node) for node in self.items), default=0)
+        depth = deepest = 0
+        for token in _tokens(self.items):
+            if token == "(":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif token == ")":
+                depth -= 1
+        return deepest
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for node in self.items:
-            _collect_vars(node, out)
-        return out
+        return {token for token in _tokens(self.items) if token not in ("(", ")")}
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-def _count_marks(node: Node) -> int:
-    if isinstance(node, Var):
-        return 0
-    return 1 + sum(_count_marks(c) for c in node.children)
+def _tokens(items: Iterable[Node]) -> Iterator[str]:
+    """The text of a forest one token at a time: "(" and ")" around each mark's
+    contents and each variable's name.  An explicit stack replaces recursion,
+    so no nesting depth is too deep."""
+    stack = [iter(items)]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            if stack:
+                yield ")"
+        elif isinstance(node, Var):
+            yield node.name
+        else:
+            yield "("
+            stack.append(iter(node.children))
 
 
-def _depth(node: Node) -> int:
-    if isinstance(node, Var):
-        return 0
-    return 1 + max((_depth(c) for c in node.children), default=0)
+def _fold(items: Iterable[Node], var: Callable[[str], Any], mark: Callable[[list], Any]) -> list:
+    """The values of a forest's items, bottom up: var gives a variable's value
+    and mark a mark's value from the values of its contents."""
+    stack: list[list] = [[]]
+    for token in _tokens(items):
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            inner = stack.pop()
+            stack[-1].append(mark(inner))
+        else:
+            stack[-1].append(var(token))
+    return stack[0]
 
 
-def _collect_vars(node: Node, out: set[str]) -> None:
-    if isinstance(node, Var):
-        out.add(node.name)
-    else:
-        for c in node.children:
-            _collect_vars(c, out)
-
-
-def _node_key(node: Node):
-    if isinstance(node, Var):
-        return ("v", node.name)
-    return ("m", _forest_key(node.children))
-
-
-def _forest_key(items: Iterable[Node]):
-    return tuple(sorted((_node_key(n) for n in items), key=repr))
+def _forest_key(items: Iterable[Node]) -> str:
+    """The text of the forest with every sibling list sorted: equal keys are
+    equal multisets at every level, since the text of a list splits uniquely
+    into the texts of its items."""
+    return "".join(sorted(_fold(items, str, lambda keys: "(" + "".join(sorted(keys)) + ")")))
 
 
 class MarkParseError(ValueError):
@@ -134,12 +153,7 @@ def parse(text: str) -> MarkExpr:
 
 
 def unparse(expr: MarkExpr) -> str:
-    def render(node: Node) -> str:
-        if isinstance(node, Var):
-            return node.name
-        return "(" + "".join(render(c) for c in node.children) + ")"
-
-    return "".join(render(n) for n in expr.items) if expr.items else "*"
+    return "".join(_tokens(expr.items)) or "*"
 
 
 @dataclass(frozen=True)
@@ -156,77 +170,155 @@ class ReductionResult:
     trace: tuple[ReductionStep, ...]
 
 
-Redex = tuple[str, tuple[int, ...], int]  # (rule, path to the sibling list, index)
+class _Node:
+    """A mark of the forest under rewriting, or the root that owns the top list."""
+
+    __slots__ = ("parent", "children", "depth", "order", "size")
+
+    def __init__(self, parent: _Node | None, order: int):
+        self.parent = parent
+        self.children: list[_Node] = []
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.order = order  # position in preorder
+        self.size = 0 if parent is None else 1  # marks in the subtree
 
 
-def _is_empty_mark(node: Node) -> bool:
-    return isinstance(node, Mark) and not node.children
+Redex = tuple[str, _Node]  # (rule, the node it drops)
+_REMOVED_MARKS = {"calling": 1, "crossing": 2}
 
 
-def _redexes(items: tuple[Node, ...], path: tuple[int, ...] = ()) -> list[Redex]:
-    """Every distinct rewrite once, visiting sibling lists in preorder.
+def _build(expr: MarkExpr) -> list[_Node]:
+    """The forest as mutable nodes in preorder, the root first."""
+    nodes = [_Node(None, 0)]
+    open_nodes = [nodes[0]]
+    for token in _tokens(expr.items):
+        if token == "(":
+            node = _Node(open_nodes[-1], len(nodes))
+            open_nodes[-1].children.append(node)
+            nodes.append(node)
+            open_nodes.append(node)
+        elif token == ")":
+            node = open_nodes.pop()
+            open_nodes[-1].size += node.size
+        else:
+            raise ValueError("cannot reduce an expression containing variables")
+    return nodes
+
+
+def _list_redexes(owner: _Node) -> list[Redex]:
+    """The rewrites of the sibling list that owner holds.
 
     Any two empty siblings condense to the same forest, so a list offers one
-    calling, which drops its second empty mark; then come its crossings by
-    index, each dropping a mark whose children are exactly one empty mark.
+    calling, which drops its second empty mark; then come its crossings in
+    order, each dropping a mark whose only content is one empty mark.
     """
-    empties = [i for i, node in enumerate(items) if _is_empty_mark(node)]
-    out: list[Redex] = [("calling", path, empties[1])] if len(empties) > 1 else []
-    marks = [(i, node) for i, node in enumerate(items) if isinstance(node, Mark)]
-    out += [
-        ("crossing", path, i)
-        for i, node in marks
-        if len(node.children) == 1 and _is_empty_mark(node.children[0])
-    ]
-    for i, node in marks:
-        out += _redexes(node.children, path + (i,))
+    empties = [node for node in owner.children if not node.children]
+    out: list[Redex] = [("calling", empties[1])] if len(empties) > 1 else []
+    out += [("crossing", node) for node in owner.children
+            if len(node.children) == 1 and not node.children[0].children]
     return out
 
 
-def _drop(items: tuple[Node, ...], path: tuple[int, ...], index: int) -> tuple[Node, ...]:
-    """The forest with the node at index of the sibling list at path removed."""
-    if not path:
-        return items[:index] + items[index + 1 :]
-    head = path[0]
-    inner = Mark(_drop(items[head].children, path[1:], index))  # type: ignore[union-attr]
-    return items[:head] + (inner,) + items[head + 1 :]
+class _Worklist:
+    """The live map from each owner whose sibling list holds a redex to that
+    list's redexes, and a heap of owners ordered deepest first, then by
+    preorder."""
+
+    def __init__(self, nodes: list[_Node]):
+        self.nodes = nodes
+        self.live: dict[_Node, list[Redex]] = {}
+        self.heap: list[tuple[int, int]] = []
+        for owner in nodes:
+            self.examine(owner)
+
+    def examine(self, owner: _Node) -> None:
+        redexes = _list_redexes(owner)
+        if not redexes:
+            self.live.pop(owner, None)
+            return
+        if owner not in self.live:
+            heapq.heappush(self.heap, (-owner.depth, owner.order))
+        self.live[owner] = redexes
+
+    def first_deepest(self) -> tuple[_Node, Redex]:
+        """The first redex of the deepest live list, the first in preorder."""
+        while (owner := self.nodes[self.heap[0][1]]) not in self.live:
+            heapq.heappop(self.heap)
+        return owner, self.live[owner][0]
+
+    def random(self, rng: random.Random) -> tuple[_Node, Redex]:
+        """A random redex of a random live list."""
+        owner = rng.choice(list(self.live))
+        return owner, rng.choice(self.live[owner])
+
+
+def _locate(owner: _Node, index: int) -> tuple[tuple[int, ...], int]:
+    """The child-index path from the root to owner's sibling list, and the
+    offset in the forest's text of that list's item at index: an opening
+    parenthesis for each enclosing mark and two characters for each mark of
+    the siblings before it at every level."""
+    path = []
+    offset = 2 * sum(node.size for node in owner.children[:index])
+    while (parent := owner.parent) is not None:
+        position = parent.children.index(owner)
+        path.append(position)
+        if position:
+            offset += 2 * sum(node.size for node in parent.children[:position])
+        owner = parent
+    return tuple(reversed(path)), offset + len(path)
 
 
 def _rewrite(
     expr: MarkExpr,
-    pick: Callable[[list[Redex]], Redex],
-    record: Callable[[str, tuple[int, ...], MarkExpr, MarkExpr], None] = lambda *step: None,
+    pick: Callable[[_Worklist], tuple[_Node, Redex]],
+    record: Callable[[str, tuple[int, ...], str, str], None] | None = None,
 ) -> str:
     """The one rewrite loop: apply the redex that pick chooses until none is
-    left, hand each step to record, and read the value off the normal form,
-    which must be one empty mark or nothing."""
-    if expr.variables():
-        raise ValueError("cannot reduce an expression containing variables")
-    items, count = expr.items, expr.mark_count()
-    while redexes := _redexes(items):
-        rule, path, index = pick(redexes)
-        after = MarkExpr(_drop(items, path, index))
-        if (shrunk := after.mark_count()) >= count:
-            raise AssertionError("reduction step failed to shrink the expression")
-        record(rule, path, MarkExpr(items), after)
-        items, count = after.items, shrunk
-    if items not in ((), (Mark(),)):
+    left, hand each step's rule, location and before/after text to record, and
+    read the value off the normal form, which must be one empty mark or
+    nothing.
+
+    A rewrite in one sibling list can change the redexes of only three lists:
+    that list, the list holding its owner (which may now be empty or hold one
+    empty mark) and the list above (whose mark may now hold one empty mark).
+    Those three are examined again; the rest of the worklist stands.
+    """
+    nodes = _build(expr)
+    root, work = nodes[0], _Worklist(nodes)
+    text = unparse(expr) if record else ""
+    while work.live:
+        owner, (rule, node) = pick(work)
+        if node.size != _REMOVED_MARKS[rule]:
+            raise AssertionError(f"a {rule} would remove {node.size} marks")
+        index = owner.children.index(node)
+        if record:
+            path, offset = _locate(owner, index)
+            after = text[:offset] + text[offset + 2 * node.size:]
+            record(rule, path, text, after or "*")
+            text = after
+        del owner.children[index]
+        ancestor: _Node | None = owner
+        while ancestor is not None:
+            ancestor.size -= node.size
+            ancestor = ancestor.parent
+        for _ in range(3):  # the rewritten list, its owner's list and the one above
+            work.examine(owner)
+            if (owner := owner.parent) is None:
+                break
+    top = root.children
+    if len(top) > 1 or (top and top[0].children):
         raise AssertionError("non-terminal expression without a redex")
-    return "marked" if items else "unmarked"
-
-
-def _first_deepest(redexes: list[Redex]) -> Redex:
-    return max(redexes, key=lambda redex: len(redex[1]))
+    return "marked" if top else "unmarked"
 
 
 def reduce_expression(expr: MarkExpr) -> ReductionResult:
     """Deepest-first reduction to marked/unmarked, with a step-by-step trace."""
     trace: list[ReductionStep] = []
 
-    def record(rule: str, path: tuple[int, ...], before: MarkExpr, after: MarkExpr) -> None:
-        trace.append(ReductionStep(rule, path, unparse(before), unparse(after)))
+    def record(rule: str, path: tuple[int, ...], before: str, after: str) -> None:
+        trace.append(ReductionStep(rule, path, before, after))
 
-    value = _rewrite(expr, _first_deepest, record)
+    value = _rewrite(expr, _Worklist.first_deepest, record)
     return ReductionResult(value, tuple(trace))
 
 
@@ -242,7 +334,7 @@ def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport
     """Reduce with rules applied in seeded-random order; all runs must land on
     the linear value of the expression."""
     rng = random.Random(seed)
-    values = tuple(sorted({_rewrite(expr, rng.choice) for _ in range(trials)}))
+    values = tuple(sorted({_rewrite(expr, lambda work: work.random(rng)) for _ in range(trials)}))
     reference = "marked" if eval_logic(expr, {}) else "unmarked"
     return ConfluenceReport(trials, reference, values, values == (reference,))
 
@@ -279,16 +371,7 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
     unbound = expr.variables() - set(assignment)
     if unbound:
         raise ValueError(f"unbound variable(s): {', '.join(sorted(unbound))}")
-
-    def eval_forest(items: tuple[Node, ...]) -> bool:
-        return any(eval_node(n) for n in items)
-
-    def eval_node(node: Node) -> bool:
-        if isinstance(node, Var):
-            return assignment[node.name]
-        return not eval_forest(node.children)
-
-    return eval_forest(expr.items)
+    return any(_fold(expr.items, assignment.__getitem__, lambda values: not any(values)))
 
 
 def translate(expr: MarkExpr) -> str:

@@ -212,8 +212,12 @@ class SquareMatrix:
 
     @staticmethod
     def from_lists(data: Sequence[Sequence]) -> SquareMatrix:
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(f"the matrix is {data!r}; use a list of rows")
         rows = []
         for r, row in enumerate(data):
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"matrix row {r} is {row!r}; use a list of cells")
             parsed = []
             for c, cell in enumerate(row):
                 if isinstance(cell, dict):

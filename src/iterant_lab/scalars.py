@@ -173,9 +173,15 @@ def scalar_to_json(z: GaussianRational) -> dict:
 
 
 def scalar_from_json(obj: dict) -> GaussianRational:
-    re_num, re_den = obj.get("re", [0, 1])
-    im_num, im_den = obj.get("im", [0, 1])
-    return GaussianRational(parse_rational(re_num, re_den), parse_rational(im_num, im_den))
+    """{"re": [num, den], "im": [num, den]}, either part defaulting to 0; a part
+    that is not a [num, den] pair is a ValueError."""
+    parts = []
+    for key in ("re", "im"):
+        part = obj.get(key, [0, 1])
+        if not (isinstance(part, (list, tuple)) and len(part) == 2):
+            raise ValueError(f"the {key!r} part {part!r} is not a [num, den] pair")
+        parts.append(parse_rational(*part))
+    return GaussianRational(*parts)
 
 
 def sqrt_exact(value: Fraction) -> Fraction | None:

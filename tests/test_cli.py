@@ -335,6 +335,8 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, matrix):
     ([0.5, 1], "error: cannot read 0.5/1 as a rational"),
     ([1e400, 1], "error: cannot read inf/1 as a rational"),
     ({"re": [0.5, 1]}, "error: cannot read 0.5/1 as a rational"),
+    ({"re": 5}, "error: the 're' part 5 is not a [num, den] pair"),
+    ({"re": "12"}, "error: the 're' part '12' is not a [num, den] pair"),
 ])
 def test_decompose_bad_cell_is_a_usage_error(tmp_path, capsys, cell, message):
     path = tmp_path / "m.json"
@@ -345,6 +347,21 @@ def test_decompose_bad_cell_is_a_usage_error(tmp_path, capsys, cell, message):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(message)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([1, 2], "error: matrix row 0 is 1; use a list of cells"),
+    ([[1, 2], "34"], "error: matrix row 1 is '34'; use a list of cells"),
+    (5, "error: the matrix is 5; use a list of rows"),
+])
+def test_decompose_rows_that_are_not_lists_are_a_usage_error(tmp_path, capsys, matrix, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code = main(["matrep", "decompose", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
@@ -383,6 +400,8 @@ def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     ["clifford", "fusion", "--power", "1001"],
     ["clifford", "braid", "--n", "100000", "--word", "1"],
     ["matrep", "isocheck", "--group", "c9"],
+    ["lof", "reduce", "--random", "10", "100", "1"],
+    ["lof", "reduce", "--random", "-1", "6", "1"],
 ])
 def test_size_caps_exit_two_at_once(capsys, argv):
     start = time.perf_counter()
@@ -391,6 +410,22 @@ def test_size_caps_exit_two_at_once(capsys, argv):
     assert code == 2
     assert one_error_line(capsys.readouterr().err)
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_isocheck_samples_below_one_is_a_usage_error(capsys, samples):
+    code = main(["matrep", "isocheck", "--group", "s3", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be positive, got {samples}\n"
+
+
+def test_lof_reduce_3000_deep_answers_without_recursion(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "lof", "reduce", "(" * 3000 + ")" * 3000)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "unmarked\n")
 
 
 def test_clifford_fusion_rows_are_fibonacci(capsys):

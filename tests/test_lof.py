@@ -122,17 +122,56 @@ def test_reduce_rejects_variables():
 
 @pytest.mark.parametrize("run", [reduce_expression, lambda e: confluence_probe(e, 3, seed=0)])
 def test_a_redex_walk_that_stops_early_is_caught(monkeypatch, run):
-    real = lof._redexes
-    walks = []
+    real = lof._list_redexes
+    looked_at = set()
 
-    def stops_after_two_steps(items, path=()):
-        if not path:
-            walks.append(items)
-        return real(items, path) if len(walks) <= 2 else []
+    def misses_every_new_redex(owner):
+        # the first look at each list is true; every look after a rewrite
+        # reports nothing, so the run stops after its first step
+        if owner in looked_at:
+            return []
+        looked_at.add(owner)
+        return real(owner)
 
-    monkeypatch.setattr(lof, "_redexes", stops_after_two_steps)
+    monkeypatch.setattr(lof, "_list_redexes", misses_every_new_redex)
     with pytest.raises(AssertionError, match="non-terminal expression without a redex"):
         run(parse(WORKED))
+
+
+def test_crossing_beside_an_empty_mark():
+    assert reduce_expression(parse("()(())")).trace == (
+        ReductionStep("crossing", (), "()(())", "()"),
+    )
+
+
+def test_a_crossing_two_lists_up_is_found():
+    # the first crossing empties the list of the second mark, so the outermost
+    # mark becomes a crossing in the top list, two lists above the rewrite
+    assert reduce_expression(parse("(((())))")).trace == (
+        ReductionStep("crossing", (0, 0), "(((())))", "(())"),
+        ReductionStep("crossing", (), "(())", "*"),
+    )
+
+
+def test_a_hundred_wide_flat_list():
+    trace = reduce_expression(parse("()" * 100)).trace
+    assert trace == tuple(
+        ReductionStep("calling", (), "()" * k, "()" * (k - 1)) for k in range(100, 1, -1))
+    inside = reduce_expression(parse("(" + "()" * 100 + ")"))
+    assert inside.value == "unmarked"
+    assert [step.location for step in inside.trace] == [(0,)] * 99 + [()]
+
+
+def test_deep_nesting_needs_no_recursion():
+    text = "(" * 3000 + ")" * 3000
+    expr = parse(text)
+    assert (expr.depth(), expr.mark_count(), unparse(expr)) == (3000, 3000, text)
+    assert expr == parse(text) and eval_logic(expr, {}) is False
+    result = reduce_expression(expr)
+    assert result.value == "unmarked"
+    assert len(result.trace) == 1500
+    assert result.trace[0].location == (0,) * 2998
+    assert result.trace[-1] == ReductionStep("crossing", (), "(())", "*")
 
 
 def test_confluence_two_crossings():
@@ -233,3 +272,40 @@ def test_every_rewrite_order_reaches_the_linear_value(expr, seed):
         removed = parse(step.before).mark_count() - parse(step.after).mark_count()
         assert removed == (1 if step.rule == "calling" else 2)
     assert confluence_probe(expr, 3, seed).all_agree
+
+
+def _oracle_redexes(items, path=()):
+    """The whole-forest redex walk of the first engine: sibling lists in
+    preorder, each giving its one calling and then its crossings by index."""
+    empties = [i for i, node in enumerate(items) if not node.children]
+    out = [("calling", path, empties[1])] if len(empties) > 1 else []
+    out += [("crossing", path, i) for i, node in enumerate(items)
+            if len(node.children) == 1 and not node.children[0].children]
+    for i, node in enumerate(items):
+        out += _oracle_redexes(node.children, path + (i,))
+    return out
+
+
+def _oracle_drop(items, path, index):
+    if not path:
+        return items[:index] + items[index + 1:]
+    head = path[0]
+    inner = Mark(_oracle_drop(items[head].children, path[1:], index))
+    return items[:head] + (inner,) + items[head + 1:]
+
+
+def oracle_trace(expr):
+    """First-deepest reduction by re-walking the whole forest after every step."""
+    items, trace = expr.items, []
+    while redexes := _oracle_redexes(items):
+        rule, path, index = max(redexes, key=lambda redex: len(redex[1]))
+        after = _oracle_drop(items, path, index)
+        trace.append(ReductionStep(rule, path, unparse(MarkExpr(items)), unparse(MarkExpr(after))))
+        items = after
+    return tuple(trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mark_forests)
+def test_worklist_trace_is_the_whole_forest_trace(expr):
+    assert reduce_expression(expr).trace == oracle_trace(expr)
