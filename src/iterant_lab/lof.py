@@ -113,7 +113,7 @@ def _fold(items: Iterable[Node], var: Callable[[str], Any], mark: Callable[[list
 def _forest_key(items: Iterable[Node]) -> str:
     """The text of the forest with every sibling list sorted: equal keys are
     equal multisets at every level, since the text of a list splits uniquely
-    into the texts of its items."""
+    into the texts of its items (a variable's name is one letter)."""
     return "".join(sorted(_fold(items, str, lambda keys: "(" + "".join(sorted(keys)) + ")")))
 
 
@@ -279,8 +279,9 @@ def _rewrite(
     nothing.
 
     A rewrite in one sibling list can change the redexes of only three lists:
-    that list, the list holding its owner (which may now be empty or hold one
-    empty mark) and the list above (whose mark may now hold one empty mark).
+    that list, the list holding its owner (the owner may now be empty or hold
+    one empty mark) and the list above (whose mark may now hold one empty
+    mark).
     Those three are examined again; the rest of the worklist stands.
     """
     nodes = _build(expr)
