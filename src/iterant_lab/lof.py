@@ -30,9 +30,39 @@ from typing import Any, Callable, Iterable, Iterator, Union
 Node = Union["Mark", "Var"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mark:
+    """A mark and its contents.  Equality is ordered and structural, as a
+    tuple's; it, the hash and the repr read the token stream, so no nesting
+    depth is too deep."""
+
     children: tuple[Node, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mark):
+            return NotImplemented
+        return self is other or tuple(_tokens(self.children)) == tuple(_tokens(other.children))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_tokens(self.children)))
+
+    def __repr__(self) -> str:
+        # the dataclass text, Mark(children=(...)) and Var(name='a'), with a
+        # trailing comma after the only item of a one-item tuple
+        pieces, counts = ["Mark(children=("], [0]
+        for token in _tokens((self,)):
+            if token == ")":
+                pieces.append(",))" if counts.pop() == 1 else "))")
+                continue
+            if counts[-1]:
+                pieces.append(", ")
+            counts[-1] += 1
+            if token == "(":
+                pieces.append("Mark(children=(")
+                counts.append(0)
+            else:
+                pieces.append(f"Var(name={token!r})")
+        return "".join(pieces[1:])
 
 
 @dataclass(frozen=True)
@@ -378,27 +408,26 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
 def translate(expr: MarkExpr) -> str:
     """Render as a conventional formula (T, F, ~, |, &)."""
 
-    def trans_forest(items: tuple[Node, ...]) -> str:
-        if not items:
+    def forest(nodes: list[tuple[str, str | None]]) -> str:
+        if not nodes:
             return "F"
-        parts = [trans_node(n) for n in items]
-        return parts[0] if len(parts) == 1 else "(" + " | ".join(parts) + ")"
+        texts = [text for text, _ in nodes]
+        return texts[0] if len(texts) == 1 else "(" + " | ".join(texts) + ")"
 
-    def trans_node(node: Node) -> str:
-        if isinstance(node, Var):
-            return node.name
-        inner = node.children
+    def mark(inner: list[tuple[str, str | None]]) -> tuple[str, str]:
+        # a node is (its text, the text of its contents as a forest) and a
+        # variable has no contents
+        contents = forest(inner)
         if not inner:
-            return "T"
-        if len(inner) == 1 and isinstance(inner[0], Mark):
+            return "T", contents
+        if len(inner) == 1 and inner[0][1] is not None:
             # double enclosure ((X)) collapses to X
-            return trans_forest(inner[0].children)
-        if len(inner) >= 2 and all(isinstance(c, Mark) for c in inner):
-            parts = [trans_forest(c.children) for c in inner]  # type: ignore[union-attr]
-            return "(" + " & ".join(parts) + ")"
-        return "~" + trans_forest(inner)
+            return inner[0][1], contents
+        if len(inner) >= 2 and all(sub is not None for _, sub in inner):
+            return "(" + " & ".join(sub for _, sub in inner) + ")", contents
+        return "~" + contents, contents
 
-    return trans_forest(expr.items)
+    return forest(_fold(expr.items, lambda name: (name, None), mark))
 
 
 def majorana_pair_bridge():

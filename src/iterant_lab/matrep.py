@@ -37,7 +37,8 @@ def to_matrix(x: IterantElement) -> SquareMatrix:
     """Linear, multiplicative map sending a*g to diag(a) * P(action of g)."""
     algebra = x.algebra
     n = algebra.degree
-    rows = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+    zero = GaussianRational()
+    rows = [[zero] * n for _ in range(n)]
     for gid, vec in x.terms:
         maps = algebra.action.point_maps[gid]
         for i in range(n):

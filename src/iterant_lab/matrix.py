@@ -1,37 +1,34 @@
 """Dense square matrices over the Gaussian rationals, all arithmetic exact.
 
-Entries are ``GaussianRational`` values, but the two costly operations run on
-integers.  A product reads each factor's integer view, computed at most once
-per matrix: one positive common denominator ``d`` (the lcm of the entry
-denominators) and integer tables of the real and imaginary numerators, so
-that ``A * B`` is a table of integer dot products over ``dA * dB``.  The
-determinant here and the rank in ``matrep`` both call ``bareiss``, one
+Entries are ``GaussianRational`` values, each an integer triple
+``(re_num, im_num, den)``, and the two costly operations read those triples
+directly.  A product reads each factor's integer view, computed at most once
+per matrix: the lcm ``d`` of the entry denominators and integer tables of
+the real and imaginary numerators scaled to it, so that ``A * B`` is a table
+of integer dot products over ``dA * dB``, each entry reduced once by its own
+gcd.  The imaginary dot products are skipped when both factors are real.
+The determinant here and the rank in ``matrep`` both call ``bareiss``, one
 fraction-free elimination over the Gaussian integers (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-22, 1968), after scaling each row to integers.
+22, 1968), after scaling each row to integers by the lcm of its entry
+denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ScalarLike, parse_rational, parse_scalar
+from .scalars import GaussianRational, ScalarLike, _from_triple, parse_rational, parse_scalar
 from .scalars import scalar_from_json, scalar_to_json
 
 GaussianInteger = tuple[int, int]
-
-
-class IntegerView(NamedTuple):
-    """A matrix as (re + i*im) / den with integer tables and the least den > 0."""
-
-    re: tuple[tuple[int, ...], ...]
-    im: tuple[tuple[int, ...], ...]
-    den: int
+IntegerTable = tuple[tuple[int, ...], ...]
+IntegerView = tuple[IntegerTable, IntegerTable, int]  # (re, im, den)
+_ZERO = GaussianRational()
 
 
 @dataclass(frozen=True)
@@ -97,53 +94,34 @@ class SquareMatrix:
 
     @cached_property
     def integers(self) -> IntegerView:
-        """The integer view of this matrix, computed on first use."""
-        den = lcm(*(x.denominator for row in self.rows for z in row for x in (z.re, z.im)))
-        return IntegerView(
-            tuple(tuple(z.re.numerator * (den // z.re.denominator) for z in row)
-                  for row in self.rows),
-            tuple(tuple(z.im.numerator * (den // z.im.denominator) for z in row)
-                  for row in self.rows),
-            den,
-        )
-
-    @staticmethod
-    def _from_integers(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]],
-                      den: int) -> SquareMatrix:
-        """The matrix (re + i*im) / den for a positive den, with its integer view
-        reduced and kept.  Each distinct entry is built once."""
-        common = gcd(den, *(x for row in re for x in row), *(x for row in im for x in row))
-        if common > 1:
-            den //= common
-            re = [[x // common for x in row] for row in re]
-            im = [[x // common for x in row] for row in im]
-        entries: dict[GaussianInteger, GaussianRational] = {}
-
-        def entry(key: GaussianInteger) -> GaussianRational:
-            value = entries.get(key)
-            if value is None:
-                value = entries[key] = GaussianRational(Fraction(key[0], den),
-                                                        Fraction(key[1], den))
-            return value
-
-        matrix = SquareMatrix(
-            tuple(tuple(map(entry, zip(rr, ri))) for rr, ri in zip(re, im))
-        )
-        matrix.__dict__["integers"] = IntegerView(  # the cached_property slot
-            tuple(map(tuple, re)), tuple(map(tuple, im)), den
-        )
-        return matrix
+        """The matrix as (re + i*im) / den with integer tables and the least
+        den > 0, the lcm of the entry denominators; computed on first use."""
+        den = lcm(*(z.den for row in self.rows for z in row))
+        return (tuple(tuple(z.re_num * (den // z.den) for z in row) for row in self.rows),
+                tuple(tuple(z.im_num * (den // z.den) for z in row) for row in self.rows),
+                den)
 
     def __mul__(self, other):
         if isinstance(other, SquareMatrix):
             self._check_dim(other)
-            a, b = self.integers, other.integers
-            cols = tuple(zip(zip(*b.re), zip(*b.im)))
-            re, im = [], []
-            for ar, ai in zip(a.re, a.im):
-                re.append([sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in cols])
-                im.append([sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in cols])
-            return SquareMatrix._from_integers(re, im, a.den * b.den)
+            a_re, a_im, a_den = self.integers
+            b_re, b_im, b_den = other.integers
+            den = a_den * b_den
+            cols = tuple(zip(zip(*b_re), zip(*b_im)))
+            real = not any(map(any, a_im)) and not any(map(any, b_im))
+            rows = []
+            for ar, ai in zip(a_re, a_im):
+                row = []
+                for br, bi in cols:
+                    xr = sum(map(mul, ar, br))
+                    if real:
+                        xi = 0
+                    else:
+                        xr -= sum(map(mul, ai, bi))
+                        xi = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+                    row.append(_from_triple(xr, xi, den) if xr or xi else _ZERO)
+                rows.append(tuple(row))
+            return SquareMatrix(tuple(rows))
         return self.scale(other)
 
     def __rmul__(self, other: ScalarLike) -> SquareMatrix:
@@ -178,7 +156,7 @@ class SquareMatrix:
         rank, (re, im) = bareiss(rows)
         if rank < self.n:
             return GaussianRational()
-        return GaussianRational(Fraction(re, scale), Fraction(im, scale))
+        return _from_triple(re, im, scale)
 
     def kron(self, other: SquareMatrix) -> SquareMatrix:
         """Tensor (Kronecker) product, self as the left factor."""
@@ -259,9 +237,8 @@ def integer_rows(
     integer keeps the rank and multiplies the determinant by that integer."""
     scaled, scale = [], 1
     for row in rows:
-        m = lcm(*(x.denominator for z in row for x in (z.re, z.im)))
-        scaled.append([(z.re.numerator * (m // z.re.denominator),
-                        z.im.numerator * (m // z.im.denominator)) for z in row])
+        m = lcm(*(z.den for z in row))
+        scaled.append([(z.re_num * (m // z.den), z.im_num * (m // z.den)) for z in row])
         scale *= m
     return scaled, scale
 

@@ -1,105 +1,157 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals (a + b*i).
+"""Exact scalar arithmetic: Gaussian rationals (a + b*i) on Python integers.
 
 Every algebra module shares these coefficients; nothing here touches floating
-point.  Rationals are the standard library ``fractions.Fraction``, which
-already maintains the canonical-form invariants (positive denominator,
-numerator and denominator coprime, zero stored as 0/1).
+point.  A ``GaussianRational`` is stored as one integer triple
+``(re_num, im_num, den)`` for the value ``(re_num + im_num*i) / den``, kept in
+canonical form: ``den > 0``, ``gcd(re_num, im_num, den) = 1``, and zero is
+``(0, 0, 1)``.  Equal values therefore have equal triples.  All arithmetic
+runs on the integers, and a result is divided by the gcd only when that gcd
+is not 1 (Knuth, TAOCP vol. 2, section 4.5.1).  The parts ``re`` and ``im``
+are read as ``fractions.Fraction`` values, which is also how rationals enter
+and leave: the constructor takes an int or a ``Fraction`` for each part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Union
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
-def _as_fraction(value: int | Fraction) -> Fraction:
+def _ratio(value) -> tuple[int, int]:
+    """An int or a Fraction as a (numerator, positive denominator) pair in
+    lowest terms."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianRational:
-    """Exact complex scalar a + b*i with rational a, b and i*i = -1."""
+    """Exact complex scalar a + b*i with rational a, b and i*i = -1.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    ``re_num``, ``im_num`` and ``den`` are the canonical integer triple of the
+    value; like every attribute of the class they are read-only.
+    """
+
+    __slots__ = ("re_num", "im_num", "den")
+
+    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0) -> GaussianRational:
+        if type(re) is int and type(im) is int:
+            return _make(re, im, 1)
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        if q == s:
+            return _make(p, r, q)
+        # p/q and r/s are in lowest terms, so over the lcm of q and s no prime
+        # divides both numerators and the denominator
+        den = lcm(q, s)
+        return _make(p * (den // q), r * (den // s), den)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def of(value: ScalarLike) -> GaussianRational:
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(_as_fraction(value))
+        num, den = _ratio(value)
+        return _make(num, 0, den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self.re_num == other.re_num and self.im_num == other.im_num
+                    and self.den == other.den)
+        if isinstance(other, int):
+            return self.im_num == 0 and self.den == 1 and self.re_num == other
+        if isinstance(other, Fraction):
+            return (self.im_num == 0 and self.den == other.denominator
+                    and self.re_num == other.numerator)
         return NotImplemented
 
     def __hash__(self) -> int:
         # real values hash like their Fraction so mixed comparisons stay sound
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        if self.im_num == 0:
+            return hash(self.re_num) if self.den == 1 else hash(self.re)
+        return hash((self.re, self.im))
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        d, f = self.den, o.den
+        if d == f:
+            return _from_triple(self.re_num + o.re_num, self.im_num + o.im_num, d)
+        return _from_triple(self.re_num * f + o.re_num * d,
+                            self.im_num * f + o.im_num * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> GaussianRational:
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        d, f = self.den, o.den
+        if d == f:
+            return _from_triple(self.re_num - o.re_num, self.im_num - o.im_num, d)
+        return _from_triple(self.re_num * f - o.re_num * d,
+                            self.im_num * f - o.im_num * d, d * f)
 
     def __rsub__(self, other: ScalarLike) -> GaussianRational:
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: ScalarLike) -> GaussianRational:
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        a, b, c, e = self.re_num, self.im_num, o.re_num, o.im_num
+        return _from_triple(a * c - b * e, a * e + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> GaussianRational:
-        o = GaussianRational.of(other)
-        denom = o.re * o.re + o.im * o.im
-        if denom == 0:
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        a, b, c, e = self.re_num, self.im_num, o.re_num, o.im_num
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / denom,
-            (self.im * o.re - self.re * o.im) / denom,
-        )
+        f = o.den
+        return _from_triple((a * c + b * e) * f, (b * c - a * e) * f, self.den * norm)
 
     def __rtruediv__(self, other: ScalarLike) -> GaussianRational:
         return GaussianRational.of(other) / self
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re_num, -self.im_num, self.den)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re_num, -self.im_num, self.den)
 
     def norm_squared(self) -> Fraction:
         """|a + bi|^2 = a^2 + b^2, always a rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.re_num * self.re_num + self.im_num * self.im_num,
+                        self.den * self.den)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.re_num == 0 and self.im_num == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.im_num == 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.re_num != 0 or self.im_num != 0
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -108,24 +160,66 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+_allocate = object.__new__
+_set_re_num = GaussianRational.re_num.__set__
+_set_im_num = GaussianRational.im_num.__set__
+_set_den = GaussianRational.den.__set__
+
+
+def _make(re_num: int, im_num: int, den: int) -> GaussianRational:
+    """The scalar of a triple already in canonical form, unchecked.  The slot
+    descriptors write past the class's refusing __setattr__."""
+    z = _allocate(GaussianRational)
+    _set_re_num(z, re_num)
+    _set_im_num(z, im_num)
+    _set_den(z, den)
+    return z
+
+
+def _from_triple(re_num: int, im_num: int, den: int) -> GaussianRational:
+    """The scalar (re_num + im_num*i) / den for integers with den > 0, divided
+    by the gcd of the three when that gcd is not 1."""
+    g = gcd(re_num, im_num, den)
+    if g != 1:
+        return _make(re_num // g, im_num // g, den // g)
+    return _make(re_num, im_num, den)
+
+
+I_UNIT = GaussianRational(0, 1)
 
 
 def scalar(re: int | Fraction, im: int | Fraction = 0) -> GaussianRational:
-    return GaussianRational(_as_fraction(re), _as_fraction(im))
+    return GaussianRational(re, im)
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """num/den for den > 0 as a numerator and denominator with no common factor."""
+    if den == 1:
+        return num, 1
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _rational_text(num: int, den: int) -> str:
+    """num/den as str(Fraction(num, den)) writes it."""
+    num, den = _lowest_terms(num, den)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_scalar(z: GaussianRational) -> str:
     """Emit "a/b" for reals and "a/b+c/di" otherwise (canonical reduced form)."""
-    if z.im == 0:
-        return str(z.re)
-    imag = f"{z.im}i" if z.im != 1 else "i"
-    if z.im == -1:
+    re_num, im_num, den = z.re_num, z.im_num, z.den
+    if im_num == 0:
+        return _rational_text(re_num, den)
+    if im_num == den:
+        imag = "i"
+    elif im_num == -den:
         imag = "-i"
-    if z.re == 0:
+    else:
+        imag = _rational_text(im_num, den) + "i"
+    if re_num == 0:
         return imag
-    sign = "+" if z.im > 0 else ""
-    return f"{z.re}{sign}{imag}"
+    return _rational_text(re_num, den) + ("+" if im_num > 0 else "") + imag
 
 
 def parse_rational(value, denominator=1) -> Fraction:
@@ -167,8 +261,8 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def scalar_to_json(z: GaussianRational) -> dict:
     return {
-        "re": [z.re.numerator, z.re.denominator],
-        "im": [z.im.numerator, z.im.denominator],
+        "re": list(_lowest_terms(z.re_num, z.den)),
+        "im": list(_lowest_terms(z.im_num, z.den)),
     }
 
 
@@ -186,12 +280,10 @@ def scalar_from_json(obj: dict) -> GaussianRational:
 
 def sqrt_exact(value: Fraction) -> Fraction | None:
     """Rational square root of a non-negative rational, or None if irrational."""
-    import math
-
     if value < 0:
         return None
     num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None

@@ -24,7 +24,7 @@ from .iterants import (
     term_by_permutation,
 )
 from .matrix import SquareMatrix
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _from_triple
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,10 @@ def _rand_fraction(rng: random.Random, span: int = 9, den: int = 5) -> Fraction:
 
 
 def _rand_scalar(rng: random.Random) -> GaussianRational:
-    return GaussianRational(_rand_fraction(rng), _rand_fraction(rng))
+    """a/b + (c/d)i, drawn in the order of two _rand_fraction calls."""
+    a, b = rng.randint(-9, 9), rng.randint(1, 5)
+    c, d = rng.randint(-9, 9), rng.randint(1, 5)
+    return _from_triple(a * d, c * b, b * d)
 
 
 def _rand_vector(rng: random.Random, n: int) -> list[GaussianRational]:

@@ -6,11 +6,16 @@ the lattice-scheme criterion uses the stated tolerances (2% dispersion error,
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import time
 
 from iterant_lab import verify
 
 SEED = 7
+# sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
+# run_verify(seed=SEED); a change that alters a row on purpose updates it
+ROWS_SHA256 = "aa265c796552e3b5e07015570b16584c07357c55a77c1f1e123c0a2e59d7b023"
 
 
 def _assert_all(criterion: str, entries) -> None:
@@ -133,3 +138,5 @@ def test_full_suite_runtime_and_uniqueness():
     assert elapsed < 60.0
     ids = [e.check_id for e in report.entries]
     assert len(ids) == len(set(ids))
+    rows = [[e.check_id, e.passed, e.lhs, e.rhs] for e in report.entries]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ROWS_SHA256

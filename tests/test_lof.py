@@ -174,6 +174,26 @@ def test_deep_nesting_needs_no_recursion():
     assert result.trace[-1] == ReductionStep("crossing", (), "(())", "*")
 
 
+def test_deep_marks_compare_hash_print_and_translate_without_recursion():
+    deep = parse("(" * 3000 + ")" * 3000).items[0]
+    same = parse("(" * 3000 + ")" * 3000).items[0]
+    other = parse("(" * 3000 + "a" + ")" * 3000).items[0]
+    assert deep == same and hash(deep) == hash(same) and deep != other
+    assert repr(deep) == "Mark(children=(" * 2999 + "Mark(children=())" + ",))" * 2999
+    assert repr(other) == "Mark(children=(" * 3000 + "Var(name='a')" + ",))" * 3000
+    assert translate(MarkExpr((deep,))) == "F"
+    assert translate(MarkExpr((other,))) == "a"
+    assert translate(parse("(" * 2999 + "a" + ")" * 2999)) == "~a"
+
+
+def test_mark_equality_is_ordered_and_expression_equality_is_not():
+    left, right = parse("(()a)").items[0], parse("(a())").items[0]
+    assert left != right and parse("(()a)") == parse("(a())")
+    assert Mark((Mark(()), lof.Var("a"))) == left
+    assert repr(left) == "Mark(children=(Mark(children=()), Var(name='a')))"
+    assert repr(parse("((b))").items[0]) == "Mark(children=(Mark(children=(Var(name='b'),)),))"
+
+
 def test_confluence_two_crossings():
     report = confluence_probe(parse("(())(())"), trials=20, seed=3)
     assert report.all_agree

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iterant_lab.matrix import SquareMatrix, scalar_matrix
+from iterant_lab.matrix import SquareMatrix, integer_rows, scalar_matrix
 from iterant_lab.scalars import GaussianRational
 
 
@@ -120,3 +123,35 @@ def test_str_is_aligned():
     lines = text.splitlines()
     assert len(lines) == 2
     assert len(lines[0]) == len(lines[1])
+
+
+def lcm_view(m: SquareMatrix):
+    """The integer view as defined on the Fraction parts: the lcm of every
+    part's denominator, and each part's numerator scaled to it."""
+    den = lcm(*(x.denominator for row in m.rows for z in row for x in (z.re, z.im)))
+    return (tuple(tuple(z.re.numerator * (den // z.re.denominator) for z in row) for row in m.rows),
+            tuple(tuple(z.im.numerator * (den // z.im.denominator) for z in row) for row in m.rows),
+            den)
+
+
+mixed_parts = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+mixed_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.builds(GaussianRational, mixed_parts, mixed_parts),
+                                min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices)
+def test_integer_view_is_the_lcm_of_the_part_denominators(rows):
+    m = SquareMatrix(tuple(map(tuple, rows)))
+    assert m.integers == lcm_view(m)
+    # each row scaled by the lcm of its own part denominators, as the
+    # determinant and the rank read it
+    scaled, scale = integer_rows(m.rows)
+    expected_scale = 1
+    for row, pairs in zip(m.rows, scaled):
+        row_den = lcm(*(x.denominator for z in row for x in (z.re, z.im)))
+        assert pairs == [(z.re.numerator * (row_den // z.re.denominator),
+                          z.im.numerator * (row_den // z.im.denominator)) for z in row]
+        expected_scale *= row_den
+    assert scale == expected_scale
