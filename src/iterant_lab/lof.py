@@ -32,9 +32,9 @@ Node = Union["Mark", "Var"]
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Mark:
-    """A mark and its contents.  Equality is ordered and structural, as a
-    tuple's; it, the hash and the repr read the token stream, so no nesting
-    depth is too deep."""
+    """A mark and its contents.  Equality is ordered and structural, unlike
+    MarkExpr's.  Equality, hash and repr read the token stream, so no
+    nesting depth is too deep."""
 
     children: tuple[Node, ...] = ()
 
@@ -49,7 +49,7 @@ class Mark:
     def __repr__(self) -> str:
         # the dataclass text, Mark(children=(...)) and Var(name='a'), with a
         # trailing comma after the only item of a one-item tuple
-        pieces, counts = ["Mark(children=("], [0]
+        pieces, counts = [], [0]
         for token in _tokens((self,)):
             if token == ")":
                 pieces.append(",))" if counts.pop() == 1 else "))")
@@ -62,7 +62,7 @@ class Mark:
                 counts.append(0)
             else:
                 pieces.append(f"Var(name={token!r})")
-        return "".join(pieces[1:])
+        return "".join(pieces)
 
 
 @dataclass(frozen=True)

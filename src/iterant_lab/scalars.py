@@ -88,9 +88,7 @@ class GaussianRational:
 
     def __hash__(self) -> int:
         # real values hash like their Fraction so mixed comparisons stay sound
-        if self.im_num == 0:
-            return hash(self.re_num) if self.den == 1 else hash(self.re)
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im_num == 0 else hash((self.re, self.im))
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
         o = other if type(other) is GaussianRational else GaussianRational.of(other)
@@ -194,10 +192,8 @@ def scalar(re: int | Fraction, im: int | Fraction = 0) -> GaussianRational:
 
 def _lowest_terms(num: int, den: int) -> tuple[int, int]:
     """num/den for den > 0 as a numerator and denominator with no common factor."""
-    if den == 1:
-        return num, 1
     g = gcd(num, den)
-    return (num // g, den // g) if g != 1 else (num, den)
+    return num // g, den // g
 
 
 def _rational_text(num: int, den: int) -> str:
