@@ -67,7 +67,14 @@ class Mark:
 
 @dataclass(frozen=True)
 class Var:
+    """A variable of the primary algebra, named by one letter, so that no
+    name is a parenthesis token or splits into two names."""
+
     name: str
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and len(self.name) == 1 and self.name.isalpha()):
+            raise ValueError(f"variable name {self.name!r} is not one letter")
 
 
 @dataclass(frozen=True)

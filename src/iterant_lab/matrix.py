@@ -6,12 +6,11 @@ directly.  A product reads each factor's integer view, computed at most once
 per matrix: the lcm ``d`` of the entry denominators and integer tables of
 the real and imaginary numerators scaled to it, so that ``A * B`` is a table
 of integer dot products over ``dA * dB``, each entry reduced once by its own
-gcd.  The imaginary dot products are skipped when both factors are real.
-The determinant here and the rank in ``matrep`` both call ``bareiss``, one
-fraction-free elimination over the Gaussian integers (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-22, 1968), after scaling each row to integers by the lcm of its entry
-denominators.
+gcd.  The determinant here and the rank in ``matrep`` both call
+``bareiss``, one fraction-free elimination over the Gaussian integers
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968), after scaling each row to integers by
+the lcm of its entry denominators.
 """
 
 from __future__ import annotations
@@ -108,17 +107,12 @@ class SquareMatrix:
             b_re, b_im, b_den = other.integers
             den = a_den * b_den
             cols = tuple(zip(zip(*b_re), zip(*b_im)))
-            real = not any(map(any, a_im)) and not any(map(any, b_im))
             rows = []
             for ar, ai in zip(a_re, a_im):
                 row = []
                 for br, bi in cols:
-                    xr = sum(map(mul, ar, br))
-                    if real:
-                        xi = 0
-                    else:
-                        xr -= sum(map(mul, ai, bi))
-                        xi = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+                    xr = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
+                    xi = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
                     row.append(_from_triple(xr, xi, den) if xr or xi else _ZERO)
                 rows.append(tuple(row))
             return SquareMatrix(tuple(rows))

@@ -57,10 +57,10 @@ def _rand_fraction(rng: random.Random, span: int = 9, den: int = 5) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def _rand_scalar(rng: random.Random) -> GaussianRational:
-    """a/b + (c/d)i, drawn in the order of two _rand_fraction calls."""
-    a, b = rng.randint(-9, 9), rng.randint(1, 5)
-    c, d = rng.randint(-9, 9), rng.randint(1, 5)
+def _rand_scalar(rng: random.Random, span: int = 9, den: int = 5) -> GaussianRational:
+    """a/b + (c/d)i, drawn as two _rand_fraction calls would draw them."""
+    a, b = rng.randint(-span, span), rng.randint(1, den)
+    c, d = rng.randint(-span, span), rng.randint(1, den)
     return _from_triple(a * d, c * b, b * d)
 
 

@@ -192,6 +192,9 @@ def test_mark_equality_is_ordered_and_expression_equality_is_not():
     assert Mark((Mark(()), lof.Var("a"))) == left
     assert repr(left) == "Mark(children=(Mark(children=()), Var(name='a')))"
     assert repr(parse("((b))").items[0]) == "Mark(children=(Mark(children=(Var(name='b'),)),))"
+    for name in ("(", ")", "ab", "", "1"):
+        with pytest.raises(ValueError, match="not one letter"):
+            lof.Var(name)
 
 
 def test_confluence_two_crossings():
