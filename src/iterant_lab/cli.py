@@ -429,7 +429,8 @@ def cmd_verify_all(args) -> int:
                 "entries": [
                     {"check_id": e.check_id, "area": e.area,
                      "description": e.description, "pass": e.passed,
-                     "lhs": e.lhs, "rhs": e.rhs}
+                     "lhs": e.lhs, "rhs": e.rhs,
+                     **({"witness": e.witness} if e.witness else {})}
                     for e in report.entries
                 ],
                 "all_passed": report.all_passed,

@@ -299,7 +299,9 @@ def parse_period2(text: str) -> IterantElement:
             continue
         if s[pos] != "[":
             raise ValueError(f"expected '[' at position {pos} in {text!r}")
-        close = s.index("]", pos)
+        close = s.find("]", pos)
+        if close < 0:
+            raise ValueError(f"missing ']' for the '[' at position {pos} in {text!r}")
         inner = s[pos + 1 : close]
         entries = [parse_scalar(p) for p in inner.split(",")]
         if len(entries) != 2:

@@ -377,16 +377,19 @@ def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport
     return ConfluenceReport(trials, reference, values, values == (reference,))
 
 
+def fuzz_cases(count: int, max_depth: int, seed: int) -> Iterator[tuple[MarkExpr, int]]:
+    """count seeded random expressions, each with the seed of its probe."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        expr = random_expression(rng, max_depth=max_depth)
+        yield expr, rng.randrange(1 << 30)
+
+
 def confluence_fuzz(count: int, max_depth: int, orders: int, seed: int) -> int:
     """Probe count seeded random expressions, each in the given number of random
     rule orders; return how many reached a value other than the reference."""
-    rng = random.Random(seed)
-    disagreements = 0
-    for _ in range(count):
-        expr = random_expression(rng, max_depth=max_depth)
-        if not confluence_probe(expr, trials=orders, seed=rng.randrange(1 << 30)).all_agree:
-            disagreements += 1
-    return disagreements
+    return sum(not confluence_probe(expr, trials=orders, seed=probe_seed).all_agree
+               for expr, probe_seed in fuzz_cases(count, max_depth, seed))
 
 
 def random_expression(rng: random.Random, max_depth: int = 6, max_width: int = 4) -> MarkExpr:

@@ -219,11 +219,16 @@ def format_scalar(z: GaussianRational) -> str:
 
 
 def parse_rational(value, denominator=1) -> Fraction:
-    """value/denominator from ints or text like "-2/5"; any other part (a float,
-    a bool, null) and a zero denominator are ValueErrors."""
+    """value/denominator from ints or text like "-2/5" or "0.5"; any other part
+    (a float, a bool, null), an exponent such as "1e9" and a zero denominator
+    are ValueErrors.  An exponent is refused because Fraction would build its
+    whole integer, which takes unbounded time and memory."""
     if not all(isinstance(part, (int, str)) and not isinstance(part, bool)
                for part in (value, denominator)):
         raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational")
+    for part in (value, denominator):
+        if isinstance(part, str) and "e" in part.lower():
+            raise ValueError(f"exponent in {part!r}; write the number as a/b or a decimal")
     try:
         return Fraction(value) / Fraction(denominator)
     except ZeroDivisionError:

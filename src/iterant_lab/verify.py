@@ -1,22 +1,31 @@
 """The full machine-checked identity suite.
 
-Every check returns an entry with a stable id, a topic area, and lhs/rhs
-digests.  The CLI command ``verify-all`` prints the table; the acceptance
-test suite asserts each criterion individually.  All checks are exact except
-the lattice-scheme ones, whose tolerances are stated inline.
+Every check returns rows with a stable id, a topic area, and lhs/rhs
+digests.  A row that checks many cases (random draws or an enumerated list)
+runs them through one tally: its lhs counts the cases that agree, and a FAIL
+row carries a witness, the first case that disagrees, with the seed, its
+index and its inputs in the text or JSON form the package's parsers read.
+The CLI command ``verify-all`` prints the table; the acceptance tests read
+one report of one run.  All checks are exact except the lattice-scheme ones,
+whose tolerances are stated inline.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger
 from .iterants import (
     IterantAlgebra,
     conjugate_period2,
     determinant_period2,
+    format_period2,
     imaginary_unit,
     natural_sn_algebra,
     period_two_algebra,
@@ -25,6 +34,17 @@ from .iterants import (
 )
 from .matrix import SquareMatrix
 from .scalars import GaussianRational, _from_triple
+
+# cases per random row
+PAIRS = 500             # C02, and C04 for each group
+BRIDGE_PAIRS = 200      # C03
+MATRICES_PER_DIM = 34   # C07, for each of n = 2, 3, 4
+KERNEL_SAMPLES = 500    # C08, a kernel-family draw after every tenth
+EVENTS = 200            # C09
+FUZZ = 1000             # C13
+TRIPLES = 50            # C14, on shell
+OFF_SHELL = 100         # C14
+SEQUENCES = 200         # C16
 
 
 @dataclass(frozen=True)
@@ -35,22 +55,67 @@ class CheckResult:
     passed: bool
     lhs: str
     rhs: str
+    witness: dict | None = None
 
 
 @dataclass(frozen=True)
 class VerifyReport:
     entries: tuple[CheckResult, ...]
+    seconds: dict[str, float]  # time of each criterion, "C01".."C17"
 
     @property
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def failures(self) -> list[CheckResult]:
-        return [e for e in self.entries if not e.passed]
+
+class Tally(NamedTuple):
+    cases: int
+    agree: int
+    first: tuple | None  # (index, case, lhs, rhs) of the first disagreement
 
 
-def _entry(check_id: str, area: str, description: str, passed: bool, lhs, rhs) -> CheckResult:
-    return CheckResult(check_id, area, description, bool(passed), str(lhs), str(rhs))
+def _tally(cases: Iterable, relation: Callable) -> Tally:
+    """Apply relation(case) -> (lhs, rhs) to each case in turn; count the
+    cases where lhs == rhs and keep the first case where it does not."""
+    count = agree = 0
+    first = None
+    for count, case in enumerate(cases, 1):
+        lhs, rhs = relation(case)
+        if lhs == rhs:
+            agree += 1
+        elif first is None:
+            first = (count - 1, case, lhs, rhs)
+    return Tally(count, agree, first)
+
+
+def _entry(check_id: str, area: str, description: str, passed, lhs=None, rhs=None, *,
+           seed: int | None = None, show: Callable = str) -> CheckResult:
+    """One row.  Given a Tally, the row passes when it has cases and every case
+    agrees, lhs and rhs are the counts, and the first disagreeing case becomes
+    the witness, with its inputs drawn by show(case)."""
+    if not isinstance(passed, Tally):
+        return CheckResult(check_id, area, description, bool(passed), str(lhs), str(rhs))
+    cases, agree, first = passed
+    witness = None
+    if first is not None:
+        index, case, got, want = first
+        witness = {"seed": seed, "index": index, "inputs": show(case),
+                   "lhs": _text(got), "rhs": _text(want)}
+    return CheckResult(check_id, area, description, cases > 0 and first is None,
+                       f"{agree}/{cases} agree", f"{cases}/{cases} agree", witness)
+
+
+def _text(value) -> str:
+    return "; ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _holds(case: tuple[str, bool]) -> tuple[bool, bool]:
+    """The relation of a (name, outcome) case."""
+    return case[1], True
+
+
+def _name(case: tuple) -> str:
+    return case[0]
 
 
 def _rand_fraction(rng: random.Random, span: int = 9, den: int = 5) -> Fraction:
@@ -64,16 +129,29 @@ def _rand_scalar(rng: random.Random, span: int = 9, den: int = 5) -> GaussianRat
     return _from_triple(a * d, c * b, b * d)
 
 
-def _rand_vector(rng: random.Random, n: int) -> list[GaussianRational]:
-    return [_rand_scalar(rng) for _ in range(n)]
-
-
 def _rand_element(algebra: IterantAlgebra, rng: random.Random, max_terms: int = 3):
     total = algebra.zero()
     for _ in range(rng.randint(1, max_terms)):
         gid = rng.randrange(algebra.group.order)
-        total = total + algebra.term(_rand_vector(rng, algebra.degree), gid)
+        total = total + algebra.term([_rand_scalar(rng) for _ in range(algebra.degree)], gid)
     return total
+
+
+def _rand_pairs(algebra: IterantAlgebra, rng: random.Random, count: int, max_terms: int = 3):
+    for _ in range(count):
+        x = _rand_element(algebra, rng, max_terms)
+        yield x, _rand_element(algebra, rng, max_terms)
+
+
+def _matrix_relation(pair) -> tuple[SquareMatrix, SquareMatrix]:
+    """M(xy) against M(x) M(y)."""
+    x, y = pair
+    return matrep.to_matrix(x * y), matrep.to_matrix(x) * matrep.to_matrix(y)
+
+
+def _period2_inputs(case) -> list[str]:
+    """The two period-two elements that open a case, as parse_period2 reads them."""
+    return [format_period2(x) for x in case[:2]]
 
 
 # ---------------------------------------------------------------------------
@@ -85,28 +163,12 @@ def check_iterant_root(seed: int) -> list[CheckResult]:
     minus_one = algebra.scalar(-1)
     out = []
     for first, tag in ((-1, "canonical"), (1, "sign-variant")):
-        i_elem = imaginary_unit(first=first)
-        out.append(
-            _entry(
-                f"C01.{tag}",
-                "iterants",
-                f"([{first},{-first}]e)^2 = -1 exactly",
-                i_elem * i_elem == minus_one,
-                str(i_elem * i_elem),
-                str(minus_one),
-            )
-        )
-    i_elem = imaginary_unit()
-    out.append(
-        _entry(
-            "C01.fourth-power",
-            "iterants",
-            "fourth power of the imaginary iterant is +1",
-            i_elem ** 4 == algebra.one(),
-            str(i_elem ** 4),
-            str(algebra.one()),
-        )
-    )
+        square = imaginary_unit(first=first) ** 2
+        out.append(_entry(f"C01.{tag}", "iterants", f"([{first},{-first}]e)^2 = -1 exactly",
+                          square == minus_one, square, minus_one))
+    fourth = imaginary_unit() ** 4
+    out.append(_entry("C01.fourth-power", "iterants", "fourth power of the imaginary iterant is +1",
+                      fourth == algebra.one(), fourth, algebra.one()))
     return out
 
 
@@ -114,24 +176,12 @@ def check_iterant_root(seed: int) -> list[CheckResult]:
 # C02: period-two iterant product against 2x2 matrix product.
 
 
-def check_matrix_identity(seed: int, pairs: int = 500) -> list[CheckResult]:
-    algebra = period_two_algebra()
-    rng = random.Random(seed + 2)
-    bad = 0
-    for _ in range(pairs):
-        x = _rand_element(algebra, rng)
-        y = _rand_element(algebra, rng)
-        if matrep.to_matrix(x * y) != matrep.to_matrix(x) * matrep.to_matrix(y):
-            bad += 1
+def check_matrix_identity(seed: int) -> list[CheckResult]:
+    pairs = _rand_pairs(period_two_algebra(), random.Random(seed + 2), PAIRS)
     return [
-        _entry(
-            "C02.product-match",
-            "matrix-bridge",
-            f"iterant product equals matrix product on {pairs} random pairs",
-            bad == 0,
-            f"{pairs - bad}/{pairs} equal",
-            f"{pairs}/{pairs} equal",
-        )
+        _entry("C02.product-match", "matrix-bridge",
+               f"iterant product equals matrix product on {PAIRS} random pairs",
+               _tally(pairs, _matrix_relation), seed=seed, show=_period2_inputs)
     ]
 
 
@@ -139,30 +189,23 @@ def check_matrix_identity(seed: int, pairs: int = 500) -> list[CheckResult]:
 # C03: conjugate-determinant bridge.
 
 
-def check_determinant_bridge(seed: int, pairs: int = 200) -> list[CheckResult]:
-    algebra = period_two_algebra()
+def check_determinant_bridge(seed: int) -> list[CheckResult]:
     rng = random.Random(seed + 3)
-    det_ok = mult_ok = sym_ok = True
-    for _ in range(pairs):
-        z = _rand_element(algebra, rng)
-        w = _rand_element(algebra, rng)
-        dz, dw = determinant_period2(z), determinant_period2(w)
-        if dz != matrep.to_matrix(z).determinant():
-            det_ok = False
-        if determinant_period2(z * w) != dz * dw:
-            mult_ok = False
-        if z * conjugate_period2(z) != conjugate_period2(z) * z:
-            sym_ok = False
+    cases = [(z, w, determinant_period2(z), determinant_period2(w))
+             for z, w in _rand_pairs(period_two_algebra(), rng, BRIDGE_PAIRS)]
+    det = _tally(cases, lambda c: (c[2], matrep.to_matrix(c[0]).determinant()))
+    mult = _tally(cases, lambda c: (determinant_period2(c[0] * c[1]), c[2] * c[3]))
+    sym = _tally(cases, lambda c: (c[0] * conjugate_period2(c[0]), conjugate_period2(c[0]) * c[0]))
     return [
         _entry("C03.det-equals-matrix-det", "matrix-bridge",
-               f"Z conj(Z) equals the matrix determinant on {pairs} samples",
-               det_ok, "all equal" if det_ok else "mismatch", "all equal"),
+               f"Z conj(Z) equals the matrix determinant on {BRIDGE_PAIRS} samples",
+               det, seed=seed, show=_period2_inputs),
         _entry("C03.multiplicative", "matrix-bridge",
-               f"D(ZW) = D(Z) D(W) on {pairs} pairs",
-               mult_ok, "all equal" if mult_ok else "mismatch", "all equal"),
+               f"D(ZW) = D(Z) D(W) on {BRIDGE_PAIRS} pairs",
+               mult, seed=seed, show=_period2_inputs),
         _entry("C03.two-sided", "matrix-bridge",
                "Z conj(Z) = conj(Z) Z on all samples",
-               sym_ok, "all equal" if sym_ok else "mismatch", "all equal"),
+               sym, seed=seed, show=_period2_inputs),
     ]
 
 
@@ -220,48 +263,40 @@ S3_REGULAR_MATRICES = {
 }
 
 
-def check_g_table_theorem(seed: int, pairs: int = 500) -> list[CheckResult]:
+def check_g_table_theorem(seed: int) -> list[CheckResult]:
     out = []
     rng = random.Random(seed + 4)
     for name in ("c3", "c6", "s3", "klein4"):
         group = groups.builtin_group(name)
         action = groups.regular_action(group)
-        algebra = regular_algebra(group)
-        bad = 0
-        for _ in range(pairs):
-            x = _rand_element(algebra, rng, max_terms=2)
-            y = _rand_element(algebra, rng, max_terms=2)
-            if matrep.to_matrix(x * y) != matrep.to_matrix(x) * matrep.to_matrix(y):
-                bad += 1
+        pairs = _rand_pairs(regular_algebra(group), rng, PAIRS, max_terms=2)
         out.append(
             _entry(f"C04.{name}-homomorphism", "groups",
-                   f"{name}: regular-algebra product maps to matrix product ({pairs} pairs)",
-                   bad == 0, f"{pairs - bad}/{pairs}", f"{pairs}/{pairs}")
+                   f"{name}: regular-algebra product maps to matrix product ({PAIRS} pairs)",
+                   _tally(pairs, _matrix_relation), seed=seed,
+                   show=lambda xy: [x.to_json() for x in xy])
         )
         table_mats = groups.element_matrices_from_g_table(group)
-        match = all(
-            table_mats[group.names[g]] == action.matrix_of(g)
-            and groups.matrix_to_perm(table_mats[group.names[g]]).images
-            == action.perm_of(g).images
-            for g in range(group.order)
-        )
+
+        def placement(g: int):
+            placed = table_mats[group.names[g]]
+            return ((placed, groups.matrix_to_perm(placed).images),
+                    (action.matrix_of(g), action.perm_of(g).images))
+
         out.append(
             _entry(f"C04.{name}-regular-placement", "groups",
                    f"{name}: table placement of each element equals its regular permutation matrix",
-                   match, "all elements", "all elements")
+                   _tally(range(group.order), placement), seed=seed, show=group.names.__getitem__)
         )
-    out.append(_entry("C04.c3-mult-table", "groups", "c3 multiplication table matches the reference layout",
-                      groups.cyclic(3).name_table() == C3_MULT, "table", "reference"))
-    out.append(_entry("C04.c3-gtable", "groups", "c3 identity-diagonal table matches the reference layout",
-                      groups.g_table_names(groups.cyclic(3)) == C3_GTABLE, "table", "reference"))
-    out.append(_entry("C04.c6-mult-table", "groups", "c6 multiplication table matches the reference layout",
-                      groups.cyclic(6).name_table() == C6_MULT, "table", "reference"))
-    out.append(_entry("C04.c6-gtable", "groups", "c6 identity-diagonal table matches the reference layout",
-                      groups.g_table_names(groups.cyclic(6)) == C6_GTABLE, "table", "reference"))
-    out.append(_entry("C04.s3-mult-table", "groups", "s3 multiplication table matches the reference layout",
-                      groups.symmetric(3).name_table() == S3_MULT, "table", "reference"))
-    out.append(_entry("C04.s3-gtable", "groups", "s3 identity-diagonal table matches the reference layout",
-                      groups.g_table_names(groups.symmetric(3)) == S3_GTABLE, "table", "reference"))
+    for name, group, mult, gtable in (("c3", groups.cyclic(3), C3_MULT, C3_GTABLE),
+                                      ("c6", groups.cyclic(6), C6_MULT, C6_GTABLE),
+                                      ("s3", groups.symmetric(3), S3_MULT, S3_GTABLE)):
+        out.append(_entry(f"C04.{name}-mult-table", "groups",
+                          f"{name} multiplication table matches the reference layout",
+                          group.name_table() == mult, "table", "reference"))
+        out.append(_entry(f"C04.{name}-gtable", "groups",
+                          f"{name} identity-diagonal table matches the reference layout",
+                          groups.g_table_names(group) == gtable, "table", "reference"))
     return out
 
 
@@ -294,9 +329,9 @@ def check_quaternions(seed: int) -> list[CheckResult]:
                    "16/16", "16/16")
         )
     klein = clifford.quaternion_triple("klein4")
-    real = klein.I.is_real() and klein.J.is_real() and klein.K.is_real()
-    out.append(_entry("C06.klein4-real", "clifford",
-                      "klein4 quaternion triple is real 4x4", real, str(real), "True"))
+    real = [(name, getattr(klein, name).is_real()) for name in "IJK"]
+    out.append(_entry("C06.klein4-real", "clifford", "klein4 quaternion triple is real 4x4",
+                      _tally(real, _holds), seed=seed, show=_name))
     return out
 
 
@@ -304,24 +339,24 @@ def check_quaternions(seed: int) -> list[CheckResult]:
 # C07: diagonal-times-permutation decomposition.
 
 
-def check_decomposition(seed: int, per_dim: int = 34) -> list[CheckResult]:
+def _roundtrips(m: SquareMatrix):
+    """Reassembly of the decomposition, and the section property, against m."""
+    return ((matrep.reassemble(matrep.decompose_matrix(m), m.n),
+             matrep.to_matrix(matrep.embed_matrix(m))), (m, m))
+
+
+def check_decomposition(seed: int) -> list[CheckResult]:
     rng = random.Random(seed + 7)
     out = []
     for n in (2, 3, 4):
-        ok = True
-        for _ in range(per_dim):
-            m = SquareMatrix.from_rows(
-                [[_rand_scalar(rng) for _ in range(n)] for _ in range(n)]
-            )
-            terms = matrep.decompose_matrix(m)
-            if matrep.reassemble(terms, n) != m:
-                ok = False
-            if matrep.to_matrix(matrep.embed_matrix(m)) != m:
-                ok = False
+        matrices = (
+            SquareMatrix.from_rows([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)])
+            for _ in range(MATRICES_PER_DIM)
+        )
         out.append(
             _entry(f"C07.n{n}-roundtrip", "representation",
-                   f"n={n}: reassembly and section property on {per_dim} random matrices",
-                   ok, "exact", "exact")
+                   f"n={n}: reassembly and section property on {MATRICES_PER_DIM} random matrices",
+                   _tally(matrices, _roundtrips), seed=seed, show=SquareMatrix.to_lists)
         )
     m = SquareMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     expected = {
@@ -349,10 +384,7 @@ def check_decomposition(seed: int, per_dim: int = 34) -> list[CheckResult]:
 
 
 def _kernel_family_element(algebra, vals: dict[str, Fraction]):
-    x, y, z = vals["x"], vals["y"], vals["z"]
-    w, t = vals["w"], vals["t"]
-    r, s = vals["r"], vals["s"]
-    p, q = vals["p"], vals["q"]
+    x, y, z, w, t, r, s, p, q = (vals[k] for k in "xyzwtrspq")
     perm = groups.Permutation.from_cycles
     return (
         algebra.vector([x, y, z])
@@ -364,7 +396,7 @@ def _kernel_family_element(algebra, vals: dict[str, Fraction]):
     )
 
 
-def check_kernel(seed: int, samples: int = 500) -> list[CheckResult]:
+def check_kernel(seed: int) -> list[CheckResult]:
     algebra = natural_sn_algebra(3)
     perm = groups.Permutation.from_cycles
     out = []
@@ -399,23 +431,20 @@ def check_kernel(seed: int, samples: int = 500) -> list[CheckResult]:
                       matrep.kernel_test(fam).in_kernel, "kernel", "kernel"))
 
     rng = random.Random(seed + 8)
-    agree = True
-    forced_ok = True
-    for idx in range(samples):
-        elem = _rand_element(algebra, rng, max_terms=4)
-        rep = matrep.kernel_test(elem)
-        if not rep.criteria_agree:
-            agree = False
+    elements, families = [], []
+    for idx in range(KERNEL_SAMPLES):
+        elements.append(_rand_element(algebra, rng, max_terms=4))
         if idx % 10 == 0:
-            vals = {k: _rand_fraction(rng) for k in "xyzwtrspq"}
-            if not matrep.kernel_test(_kernel_family_element(algebra, vals)).in_kernel:
-                forced_ok = False
+            families.append({k: _rand_fraction(rng) for k in "xyzwtrspq"})
+    agree = _tally(elements, lambda e: (matrep.kernel_test(e).criteria_agree, True))
+    forced = _tally(families, lambda v: (
+        matrep.kernel_test(_kernel_family_element(algebra, v)).in_kernel, True))
     out.append(_entry("C08.criteria-agree", "representation",
-                      f"zero-image and entry-sum criteria agree on {samples} random elements",
-                      agree, "agree", "agree"))
+                      f"zero-image and entry-sum criteria agree on {KERNEL_SAMPLES} random elements",
+                      agree, seed=seed, show=lambda e: e.to_json()))
     out.append(_entry("C08.random-family", "representation",
                       "random kernel-family instances always map to zero",
-                      forced_ok, "kernel", "kernel"))
+                      forced, seed=seed, show=lambda v: {k: str(q) for k, q in v.items()}))
     return out
 
 
@@ -423,28 +452,30 @@ def check_kernel(seed: int, samples: int = 500) -> list[CheckResult]:
 # C09: the Hermitian spacetime observable.
 
 
-def check_minkowski(seed: int, samples: int = 200) -> list[CheckResult]:
+def check_minkowski(seed: int) -> list[CheckResult]:
     rng = random.Random(seed + 9)
-    ok_det = ok_trace = ok_herm = True
-    for _ in range(samples):
-        event = clifford.SpacetimeEvent.of(
-            _rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng)
-        )
-        rep = clifford.minkowski_observable(event)
-        t, x, y, z = event.t, event.x, event.y, event.z
-        if rep.determinant != t * t - x * x - y * y - z * z:
-            ok_det = False
-        if rep.trace != 2 * t:
-            ok_trace = False
-        if not rep.hermitian:
-            ok_herm = False
+    cases = []
+    for _ in range(EVENTS):
+        event = clifford.SpacetimeEvent.of(*(_rand_fraction(rng) for _ in range(4)))
+        cases.append((event, clifford.minkowski_observable(event)))
+
+    def show(case) -> list[str]:
+        return [str(case[0].t), str(case[0].x), str(case[0].y), str(case[0].z)]
+
+    def interval(case):
+        e, rep = case
+        return rep.determinant, e.t * e.t - e.x * e.x - e.y * e.y - e.z * e.z
+
     rep1 = clifford.minkowski_observable(clifford.SpacetimeEvent.of(2, 1, 0, 0))
     rep2 = clifford.minkowski_observable(clifford.SpacetimeEvent.of(0, 3, 4, 0))
     return [
         _entry("C09.determinant", "spacetime",
-               f"det H = T^2-X^2-Y^2-Z^2 on {samples} random events", ok_det, "exact", "exact"),
-        _entry("C09.trace", "spacetime", "trace H = 2T on all samples", ok_trace, "exact", "exact"),
-        _entry("C09.hermitian", "spacetime", "H equals its conjugate transpose", ok_herm, "exact", "exact"),
+               f"det H = T^2-X^2-Y^2-Z^2 on {EVENTS} random events",
+               _tally(cases, interval), seed=seed, show=show),
+        _entry("C09.trace", "spacetime", "trace H = 2T on all samples",
+               _tally(cases, lambda c: (c[1].trace, 2 * c[0].t)), seed=seed, show=show),
+        _entry("C09.hermitian", "spacetime", "H equals its conjugate transpose",
+               _tally(cases, lambda c: (c[1].hermitian, True)), seed=seed, show=show),
         _entry("C09.example-roots", "spacetime",
                "reference events give charpoly roots {1,3} and {-5,5}",
                rep1.eigenvalues == (Fraction(1), Fraction(3))
@@ -461,92 +492,77 @@ def check_minkowski(seed: int, samples: int = 200) -> list[CheckResult]:
 def check_braiding(seed: int) -> list[CheckResult]:
     out = []
     rep = clifford.clifford_generators(4)
-    identity_ok = True
-    for k in range(1, rep.n):
-        for j in range(1, rep.n + 1):
-            image = clifford.braid_conjugate(rep, k, rep.generators[j - 1])
-            if j == k:
-                expected = rep.generators[k]
-            elif j == k + 1:
-                expected = -rep.generators[k - 1]
-            else:
-                expected = rep.generators[j - 1]
-            if image != expected:
-                identity_ok = False
+    gens = rep.generators
+
+    def image(case):
+        k, j = case
+        expected = gens[k] if j == k else -gens[k - 1] if j == k + 1 else gens[j - 1]
+        return clifford.braid_conjugate(rep, k, gens[j - 1]), expected
+
+    images = [(k, j) for k in range(1, rep.n) for j in range(1, rep.n + 1)]
     out.append(_entry("C10.images", "braiding",
                       "conjugation sends c_k -> c_{k+1}, c_{k+1} -> -c_k, fixes the rest",
-                      identity_ok, "all images", "all images"))
+                      _tally(images, image), seed=seed, show=lambda c: {"k": c[0], "j": c[1]}))
 
-    relations_ok = True
-    for n in range(3, 7):
-        for k in range(1, n - 1):
-            lhs = clifford.braid_word_matrix(n, [k, k + 1, k])
-            rhs = clifford.braid_word_matrix(n, [k + 1, k, k + 1])
-            if lhs != rhs:
-                relations_ok = False
-        for k in range(1, n):
-            for j in range(k + 2, n):
-                b_k = clifford.braid_basis_matrix(n, k)
-                b_j = clifford.braid_basis_matrix(n, j)
-                if b_k * b_j != b_j * b_k:
-                    relations_ok = False
+    words = [(n, [k, k + 1, k], [k + 1, k, k + 1]) for n in range(3, 7) for k in range(1, n - 1)]
+    words += [(n, [k, j], [j, k]) for n in range(3, 7) for k in range(1, n) for j in range(k + 2, n)]
     out.append(_entry("C10.braid-relations", "braiding",
                       "adjacent braid relation and distant commutation for n <= 6",
-                      relations_ok, "all relations", "all relations"))
+                      _tally(words, lambda w: (clifford.braid_word_matrix(w[0], w[1]),
+                                               clifford.braid_word_matrix(w[0], w[2]))),
+                      seed=seed, show=lambda w: {"n": w[0], "word": w[1], "compare": w[2]}))
 
-    conj_ok = True
-    for j in range(1, rep.n + 1):
-        lhs = rep.generators[j - 1]
-        for k in (1, 2, 1):
-            lhs = clifford.braid_conjugate(rep, k, lhs)
-        rhs = rep.generators[j - 1]
-        for k in (2, 1, 2):
-            rhs = clifford.braid_conjugate(rep, k, rhs)
-        if lhs != rhs:
-            conj_ok = False
+    def conjugated(j: int, word: tuple[int, ...]) -> SquareMatrix:
+        c = gens[j - 1]
+        for k in word:
+            c = clifford.braid_conjugate(rep, k, c)
+        return c
+
     out.append(_entry("C10.conjugation-braid-relation", "braiding",
                       "the conjugation maps themselves satisfy the braid relation",
-                      conj_ok, "equal", "equal"))
+                      _tally(range(1, rep.n + 1),
+                             lambda j: (conjugated(j, (1, 2, 1)), conjugated(j, (2, 1, 2)))),
+                      seed=seed, show=lambda j: {"j": j}))
 
-    preserved = True
-    for n in range(2, 7):
-        rep_n = clifford.clifford_generators(n)
-        for k in range(1, n):
-            images = tuple(
-                clifford.braid_conjugate(rep_n, k, c) for c in rep_n.generators
-            )
-            try:
-                clifford.CliffordRep(images)
-            except ValueError:
-                preserved = False
+    def clifford_error(case):
+        rep_n, k = case
+        try:
+            clifford.CliffordRep(tuple(clifford.braid_conjugate(rep_n, k, c)
+                                       for c in rep_n.generators))
+        except ValueError as err:
+            return str(err), None
+        return None, None
+
+    reps = [(rep_n, k) for rep_n in map(clifford.clifford_generators, range(2, 7))
+            for k in range(1, rep_n.n)]
     out.append(_entry("C10.relations-preserved", "braiding",
                       "images of the generators are again anticommuting square-one (n <= 6)",
-                      preserved, str(preserved), "True"))
+                      _tally(reps, clifford_error), seed=seed,
+                      show=lambda c: {"n": c[0].n, "k": c[1]}))
 
-    span_match = True
-    for k in range(1, rep.n):
-        basis_matrix = clifford.braid_basis_matrix(rep.n, k)
-        for i in range(rep.n):
-            expanded = SquareMatrix.zero(rep.dim)
-            for j in range(rep.n):
-                expanded = expanded + rep.generators[j].scale(basis_matrix.entry(i, j))
-            if expanded != clifford.braid_conjugate(rep, k, rep.generators[i]):
-                span_match = False
+    def spanned(case):
+        k, i = case
+        basis = clifford.braid_basis_matrix(rep.n, k)
+        expanded = SquareMatrix.zero(rep.dim)
+        for j in range(rep.n):
+            expanded = expanded + gens[j].scale(basis.entry(i, j))
+        return expanded, clifford.braid_conjugate(rep, k, gens[i])
+
+    spans = [(k, i) for k in range(1, rep.n) for i in range(rep.n)]
     out.append(_entry("C10.span-matrix-matches-conjugation", "braiding",
                       "the signed-permutation span matrices agree with the conjugation images",
-                      span_match, str(span_match), "True"))
+                      _tally(spans, spanned), seed=seed, show=lambda c: {"k": c[0], "i": c[1]}))
 
     braiders = clifford.quaternion_braiders(clifford.clifford_generators(3))
     out.append(_entry("C10.quaternion-braiders", "braiding",
                       "(1+I)(1+J)(1+I) = (1+J)(1+I)(1+J) and cyclic variants, exactly",
                       braiders.relations_hold, str(braiders.relations_hold), "True"))
-    power_ok = (
-        clifford.braid_word_matrix(3, [1] * 4) == SquareMatrix.identity(3)
-        and clifford.braid_word_matrix(3, [1] * 2) != SquareMatrix.identity(3)
-    )
     out.append(_entry("C10.order-four", "braiding",
                       "the span map of a single braid generator has order exactly four",
-                      power_ok, str(power_ok), "True"))
+                      _tally([(4, True), (2, False)], lambda c: (
+                          clifford.braid_word_matrix(3, [1] * c[0]) == SquareMatrix.identity(3),
+                          c[1])),
+                      seed=seed, show=lambda c: {"n": 3, "word": [1] * c[0]}))
     return out
 
 
@@ -577,35 +593,28 @@ def check_fermion(seed: int) -> list[CheckResult]:
 
 def check_fusion(seed: int) -> list[CheckResult]:
     p = clifford.FUSION_P
-    ok_rule = p * p == clifford.FusionElement(1, 1)
     fib = [0, 1]
     while len(fib) < 22:
         fib.append(fib[-1] + fib[-2])
-    ok_fib = all(
-        clifford.fusion_power(n) == clifford.FusionElement(fib[n - 1], fib[n])
-        for n in range(1, 21)
-    )
-    comm_ok = True
-    assoc_ok = True
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    u = clifford.FusionElement(a, b)
-                    v = clifford.FusionElement(c, d)
-                    if u * v != v * u:
-                        comm_ok = False
-                    w = clifford.FusionElement((a + c) % 4, (b + d) % 4)
-                    if (u * v) * w != u * (v * w):
-                        assoc_ok = False
+    fibonacci = _tally(range(1, 21), lambda n: (
+        clifford.fusion_power(n), clifford.FusionElement(fib[n - 1], fib[n])))
+
+    def laws(case):
+        a, b, c, d = case
+        u, v = clifford.FusionElement(a, b), clifford.FusionElement(c, d)
+        w = clifford.FusionElement((a + c) % 4, (b + d) % 4)
+        return (u * v, (u * v) * w), (v * u, u * (v * w))
+
+    coefficients = list(itertools.product(range(4), repeat=4))
     return [
-        _entry("C12.rule", "fusion", "P * P = 1 + P", ok_rule, str(p * p), "1 + 1P"),
+        _entry("C12.rule", "fusion", "P * P = 1 + P",
+               p * p == clifford.FusionElement(1, 1), str(p * p), "1 + 1P"),
         _entry("C12.fibonacci", "fusion",
                "P^n has consecutive Fibonacci coefficients for n <= 20",
-               ok_fib, "all match", "all match"),
+               fibonacci, seed=seed, show=lambda n: {"power": n}),
         _entry("C12.commutative-associative", "fusion",
                "fusion product is commutative and associative on small coefficients",
-               comm_ok and assoc_ok, "holds", "holds"),
+               _tally(coefficients, laws), seed=seed, show=list),
     ]
 
 
@@ -616,60 +625,43 @@ def check_fusion(seed: int) -> list[CheckResult]:
 WORKED_EXPRESSION = "((((()())())())())()"
 
 
-def check_lof(seed: int, fuzz: int = 1000) -> list[CheckResult]:
+def _confluent(case):
+    """The values the random rule orders reach, against the reference value."""
+    expr, probe_seed = case
+    report = lof.confluence_probe(expr, trials=3, seed=probe_seed)
+    return report.values_seen, (report.reference_value,)
+
+
+def check_lof(seed: int) -> list[CheckResult]:
     out = []
-    worked = lof.parse(WORKED_EXPRESSION)
-    result = lof.reduce_expression(worked)
-    out.append(_entry("C13.worked-example", "mark-calculus",
-                      "the nested worked example reduces to the marked state",
-                      result.value == "marked", result.value, "marked"))
-    out.append(_entry("C13.crossing", "mark-calculus", "(()) reduces to unmarked",
-                      lof.reduce_expression(lof.parse("(())")).value == "unmarked",
-                      lof.reduce_expression(lof.parse("(())")).value, "unmarked"))
-    out.append(_entry("C13.calling", "mark-calculus", "()() reduces to marked",
-                      lof.reduce_expression(lof.parse("()()")).value == "marked",
-                      lof.reduce_expression(lof.parse("()()")).value, "marked"))
+    for tag, text, value, description in (
+            ("worked-example", WORKED_EXPRESSION, "marked",
+             "the nested worked example reduces to the marked state"),
+            ("crossing", "(())", "unmarked", "(()) reduces to unmarked"),
+            ("calling", "()()", "marked", "()() reduces to marked")):
+        got = lof.reduce_expression(lof.parse(text)).value
+        out.append(_entry(f"C13.{tag}", "mark-calculus", description, got == value, got, value))
 
-    all_agree = lof.confluence_fuzz(fuzz, max_depth=6, orders=3, seed=seed + 13) == 0
     out.append(_entry("C13.confluence", "mark-calculus",
-                      f"{fuzz} random expressions reduce to the same value in random rule order",
-                      all_agree, "all agree", "all agree"))
+                      f"{FUZZ} random expressions reduce to the same value in random rule order",
+                      _tally(lof.fuzz_cases(FUZZ, max_depth=6, seed=seed + 13), _confluent),
+                      seed=seed, show=lambda c: {"expression": str(c[0]), "probe_seed": c[1]}))
 
-    table_ok = True
-    for a in (False, True):
-        for b in (False, True):
-            env = {"A": a, "B": b}
-            cases = [
-                ("(A)B", (not a) or b),
-                ("((A)(B))", a and b),
-                ("AB", a or b),
-                ("(A)", not a),
-                ("((A))", a),
-            ]
-            for text, expected in cases:
-                if lof.eval_logic(lof.parse(text), env) != expected:
-                    table_ok = False
-    const_ok = (
-        lof.eval_logic(lof.parse("()"), {}) is True
-        and lof.eval_logic(lof.parse("(())"), {}) is False
-    )
+    rows = [(text, {"A": a, "B": b}, expected) for a in (False, True) for b in (False, True)
+            for text, expected in (("(A)B", (not a) or b), ("((A)(B))", a and b),
+                                   ("AB", a or b), ("(A)", not a), ("((A))", a))]
+    rows += [("()", {}, True), ("(())", {}, False)]
     out.append(_entry("C13.logic-tables", "mark-calculus",
                       "the logic reading matches every connective truth table",
-                      table_ok and const_ok, "all rows", "all rows"))
+                      _tally(rows, lambda r: (lof.eval_logic(lof.parse(r[0]), r[1]), r[2])),
+                      seed=seed, show=lambda r: {"expression": r[0], "assignment": r[1]}))
 
     bridge = lof.majorana_pair_bridge()
-    bridge_ok = all(
-        bridge[k]
-        for k in (
-            "polarity_squared_one",
-            "shift_squared_one",
-            "anticommute",
-            "product_squares_to_minus_one",
-        )
-    )
+    keys = ("polarity_squared_one", "shift_squared_one", "anticommute",
+            "product_squares_to_minus_one")
     out.append(_entry("C13.generator-bridge", "mark-calculus",
                       "the re-entrant oscillation pair squares to one and anticommutes",
-                      bridge_ok, str(bridge_ok), "True"))
+                      _tally([(k, bridge[k]) for k in keys], _holds), seed=seed, show=_name))
     return out
 
 
@@ -701,66 +693,60 @@ THREE_D_CASES = [
 ]
 
 
-def check_dirac(seed: int, triples: int = 50) -> list[CheckResult]:
+def _on_shell(e, p, m) -> dirac.OnShellParams:
+    params = dirac.OnShellParams.of(e, p, m)
+    if not params.on_shell:
+        raise AssertionError(f"E={e}, p={p}, m={m} is off shell")
+    return params
+
+
+def _dirac_inputs(case) -> dict[str, str]:
+    """(E, p, m) as the --E, --p and --m flags of ``dirac verify`` read them."""
+    e, p, m = case[:3]
+    p_text = ",".join(map(str, p)) if isinstance(p, tuple) else str(p)
+    return {"E": str(e), "p": p_text, "m": str(m)}
+
+
+def check_dirac(seed: int) -> list[CheckResult]:
     out = []
     frame1 = dirac.dirac_frame("1d")
-    all_ok: dict[str, bool] = {}
-    for e, p, m in _pythagorean_triples(triples):
-        params = dirac.OnShellParams.of(e, p, m)
-        if not params.on_shell:
-            raise AssertionError("triple generator produced an off-shell case")
-        for key, value in dirac.relation_report(frame1, params).items():
-            all_ok[key] = all_ok.get(key, True) and value
-    for key, value in sorted(all_ok.items()):
+    reports = [(e, p, m, dirac.relation_report(frame1, _on_shell(e, p, m)))
+               for e, p, m in _pythagorean_triples(TRIPLES)]
+    for key in sorted(reports[0][3]):
         out.append(_entry(f"C14.1d-{key}", "dirac",
-                          f"1d {key} on {triples} on-shell triples", value,
-                          "holds" if value else "fails", "holds"))
+                          f"1d {key} on {TRIPLES} on-shell triples",
+                          _tally(reports, lambda r: (r[3][key], True)),
+                          seed=seed, show=_dirac_inputs))
 
     frame3 = dirac.dirac_frame("3d")
-    ok3: dict[str, bool] = {}
-    for e, p, m in THREE_D_CASES:
-        params = dirac.OnShellParams.of(e, p, m)
-        if not params.on_shell:
-            raise AssertionError("bad 3d case")
-        for key, value in dirac.relation_report(frame3, params).items():
-            ok3[key] = ok3.get(key, True) and value
-    three_ok = all(ok3.values())
     out.append(_entry("C14.3d-identities", "dirac",
                       f"all identities with p replaced by p.s on {len(THREE_D_CASES)} on-shell cases",
-                      three_ok, "holds" if three_ok else str(ok3), "holds"))
+                      _tally(THREE_D_CASES, lambda c: (
+                          [k for k, ok in dirac.relation_report(frame3, _on_shell(*c)).items()
+                           if not ok], [])),
+                      seed=seed, show=_dirac_inputs))
+
+    def off_shell_square(case):
+        params = dirac.OnShellParams.of(*case)
+        u = dirac.nilpotent_u(frame1, params)
+        return u * u, SquareMatrix.identity(2).scale(params.shell_defect)
 
     rng = random.Random(seed + 14)
-    off_ok = True
-    for _ in range(100):
-        params = dirac.OnShellParams.of(
-            _rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng)
-        )
-        u = dirac.nilpotent_u(frame1, params)
-        if u * u != SquareMatrix.identity(2).scale(params.shell_defect):
-            off_ok = False
+    draws = (tuple(_rand_fraction(rng) for _ in range(3)) for _ in range(OFF_SHELL))
     out.append(_entry("C14.off-shell-scalar", "dirac",
-                      "U^2 = (p^2+m^2-E^2) identity for 100 random off-shell parameters",
-                      off_ok, "exact", "exact"))
+                      f"U^2 = (p^2+m^2-E^2) identity for {OFF_SHELL} random off-shell parameters",
+                      _tally(draws, off_shell_square), seed=seed, show=_dirac_inputs))
 
-    frame_checks = (
-        frame1.alpha.anticommutator(frame1.beta).is_zero()
-        and all(
-            frame3.sigmas[i].anticommutator(frame3.sigmas[j]).is_zero()
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        and all(
-            frame3.sigmas[i] * frame3.sigmas[i] == SquareMatrix.identity(4)
-            for i in range(3)
-        )
-        and all(
-            frame3.alpha.commutator(s).is_zero() and frame3.beta.commutator(s).is_zero()
-            for s in frame3.sigmas
-        )
-    )
+    sigmas = frame3.sigmas
+    frames = [("1d alpha beta anticommute", frame1.alpha.anticommutator(frame1.beta).is_zero())]
+    for i, s in enumerate(sigmas, 1):
+        frames += [(f"sigma{i} sigma{i % 3 + 1} anticommute", s.anticommutator(sigmas[i % 3]).is_zero()),
+                   (f"sigma{i} squares to one", s * s == SquareMatrix.identity(4)),
+                   (f"alpha and beta commute with sigma{i}",
+                    frame3.alpha.commutator(s).is_zero() and frame3.beta.commutator(s).is_zero())]
     out.append(_entry("C14.frames", "dirac",
                       "frame relations: squares one, anticommuting, commuting 3d triple",
-                      frame_checks, str(frame_checks), "True"))
+                      _tally(frames, _holds), seed=seed, show=_name))
     return out
 
 
@@ -771,16 +757,17 @@ def check_dirac(seed: int, triples: int = 50) -> list[CheckResult]:
 def check_real_generators(seed: int) -> list[CheckResult]:
     gens = dirac.majorana_dirac_generators()
     copies = dirac.commuting_copies_check()
+    real = [(name, getattr(gens, name).is_real()) for name in ("ax", "ay", "az", "beta_prime")]
     return [
         _entry("C15.realness", "real-generators",
                "all four generator matrices are entrywise real",
-               gens.all_real, str(gens.all_real), "True"),
+               _tally(real, _holds), seed=seed, show=_name),
         _entry("C15.relations", "real-generators",
                "alphas square to +1, b' to -1, all four pairwise anticommute",
-               all(gens.relation_table.values()), "all relations", "all relations"),
+               _tally(gens.relation_table.items(), _holds), seed=seed, show=_name),
         _entry("C15.commuting-copies", "real-generators",
                "the two split-generator copies commute elementwise and each is standard",
-               copies.ok, str(copies.ok), "True"),
+               _tally(vars(copies).items(), _holds), seed=seed, show=_name),
     ]
 
 
@@ -788,15 +775,15 @@ def check_real_generators(seed: int) -> list[CheckResult]:
 # C16: discrete commutator identity.
 
 
-def check_discrete(seed: int, samples: int = 200) -> list[CheckResult]:
+def check_discrete(seed: int) -> list[CheckResult]:
     rng = random.Random(seed + 16)
-    ok = True
-    for _ in range(samples):
-        values = [_rand_fraction(rng) for _ in range(16)]
-        dt = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        seq = discrete.Sequence.from_values(values)
-        if not discrete.basic_commutator(seq, dt).equal:
-            ok = False
+    draws = (
+        ([_rand_fraction(rng) for _ in range(16)], Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        for _ in range(SEQUENCES)
+    )
+    commutator = _tally(draws, lambda d: (
+        discrete.basic_commutator(discrete.Sequence.from_values(d[0]), d[1]).equal, True))
+    # the walk is drawn after the sequences, from the same generator
     walk_values = [Fraction(0)]
     for _ in range(20):
         walk_values.append(walk_values[-1] + rng.choice([-1, 1]))
@@ -806,8 +793,9 @@ def check_discrete(seed: int, samples: int = 200) -> list[CheckResult]:
     quad_report = discrete.brownian_constancy(quad, 1)
     return [
         _entry("C16.commutator-identity", "discrete-calculus",
-               f"[x, Dx] = J (dx)^2/dt exactly on {samples} random sequences",
-               ok, "exact", "exact"),
+               f"[x, Dx] = J (dx)^2/dt exactly on {SEQUENCES} random sequences",
+               commutator, seed=seed,
+               show=lambda d: {"seq": ",".join(map(str, d[0])), "dt": str(d[1])}),
         _entry("C16.brownian-constant", "discrete-calculus",
                "unit-step walk has constant squared step, K = 1",
                walk_report.constant and walk_report.diffusion_constant == 1,
@@ -872,10 +860,16 @@ ALL_CHECKS = [
 
 
 def run_verify(seed: int = 7) -> VerifyReport:
+    """Run every check in ALL_CHECKS, looked up at call time, and time each
+    criterion; the times stay on the report and are not printed."""
     entries: list[CheckResult] = []
-    for fn in ALL_CHECKS:
-        entries.extend(fn(seed))
+    seconds: dict[str, float] = {}
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        rows = check(seed)
+        seconds[rows[0].check_id.split(".", 1)[0]] = time.perf_counter() - start
+        entries.extend(rows)
     ids = [e.check_id for e in entries]
     if len(ids) != len(set(ids)):
         raise AssertionError("check ids are not unique")
-    return VerifyReport(tuple(sorted(entries, key=lambda e: e.check_id)))
+    return VerifyReport(tuple(sorted(entries, key=lambda e: e.check_id)), seconds)

@@ -1,10 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 
-from iterant_lab import groups
+from iterant_lab import groups, verify
 from iterant_lab.cli import main
+from iterant_lab.iterants import parse_period2, period_two_algebra
 
 
 def run_cli(capsys, *argv):
@@ -147,11 +149,11 @@ def test_dirac_majorana_generators(capsys):
 
 
 def test_discrete_commutator(capsys):
-    code, out = run_cli(capsys, "discrete", "commutator", "--seq", "0,1,0,1,0",
-                        "--dt", "1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["equal"] is True
+    for seq, dt in (("0,1,0,1,0", "1"), ("0.5,1,2.25", "0.5")):  # decimals read too
+        code, out = run_cli(capsys, "discrete", "commutator", "--seq", seq, "--dt", dt)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["equal"] is True
 
 
 def test_schrodinger_run_csv(tmp_path, capsys):
@@ -173,17 +175,61 @@ def test_schrodinger_dispersion_json(capsys):
     assert payload["rel_error"] < 0.02
 
 
-def test_verify_all_seeded_subprocess_free(capsys):
-    # full run is exercised by the acceptance suite; here just check the parser
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
+# Stand-in checks for verify-all, built like the real ones from verify's tally,
+# so each real check still runs once per session (in the acceptance suite).
+def _product_rows(seed):
+    pairs = verify._rand_pairs(period_two_algebra(), random.Random(seed), 20)
+    return [verify._entry("X01.product-match", "test", "M(xy) = M(x) M(y) on 20 pairs",
+                          verify._tally(pairs, verify._matrix_relation),
+                          seed=seed, show=verify._period2_inputs)]
+
+
+def _commuting_rows(seed):
+    """Wrong on purpose: period-two products do not commute."""
+    pairs = verify._rand_pairs(period_two_algebra(), random.Random(seed), 20)
+    return [verify._entry("X02.commutes", "test", "xy = yx on 20 pairs",
+                          verify._tally(pairs, lambda xy: (xy[0] * xy[1], xy[1] * xy[0])),
+                          seed=seed, show=verify._period2_inputs)]
+
+
+def test_verify_all_seeded_subprocess_free(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_product_rows, _commuting_rows])
+    code, out = run_cli(capsys, "verify-all", "--seed", "3", "--format", "json")
+    assert code == 1
+    rows = {e["check_id"]: e for e in json.loads(out)["entries"]}
+    assert rows["X01.product-match"]["pass"] and "witness" not in rows["X01.product-match"]
+    failed = rows["X02.commutes"]
+    assert not failed["pass"] and failed["lhs"] != failed["rhs"]
+    witness = failed["witness"]
+    # the inputs read back with the package's parser fail the same way again
+    x, y = (parse_period2(text) for text in witness["inputs"])
+    assert (str(x * y), str(y * x)) == (witness["lhs"], witness["rhs"])
+    assert witness["lhs"] != witness["rhs"]
+    # and the seed and index alone draw the same inputs
+    drawn = verify._rand_pairs(period_two_algebra(), random.Random(witness["seed"]),
+                               witness["index"] + 1)
+    assert list(drawn)[-1] == (x, y)
+
+    code, out = run_cli(capsys, "verify-all", "--seed", "3")
+    assert code == 1
+    status = {line.split()[0]: line.split()[2] for line in out.splitlines()[1:-1]}
+    assert status == {"X01.product-match": "PASS", "X02.commutes": "FAIL"}
+
+
+def test_verify_all_passing_rows_carry_no_witness(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_product_rows])
+    code, out = run_cli(capsys, "verify-all", "--seed", "3", "--format", "json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert entries and all(e["pass"] and "witness" not in e for e in entries)
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["group", "table"])  # missing --group
-    assert err.value.code == 2
+    for argv in (["group", "table"],  # missing --group
+                 ["no-such-command"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_bad_inputs_exit_two(capsys):
@@ -437,3 +483,20 @@ def test_clifford_fusion_rows_are_fibonacci(capsys):
     expected = [{"n": 0, "unit": 1, "p": 0}] + [
         {"n": n, "unit": fib[n - 1], "p": fib[n]} for n in range(1, 301)]
     assert json.loads(out)["powers"] == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["discrete", "commutator", "--seq", "1e200000,1,2", "--dt", "1"],
+     "error: exponent in '1e200000'; write the number as a/b or a decimal\n"),
+    (["discrete", "commutator", "--seq", "1e10000000,1,2", "--dt", "1"],
+     "error: exponent in '1e10000000'; write the number as a/b or a decimal\n"),
+    (["iterant", "eval", "[1,2", "[3,4]"],
+     "error: missing ']' for the '[' at position 0 in '[1,2'\n"),
+], ids=["exponent", "huge-exponent", "unclosed-bracket"])
+def test_unreadable_literals_are_usage_errors_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+    assert elapsed < 1.0
