@@ -68,7 +68,8 @@ def cmd_group_table(args) -> int:
 
 def cmd_matrep_decompose(args) -> int:
     with open(args.matrix) as handle:
-        data = json.load(handle)
+        # a JSON integer passes the digit cap of a text literal
+        data = json.load(handle, parse_int=lambda digits: int(parse_rational(digits)))
     matrix = SquareMatrix.from_lists(data["matrix"] if isinstance(data, dict) else data)
     terms = matrep.decompose_matrix(matrix)
     payload = [
@@ -147,7 +148,7 @@ def cmd_iterant_eval(args) -> int:
 
 def cmd_clifford_quaternions(args) -> int:
     triple = clifford.quaternion_triple(args.variant)
-    table_ok = clifford.quaternion_table_holds(triple)
+    table_ok = all(got == want for _, got, want in clifford.quaternion_products(triple))
     payload = {
         "variant": args.variant,
         "dim": triple.dim,

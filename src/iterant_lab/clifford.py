@@ -9,6 +9,7 @@ identically.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,19 +57,13 @@ _QUATERNION_SIGNS = {
 }
 
 
-def quaternion_table_holds(triple: QuaternionTriple) -> bool:
-    """Check every one of the 16 unit products against the quaternion table."""
-    n = triple.dim
-    units = {
-        "1": SquareMatrix.identity(n),
-        "i": triple.I,
-        "j": triple.J,
-        "k": triple.K,
-    }
+def quaternion_products(
+    triple: QuaternionTriple,
+) -> Iterator[tuple[str, SquareMatrix, SquareMatrix]]:
+    """The 16 unit products, each as (name, product, the table's signed unit)."""
+    units = {"1": SquareMatrix.identity(triple.dim), "i": triple.I, "j": triple.J, "k": triple.K}
     for (a, b), (sign, c) in _QUATERNION_SIGNS.items():
-        if units[a] * units[b] != units[c].scale(sign):
-            return False
-    return True
+        yield f"{a}*{b}", units[a] * units[b], units[c].scale(sign)
 
 
 def quaternion_triple(variant: str) -> QuaternionTriple:
@@ -314,7 +309,6 @@ def fusion_power(n: int) -> FusionElement:
 @dataclass(frozen=True)
 class BoostResult:
     mode: str  # "exact" | "light_cone"
-    velocity: Fraction
     k_squared: Fraction
     u_minus: Fraction  # t - x
     u_plus: Fraction  # t + x
@@ -344,7 +338,6 @@ def lorentz_boost(v: Fraction, t: Fraction, x: Fraction) -> BoostResult:
     if root is None:
         return BoostResult(
             mode="light_cone",
-            velocity=v,
             k_squared=k_squared,
             u_minus=t - x,
             u_plus=t + x,
@@ -355,7 +348,6 @@ def lorentz_boost(v: Fraction, t: Fraction, x: Fraction) -> BoostResult:
     x_prime = gamma * (x - v * t)
     return BoostResult(
         mode="exact",
-        velocity=v,
         k_squared=k_squared,
         u_minus=t - x,
         u_plus=t + x,

@@ -142,10 +142,6 @@ def nilpotent_pair(
     raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
 
 
-def u_dagger(frame: DiracFrame, params: OnShellParams, version: str) -> SquareMatrix:
-    return nilpotent_pair(frame, params, version)[1]
-
-
 @dataclass(frozen=True)
 class MajoranaSplit:
     """U = (A + iB) E with A, B square-one and anticommuting (time-reversed pair)."""

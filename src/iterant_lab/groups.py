@@ -3,7 +3,7 @@
 Conventions, fixed once and inherited by every downstream module:
 
 * permutations act on the right and compose left to right, so the point
-  image satisfies ``(p * q).apply(i) == q.apply(p.apply(i))``;
+  images satisfy ``(p * q).images[i] == q.images[p.images[i]]``;
 * the permutation matrix of ``p`` has its row-``i`` one in column ``i*p``;
 * the element ordering of a group is part of the group value, and the
   rearranged multiplication table (identity down the diagonal) quotes it.
@@ -20,10 +20,11 @@ from .matrix import SquareMatrix
 
 
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
-# enumerating the n * n! basis of the natural S_n algebra stops at n = 5, and
-# the isocheck of a regular action, whose algebra has dimension order^2,
-# stops at order 8, and the random mark trees of the confluence fuzz, which
-# hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8.
+# embedding or decomposing an n x n matrix over the n! permutations stops at
+# n = 5, the isocheck of a regular action, whose algebra has dimension
+# order^2, stops at order 8, and the random mark trees of the confluence fuzz,
+# which hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at
+# depth 8.
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
@@ -59,23 +60,11 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: Permutation) -> Permutation:
         """Left-to-right composition: apply self first, then other."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch in permutation product")
         return Permutation(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
         """Cycle notation on 1-based points; the identity prints as "()"."""
@@ -264,11 +253,6 @@ def symmetric_permutations(n: int) -> tuple[Permutation, ...]:
     return _symmetric_with_perms(n)[1]
 
 
-def explicit(names: list[str], table: list[list[int]], label: str = "explicit") -> Group:
-    """Group from an explicit table; all axioms are checked eagerly."""
-    return Group(tuple(names), tuple(tuple(row) for row in table), validate=True, label=label)
-
-
 def g_table(group: Group) -> tuple[tuple[int, ...], ...]:
     """Rearranged multiplication table with entry (i, j) = g_i^-1 g_j.
 
@@ -340,9 +324,6 @@ class GroupAction:
                             f"action is not compatible with the product at "
                             f"({self.group.names[g]}, {self.group.names[h]}, point {i})"
                         )
-
-    def act(self, g: int, point: int) -> int:
-        return self.point_maps[g][point]
 
     def perm_of(self, g: int) -> Permutation:
         return Permutation(self.point_maps[g])

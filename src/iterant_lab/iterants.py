@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import MAX_ENUMERATED_DEGREE, Group, GroupAction, Permutation
+from .groups import Group, GroupAction, Permutation
 from .groups import natural_action, regular_action
 from .scalars import GaussianRational, ScalarLike, scalar_from_json, scalar_to_json
 
@@ -326,15 +326,6 @@ def natural_sn_algebra(n: int) -> IterantAlgebra:
 
 def regular_algebra(group: Group) -> IterantAlgebra:
     return IterantAlgebra(regular_action(group))
-
-
-def an_basis(n: int) -> list[IterantElement]:
-    """The n * n! basis elements e_i * g of the natural S_n algebra."""
-    if n < 1 or n > MAX_ENUMERATED_DEGREE:
-        raise ValueError(
-            f"basis enumeration supports 1 <= n <= {MAX_ENUMERATED_DEGREE}; n! terms blow up beyond that"
-        )
-    return natural_sn_algebra(n).basis()
 
 
 def term_by_permutation(

@@ -91,22 +91,6 @@ class MarkExpr:
     def __hash__(self) -> int:
         return hash(_forest_key(self.items))
 
-    def is_empty(self) -> bool:
-        return not self.items
-
-    def mark_count(self) -> int:
-        return sum(token == "(" for token in _tokens(self.items))
-
-    def depth(self) -> int:
-        depth = deepest = 0
-        for token in _tokens(self.items):
-            if token == "(":
-                depth += 1
-                deepest = max(deepest, depth)
-            elif token == ")":
-                depth -= 1
-        return deepest
-
     def variables(self) -> set[str]:
         return {token for token in _tokens(self.items) if token not in ("(", ")")}
 
@@ -413,31 +397,6 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
     if unbound:
         raise ValueError(f"unbound variable(s): {', '.join(sorted(unbound))}")
     return any(_fold(expr.items, assignment.__getitem__, lambda values: not any(values)))
-
-
-def translate(expr: MarkExpr) -> str:
-    """Render as a conventional formula (T, F, ~, |, &)."""
-
-    def forest(nodes: list[tuple[str, str | None]]) -> str:
-        if not nodes:
-            return "F"
-        texts = [text for text, _ in nodes]
-        return texts[0] if len(texts) == 1 else "(" + " | ".join(texts) + ")"
-
-    def mark(inner: list[tuple[str, str | None]]) -> tuple[str, str]:
-        # a node is (its text, the text of its contents as a forest) and a
-        # variable has no contents
-        contents = forest(inner)
-        if not inner:
-            return "T", contents
-        if len(inner) == 1 and inner[0][1] is not None:
-            # double enclosure ((X)) collapses to X
-            return inner[0][1], contents
-        if len(inner) >= 2 and all(sub is not None for _, sub in inner):
-            return "(" + " & ".join(sub for _, sub in inner) + ")", contents
-        return "~" + contents, contents
-
-    return forest(_fold(expr.items, lambda name: (name, None), mark))
 
 
 def majorana_pair_bridge():

@@ -133,9 +133,6 @@ class SquareMatrix:
             result = result * self
         return result
 
-    def transpose(self) -> SquareMatrix:
-        return SquareMatrix(tuple(zip(*self.rows)))
-
     def conjugate_transpose(self) -> SquareMatrix:
         return SquareMatrix(
             tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows))

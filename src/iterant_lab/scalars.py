@@ -137,11 +137,6 @@ class GaussianRational:
     def conjugate(self) -> GaussianRational:
         return _make(self.re_num, -self.im_num, self.den)
 
-    def norm_squared(self) -> Fraction:
-        """|a + bi|^2 = a^2 + b^2, always a rational."""
-        return Fraction(self.re_num * self.re_num + self.im_num * self.im_num,
-                        self.den * self.den)
-
     def is_zero(self) -> bool:
         return self.re_num == 0 and self.im_num == 0
 
@@ -218,17 +213,28 @@ def format_scalar(z: GaussianRational) -> str:
     return _rational_text(re_num, den) + ("+" if im_num > 0 else "") + imag
 
 
+# The most digits one rational literal may hold: far below Python's
+# 4300-digit limit on converting text to int, so a product of a few such
+# numbers still prints.
+MAX_LITERAL_DIGITS = 1000
+
+
 def parse_rational(value, denominator=1) -> Fraction:
     """value/denominator from ints or text like "-2/5" or "0.5"; any other part
-    (a float, a bool, null), an exponent such as "1e9" and a zero denominator
-    are ValueErrors.  An exponent is refused because Fraction would build its
-    whole integer, which takes unbounded time and memory."""
+    (a float, a bool, null), an exponent such as "1e9", text of more than
+    MAX_LITERAL_DIGITS digits and a zero denominator are ValueErrors.  An
+    exponent is refused because Fraction would build its whole integer, which
+    takes unbounded time and memory."""
     if not all(isinstance(part, (int, str)) and not isinstance(part, bool)
                for part in (value, denominator)):
         raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational")
     for part in (value, denominator):
         if isinstance(part, str) and "e" in part.lower():
             raise ValueError(f"exponent in {part!r}; write the number as a/b or a decimal")
+        digits = sum(map(str.isdigit, part)) if isinstance(part, str) else 0
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"a literal of {digits} digits exceeds the cap of "
+                             f"{MAX_LITERAL_DIGITS} digits")
     try:
         return Fraction(value) / Fraction(denominator)
     except ZeroDivisionError:

@@ -63,15 +63,6 @@ def second_difference(values: np.ndarray) -> np.ndarray:
     return np.roll(values, 1) - 2.0 * values + np.roll(values, -1)
 
 
-def step(state: FieldState, cfg: LatticeConfig) -> FieldState:
-    """One tick of the literal alternating-sign recursion on a single field."""
-    if state.values.shape != (cfg.cells,):
-        raise ValueError(f"field has shape {state.values.shape}, expected ({cfg.cells},)")
-    sign = 1.0 if state.t_index % 2 == 0 else -1.0
-    new = state.values + sign * cfg.ratio * second_difference(state.values)
-    return FieldState(state.t_index + 1, new)
-
-
 @dataclass
 class RunResult:
     """Sampled trajectories of the two coupled fields, one sample per tick pair."""
@@ -114,16 +105,6 @@ def run(cfg: LatticeConfig, initial_even: FieldState, initial_odd: FieldState) -
             result.psi_e.append(e.copy())
             result.psi_o.append(o.copy())
     return result
-
-
-def combine(psi_e: np.ndarray, psi_o: np.ndarray) -> np.ndarray:
-    if psi_e.shape != psi_o.shape:
-        raise ValueError(f"shape mismatch: {psi_e.shape} vs {psi_o.shape}")
-    return psi_e + 1j * psi_o
-
-
-def field_norm(psi_e: np.ndarray, psi_o: np.ndarray, dx: float) -> float:
-    return float(np.sum(psi_e * psi_e + psi_o * psi_o) * dx)
 
 
 def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[FieldState, FieldState]:
@@ -187,24 +168,3 @@ def dispersion_check(cfg: LatticeConfig, k_mode: int) -> DispersionReport:
     rel_error = abs(measured - predicted) / predicted
     return DispersionReport(k_mode, measured, predicted, rel_error, len(series))
 
-
-@dataclass(frozen=True)
-class CoupledSystemReport:
-    """Defect of the sampled fields against d_t psi_e = +kappa d_xx psi_o and
-    d_t psi_o = -kappa d_xx psi_e, with the opposite-endpoint pairing; O(dt)."""
-
-    max_defect_e: float
-    max_defect_o: float
-
-
-def coupled_system_defect(result: RunResult) -> CoupledSystemReport:
-    cfg = result.cfg
-    scale = cfg.kappa / (cfg.dx * cfg.dx)
-    defect_e = 0.0
-    defect_o = 0.0
-    for i in range(result.pairs):
-        de = (result.psi_e[i + 1] - result.psi_e[i]) / cfg.dt
-        do = (result.psi_o[i + 1] - result.psi_o[i]) / cfg.dt
-        defect_e = max(defect_e, float(np.max(np.abs(de - scale * second_difference(result.psi_o[i + 1])))))
-        defect_o = max(defect_o, float(np.max(np.abs(do + scale * second_difference(result.psi_e[i])))))
-    return CoupledSystemReport(defect_e, defect_o)

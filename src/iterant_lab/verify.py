@@ -41,6 +41,7 @@ BRIDGE_PAIRS = 200      # C03
 MATRICES_PER_DIM = 34   # C07, for each of n = 2, 3, 4
 KERNEL_SAMPLES = 500    # C08, a kernel-family draw after every tenth
 EVENTS = 200            # C09
+BOOSTS = 100            # C09, for each of the two boost rows
 FUZZ = 1000             # C13
 TRIPLES = 50            # C14, on shell
 OFF_SHELL = 100         # C14
@@ -321,12 +322,11 @@ def check_s3_matrices(seed: int) -> list[CheckResult]:
 def check_quaternions(seed: int) -> list[CheckResult]:
     out = []
     for variant in ("klein4", "iota_2x2", "majorana_triple"):
-        triple = clifford.quaternion_triple(variant)
+        products = clifford.quaternion_products(clifford.quaternion_triple(variant))
         out.append(
             _entry(f"C06.{variant}", "clifford",
                    f"{variant}: all 16 quaternion unit products hold",
-                   clifford.quaternion_table_holds(triple),
-                   "16/16", "16/16")
+                   _tally(products, lambda c: c[1:]), seed=seed, show=_name)
         )
     klein = clifford.quaternion_triple("klein4")
     real = [(name, getattr(klein, name).is_real()) for name in "IJK"]
@@ -466,6 +466,32 @@ def check_minkowski(seed: int) -> list[CheckResult]:
         e, rep = case
         return rep.determinant, e.t * e.t - e.x * e.x - e.y * e.y - e.z * e.z
 
+    # The boosts are drawn after the events, from the same generator.  With
+    # a, b >= 1, v = (a^2-b^2)/(a^2+b^2) has 1 - v^2 = (2ab/(a^2+b^2))^2, so the
+    # boost is exact; an odd numerator over an even denominator gives 1 - v^2 a
+    # numerator of 3 mod 4, never a square, so the boost stays light-cone.
+    exact = [(Fraction(a * a - b * b, a * a + b * b), _rand_fraction(rng), _rand_fraction(rng))
+             for a, b in ((rng.randint(1, 9), rng.randint(1, 9)) for _ in range(BOOSTS))]
+    light_cone = []
+    for _ in range(BOOSTS):
+        half = rng.randint(1, 6)
+        v = Fraction(2 * rng.randint(-half, half - 1) + 1, 2 * half)
+        light_cone.append((v, _rand_fraction(rng), _rand_fraction(rng)))
+
+    def boosted_interval(case):
+        v, t, x = case
+        b = clifford.lorentz_boost(v, t, x)
+        return b.t_prime * b.t_prime - b.x_prime * b.x_prime, t * t - x * x
+
+    def light_cone_product(case):
+        v, t, x = case
+        b = clifford.lorentz_boost(v, t, x)
+        return ((b.mode, b.k_squared, b.boosted_u_minus_squared() * b.boosted_u_plus_squared()),
+                ("light_cone", (1 + v) / (1 - v), (t * t - x * x) ** 2))
+
+    def boost_inputs(case) -> list[str]:
+        return [str(q) for q in case]
+
     rep1 = clifford.minkowski_observable(clifford.SpacetimeEvent.of(2, 1, 0, 0))
     rep2 = clifford.minkowski_observable(clifford.SpacetimeEvent.of(0, 3, 4, 0))
     return [
@@ -482,6 +508,12 @@ def check_minkowski(seed: int) -> list[CheckResult]:
                and rep2.eigenvalues == (Fraction(-5), Fraction(5))
                and rep1.determinant == 3 and rep2.determinant == -25,
                f"{rep1.eigenvalues} {rep2.eigenvalues}", "(1, 3) (-5, 5)"),
+        _entry("C09.boost-interval", "spacetime",
+               f"t'^2-x'^2 = t^2-x^2 under {BOOSTS} exact boosts, v = (a^2-b^2)/(a^2+b^2)",
+               _tally(exact, boosted_interval), seed=seed, show=boost_inputs),
+        _entry("C09.boost-light-cone", "spacetime",
+               f"k^2 = (1+v)/(1-v) and k^2(t-x)^2 (t+x)^2/k^2 = (t^2-x^2)^2 on {BOOSTS} boosts",
+               _tally(light_cone, light_cone_product), seed=seed, show=boost_inputs),
     ]
 
 

@@ -18,7 +18,7 @@ from iterant_lab import verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "c38de0f1d83415d4dd50f764da08939022ce8847666059caf83059f4110aaa27"
+ROWS_SHA256 = "407e76ca3306ac9ba7b4e118f242633f7d3e740478854411c4a8af182053f32a"
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +88,7 @@ def test_c08_kernel(suite):
 
 
 def test_c09_minkowski_observable(suite):
-    _assert_all(suite, "C09 Hermitian spacetime observable (200 random events)")
+    _assert_all(suite, "C09 Hermitian spacetime observable (200 random events), exact boosts")
 
 
 def test_c10_braiding(suite):

@@ -6,7 +6,9 @@ import pytest
 
 from iterant_lab import groups, verify
 from iterant_lab.cli import main
-from iterant_lab.iterants import parse_period2, period_two_algebra
+from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
+                                  regular_algebra)
+from iterant_lab.scalars import MAX_LITERAL_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,25 @@ def test_verify_all_seeded_subprocess_free(capsys, monkeypatch):
     assert code == 1
     status = {line.split()[0]: line.split()[2] for line in out.splitlines()[1:-1]}
     assert status == {"X01.product-match": "PASS", "X02.commutes": "FAIL"}
+
+
+def _regular_commuting_rows(seed):
+    """Wrong on purpose: s3 is not abelian, so neither is its regular algebra."""
+    pairs = verify._rand_pairs(regular_algebra(groups.symmetric(3)), random.Random(seed), 20)
+    return [verify._entry("X03.regular-commutes", "test", "xy = yx on 20 s3 pairs",
+                          verify._tally(pairs, lambda xy: (xy[0] * xy[1], xy[1] * xy[0])),
+                          seed=seed, show=lambda xy: [x.to_json() for x in xy])]
+
+
+def test_verify_all_json_witness_reads_back_with_element_from_json(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_regular_commuting_rows])
+    code, out = run_cli(capsys, "verify-all", "--seed", "3", "--format", "json")
+    assert code == 1
+    witness = json.loads(out)["entries"][0]["witness"]
+    algebra = regular_algebra(groups.symmetric(3))
+    x, y = (element_from_json(algebra, obj) for obj in witness["inputs"])
+    assert (str(x * y), str(y * x)) == (witness["lhs"], witness["rhs"])
+    assert witness["lhs"] != witness["rhs"]
 
 
 def test_verify_all_passing_rows_carry_no_witness(capsys, monkeypatch):
@@ -485,15 +506,29 @@ def test_clifford_fusion_rows_are_fibonacci(capsys):
     assert json.loads(out)["powers"] == expected
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["discrete", "commutator", "--seq", "1e200000,1,2", "--dt", "1"],
+LONG = "1" * 5000
+OVER_CAP = f"error: a literal of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("argv, matrix, message", [
+    (["discrete", "commutator", "--seq", "1e200000,1,2", "--dt", "1"], None,
      "error: exponent in '1e200000'; write the number as a/b or a decimal\n"),
-    (["discrete", "commutator", "--seq", "1e10000000,1,2", "--dt", "1"],
+    (["discrete", "commutator", "--seq", "1e10000000,1,2", "--dt", "1"], None,
      "error: exponent in '1e10000000'; write the number as a/b or a decimal\n"),
-    (["iterant", "eval", "[1,2", "[3,4]"],
+    (["iterant", "eval", "[1,2", "[3,4]"], None,
      "error: missing ']' for the '[' at position 0 in '[1,2'\n"),
-], ids=["exponent", "huge-exponent", "unclosed-bracket"])
-def test_unreadable_literals_are_usage_errors_at_once(capsys, argv, message):
+    (["discrete", "commutator", "--seq", f"{LONG},1,2", "--dt", "1"], None, OVER_CAP),
+    (["dirac", "verify", "--E", LONG, "--p", "3", "--m", "4"], None, OVER_CAP),
+    (["iterant", "eval", f"[{LONG},1]", "[1,2]"], None, OVER_CAP),
+    (["matrep", "decompose"], f'{{"matrix": [["{LONG}", 1], [2, 3]]}}', OVER_CAP),
+    (["matrep", "decompose"], f'{{"matrix": [[{LONG}, 1], [2, 3]]}}', OVER_CAP),
+], ids=["exponent", "huge-exponent", "unclosed-bracket", "long-seq", "long-energy",
+        "long-iterant", "long-text-cell", "long-number-cell"])
+def test_unreadable_literals_are_usage_errors_at_once(tmp_path, capsys, argv, matrix, message):
+    if matrix is not None:
+        path = tmp_path / "m.json"
+        path.write_text(matrix)
+        argv = argv + ["--matrix", str(path)]
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start

@@ -5,7 +5,6 @@ import pytest
 
 from iterant_lab import groups
 from iterant_lab.iterants import (
-    an_basis,
     conjugate_period2,
     determinant_period2,
     element_from_json,
@@ -135,13 +134,8 @@ def test_conjugate_requires_period_two():
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 18)])
 def test_an_basis_size(n, count):
-    assert len(an_basis(n)) == count
+    assert len(natural_sn_algebra(n).basis()) == count
     assert natural_sn_algebra(n).dimension() == count
-
-
-def test_an_basis_size_limit():
-    with pytest.raises(ValueError):
-        an_basis(6)
 
 
 def test_associativity_across_algebras():

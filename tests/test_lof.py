@@ -17,7 +17,6 @@ from iterant_lab.lof import (
     parse,
     random_expression,
     reduce_expression,
-    translate,
     unparse,
 )
 
@@ -35,7 +34,7 @@ def test_parse_nested_mark():
 
 
 def test_parse_star_is_empty():
-    assert parse("*").is_empty()
+    assert parse("*") == MarkExpr()
     assert parse("* () *") == parse("()")
 
 
@@ -102,17 +101,16 @@ def test_crossing_and_calling():
 
 def test_trace_steps_shrink_mark_count():
     result = reduce_expression(parse(WORKED))
-    counts = [parse(step.before).mark_count() for step in result.trace]
-    counts.append(parse(result.trace[-1].after).mark_count())
+    counts = [step.before.count("(") for step in result.trace]
+    counts.append(result.trace[-1].after.count("("))
     assert all(a > b for a, b in zip(counts, counts[1:]))
 
 
 def test_trace_rules_are_single_rewrites():
     result = reduce_expression(parse(WORKED))
     for step in result.trace:
-        before = parse(step.before).mark_count()
-        after = parse(step.after).mark_count()
-        assert before - after == (1 if step.rule == "calling" else 2)
+        removed = step.before.count("(") - step.after.count("(")
+        assert removed == (1 if step.rule == "calling" else 2)
 
 
 def test_reduce_rejects_variables():
@@ -165,7 +163,7 @@ def test_a_hundred_wide_flat_list():
 def test_deep_nesting_needs_no_recursion():
     text = "(" * 3000 + ")" * 3000
     expr = parse(text)
-    assert (expr.depth(), expr.mark_count(), unparse(expr)) == (3000, 3000, text)
+    assert unparse(expr) == text
     assert expr == parse(text) and eval_logic(expr, {}) is False
     result = reduce_expression(expr)
     assert result.value == "unmarked"
@@ -174,16 +172,16 @@ def test_deep_nesting_needs_no_recursion():
     assert result.trace[-1] == ReductionStep("crossing", (), "(())", "*")
 
 
-def test_deep_marks_compare_hash_print_and_translate_without_recursion():
+def test_deep_marks_compare_hash_print_and_evaluate_without_recursion():
     deep = parse("(" * 3000 + ")" * 3000).items[0]
     same = parse("(" * 3000 + ")" * 3000).items[0]
     other = parse("(" * 3000 + "a" + ")" * 3000).items[0]
     assert deep == same and hash(deep) == hash(same) and deep != other
     assert repr(deep) == "Mark(children=(" * 2999 + "Mark(children=())" + ",))" * 2999
     assert repr(other) == "Mark(children=(" * 3000 + "Var(name='a')" + ",))" * 3000
-    assert translate(MarkExpr((deep,))) == "F"
-    assert translate(MarkExpr((other,))) == "a"
-    assert translate(parse("(" * 2999 + "a" + ")" * 2999)) == "~a"
+    assert eval_logic(MarkExpr((deep,)), {}) is False
+    assert eval_logic(MarkExpr((other,)), {"a": True}) is True
+    assert eval_logic(parse("(" * 2999 + "a" + ")" * 2999), {"a": True}) is False
 
 
 def test_mark_equality_is_ordered_and_expression_equality_is_not():
@@ -244,15 +242,6 @@ def test_logic_unbound_variable():
         eval_logic(parse("AB"), {"A": True})
 
 
-def test_translate_patterns():
-    assert translate(parse("()")) == "T"
-    assert translate(parse("(())")) == "F"
-    assert translate(parse("(A)B")) == "(~A | B)"
-    assert translate(parse("((A)(B))")) == "(A & B)"
-    assert translate(parse("((A))")) == "A"
-    assert translate(parse("*")) == "F"
-
-
 def test_unparse_roundtrip():
     rng = random.Random(61)
     for _ in range(100):
@@ -266,13 +255,6 @@ def test_majorana_pair_bridge():
     assert bridge["shift_squared_one"]
     assert bridge["anticommute"]
     assert bridge["product_squares_to_minus_one"]
-
-
-def test_depth_and_counts():
-    expr = parse("((()))()")
-    assert expr.depth() == 3
-    assert expr.mark_count() == 4
-    assert MarkExpr(()).depth() == 0
 
 
 def test_confluence_fuzz_finds_no_disagreement():
@@ -292,7 +274,7 @@ def test_every_rewrite_order_reaches_the_linear_value(expr, seed):
     result = reduce_expression(expr)
     assert result.value == ("marked" if eval_logic(expr, {}) else "unmarked")
     for step in result.trace:
-        removed = parse(step.before).mark_count() - parse(step.after).mark_count()
+        removed = step.before.count("(") - step.after.count("(")
         assert removed == (1 if step.rule == "calling" else 2)
     assert confluence_probe(expr, 3, seed).all_agree
 

@@ -1,0 +1,52 @@
+"""No public name in the package is reached only by the tests.
+
+Every ``def`` and ``class`` under ``src/iterant_lab`` that is not a dunder
+must be referenced somewhere in the package source, as a name, an attribute
+or an imported name.  A function that only a test calls is dead code: wire
+it into a ``verify-all`` row or delete it.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "iterant_lab"
+
+# the documented reader of the JSON witness inputs of the C04/C08 rows
+ALLOWED = {"element_from_json"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _defined(trees) -> dict[str, str]:
+    """Each non-dunder def or class name, with the file that defines it."""
+    out = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    out.setdefault(node.name, file)
+    return out
+
+
+def _referenced(trees) -> set[str]:
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_def_and_class_is_referenced_in_the_package():
+    trees = _trees()
+    referenced = _referenced(trees)
+    dead = sorted(f"{file}:{name}" for name, file in _defined(trees).items()
+                  if name not in referenced and name not in ALLOWED)
+    assert not dead, f"defined in src/ but referenced only by tests, if at all: {dead}"

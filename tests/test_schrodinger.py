@@ -6,16 +6,12 @@ import pytest
 from iterant_lab.schrodinger import (
     FieldState,
     LatticeConfig,
-    combine,
-    coupled_system_defect,
     dispersion_check,
-    field_norm,
     gaussian_fields,
     lattice_frequency,
     plane_wave_fields,
     run,
     second_difference,
-    step,
 )
 
 
@@ -35,88 +31,25 @@ def test_stability_warning_flag():
     assert cfg_of(dt=0.3).stability_warning  # r = 0.3 > 1/4
 
 
-def test_step_constant_field_unchanged():
-    cfg = cfg_of()
-    state = FieldState(0, np.full(cfg.cells, 3.5))
-    assert np.allclose(step(state, cfg).values, state.values)
-
-
-def test_step_impulse_even_tick():
-    cfg = cfg_of(dt=0.1)  # r = 1/10
-    values = np.zeros(cfg.cells)
-    values[5] = 1.0
-    new = step(FieldState(0, values), cfg).values
-    assert new[4] == pytest.approx(0.1)
-    assert new[6] == pytest.approx(0.1)
-    assert new[5] == pytest.approx(1.0 - 0.2)
-
-
-def test_step_impulse_odd_tick_flips_sign():
-    cfg = cfg_of(dt=0.1)
-    values = np.zeros(cfg.cells)
-    values[5] = 1.0
-    new = step(FieldState(1, values), cfg).values
-    assert new[4] == pytest.approx(-0.1)
-    assert new[5] == pytest.approx(1.2)
-
-
-def test_step_periodic_wraparound():
-    cfg = cfg_of(dt=0.1)
-    values = np.zeros(cfg.cells)
-    values[0] = 1.0
-    new = step(FieldState(0, values), cfg).values
-    assert new[-1] == pytest.approx(0.1)
-    assert new[1] == pytest.approx(0.1)
-
-
-def test_step_linearity():
-    cfg = cfg_of()
-    rng = np.random.default_rng(0)
-    psi = rng.normal(size=cfg.cells)
-    phi = rng.normal(size=cfg.cells)
-    a, b = 2.5, -1.25
-    lhs = step(FieldState(0, a * psi + b * phi), cfg).values
-    rhs = a * step(FieldState(0, psi), cfg).values + b * step(FieldState(0, phi), cfg).values
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_step_translation_equivariance():
-    cfg = cfg_of()
-    rng = np.random.default_rng(1)
-    psi = rng.normal(size=cfg.cells)
-    shifted_then_stepped = step(FieldState(0, np.roll(psi, 3)), cfg).values
-    stepped_then_shifted = np.roll(step(FieldState(0, psi), cfg).values, 3)
-    assert np.allclose(shifted_then_stepped, stepped_then_shifted, atol=1e-12)
-
-
-def test_step_increments_t_index():
-    cfg = cfg_of()
-    state = FieldState(4, np.zeros(cfg.cells))
-    assert step(state, cfg).t_index == 5
-
-
 def test_combine():
-    e = np.array([1.0, 0.0])
-    o = np.array([0.0, 2.0])
-    c = combine(e, o)
+    cfg = cfg_of(cells=2, steps=0)
+    result = run(cfg, FieldState(0, np.array([1.0, 0.0])), FieldState(1, np.array([0.0, 2.0])))
+    c = result.combined(0)
     assert c.dtype == complex
     assert c[0] == 1.0 and c[1] == 2.0j
-    with pytest.raises(ValueError):
-        combine(np.zeros(3), np.zeros(4))
 
 
 def test_combine_euler_identity():
-    cfg = cfg_of(cells=64)
-    even, odd = plane_wave_fields(cfg, 5)
+    cfg = cfg_of(cells=64, steps=0)
     x = np.arange(cfg.cells) * cfg.dx
     k = 2 * math.pi * 5 / (cfg.cells * cfg.dx)
-    assert np.allclose(combine(even.values, odd.values), np.exp(1j * k * x))
+    assert np.allclose(run(cfg, *plane_wave_fields(cfg, 5)).combined(0), np.exp(1j * k * x))
 
 
 def test_norm_definition():
-    e = np.array([3.0, 0.0])
-    o = np.array([0.0, 4.0])
-    assert field_norm(e, o, dx=0.5) == pytest.approx((9 + 16) * 0.5)
+    cfg = cfg_of(cells=2, dx=0.5, steps=0)
+    result = run(cfg, FieldState(0, np.array([3.0, 0.0])), FieldState(1, np.array([0.0, 4.0])))
+    assert result.norm(0) == pytest.approx((9 + 16) * 0.5)
 
 
 def test_run_zero_fields_stay_zero():
@@ -158,15 +91,6 @@ def test_dispersion_converges_with_dt():
     err_base = dispersion_check(base, 3).rel_error
     err_half = dispersion_check(half, 3).rel_error
     assert err_half < 0.6 * err_base
-
-
-def test_coupled_system_defect_is_first_order():
-    cfg = LatticeConfig(cells=64, dx=1.0, dt=0.1, kappa=1.0, steps=40)
-    half = LatticeConfig(cells=64, dx=1.0, dt=0.05, kappa=1.0, steps=80)
-    d1 = coupled_system_defect(run(cfg, *plane_wave_fields(cfg, 3)))
-    d2 = coupled_system_defect(run(half, *plane_wave_fields(half, 3)))
-    assert d2.max_defect_e < 0.75 * d1.max_defect_e
-    assert d2.max_defect_o < 0.75 * d1.max_defect_o
 
 
 def test_second_difference_annihilates_linears_modulo_wrap():
