@@ -1,9 +1,10 @@
 """Command-line entry point: one subcommand tree per module plus verify-all.
 
-Machine output goes to stdout, diagnostics to stderr.  --format selects
-json/text/csv where both make sense; --seed makes randomized checks
-reproducible; --out redirects stdout to a file.  Exit codes: 0 success,
-1 failed check (or the unmarked state for ``lof reduce``), 2 usage error.
+Machine output goes to stdout, diagnostics to stderr.  Each command computes
+its exit code and its output forms; ``_write`` writes the form that --format
+chose to stdout or to the --out file.  --seed makes randomized checks
+reproducible.  Exit codes: 0 success, 1 failed check (or the unmarked state
+for ``lof reduce``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,33 +12,55 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from dataclasses import asdict
 
 import numpy as np
 
 from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
+from .iterants import format_period2, parse_period2
 from .matrix import SquareMatrix
-from .scalars import parse_rational, scalar_to_json
+from .scalars import parse_integer, parse_rational, scalar_to_json
+
+JSON_TEXT = ("json", "text")
+JSON_TEXT_CSV = ("json", "text", "csv")
 
 
-def _common_flags(parser: argparse.ArgumentParser, default_format: str = "text") -> None:
-    parser.add_argument("--format", choices=("json", "text", "csv"), default=default_format)
-    parser.add_argument("--seed", type=int, default=7)
+def _module(sub, name: str, help: str):
+    """The subcommand tree of one module."""
+    return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+
+def _flags(parser: argparse.ArgumentParser, func, formats=JSON_TEXT, default: str = "text",
+           seed: bool = False) -> None:
+    """Run func for parser, which reads --format with the forms func writes,
+    --seed if func draws random cases, and --out."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default=default)
+    if seed:
+        parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None, help="write stdout to this path")
+    parser.set_defaults(func=func)
 
 
-@contextmanager
-def _output(args):
-    if args.out:
-        with open(args.out, "w") as handle:
-            yield handle
-    else:
-        yield sys.stdout
+def _write(args, code: int, forms: dict) -> int:
+    """Write the form that --format chose, or the one form of a command without
+    --format, to stdout or the --out file, and return the command's exit code.
 
-
-def _emit_json(stream, payload) -> None:
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    forms maps "json" to the payload, and "text" or "csv" to a function giving
+    the lines, so they are built only when written and then one at a time.  A
+    command that failed before it had output gives no forms.
+    """
+    if not forms:
+        return code
+    form = args.format if "format" in args else next(iter(forms))
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as stream:
+        if form == "json":
+            json.dump(forms[form], stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        else:
+            stream.writelines(line + "\n" for line in forms[form]())
+    return code
 
 
 def _aligned(rows: list[list[str]]) -> str:
@@ -47,31 +70,30 @@ def _aligned(rows: list[list[str]]) -> str:
     )
 
 
+def _cells(matrix: SquareMatrix) -> list[list[str]]:
+    return [[str(c) for c in row] for row in matrix.rows]
+
+
 # ---------------------------------------------------------------------------
 
 
-def cmd_group_table(args) -> int:
+def cmd_group_table(args):
     group = groups.builtin_group(args.group)
     table = groups.g_table_names(group) if args.gtable else group.name_table()
     kind = "gtable" if args.gtable else "multiplication"
-    with _output(args) as stream:
-        if args.format == "json":
-            _emit_json(stream, {"group": group.label, "kind": kind, "table": table})
-        elif args.format == "csv":
-            for row in table:
-                stream.write(",".join(row) + "\n")
-        else:
-            stream.write(f"{group.label} {kind} table\n")
-            stream.write(_aligned(table) + "\n")
-    return 0
+    return 0, {
+        "json": {"group": group.label, "kind": kind, "table": table},
+        "text": lambda: [f"{group.label} {kind} table", _aligned(table)],
+        "csv": lambda: (",".join(row) for row in table),
+    }
 
 
-def cmd_matrep_decompose(args) -> int:
+def cmd_matrep_decompose(args):
     with open(args.matrix) as handle:
-        # a JSON integer passes the digit cap of a text literal
-        data = json.load(handle, parse_int=lambda digits: int(parse_rational(digits)))
+        data = json.load(handle, parse_int=parse_integer)
     matrix = SquareMatrix.from_lists(data["matrix"] if isinstance(data, dict) else data)
     terms = matrep.decompose_matrix(matrix)
+    exact = matrep.reassemble(terms, matrix.n) == matrix
     payload = [
         {
             "perm": term.perm.cycle_string(),
@@ -79,27 +101,26 @@ def cmd_matrep_decompose(args) -> int:
         }
         for term in terms
     ]
-    reassembled = matrep.reassemble(terms, matrix.n)
-    with _output(args) as stream:
-        if args.format == "text":
-            rows = [[t["perm"], " ".join(str(c) for c in term.diag)]
-                    for t, term in zip(payload, terms)]
-            stream.write(_aligned(rows) + "\n")
-            stream.write(f"reassembly exact: {reassembled == matrix}\n")
-        else:
-            _emit_json(stream, {"terms": payload, "reassembly_exact": reassembled == matrix})
-    return 0 if reassembled == matrix else 1
+
+    def text():
+        yield _aligned([[t["perm"], " ".join(str(c) for c in term.diag)]
+                        for t, term in zip(payload, terms)])
+        yield f"reassembly exact: {exact}"
+
+    return (0 if exact else 1), {
+        "json": {"terms": payload, "reassembly_exact": exact},
+        "text": text,
+    }
 
 
-def cmd_matrep_isocheck(args) -> int:
+def cmd_matrep_isocheck(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
     if args.natural:
-        key = args.group.lower()
-        if not (key.startswith("s") and key[1:].isdigit()):
-            print("--natural requires a symmetric group (s<n>)", file=sys.stderr)
-            return 2
-        action = groups.natural_action(int(key[1:]))
+        family, degree = groups.parse_group_name(args.group)
+        if family != "s":
+            raise ValueError("--natural requires a symmetric group (s<n>)")
+        action = groups.natural_action(degree)
     else:
         group = groups.builtin_group(args.group)
         if group.order > groups.MAX_ISOCHECK_ORDER:
@@ -117,36 +138,28 @@ def cmd_matrep_isocheck(args) -> int:
         "spans_matrix_algebra": report.spans_matrix_algebra,
         "isomorphism": report.isomorphism,
     }
-    with _output(args) as stream:
-        if args.format == "text":
-            for key, value in payload.items():
-                stream.write(f"{key}: {value}\n")
-        else:
-            _emit_json(stream, payload)
-    return 0 if report.homomorphism_ok else 1
+    return (0 if report.homomorphism_ok else 1), {
+        "json": payload,
+        "text": lambda: (f"{key}: {value}" for key, value in payload.items()),
+    }
 
 
-def cmd_iterant_eval(args) -> int:
-    from .iterants import format_period2, parse_period2
-
+def cmd_iterant_eval(args):
     z = parse_period2(args.left)
     w = parse_period2(args.right)
     results = {
         "sum": format_period2(z + w),
         "product": format_period2(z * w),
-        "left_matrix": [[str(c) for c in row] for row in matrep.to_matrix(z).rows],
-        "product_matrix": [[str(c) for c in row] for row in matrep.to_matrix(z * w).rows],
+        "left_matrix": _cells(matrep.to_matrix(z)),
+        "product_matrix": _cells(matrep.to_matrix(z * w)),
     }
-    with _output(args) as stream:
-        if args.format == "text":
-            stream.write(f"sum:     {results['sum']}\n")
-            stream.write(f"product: {results['product']}\n")
-        else:
-            _emit_json(stream, results)
-    return 0
+    return 0, {
+        "json": results,
+        "text": lambda: [f"sum:     {results['sum']}", f"product: {results['product']}"],
+    }
 
 
-def cmd_clifford_quaternions(args) -> int:
+def cmd_clifford_quaternions(args):
     triple = clifford.quaternion_triple(args.variant)
     table_ok = all(got == want for _, got, want in clifford.quaternion_products(triple))
     payload = {
@@ -154,66 +167,56 @@ def cmd_clifford_quaternions(args) -> int:
         "dim": triple.dim,
         "table_holds": table_ok,
     }
-    if args.verify or args.format == "text":
-        payload["I"] = [[str(c) for c in row] for row in triple.I.rows]
-        payload["J"] = [[str(c) for c in row] for row in triple.J.rows]
-        payload["K"] = [[str(c) for c in row] for row in triple.K.rows]
-    with _output(args) as stream:
-        if args.format == "text":
-            stream.write(f"variant {args.variant} ({triple.dim}x{triple.dim}); "
-                         f"16-product table holds: {table_ok}\n")
-            for name in ("I", "J", "K"):
-                stream.write(f"{name} =\n{getattr(triple, name)}\n")
-        else:
-            _emit_json(stream, payload)
-    return 0 if table_ok else 1
+    if args.verify:
+        payload |= {name: _cells(getattr(triple, name)) for name in "IJK"}
+
+    def text():
+        yield (f"variant {args.variant} ({triple.dim}x{triple.dim}); "
+               f"16-product table holds: {table_ok}")
+        for name in "IJK":
+            yield f"{name} =\n{getattr(triple, name)}"
+
+    return (0 if table_ok else 1), {"json": payload, "text": text}
 
 
-def cmd_clifford_braid(args) -> int:
-    word = [int(tok) for tok in args.word.split()]
+def _braid_word(text: str) -> list[int]:
+    return [parse_integer(tok) for tok in text.split()]
+
+
+def cmd_clifford_braid(args):
+    word = _braid_word(args.word)
     lhs = clifford.braid_word_matrix(args.n, word)
-    payload = {"n": args.n, "word": word,
-               "matrix": [[str(c) for c in row] for row in lhs.rows]}
-    equal = None
+    payload = {"n": args.n, "word": word, "matrix": _cells(lhs)}
     if args.compare:
-        other = [int(tok) for tok in args.compare.split()]
-        rhs = clifford.braid_word_matrix(args.n, other)
-        equal = lhs == rhs
+        other = _braid_word(args.compare)
         payload["compare"] = other
-        payload["equal"] = equal
-    with _output(args) as stream:
-        if args.format == "text":
-            stream.write(f"word {word} on {args.n} strands:\n{lhs}\n")
-            if equal is not None:
-                stream.write(f"equal to word {args.compare}: {equal}\n")
-        else:
-            _emit_json(stream, payload)
-    if equal is None:
-        return 0
-    return 0 if equal else 1
+        payload["equal"] = lhs == clifford.braid_word_matrix(args.n, other)
+
+    def text():
+        yield f"word {word} on {args.n} strands:\n{lhs}"
+        if args.compare:
+            yield f"equal to word {args.compare}: {payload['equal']}"
+
+    return (0 if payload.get("equal", True) else 1), {"json": payload, "text": text}
 
 
-def cmd_clifford_fusion(args) -> int:
+def cmd_clifford_fusion(args):
     powers = [
         {"n": n, "unit": power.unit, "p": power.p}
         for n, power in enumerate(clifford.fusion_powers(args.power))
     ]
-    with _output(args) as stream:
-        if args.format == "text":
-            rows = [["n", "unit", "P"]] + [
-                [str(e["n"]), str(e["unit"]), str(e["p"])] for e in powers
-            ]
-            stream.write(_aligned(rows) + "\n")
-        elif args.format == "csv":
-            stream.write("n,unit,p\n")
-            for e in powers:
-                stream.write(f"{e['n']},{e['unit']},{e['p']}\n")
-        else:
-            _emit_json(stream, {"powers": powers})
-    return 0
+
+    def rows():
+        return [[str(value) for value in e.values()] for e in powers]
+
+    return 0, {
+        "json": {"powers": powers},
+        "text": lambda: [_aligned([["n", "unit", "P"]] + rows())],
+        "csv": lambda: ["n,unit,p"] + [",".join(row) for row in rows()],
+    }
 
 
-def cmd_dirac_verify(args) -> int:
+def cmd_dirac_verify(args):
     frame = dirac.dirac_frame(args.dim)
     if args.dim == "3d":
         momentum = tuple(parse_rational(tok) for tok in args.p.split(","))
@@ -248,16 +251,14 @@ def cmd_dirac_verify(args) -> int:
     payload = {"version": args.version, "dim": args.dim,
                "E": str(params.energy), "p": args.p, "m": str(params.mass),
                "checks": checks, "all_pass": all_pass}
-    with _output(args) as stream:
-        if args.format == "text":
-            rows = [["check", "pass"]] + [[c["check"], str(c["pass"])] for c in checks]
-            stream.write(_aligned(rows) + "\n")
-        else:
-            _emit_json(stream, payload)
-    return 0 if all_pass else 1
+    return (0 if all_pass else 1), {
+        "json": payload,
+        "text": lambda: [_aligned([["check", "pass"]]
+                                  + [[c["check"], str(c["pass"])] for c in checks])],
+    }
 
 
-def cmd_dirac_majorana(args) -> int:
+def cmd_dirac_majorana(args):
     gens = dirac.majorana_dirac_generators()
     copies = dirac.commuting_copies_check()
     payload = {
@@ -265,31 +266,24 @@ def cmd_dirac_majorana(args) -> int:
         "relations": gens.relation_table,
         "commuting_copies_ok": copies.ok,
     }
-    if args.emit_matrices:
-        payload["matrices"] = {
-            name: [[str(c) for c in row] for row in matrix.rows]
-            for name, matrix in (
-                ("ax", gens.ax), ("ay", gens.ay), ("az", gens.az),
-                ("beta_prime", gens.beta_prime),
-            )
-        }
+    matrices = (("ax", gens.ax), ("ay", gens.ay), ("az", gens.az),
+                ("beta_prime", gens.beta_prime)) if args.emit_matrices else ()
+    if matrices:
+        payload["matrices"] = {name: _cells(matrix) for name, matrix in matrices}
     ok = gens.all_real and all(gens.relation_table.values()) and copies.ok
-    with _output(args) as stream:
-        if args.format == "text":
-            stream.write(f"all real: {gens.all_real}\n")
-            for name, value in gens.relation_table.items():
-                stream.write(f"{name}: {value}\n")
-            stream.write(f"commuting copies: {copies.ok}\n")
-            if args.emit_matrices:
-                for name, matrix in (("ax", gens.ax), ("ay", gens.ay),
-                                     ("az", gens.az), ("beta_prime", gens.beta_prime)):
-                    stream.write(f"{name} =\n{matrix}\n")
-        else:
-            _emit_json(stream, payload)
-    return 0 if ok else 1
+
+    def text():
+        yield f"all real: {gens.all_real}"
+        for name, value in gens.relation_table.items():
+            yield f"{name}: {value}"
+        yield f"commuting copies: {copies.ok}"
+        for name, matrix in matrices:
+            yield f"{name} =\n{matrix}"
+
+    return (0 if ok else 1), {"json": payload, "text": text}
 
 
-def cmd_discrete_commutator(args) -> int:
+def cmd_discrete_commutator(args):
     values = [parse_rational(tok) for tok in args.seq.split(",")]
     seq = discrete.Sequence.from_values(values)
     dt = parse_rational(args.dt)
@@ -314,14 +308,12 @@ def cmd_discrete_commutator(args) -> int:
         "rhs": poly_payload(report.rhs),
         "equal": report.equal,
     }
-    with _output(args) as stream:
-        if args.format == "text":
-            stream.write(f"[x, Dx] terms: {payload['lhs']}\n")
-            stream.write(f"J (dx)^2/dt terms: {payload['rhs']}\n")
-            stream.write(f"equal on overlap: {report.equal}\n")
-        else:
-            _emit_json(stream, payload)
-    return 0 if report.equal else 1
+    return (0 if report.equal else 1), {
+        "json": payload,
+        "text": lambda: [f"[x, Dx] terms: {payload['lhs']}",
+                         f"J (dx)^2/dt terms: {payload['rhs']}",
+                         f"equal on overlap: {report.equal}"],
+    }
 
 
 def _initial_fields(cfg, text: str):
@@ -341,7 +333,7 @@ def _initial_fields(cfg, text: str):
     raise ValueError(f"cannot read init {text!r}; use gaussian:mu=..,sigma=.. or planewave:k")
 
 
-def cmd_schrodinger_run(args) -> int:
+def cmd_schrodinger_run(args):
     cfg = schrodinger.LatticeConfig(
         cells=args.n, dx=args.dx, dt=args.dt, kappa=args.kappa, steps=args.steps
     )
@@ -361,33 +353,25 @@ def cmd_schrodinger_run(args) -> int:
     if not all(np.all(np.isfinite(value)) for value in printed):
         print(f"schrodinger run failed: the fields overflowed at r = {cfg.ratio:.4f}",
               file=sys.stderr)
-        return 1
+        return 1, {}
     if cfg.stability_warning:
         print(f"warning: ratio r = {cfg.ratio:.4f} exceeds 1/4; expect instability",
               file=sys.stderr)
-    with _output(args) as stream:
-        if args.dispersion is not None:
-            _emit_json(stream, {
-                "k_mode": report.k_mode,
-                "measured_omega": report.measured_omega,
-                "predicted_omega": report.predicted_omega,
-                "rel_error": report.rel_error,
-                "samples": report.samples,
-                "ratio": cfg.ratio,
-            })
-            return 0
-        stream.write("t_index,cell,psi_e,psi_o,re,im,abs2\n")
+    if args.dispersion is not None:
+        return 0, {"json": {**asdict(report), "ratio": cfg.ratio}}
+
+    def rows():
+        yield "t_index,cell,psi_e,psi_o,re,im,abs2"
         for (index, e, o), abs2 in zip(samples, printed):
             for cell in range(cfg.cells):
                 re_v, im_v = e[cell], o[cell]
-                stream.write(
-                    f"{index},{cell},{re_v:.12g},{im_v:.12g},{re_v:.12g},{im_v:.12g},"
-                    f"{abs2[cell]:.12g}\n"
-                )
-    return 0
+                yield (f"{index},{cell},{re_v:.12g},{im_v:.12g},{re_v:.12g},{im_v:.12g},"
+                       f"{abs2[cell]:.12g}")
+
+    return 0, {"csv": rows}
 
 
-def cmd_lof_reduce(args) -> int:
+def cmd_lof_reduce(args):
     if args.random:
         trials, depth, seed = args.random
         if trials < 1:
@@ -395,61 +379,51 @@ def cmd_lof_reduce(args) -> int:
         if not 1 <= depth <= groups.MAX_LOF_DEPTH:
             raise ValueError(f"--random DEPTH {depth} is outside 1..{groups.MAX_LOF_DEPTH}")
         disagreements = lof.confluence_fuzz(trials, max_depth=depth, orders=4, seed=seed)
-        with _output(args) as stream:
-            if args.format == "text":
-                stream.write(f"{trials} random expressions, disagreements: {disagreements}\n")
-            else:
-                _emit_json(stream, {"trials": trials, "disagreements": disagreements})
-        return 0 if disagreements == 0 else 1
+        return (0 if disagreements == 0 else 1), {
+            "json": {"trials": trials, "disagreements": disagreements},
+            "text": lambda: [f"{trials} random expressions, disagreements: {disagreements}"],
+        }
     expr = lof.parse(args.expression)
-    result = lof.reduce_expression(expr)
-    with _output(args) as stream:
-        if args.format == "json":
-            payload = {
-                "value": result.value,
-                "steps": [
-                    {"rule": s.rule, "location": list(s.location),
-                     "before": s.before, "after": s.after}
-                    for s in result.trace
-                ] if args.trace else len(result.trace),
-            }
-            _emit_json(stream, payload)
-        else:
-            if args.trace:
-                for s in result.trace:
-                    stream.write(f"{s.rule:9s} {s.before} -> {s.after}\n")
-            stream.write(result.value + "\n")
-    return 0 if result.value == "marked" else 1
+    if args.trace:
+        result = lof.reduce_expression(expr)
+        value, trace = result.value, result.trace
+        steps = [{"rule": s.rule, "location": list(s.location),
+                  "before": s.before, "after": s.after} for s in trace]
+    else:
+        value, steps = lof.reduce_untraced(expr)
+        trace = ()
+    return (0 if value == "marked" else 1), {
+        "json": {"value": value, "steps": steps},
+        "text": lambda: [*(f"{s.rule:9s} {s.before} -> {s.after}" for s in trace), value],
+    }
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args):
     report = verify.run_verify(seed=args.seed)
-    with _output(args) as stream:
-        if args.format == "json":
-            _emit_json(stream, {
-                "entries": [
-                    {"check_id": e.check_id, "area": e.area,
-                     "description": e.description, "pass": e.passed,
-                     "lhs": e.lhs, "rhs": e.rhs,
-                     **({"witness": e.witness} if e.witness else {})}
-                    for e in report.entries
-                ],
-                "all_passed": report.all_passed,
-            })
-        elif args.format == "csv":
-            stream.write("check_id,area,pass,description\n")
-            for e in report.entries:
-                stream.write(f"{e.check_id},{e.area},{e.passed},\"{e.description}\"\n")
-        else:
-            rows = [["check", "area", "status", "description"]] + [
-                [e.check_id, e.area, "PASS" if e.passed else "FAIL", e.description]
-                for e in report.entries
-            ]
-            stream.write(_aligned(rows) + "\n")
-            total = len(report.entries)
-            passed = sum(1 for e in report.entries if e.passed)
-            stream.write(f"{passed}/{total} checks passed\n")
-    return 0 if report.all_passed else 1
+    entries = report.entries
+
+    def text():
+        yield _aligned([["check", "area", "status", "description"]] + [
+            [e.check_id, e.area, "PASS" if e.passed else "FAIL", e.description]
+            for e in entries
+        ])
+        yield f"{sum(1 for e in entries if e.passed)}/{len(entries)} checks passed"
+
+    return (0 if report.all_passed else 1), {
+        "json": {
+            "entries": [
+                {"check_id": e.check_id, "area": e.area,
+                 "description": e.description, "pass": e.passed,
+                 "lhs": e.lhs, "rhs": e.rhs,
+                 **({"witness": e.witness} if e.witness else {})}
+                for e in entries
+            ],
+            "all_passed": report.all_passed,
+        },
+        "text": text,
+        "csv": lambda: ["check_id,area,pass,description"] + [
+            f"{e.check_id},{e.area},{e.passed},\"{e.description}\"" for e in entries],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -462,81 +436,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    group_p = sub.add_parser("group", help="finite groups and their tables")
-    group_sub = group_p.add_subparsers(dest="subcommand", required=True)
+    group_sub = _module(sub, "group", "finite groups and their tables")
     table_p = group_sub.add_parser("table", help="emit a multiplication or identity-diagonal table")
     table_p.add_argument("--group", required=True, help="c<n>, s<n>, or klein4")
     table_p.add_argument("--gtable", action="store_true",
                          help="emit the identity-diagonal rearrangement")
-    _common_flags(table_p)
-    table_p.set_defaults(func=cmd_group_table)
+    _flags(table_p, cmd_group_table, JSON_TEXT_CSV)
 
-    iter_p = sub.add_parser("iterant", help="period-two iterant arithmetic")
-    iter_sub = iter_p.add_subparsers(dest="subcommand", required=True)
+    iter_sub = _module(sub, "iterant", "period-two iterant arithmetic")
     eval_p = iter_sub.add_parser("eval", help="combine two period-two elements")
     eval_p.add_argument("left", help='e.g. "[1,2] + [3,4]e"')
     eval_p.add_argument("right")
-    _common_flags(eval_p)
-    eval_p.set_defaults(func=cmd_iterant_eval)
+    _flags(eval_p, cmd_iterant_eval)
 
-    matrep_p = sub.add_parser("matrep", help="matrix representation bridge")
-    matrep_sub = matrep_p.add_subparsers(dest="subcommand", required=True)
+    matrep_sub = _module(sub, "matrep", "matrix representation bridge")
     dec_p = matrep_sub.add_parser("decompose", help="diagonal-times-permutation decomposition")
     dec_p.add_argument("--matrix", required=True, help="JSON file holding the matrix")
-    _common_flags(dec_p, default_format="json")
-    dec_p.set_defaults(func=cmd_matrep_decompose)
+    _flags(dec_p, cmd_matrep_decompose, default="json")
     iso_p = matrep_sub.add_parser("isocheck", help="probe the representation map")
     iso_p.add_argument("--group", required=True)
     iso_p.add_argument("--natural", action="store_true",
                        help="use the natural degree-n symmetric action instead of the regular one")
     iso_p.add_argument("--samples", type=int, default=100)
-    _common_flags(iso_p)
-    iso_p.set_defaults(func=cmd_matrep_isocheck)
+    _flags(iso_p, cmd_matrep_isocheck, seed=True)
 
-    cliff_p = sub.add_parser("clifford", help="quaternions, braiding, fusion")
-    cliff_sub = cliff_p.add_subparsers(dest="subcommand", required=True)
+    cliff_sub = _module(sub, "clifford", "quaternions, braiding, fusion")
     quat_p = cliff_sub.add_parser("quaternions", help="a quaternion triple and its table")
     quat_p.add_argument("--variant", choices=("klein4", "iota_2x2", "majorana_triple"),
                         default="klein4")
     quat_p.add_argument("--verify", action="store_true")
-    _common_flags(quat_p)
-    quat_p.set_defaults(func=cmd_clifford_quaternions)
+    _flags(quat_p, cmd_clifford_quaternions)
     braid_p = cliff_sub.add_parser("braid", help="braid words on the generator span")
     braid_p.add_argument("--n", type=int, required=True)
     braid_p.add_argument("--word", required=True, help='e.g. "1 2 1"')
     braid_p.add_argument("--compare", default=None, help="second word to compare against")
-    _common_flags(braid_p)
-    braid_p.set_defaults(func=cmd_clifford_braid)
+    _flags(braid_p, cmd_clifford_braid)
     fusion_p = cliff_sub.add_parser("fusion", help="powers of the self-dual particle")
     fusion_p.add_argument("--power", type=int, default=10)
-    _common_flags(fusion_p)
-    fusion_p.set_defaults(func=cmd_clifford_fusion)
+    _flags(fusion_p, cmd_clifford_fusion, JSON_TEXT_CSV)
 
-    dirac_p = sub.add_parser("dirac", help="nilpotent plane-wave operator checks")
-    dirac_sub = dirac_p.add_subparsers(dest="subcommand", required=True)
+    dirac_sub = _module(sub, "dirac", "nilpotent plane-wave operator checks")
     dv_p = dirac_sub.add_parser("verify", help="relation report for given E, p, m")
     dv_p.add_argument("--E", required=True)
     dv_p.add_argument("--p", required=True, help="scalar, or comma-separated triple for 3d")
     dv_p.add_argument("--m", required=True)
     dv_p.add_argument("--version", choices=dirac.VERSIONS, default="time_reversed")
     dv_p.add_argument("--dim", choices=("1d", "3d"), default="1d")
-    _common_flags(dv_p, default_format="json")
-    dv_p.set_defaults(func=cmd_dirac_verify)
+    _flags(dv_p, cmd_dirac_verify, default="json")
     dm_p = dirac_sub.add_parser("majorana-generators", help="the totally real generator set")
     dm_p.add_argument("--emit-matrices", action="store_true")
-    _common_flags(dm_p, default_format="json")
-    dm_p.set_defaults(func=cmd_dirac_majorana)
+    _flags(dm_p, cmd_dirac_majorana, default="json")
 
-    disc_p = sub.add_parser("discrete", help="discrete non-commutative calculus")
-    disc_sub = disc_p.add_subparsers(dest="subcommand", required=True)
+    disc_sub = _module(sub, "discrete", "discrete non-commutative calculus")
     comm_p = disc_sub.add_parser("commutator", help="[x, Dx] against J (dx)^2/dt")
     comm_p.add_argument("--seq", required=True, help='comma-separated rationals, e.g. "0,1,0,1,0"')
     comm_p.add_argument("--dt", default="1")
-    _common_flags(comm_p, default_format="json")
-    comm_p.set_defaults(func=cmd_discrete_commutator)
+    _flags(comm_p, cmd_discrete_commutator, default="json")
 
-    sch_p = sub.add_parser("schrodinger", help="staggered lattice scheme")
-    sch_sub = sch_p.add_subparsers(dest="subcommand", required=True)
+    sch_sub = _module(sub, "schrodinger", "staggered lattice scheme")
     run_p = sch_sub.add_parser("run", help="evolve and emit CSV, or a dispersion report")
     run_p.add_argument("--n", type=int, default=256)
     run_p.add_argument("--dx", type=float, default=1.0)
@@ -547,22 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--sample-every", type=int, default=1)
     run_p.add_argument("--dispersion", type=int, default=None,
                        help="emit the dispersion report for this mode instead of CSV")
-    _common_flags(run_p, default_format="csv")
-    run_p.set_defaults(func=cmd_schrodinger_run)
+    _flags(run_p, cmd_schrodinger_run, formats=())
 
-    lof_p = sub.add_parser("lof", help="calculus of indications")
-    lof_sub = lof_p.add_subparsers(dest="subcommand", required=True)
+    lof_sub = _module(sub, "lof", "calculus of indications")
     red_p = lof_sub.add_parser("reduce", help="reduce an expression; exit 0 marked, 1 unmarked")
     red_p.add_argument("expression", nargs="?", default="")
     red_p.add_argument("--trace", action="store_true")
     red_p.add_argument("--random", nargs=3, type=int, metavar=("N", "DEPTH", "SEED"),
                        default=None, help="fuzz N random expressions instead")
-    _common_flags(red_p)
-    red_p.set_defaults(func=cmd_lof_reduce)
+    _flags(red_p, cmd_lof_reduce)
 
     verify_p = sub.add_parser("verify-all", help="run the full identity suite")
-    _common_flags(verify_p)
-    verify_p.set_defaults(func=cmd_verify_all)
+    _flags(verify_p, cmd_verify_all, JSON_TEXT_CSV, seed=True)
 
     return parser
 
@@ -571,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _write(args, *args.func(args))
     except BrokenPipeError:
         # downstream pipe closed early (e.g. | head); suppress the noise
         import os

@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .matrix import SquareMatrix
+from .scalars import parse_integer
 
 
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
@@ -363,12 +364,21 @@ def element_matrices_from_g_table(group: Group) -> dict[str, SquareMatrix]:
     return out
 
 
-def builtin_group(name: str) -> Group:
+def parse_group_name(name: str) -> tuple[str, int]:
+    """The family ("c", "s" or "klein4") and the number that c<n>, s<n> or
+    klein4 names; the number is read under the literal digit cap."""
     key = name.lower()
-    if key.startswith("c") and key[1:].isdigit():
-        return cyclic(int(key[1:]))
-    if key.startswith("s") and key[1:].isdigit():
-        return symmetric(int(key[1:]))
     if key == "klein4":
-        return klein4()
+        return key, 4
+    if key[:1] in ("c", "s") and key[1:].isdigit():
+        return key[0], parse_integer(key[1:])
     raise KeyError(f"unknown group {name!r}; try c<n>, s<n> or klein4")
+
+
+def builtin_group(name: str) -> Group:
+    family, n = parse_group_name(name)
+    if family == "c":
+        return cyclic(n)
+    if family == "s":
+        return symmetric(n)
+    return klein4()

@@ -293,11 +293,11 @@ def _rewrite(
     expr: MarkExpr,
     pick: Callable[[_Worklist], tuple[_Node, Redex]],
     record: Callable[[str, tuple[int, ...], str, str], None] | None = None,
-) -> str:
+) -> tuple[str, int]:
     """The one rewrite loop: apply the redex that pick chooses until none is
     left, hand each step's rule, location and before/after text to record, and
-    read the value off the normal form, which must be one empty mark or
-    nothing.
+    return the value read off the normal form, which must be one empty mark or
+    nothing, with the number of steps.  Without record no text is built.
 
     A rewrite in one sibling list can change the redexes of only three lists:
     that list, the list holding its owner (the owner may now be empty or hold
@@ -308,7 +308,9 @@ def _rewrite(
     nodes = _build(expr)
     root, work = nodes[0], _Worklist(nodes)
     text = unparse(expr) if record else ""
+    steps = 0
     while work.live:
+        steps += 1
         owner, (rule, node) = pick(work)
         if node.size != _REMOVED_MARKS[rule]:
             raise AssertionError(f"a {rule} would remove {node.size} marks")
@@ -330,7 +332,7 @@ def _rewrite(
     top = root.children
     if len(top) > 1 or (top and top[0].children):
         raise AssertionError("non-terminal expression without a redex")
-    return "marked" if top else "unmarked"
+    return ("marked" if top else "unmarked"), steps
 
 
 def reduce_expression(expr: MarkExpr) -> ReductionResult:
@@ -340,8 +342,13 @@ def reduce_expression(expr: MarkExpr) -> ReductionResult:
     def record(rule: str, path: tuple[int, ...], before: str, after: str) -> None:
         trace.append(ReductionStep(rule, path, before, after))
 
-    value = _rewrite(expr, _Worklist.first_deepest, record)
+    value, _ = _rewrite(expr, _Worklist.first_deepest, record)
     return ReductionResult(value, tuple(trace))
+
+
+def reduce_untraced(expr: MarkExpr) -> tuple[str, int]:
+    """The value and the step count of the same reduction, with no step text."""
+    return _rewrite(expr, _Worklist.first_deepest)
 
 
 @dataclass(frozen=True)
@@ -356,7 +363,8 @@ def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport
     """Reduce with rules applied in seeded-random order; all runs must land on
     the linear value of the expression."""
     rng = random.Random(seed)
-    values = tuple(sorted({_rewrite(expr, lambda work: work.random(rng)) for _ in range(trials)}))
+    values = tuple(sorted({_rewrite(expr, lambda work: work.random(rng))[0]
+                           for _ in range(trials)}))
     reference = "marked" if eval_logic(expr, {}) else "unmarked"
     return ConfluenceReport(trials, reference, values, values == (reference,))
 

@@ -229,17 +229,29 @@ def parse_rational(value, denominator=1) -> Fraction:
                for part in (value, denominator)):
         raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational")
     for part in (value, denominator):
-        if isinstance(part, str) and "e" in part.lower():
-            raise ValueError(f"exponent in {part!r}; write the number as a/b or a decimal")
-        digits = sum(map(str.isdigit, part)) if isinstance(part, str) else 0
-        if digits > MAX_LITERAL_DIGITS:
-            raise ValueError(f"a literal of {digits} digits exceeds the cap of "
-                             f"{MAX_LITERAL_DIGITS} digits")
+        if isinstance(part, str):
+            if "e" in part.lower():
+                raise ValueError(f"exponent in {part!r}; write the number as a/b or a decimal")
+            _check_digits(part)
     try:
         return Fraction(value) / Fraction(denominator)
     except ZeroDivisionError:
         literal = value if denominator == 1 else f"{value}/{denominator}"
         raise ValueError(f"zero denominator in {literal!r}") from None
+
+
+def parse_integer(text: str) -> int:
+    """int(text) for text of at most MAX_LITERAL_DIGITS digits; longer text is
+    a ValueError that names the cap, not Python's own digit limit."""
+    _check_digits(text)
+    return int(text)
+
+
+def _check_digits(text: str) -> None:
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"a literal of {digits} digits exceeds the cap of "
+                         f"{MAX_LITERAL_DIGITS} digits")
 
 
 def parse_scalar(text: str) -> GaussianRational:

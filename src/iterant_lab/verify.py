@@ -306,13 +306,22 @@ def check_s3_matrices(seed: int) -> list[CheckResult]:
     mats = groups.element_matrices_from_g_table(group)
     out = []
     for name, expected in S3_REGULAR_MATRICES.items():
-        ok = mats[name] == SquareMatrix.from_rows(expected)
+        reference = SquareMatrix.from_rows(expected)
         out.append(
             _entry(f"C05.s3-matrix-{name}", "groups",
                    f"6x6 permutation matrix of {name} from the identity-diagonal table",
-                   ok, "computed", "reference")
+                   mats[name] == reference, _cycles(mats[name]), _cycles(reference))
         )
     return out
+
+
+def _cycles(matrix: SquareMatrix) -> str:
+    """The permutation of a permutation matrix in cycle notation, or why the
+    matrix is not one."""
+    try:
+        return groups.matrix_to_perm(matrix).cycle_string()
+    except ValueError as err:
+        return str(err)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +429,17 @@ def check_kernel(seed: int) -> list[CheckResult]:
         - term_by_permutation(algebra, [b, c, a], perm(3, "(12)"))
         - term_by_permutation(algebra, [a, b, c], perm(3, "(23)"))
     )
+    in_kernel = matrep.kernel_test(y).in_kernel
     out.append(_entry("C08.circulant-difference", "representation",
                       "circulant-vs-embedding difference lies in the kernel",
-                      matrep.kernel_test(y).in_kernel, "kernel", "kernel"))
+                      in_kernel, "kernel" if in_kernel else "not kernel", "kernel"))
 
     ones = {k: Fraction(1) for k in "xyzwtrspq"}
     fam = _kernel_family_element(algebra, ones)
+    in_kernel = matrep.kernel_test(fam).in_kernel
     out.append(_entry("C08.kernel-family-ones", "representation",
                       "nine-parameter kernel family at all-ones lies in the kernel",
-                      matrep.kernel_test(fam).in_kernel, "kernel", "kernel"))
+                      in_kernel, "kernel" if in_kernel else "not kernel", "kernel"))
 
     rng = random.Random(seed + 8)
     elements, families = [], []

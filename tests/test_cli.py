@@ -1,10 +1,12 @@
+import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from iterant_lab import groups, verify
+from iterant_lab import groups, lof, verify
 from iterant_lab.cli import main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
                                   regular_algebra)
@@ -50,6 +52,15 @@ def test_lof_reduce_trace(capsys):
     code, out = run_cli(capsys, "lof", "reduce", "((()())())()", "--trace")
     assert code == 0
     assert "calling" in out or "crossing" in out
+
+
+def test_lof_reduce_untraced_builds_no_step_text(capsys, monkeypatch):
+    def no_text(expr):
+        raise AssertionError("an untraced reduction built step text")
+
+    monkeypatch.setattr(lof, "unparse", no_text)
+    code, out = run_cli(capsys, "lof", "reduce", "((()())())()", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"value": "marked", "steps": 3})
 
 
 def test_lof_random_fuzz(capsys):
@@ -247,7 +258,12 @@ def test_verify_all_passing_rows_carry_no_witness(capsys, monkeypatch):
 
 def test_usage_error_exit_code(capsys):
     for argv in (["group", "table"],  # missing --group
-                 ["no-such-command"]):
+                 ["no-such-command"],
+                 # a flag or a value that the command does not read
+                 ["group", "table", "--group", "c3", "--seed", "3"],
+                 ["lof", "reduce", "--random", "5", "4", "1", "--seed", "3"],
+                 ["iterant", "eval", "[1,2]", "[3,4]", "--format", "csv"],
+                 ["schrodinger", "run", "--n", "8", "--steps", "4", "--format", "json"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -259,6 +275,8 @@ def test_bad_inputs_exit_two(capsys):
     assert main(["dirac", "verify", "--E", "5", "--p", "1,2", "--m", "0",
                  "--dim", "3d"]) == 2
     assert main(["matrep", "isocheck", "--group", "c3", "--natural"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: --natural requires a symmetric group (s<n>)")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -522,8 +540,14 @@ OVER_CAP = f"error: a literal of 5000 digits exceeds the cap of {MAX_LITERAL_DIG
     (["iterant", "eval", f"[{LONG},1]", "[1,2]"], None, OVER_CAP),
     (["matrep", "decompose"], f'{{"matrix": [["{LONG}", 1], [2, 3]]}}', OVER_CAP),
     (["matrep", "decompose"], f'{{"matrix": [[{LONG}, 1], [2, 3]]}}', OVER_CAP),
+    (["group", "table", "--group", f"s{LONG}"], None, OVER_CAP),
+    (["group", "table", "--group", f"c{LONG}"], None, OVER_CAP),
+    (["matrep", "isocheck", "--group", f"s{LONG}", "--natural"], None, OVER_CAP),
+    (["clifford", "braid", "--n", "3", "--word", LONG], None, OVER_CAP),
+    (["clifford", "braid", "--n", "3", "--word", "1", "--compare", f"1 {LONG}"], None, OVER_CAP),
 ], ids=["exponent", "huge-exponent", "unclosed-bracket", "long-seq", "long-energy",
-        "long-iterant", "long-text-cell", "long-number-cell"])
+        "long-iterant", "long-text-cell", "long-number-cell", "long-symmetric-name",
+        "long-cyclic-name", "long-natural-name", "long-braid-word", "long-braid-compare"])
 def test_unreadable_literals_are_usage_errors_at_once(tmp_path, capsys, argv, matrix, message):
     if matrix is not None:
         path = tmp_path / "m.json"
@@ -535,3 +559,100 @@ def test_unreadable_literals_are_usage_errors_at_once(tmp_path, capsys, argv, ma
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", message)
     assert elapsed < 1.0
+
+
+# One call per subcommand and --format it takes, the call without --format
+# standing for the default; the schrodinger CSV is written through --out and
+# verify-all runs the stand-in checks above.  Each digest is the sha256 of the
+# exit code, stdout, stderr and the --out file, taken from the output of the
+# earlier per-command writers.
+PINNED = {
+    "group-table-text": (("group", "table", "--group", "s3", "--gtable"),
+        "c0b549a9d391d67339d4cdcaf83c5a205dadd8031d7c664b3af92be73adb12a3"),
+    "group-table-json": (("group", "table", "--group", "s3", "--gtable", "--format", "json"),
+        "fb2cf39bf4d7b8a3409194fe98ed83219b155cea2d9b2be2f0cf5958190b4b43"),
+    "group-table-csv": (("group", "table", "--group", "s3", "--gtable", "--format", "csv"),
+        "7073b97497d70082c4e2206f29b9e10c5037985bfb1eabaf6976d4bfc713c69a"),
+    "iterant-eval-text": (("iterant", "eval", "[1/2,-3] + [0,i]e", "[5,6]e"),
+        "6805ff35b96dfd9bfd46d1f113cf614f948b5e4da6d667b5b4ed122299d686f3"),
+    "iterant-eval-json": (("iterant", "eval", "[1/2,-3] + [0,i]e", "[5,6]e", "--format", "json"),
+        "70a645517e55a21222563c0642c4699bbe9c1351227a5a7d9b9eaa1c5965f4fb"),
+    "decompose-json": (("matrep", "decompose", "--matrix", "m.json"),
+        "4448c6c039dd43bd79bc9e71059c5198afccef99af6d063553e2d2f247c38410"),
+    "decompose-text": (("matrep", "decompose", "--matrix", "m.json", "--format", "text"),
+        "8426f62b8d1dd5f47c528c0517aba70f420a166a1d8245c0c895184ff5aabe76"),
+    "isocheck-text": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--samples", "20"),
+        "9295cb4534656cd73a7edb1bbacca2078e462ecf492e0998d641a11979f3565a"),
+    "isocheck-json": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--samples", "20",
+                "--format", "json"),
+        "441c6a71c73d1e2b34c0c0cd23d5b7270daeef2c7067d2e3f139f9a21e636a1e"),
+    "quaternions-text": (("clifford", "quaternions", "--variant", "iota_2x2", "--verify"),
+        "3c8fa034d4ce25aff5b37957a5c7f6bd63e564d4c9952a40b7aa65ad8b7b6d52"),
+    "quaternions-json": (("clifford", "quaternions", "--variant", "iota_2x2", "--verify",
+                "--format", "json"),
+        "b2601ea89b00f27e811007f88595b27265a4ad6aea33d5ffdf04aeaaad65af4d"),
+    "braid-text": (("clifford", "braid", "--n", "4", "--word", "1 2 1", "--compare", "2 1 2"),
+        "5427e77869d07e29798f29f9b0a121d721b962df2f18129ce6d7341ce1fae881"),
+    "braid-json": (("clifford", "braid", "--n", "4", "--word", "1 2", "--compare", "2 1",
+                "--format", "json"),
+        "487b83ced3b04db0353f8df3096dded11f894deeb164037eea2842e0eea8c0f4"),
+    "fusion-text": (("clifford", "fusion", "--power", "10"),
+        "8a565e885a62e9b38205cfbbebe21983e41b0ab0f92587c9e5e2346bd2ac8586"),
+    "fusion-json": (("clifford", "fusion", "--power", "10", "--format", "json"),
+        "1d511e4248fd730e2f628aaa4935c9932a26f83056d4adff89c140427195ace4"),
+    "fusion-csv": (("clifford", "fusion", "--power", "10", "--format", "csv"),
+        "8d004a10d1a2f818d95ccc16567c60e2b4c538bf7d9a5096232fd617771434b7"),
+    "dirac-verify-json": (("dirac", "verify", "--E", "3", "--p", "1,2,2", "--m", "0", "--dim",
+                "3d", "--version", "conjugate"),
+        "bf85dce19a528025f4885e351dc9ad6c0b61bef2ba413dc4a96c34464b24c079"),
+    "dirac-verify-text": (("dirac", "verify", "--E", "6", "--p", "3", "--m", "4", "--format",
+                "text"),
+        "d79927d48e1e83fc9edc2b5db7dd0fd7f7d5bd3bb73ccc24a5784f6239045c26"),
+    "majorana-json": (("dirac", "majorana-generators", "--emit-matrices"),
+        "452be87c9f6b93ba32945ce84e5d8359dd8bc86bdd36b9f040ef41dc31f66aa9"),
+    "majorana-text": (("dirac", "majorana-generators", "--emit-matrices", "--format", "text"),
+        "6341f91bc520b8bd047d7a03281cbc745bf3d6c79e5d9ec3d02852cbedbe5c65"),
+    "commutator-json": (("discrete", "commutator", "--seq", "1/2,3,-1,4", "--dt", "2/3"),
+        "504cea4f8a853e9a0970c7aa2cd670977d691994918e22d3dbd15ed7bfa113e8"),
+    "commutator-text": (("discrete", "commutator", "--seq", "1/2,3,-1,4", "--dt", "2/3",
+                "--format", "text"),
+        "bdf1d33abbc018dccafef618108d6c2c5ebb968ac1f03ba6647e95a7c33b4636"),
+    "schrodinger-csv-out": (("schrodinger", "run", "--n", "16", "--steps", "40", "--dt", "0.3",
+                "--sample-every", "3", "--init", "planewave:2", "--out", "out.csv"),
+        "40495c81c3af33b12bc1a596e5de13a00c91bf96f9e189fb4cae567122332ad3"),
+    "schrodinger-dispersion": (("schrodinger", "run", "--n", "64", "--steps", "400",
+                "--dispersion", "3"),
+        "06bd3e1f223e44edce97b3638d0c4708fea3f617743143ecf9540fccb5245bce"),
+    "lof-text": (("lof", "reduce", "((()())())()"),
+        "2163805050a3c4a424fa7e2eea839a8251545178306295d6d8fb90de4aec5368"),
+    "lof-json": (("lof", "reduce", "((()())())()", "--format", "json"),
+        "d035d7c396e2c7fd6f3a58a61bea16f056dd1e16823dbc58278d3d667e46bffc"),
+    "lof-trace-text": (("lof", "reduce", "((((()())())())())()", "--trace"),
+        "a0b3290464d1fa2bb15bf3de6cdbc5da4edf8498c0198bd10efb297059627ee6"),
+    "lof-trace-json": (("lof", "reduce", "((((()())())())())()", "--trace", "--format", "json"),
+        "ddb0ecb12612b956f84611ad40ba8dbe6a2a49656e8a7ffbb350938dd72826d5"),
+    "lof-random-json": (("lof", "reduce", "--random", "20", "4", "11", "--format", "json"),
+        "8720b282bb0484b9962a0d714eacdddd992a25a2b8c40d47280a392cbe00fbb1"),
+    "verify-all-text": (("verify-all", "--seed", "3"),
+        "06399db229024541d31fc8417f0ae4fbacbaee85be0a0f0c482b5d171bbaa63c"),
+    "verify-all-json": (("verify-all", "--seed", "3", "--format", "json"),
+        "cd5ccd4cb8687e1fe6577821125d1b1e0446d61bbd029c2198cd7defb63c02cf"),
+    "verify-all-csv": (("verify-all", "--seed", "3", "--format", "csv"),
+        "c441d406a40094e14665c51d5bb7047511ba4848fadb2084b00b5805772cbc94"),
+}
+
+
+def _outcome_digest(code, out: str, err: str, written: str) -> str:
+    return hashlib.sha256(f"{code}\n{out}\n{err}\n{written}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_output_bytes_are_pinned(tmp_path, capsys, monkeypatch, case):
+    argv, digest = PINNED[case]
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_product_rows, _commuting_rows])
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text('{"matrix": [["1+i", 2, 0], [0, "1/2", 3], [4, 0, "-i"]]}')
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    written = Path("out.csv").read_text() if "--out" in argv else ""
+    assert _outcome_digest(code, captured.out, captured.err, written) == digest
