@@ -74,6 +74,11 @@ def _cells(matrix: SquareMatrix) -> list[list[str]]:
     return [[str(c) for c in row] for row in matrix.rows]
 
 
+def _outcomes(relations) -> dict[str, bool]:
+    """Whether each (name, lhs, rhs) relation holds, by name."""
+    return {name: lhs == rhs for name, lhs, rhs in relations}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -161,7 +166,7 @@ def cmd_iterant_eval(args):
 
 def cmd_clifford_quaternions(args):
     triple = clifford.quaternion_triple(args.variant)
-    table_ok = all(got == want for _, got, want in clifford.quaternion_products(triple))
+    table_ok = all(_outcomes(clifford.quaternion_products(triple)).values())
     payload = {
         "variant": args.variant,
         "dim": triple.dim,
@@ -223,7 +228,7 @@ def cmd_dirac_verify(args):
     else:
         momentum = parse_rational(args.p)
     params = dirac.OnShellParams.of(parse_rational(args.E), momentum, parse_rational(args.m))
-    report = dirac.relation_report(frame, params)
+    report = _outcomes(dirac.relations(frame, params))
     checks = [
         {"check": "on_shell", "lhs": str(params.momentum_squared + params.mass ** 2),
          "rhs": str(params.energy ** 2), "pass": params.on_shell},
@@ -260,23 +265,24 @@ def cmd_dirac_verify(args):
 
 def cmd_dirac_majorana(args):
     gens = dirac.majorana_dirac_generators()
-    copies = dirac.commuting_copies_check()
+    all_real = all(_outcomes(clifford.real_relations(gens)).values())
+    relations = _outcomes(dirac.generator_relations(gens))
+    copies_ok = all(_outcomes(dirac.commuting_copy_relations()).values())
     payload = {
-        "all_real": gens.all_real,
-        "relations": gens.relation_table,
-        "commuting_copies_ok": copies.ok,
+        "all_real": all_real,
+        "relations": relations,
+        "commuting_copies_ok": copies_ok,
     }
-    matrices = (("ax", gens.ax), ("ay", gens.ay), ("az", gens.az),
-                ("beta_prime", gens.beta_prime)) if args.emit_matrices else ()
+    matrices = gens.items() if args.emit_matrices else ()
     if matrices:
         payload["matrices"] = {name: _cells(matrix) for name, matrix in matrices}
-    ok = gens.all_real and all(gens.relation_table.values()) and copies.ok
+    ok = all_real and all(relations.values()) and copies_ok
 
     def text():
-        yield f"all real: {gens.all_real}"
-        for name, value in gens.relation_table.items():
+        yield f"all real: {all_real}"
+        for name, value in relations.items():
             yield f"{name}: {value}"
-        yield f"commuting copies: {copies.ok}"
+        yield f"commuting copies: {copies_ok}"
         for name, matrix in matrices:
             yield f"{name} =\n{matrix}"
 
@@ -355,7 +361,7 @@ def cmd_schrodinger_run(args):
               file=sys.stderr)
         return 1, {}
     if cfg.stability_warning:
-        print(f"warning: ratio r = {cfg.ratio:.4f} exceeds 1/4; expect instability",
+        print(f"warning: ratio r = {cfg.ratio:.4f} is at least 1/2; expect instability",
               file=sys.stderr)
     if args.dispersion is not None:
         return 0, {"json": {**asdict(report), "ratio": cfg.ratio}}
@@ -373,6 +379,8 @@ def cmd_schrodinger_run(args):
 
 def cmd_lof_reduce(args):
     if args.random:
+        if args.expression is not None or args.trace:
+            raise ValueError("--random draws its own expressions; give no EXPR and no --trace")
         trials, depth, seed = args.random
         if trials < 1:
             raise ValueError(f"--random N must be positive, got {trials}")
@@ -383,7 +391,7 @@ def cmd_lof_reduce(args):
             "json": {"trials": trials, "disagreements": disagreements},
             "text": lambda: [f"{trials} random expressions, disagreements: {disagreements}"],
         }
-    expr = lof.parse(args.expression)
+    expr = lof.parse(args.expression or "")
     if args.trace:
         result = lof.reduce_expression(expr)
         value, trace = result.value, result.trace
@@ -508,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lof_sub = _module(sub, "lof", "calculus of indications")
     red_p = lof_sub.add_parser("reduce", help="reduce an expression; exit 0 marked, 1 unmarked")
-    red_p.add_argument("expression", nargs="?", default="")
+    red_p.add_argument("expression", nargs="?", default=None)
     red_p.add_argument("--trace", action="store_true")
     red_p.add_argument("--random", nargs=3, type=int, metavar=("N", "DEPTH", "SEED"),
                        default=None, help="fuzz N random expressions instead")

@@ -2,6 +2,10 @@
 braiding by conjugation, fermion operators, the self-dual fusion ring, and the
 exact spacetime demonstrations (boost and Hermitian observable).
 
+Each identity (a quaternion unit product, a braider or fermion relation, the
+realness of a matrix) is yielded as one (name, lhs, rhs) triple; the caller
+compares the two sides, so a failure shows both.
+
 All braiding stays in exact arithmetic: the conjugation by (1 + c'c)/sqrt(2)
 is computed as (1 + c'c) x (1 - c'c) / 2, where the sqrt(2) factors cancel
 identically.
@@ -12,11 +16,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 from .iterants import polarity_element, shift_element
 from .matrep import to_matrix
 from .matrix import SquareMatrix
 from .scalars import I_UNIT, GaussianRational, sqrt_exact
+
+# Each identity is one (name, lhs, rhs) triple; it holds when lhs == rhs.
+Relations = Iterator[tuple[str, Any, Any]]
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,7 @@ _QUATERNION_SIGNS = {
 }
 
 
-def quaternion_products(
-    triple: QuaternionTriple,
-) -> Iterator[tuple[str, SquareMatrix, SquareMatrix]]:
+def quaternion_products(triple: QuaternionTriple) -> Relations:
     """The 16 unit products, each as (name, product, the table's signed unit)."""
     units = {"1": SquareMatrix.identity(triple.dim), "i": triple.I, "j": triple.J, "k": triple.K}
     for (a, b), (sign, c) in _QUATERNION_SIGNS.items():
@@ -203,57 +209,38 @@ def braid_word_matrix(n: int, word: list[int]) -> SquareMatrix:
     return total
 
 
-@dataclass(frozen=True)
-class QuaternionBraiders:
-    """Unnormalized braiders 1+I, 1+J, 1+K; the dropped 1/sqrt(2) factors cancel
-    identically in the braid relations, which therefore hold exactly."""
-
-    A: SquareMatrix
-    B: SquareMatrix
-    C: SquareMatrix
-    relations_hold: bool
-
-
-def quaternion_braiders(rep: CliffordRep) -> QuaternionBraiders:
-    if rep.n != 3:
-        raise ValueError(f"need exactly 3 generators, got {rep.n}")
+def braider_relations(rep: CliffordRep) -> Relations:
+    """The braid relations of the unnormalized braiders 1+I, 1+J, 1+K, each as
+    (name, lhs, rhs); the dropped 1/sqrt(2) factors cancel identically, so the
+    relations hold exactly."""
     triple = quaternions_from_triple(rep)
     one = SquareMatrix.identity(rep.dim)
     a, b, c = one + triple.I, one + triple.J, one + triple.K
-    relations = (
-        a * b * a == b * a * b
-        and b * c * b == c * b * c
-        and a * c * a == c * a * c
-    )
-    return QuaternionBraiders(a, b, c, relations)
+    yield "ABA = BAB", a * b * a, b * a * b
+    yield "BCB = CBC", b * c * b, c * b * c
+    yield "ACA = CAC", a * c * a, c * a * c
 
 
-@dataclass(frozen=True)
-class FermionPair:
-    psi: SquareMatrix
-    psi_dagger: SquareMatrix
-    psi_squared_zero: bool
-    dagger_squared_zero: bool
-    anticommutator_is_one: bool
-
-
-def fermion_pair(rep: CliffordRep, j: int = 1, k: int = 2) -> FermionPair:
-    """psi = (c_j + i c_k)/2 and its conjugate; the standard fermion relations
-    follow from the anticommuting square-one pair."""
+def fermion_relations(rep: CliffordRep, j: int = 1, k: int = 2) -> Relations:
+    """The fermion relations of psi = (c_j + i c_k)/2 and psi+ = (c_j - i c_k)/2,
+    each as (name, lhs, rhs); they follow from the anticommuting square-one pair."""
     if j == k or not (1 <= j <= rep.n and 1 <= k <= rep.n):
         raise ValueError(f"need distinct generator indices in 1..{rep.n}, got ({j}, {k})")
     c, cp = rep.generators[j - 1], rep.generators[k - 1]
     half = Fraction(1, 2)
     psi = (c + cp.scale(I_UNIT)).scale(half)
     psi_dag = (c - cp.scale(I_UNIT)).scale(half)
-    identity = SquareMatrix.identity(rep.dim)
-    return FermionPair(
-        psi=psi,
-        psi_dagger=psi_dag,
-        psi_squared_zero=(psi * psi).is_zero(),
-        dagger_squared_zero=(psi_dag * psi_dag).is_zero(),
-        anticommutator_is_one=psi.anticommutator(psi_dag) == identity,
-    )
+    zero = SquareMatrix.zero(rep.dim)
+    yield "psi^2 = 0", psi * psi, zero
+    yield "psi+^2 = 0", psi_dag * psi_dag, zero
+    yield "psi psi+ + psi+ psi = 1", psi.anticommutator(psi_dag), SquareMatrix.identity(rep.dim)
+    yield "psi+ = conjugate transpose of psi", psi_dag, psi.conjugate_transpose()
+
+
+def real_relations(matrices: dict[str, SquareMatrix]) -> Relations:
+    """Each named matrix against its entrywise complex conjugate: equal iff real."""
+    for name, m in matrices.items():
+        yield name, m, m.conjugate()
 
 
 # ---------------------------------------------------------------------------

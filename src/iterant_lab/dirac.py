@@ -14,14 +14,20 @@ anticommutator identities:
 In three space dimensions p is replaced by the operator p.s built from an
 independent commuting triple of anticommuting square-one matrices, and the
 same identities hold with (p + m)^2 read as the operator square.
+
+Each identity is yielded as one (name, lhs, rhs) triple and the caller
+compares the two sides: ``relations`` for one (E, p, m), and
+``generator_relations`` and ``commuting_copy_relations`` for the totally real
+generator set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import split_quaternions
+from .clifford import Relations, split_quaternions
 from .matrix import SquareMatrix, scalar_matrix
 from .scalars import I_UNIT
 
@@ -142,114 +148,52 @@ def nilpotent_pair(
     raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
 
 
-@dataclass(frozen=True)
-class MajoranaSplit:
-    """U = (A + iB) E with A, B square-one and anticommuting (time-reversed pair)."""
-
-    A: SquareMatrix
-    B: SquareMatrix
-    a_squared_one: bool
-    b_squared_one: bool
-    anticommute: bool
-    reconstructs_u: bool
-    reconstructs_u_dagger: bool
-
-
-def majorana_split(frame: DiracFrame, params: OnShellParams) -> MajoranaSplit:
-    if params.energy == 0:
-        raise ValueError("the split divides by the energy; E must be nonzero")
-    p_op = frame.momentum_operator(params)
-    inv_e = Fraction(1) / params.energy
-    a = (frame.beta * p_op - frame.alpha.scale(params.mass)).scale(inv_e)
-    b = (frame.beta * frame.alpha).scale(-I_UNIT)
-    identity = SquareMatrix.identity(frame.dim)
-    u, u_dag = nilpotent_pair(frame, params, "time_reversed")
-    rebuilt_u = (a + b.scale(I_UNIT)).scale(params.energy)
-    rebuilt_dag = (a - b.scale(I_UNIT)).scale(params.energy)
-    return MajoranaSplit(
-        A=a,
-        B=b,
-        a_squared_one=(a * a == identity),
-        b_squared_one=(b * b == identity),
-        anticommute=a.anticommutator(b).is_zero(),
-        reconstructs_u=(rebuilt_u == u),
-        reconstructs_u_dagger=(rebuilt_dag == u_dag),
-    )
-
-
-@dataclass(frozen=True)
-class PlaneWaveResidual:
-    residual: SquareMatrix
-    factorization_ok: bool  # U == (E - a p - b m) * b * a
-    shell_defect: Fraction
-
-    @property
-    def is_solution(self) -> bool:
-        return self.residual.is_zero()
-
-
-def plane_wave_residual(frame: DiracFrame, params: OnShellParams) -> PlaneWaveResidual:
-    """The operator content of the plane-wave solution: with
-    D = E - alpha p - beta m one has U = D beta alpha, and D beta alpha U = U^2
-    must vanish on shell.  Off shell the nonzero defect is reported, not raised.
-    """
-    p_op = frame.momentum_operator(params)
-    delta = (
-        scalar_matrix(frame.dim, params.energy)
-        - frame.alpha * p_op
-        - frame.beta.scale(params.mass)
-    )
-    u = nilpotent_u(frame, params)
-    factored = delta * frame.beta * frame.alpha
-    residual = factored * u
-    return PlaneWaveResidual(
-        residual=residual,
-        factorization_ok=(factored == u),
-        shell_defect=params.shell_defect,
-    )
-
-
-def relation_report(frame: DiracFrame, params: OnShellParams) -> dict[str, bool]:
-    """Every relation of U = ba E + b p - a m for one (E, p, m), keyed by name.
+def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
+    """Every relation of U = ba E + b p - a m for one (E, p, m), each as
+    (name, lhs, rhs).
 
     U^2 = 0 for the plain U and for each version's (U, U+), each version's
-    anticommutator and sum/difference squares, the Majorana split and the
-    plane-wave residual.  The split keys are left out when E = 0, where the
-    split is undefined.  Off shell the nilpotency keys read False.
+    anticommutator and sum/difference squares, the Majorana split
+    U = (A + iB) E with A, B square-one and anticommuting, and the plane-wave
+    residual: with D = E - alpha p - beta m one has U = D beta alpha, and
+    D beta alpha U = U^2 vanishes.  The split relations are left out when
+    E = 0, where the split divides by zero.  Off shell the nilpotency and
+    plane-wave relations fail; the nonzero sides show the defect.
     """
     identity = SquareMatrix.identity(frame.dim)
     zero = SquareMatrix.zero(frame.dim)
     p_op = frame.momentum_operator(params)
-    m_term = p_op + identity.scale(params.mass)
-    checks = {}
     u_plain = nilpotent_u(frame, params)
-    checks["u-squared-zero"] = u_plain * u_plain == zero
+    yield "u-squared-zero", u_plain * u_plain, zero
+    e2 = params.energy * params.energy
     for version in VERSIONS:
         u, u_dag = nilpotent_pair(frame, params, version)
-        checks[f"{version}-u-squared"] = u * u == zero
-        checks[f"{version}-dagger-squared"] = u_dag * u_dag == zero
+        yield f"{version}-u-squared", u * u, zero
+        yield f"{version}-dagger-squared", u_dag * u_dag, zero
         anti = u * u_dag + u_dag * u
+        minus = u - u_dag
         if version == "conjugate":
+            m_term = p_op + identity.scale(params.mass)
             expected = (m_term * m_term).scale(2)
-            checks["conjugate-anticommutator"] = anti == expected
             plus = u + u_dag
-            minus = u - u_dag
-            checks["conjugate-sum-squared"] = plus * plus == expected
-            checks["conjugate-diff-squared"] = minus * minus == -expected
+            yield "conjugate-anticommutator", anti, expected
+            yield "conjugate-sum-squared", plus * plus, expected
+            yield "conjugate-diff-squared", minus * minus, -expected
         else:
-            e2 = params.energy * params.energy
-            checks["time-reversed-anticommutator"] = anti == identity.scale(4 * e2)
-            minus = u - u_dag
-            checks["time-reversed-diff-squared"] = minus * minus == identity.scale(-4 * e2)
+            yield "time-reversed-anticommutator", anti, identity.scale(4 * e2)
+            yield "time-reversed-diff-squared", minus * minus, identity.scale(-4 * e2)
     if params.energy != 0:
-        split = majorana_split(frame, params)
-        checks["split-a-squared"] = split.a_squared_one
-        checks["split-b-squared"] = split.b_squared_one
-        checks["split-anticommute"] = split.anticommute
-        checks["split-rebuild"] = split.reconstructs_u and split.reconstructs_u_dagger
-    residual = plane_wave_residual(frame, params)
-    checks["plane-wave"] = residual.is_solution and residual.factorization_ok
-    return checks
+        a = (frame.beta * p_op - frame.alpha.scale(params.mass)).scale(1 / params.energy)
+        b = (frame.beta * frame.alpha).scale(-I_UNIT)
+        yield "split-a-squared", a * a, identity
+        yield "split-b-squared", b * b, identity
+        yield "split-anticommute", a.anticommutator(b), zero
+        rebuilt = ((a + b.scale(I_UNIT)).scale(params.energy),
+                   (a - b.scale(I_UNIT)).scale(params.energy))
+        yield "split-rebuild", rebuilt, nilpotent_pair(frame, params, "time_reversed")
+    delta = identity.scale(params.energy) - frame.alpha * p_op - frame.beta.scale(params.mass)
+    factored = delta * frame.beta * frame.alpha
+    yield "plane-wave", (factored * u_plain, factored), (zero, u_plain)
 
 
 # ---------------------------------------------------------------------------
@@ -271,84 +215,48 @@ def _hatted_and_plain() -> tuple[dict[str, SquareMatrix], dict[str, SquareMatrix
     return hatted, plain
 
 
-@dataclass(frozen=True)
-class RealGenerators:
-    ax: SquareMatrix
-    ay: SquareMatrix
-    az: SquareMatrix
-    beta_prime: SquareMatrix
-    relation_table: dict[str, bool]
-    all_real: bool
-
-
-def majorana_dirac_generators() -> RealGenerators:
+def majorana_dirac_generators() -> dict[str, SquareMatrix]:
     """Real 4x4 generators ax = shift^ shift, ay = polarity, az = polarity^ shift,
-    b' = polarity^ shift^ shift; the alphas square to +1, b' to -1, all four
-    pairwise anticommute, so {ax, ay, az, i b'} generates the Dirac algebra
+    b' = polarity^ shift^ shift, by name; the alphas square to +1, b' to -1, all
+    four pairwise anticommute, so {ax, ay, az, i b'} generates the Dirac algebra
     without any complex entries in the generators themselves."""
     hatted, plain = _hatted_and_plain()
-    ax = hatted["shift"] * plain["shift"]
-    ay = plain["polarity"]
-    az = hatted["polarity"] * plain["shift"]
-    beta_prime = hatted["polarity"] * hatted["shift"] * plain["shift"]
-    identity = SquareMatrix.identity(4)
-    named = [("ax", ax), ("ay", ay), ("az", az), ("beta_prime", beta_prime)]
-    table: dict[str, bool] = {
-        "ax^2 = 1": ax * ax == identity,
-        "ay^2 = 1": ay * ay == identity,
-        "az^2 = 1": az * az == identity,
-        "beta_prime^2 = -1": beta_prime * beta_prime == -identity,
-        "(i beta_prime)^2 = 1": beta_prime.scale(I_UNIT) ** 2 == identity,
+    return {
+        "ax": hatted["shift"] * plain["shift"],
+        "ay": plain["polarity"],
+        "az": hatted["polarity"] * plain["shift"],
+        "beta_prime": hatted["polarity"] * hatted["shift"] * plain["shift"],
     }
-    for idx_a in range(len(named)):
-        for idx_b in range(idx_a + 1, len(named)):
-            name_a, mat_a = named[idx_a]
-            name_b, mat_b = named[idx_b]
-            table[f"{name_a} {name_b} + {name_b} {name_a} = 0"] = mat_a.anticommutator(
-                mat_b
-            ).is_zero()
-    all_real = all(m.is_real() for _, m in named)
-    return RealGenerators(ax, ay, az, beta_prime, table, all_real)
 
 
-@dataclass(frozen=True)
-class CommutingCopiesReport:
-    commutators_vanish: bool
-    hatted_relations: bool
-    plain_relations: bool
-    hatted_root_squares_to_minus_one: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.commutators_vanish
-            and self.hatted_relations
-            and self.plain_relations
-            and self.hatted_root_squares_to_minus_one
-        )
+def generator_relations(gens: dict[str, SquareMatrix]) -> Relations:
+    """The squares of the real generators and their pairwise anticommutators."""
+    identity = SquareMatrix.identity(4)
+    zero = SquareMatrix.zero(4)
+    for name in ("ax", "ay", "az"):
+        yield f"{name}^2 = 1", gens[name] * gens[name], identity
+    beta_prime = gens["beta_prime"]
+    yield "beta_prime^2 = -1", beta_prime * beta_prime, -identity
+    yield "(i beta_prime)^2 = 1", beta_prime.scale(I_UNIT) ** 2, identity
+    for name_a, name_b in itertools.combinations(gens, 2):
+        yield (f"{name_a} {name_b} + {name_b} {name_a} = 0",
+               gens[name_a].anticommutator(gens[name_b]), zero)
 
 
-def commuting_copies_check() -> CommutingCopiesReport:
-    """The tensor construction really gives two commuting split-generator copies."""
+def commuting_copy_relations() -> Relations:
+    """The tensor construction really gives two commuting split-generator
+    copies: the copies commute elementwise, each satisfies the split
+    relations, and the hatted root squares to -1."""
     hatted, plain = _hatted_and_plain()
     identity = SquareMatrix.identity(4)
-    commute = all(
-        hatted[a].commutator(plain[b]).is_zero()
-        for a in ("polarity", "shift")
-        for b in ("polarity", "shift")
-    )
-
-    def relations(copy: dict[str, SquareMatrix]) -> bool:
-        return (
-            copy["polarity"] * copy["polarity"] == identity
-            and copy["shift"] * copy["shift"] == identity
-            and copy["polarity"].anticommutator(copy["shift"]).is_zero()
-        )
-
+    zero = SquareMatrix.zero(4)
+    yield ("commutators_vanish",
+           tuple(h.commutator(p) for h, p in itertools.product(hatted.values(), plain.values())),
+           (zero,) * 4)
+    for name, copy in (("hatted_relations", hatted), ("plain_relations", plain)):
+        yield (name,
+               (copy["polarity"] * copy["polarity"], copy["shift"] * copy["shift"],
+                copy["polarity"].anticommutator(copy["shift"])),
+               (identity, identity, zero))
     root = hatted["polarity"] * hatted["shift"]
-    return CommutingCopiesReport(
-        commutators_vanish=commute,
-        hatted_relations=relations(hatted),
-        plain_relations=relations(plain),
-        hatted_root_squares_to_minus_one=(root * root == -identity),
-    )
+    yield "hatted_root_squares_to_minus_one", root * root, -identity

@@ -23,14 +23,16 @@ from .scalars import parse_integer
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
 # embedding or decomposing an n x n matrix over the n! permutations stops at
 # n = 5, the isocheck of a regular action, whose algebra has dimension
-# order^2, stops at order 8, and the random mark trees of the confluence fuzz,
+# order^2, stops at order 8, the random mark trees of the confluence fuzz,
 # which hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at
-# depth 8.
+# depth 8, and a lattice run stops at 2^22 cells x steps (the largest verify
+# run is 256 x 10^4, a third of a second).
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
 MAX_ISOCHECK_ORDER = 8
 MAX_LOF_DEPTH = 8
+MAX_LATTICE_WORK = 2 ** 22
 
 
 class GroupTableError(ValueError):

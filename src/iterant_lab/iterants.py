@@ -9,6 +9,7 @@ the chosen action.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,6 +246,19 @@ def polarity_element(first: int = -1) -> IterantElement:
 def imaginary_unit(first: int = -1) -> IterantElement:
     """[first, -first]e; both sign choices square to -1."""
     return period_two_algebra().term([first, -first], "e")
+
+
+def majorana_pair_relations() -> Iterator[tuple[str, IterantElement, IterantElement]]:
+    """The order-two generator pair behind the re-entrant mark, the polarity
+    [1,-1] and the shift: each squares to one, they anticommute, and their
+    product squares to -1.  Each relation is one (name, lhs, rhs) triple."""
+    e = polarity_element(first=1)
+    eta = shift_element()
+    one = e.algebra.one()
+    yield "polarity_squared_one", e * e, one
+    yield "shift_squared_one", eta * eta, one
+    yield "anticommute", e * eta + eta * e, e.algebra.zero()
+    yield "product_squares_to_minus_one", (e * eta) ** 2, -one
 
 
 def conjugate_period2(z: IterantElement) -> IterantElement:

@@ -17,7 +17,9 @@ the seeded random prober differ only in how they pick the next redex, and the
 prober checks each run against the linear value.  Every walk over a forest
 keeps its own stack, so nesting depth is bounded by memory, not by Python's
 recursion limit.  Letters extend the grammar to the primary algebra, where
-juxtaposition reads as OR and enclosure as NOT.
+juxtaposition reads as OR and enclosure as NOT.  The order-two generator pair
+behind the re-entrant mark builds no mark; its relations live with the other
+period-two code, in ``iterants.majorana_pair_relations``.
 """
 
 from __future__ import annotations
@@ -405,21 +407,3 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
     if unbound:
         raise ValueError(f"unbound variable(s): {', '.join(sorted(unbound))}")
     return any(_fold(expr.items, assignment.__getitem__, lambda values: not any(values)))
-
-
-def majorana_pair_bridge():
-    """The order-two generator pair behind the re-entrant mark: the polarity
-    [1,-1] and the shift, which square to one and anticommute."""
-    from .iterants import polarity_element, shift_element
-
-    e = polarity_element(first=1)
-    eta = shift_element()
-    one = e.algebra.one()
-    return {
-        "polarity": e,
-        "shift": eta,
-        "polarity_squared_one": e * e == one,
-        "shift_squared_one": eta * eta == one,
-        "anticommute": (e * eta + eta * e).is_zero(),
-        "product_squares_to_minus_one": (e * eta) ** 2 == -one,
-    }

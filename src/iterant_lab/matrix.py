@@ -133,6 +133,10 @@ class SquareMatrix:
             result = result * self
         return result
 
+    def conjugate(self) -> SquareMatrix:
+        """The entrywise complex conjugate."""
+        return SquareMatrix(tuple(tuple(a.conjugate() for a in row) for row in self.rows))
+
     def conjugate_transpose(self) -> SquareMatrix:
         return SquareMatrix(
             tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows))
@@ -163,9 +167,6 @@ class SquareMatrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
-
-    def is_real(self) -> bool:
-        return all(a.is_real() for row in self.rows for a in row)
 
     def is_hermitian(self) -> bool:
         return self == self.conjugate_transpose()

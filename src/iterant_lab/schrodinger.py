@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STABILITY_WARNING_RATIO = 0.25
+from .groups import MAX_LATTICE_WORK
+
+# Each Fourier mode advances one tick pair by [[1, mu], [-mu, 1 - mu^2]] with
+# mu = r lambda and lambda in [-4, 0]: determinant 1 and trace 2 - mu^2, so
+# the scheme stays bounded exactly while r < 1/2.
+STABILITY_WARNING_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,11 @@ class LatticeConfig:
             raise ValueError("need at least two cells")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
+        # a tick's numpy calls cost about as much as 256 cells of arithmetic,
+        # so a smaller lattice is counted as 256 cells
+        if max(self.cells, 256) * self.steps > MAX_LATTICE_WORK:
+            raise ValueError(f"{self.cells} cells x {self.steps} steps exceeds the lattice work "
+                             f"cap of {MAX_LATTICE_WORK} (fewer than 256 cells count as 256)")
 
     @property
     def ratio(self) -> float:
@@ -45,7 +55,7 @@ class LatticeConfig:
 
     @property
     def stability_warning(self) -> bool:
-        return self.ratio > STABILITY_WARNING_RATIO
+        return self.ratio >= STABILITY_WARNING_RATIO
 
 
 @dataclass(frozen=True)

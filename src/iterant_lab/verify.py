@@ -27,6 +27,7 @@ from .iterants import (
     determinant_period2,
     format_period2,
     imaginary_unit,
+    majorana_pair_relations,
     natural_sn_algebra,
     period_two_algebra,
     regular_algebra,
@@ -110,13 +111,13 @@ def _text(value) -> str:
     return "; ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _holds(case: tuple[str, bool]) -> tuple[bool, bool]:
-    """The relation of a (name, outcome) case."""
-    return case[1], True
-
-
 def _name(case: tuple) -> str:
     return case[0]
+
+
+def _sides(case: tuple) -> tuple:
+    """The (lhs, rhs) of a (name, lhs, rhs) relation."""
+    return case[1:]
 
 
 def _rand_fraction(rng: random.Random, span: int = 9, den: int = 5) -> Fraction:
@@ -335,12 +336,11 @@ def check_quaternions(seed: int) -> list[CheckResult]:
         out.append(
             _entry(f"C06.{variant}", "clifford",
                    f"{variant}: all 16 quaternion unit products hold",
-                   _tally(products, lambda c: c[1:]), seed=seed, show=_name)
+                   _tally(products, _sides), seed=seed, show=_name)
         )
-    klein = clifford.quaternion_triple("klein4")
-    real = [(name, getattr(klein, name).is_real()) for name in "IJK"]
+    real = clifford.real_relations(vars(clifford.quaternion_triple("klein4")))
     out.append(_entry("C06.klein4-real", "clifford", "klein4 quaternion triple is real 4x4",
-                      _tally(real, _holds), seed=seed, show=_name))
+                      _tally(real, _sides), seed=seed, show=_name))
     return out
 
 
@@ -518,7 +518,7 @@ def check_minkowski(seed: int) -> list[CheckResult]:
                rep1.eigenvalues == (Fraction(1), Fraction(3))
                and rep2.eigenvalues == (Fraction(-5), Fraction(5))
                and rep1.determinant == 3 and rep2.determinant == -25,
-               f"{rep1.eigenvalues} {rep2.eigenvalues}", "(1, 3) (-5, 5)"),
+               f"{_roots(rep1)} {_roots(rep2)}", "(1, 3) (-5, 5)"),
         _entry("C09.boost-interval", "spacetime",
                f"t'^2-x'^2 = t^2-x^2 under {BOOSTS} exact boosts, v = (a^2-b^2)/(a^2+b^2)",
                _tally(exact, boosted_interval), seed=seed, show=boost_inputs),
@@ -526,6 +526,12 @@ def check_minkowski(seed: int) -> list[CheckResult]:
                f"k^2 = (1+v)/(1-v) and k^2(t-x)^2 (t+x)^2/k^2 = (t^2-x^2)^2 on {BOOSTS} boosts",
                _tally(light_cone, light_cone_product), seed=seed, show=boost_inputs),
     ]
+
+
+def _roots(observable: clifford.HermitianObservable) -> str:
+    """The exact eigenvalues as (lo, hi), or None when they are irrational."""
+    roots = observable.eigenvalues
+    return "None" if roots is None else f"({roots[0]}, {roots[1]})"
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +602,11 @@ def check_braiding(seed: int) -> list[CheckResult]:
                       "the signed-permutation span matrices agree with the conjugation images",
                       _tally(spans, spanned), seed=seed, show=lambda c: {"k": c[0], "i": c[1]}))
 
-    braiders = clifford.quaternion_braiders(clifford.clifford_generators(3))
+    braiders = all(lhs == rhs for _, lhs, rhs in
+                   clifford.braider_relations(clifford.clifford_generators(3)))
     out.append(_entry("C10.quaternion-braiders", "braiding",
                       "(1+I)(1+J)(1+I) = (1+J)(1+I)(1+J) and cyclic variants, exactly",
-                      braiders.relations_hold, str(braiders.relations_hold), "True"))
+                      braiders, str(braiders), "True"))
     out.append(_entry("C10.order-four", "braiding",
                       "the span map of a single braid generator has order exactly four",
                       _tally([(4, True), (2, False)], lambda c: (
@@ -614,19 +621,16 @@ def check_braiding(seed: int) -> list[CheckResult]:
 
 
 def check_fermion(seed: int) -> list[CheckResult]:
-    rep = clifford.clifford_generators(2)
-    pair = clifford.fermion_pair(rep, 1, 2)
-    adjoint_ok = pair.psi_dagger == pair.psi.conjugate_transpose()
+    squared, dagger_squared, anticommutator, adjoint = (
+        lhs == rhs for _, lhs, rhs in clifford.fermion_relations(clifford.clifford_generators(2)))
     return [
-        _entry("C11.psi-squared", "fermions", "psi^2 = 0 exactly",
-               pair.psi_squared_zero, "0", "0"),
-        _entry("C11.dagger-squared", "fermions", "psi+^2 = 0 exactly",
-               pair.dagger_squared_zero, "0", "0"),
+        _entry("C11.psi-squared", "fermions", "psi^2 = 0 exactly", squared, "0", "0"),
+        _entry("C11.dagger-squared", "fermions", "psi+^2 = 0 exactly", dagger_squared, "0", "0"),
         _entry("C11.anticommutator", "fermions", "psi psi+ + psi+ psi = 1 exactly",
-               pair.anticommutator_is_one, "identity", "identity"),
+               anticommutator, "identity", "identity"),
         _entry("C11.adjoint", "fermions",
                "psi+ is the conjugate transpose of psi in this representation",
-               adjoint_ok, str(adjoint_ok), "True"),
+               adjoint, str(adjoint), "True"),
     ]
 
 
@@ -699,12 +703,9 @@ def check_lof(seed: int) -> list[CheckResult]:
                       _tally(rows, lambda r: (lof.eval_logic(lof.parse(r[0]), r[1]), r[2])),
                       seed=seed, show=lambda r: {"expression": r[0], "assignment": r[1]}))
 
-    bridge = lof.majorana_pair_bridge()
-    keys = ("polarity_squared_one", "shift_squared_one", "anticommute",
-            "product_squares_to_minus_one")
     out.append(_entry("C13.generator-bridge", "mark-calculus",
                       "the re-entrant oscillation pair squares to one and anticommutes",
-                      _tally([(k, bridge[k]) for k in keys], _holds), seed=seed, show=_name))
+                      _tally(majorana_pair_relations(), _sides), seed=seed, show=_name))
     return out
 
 
@@ -753,20 +754,20 @@ def _dirac_inputs(case) -> dict[str, str]:
 def check_dirac(seed: int) -> list[CheckResult]:
     out = []
     frame1 = dirac.dirac_frame("1d")
-    reports = [(e, p, m, dirac.relation_report(frame1, _on_shell(e, p, m)))
-               for e, p, m in _pythagorean_triples(TRIPLES)]
-    for key in sorted(reports[0][3]):
+    tables = [(e, p, m, {r[0]: _sides(r) for r in dirac.relations(frame1, _on_shell(e, p, m))})
+              for e, p, m in _pythagorean_triples(TRIPLES)]
+    for key in sorted(tables[0][3]):
         out.append(_entry(f"C14.1d-{key}", "dirac",
                           f"1d {key} on {TRIPLES} on-shell triples",
-                          _tally(reports, lambda r: (r[3][key], True)),
+                          _tally(tables, lambda t: t[3][key]),
                           seed=seed, show=_dirac_inputs))
 
     frame3 = dirac.dirac_frame("3d")
     out.append(_entry("C14.3d-identities", "dirac",
                       f"all identities with p replaced by p.s on {len(THREE_D_CASES)} on-shell cases",
                       _tally(THREE_D_CASES, lambda c: (
-                          [k for k, ok in dirac.relation_report(frame3, _on_shell(*c)).items()
-                           if not ok], [])),
+                          [name for name, lhs, rhs in dirac.relations(frame3, _on_shell(*c))
+                           if lhs != rhs], [])),
                       seed=seed, show=_dirac_inputs))
 
     def off_shell_square(case):
@@ -781,15 +782,17 @@ def check_dirac(seed: int) -> list[CheckResult]:
                       _tally(draws, off_shell_square), seed=seed, show=_dirac_inputs))
 
     sigmas = frame3.sigmas
-    frames = [("1d alpha beta anticommute", frame1.alpha.anticommutator(frame1.beta).is_zero())]
+    zero = SquareMatrix.zero(4)
+    frames = [("1d alpha beta anticommute", frame1.alpha.anticommutator(frame1.beta),
+               SquareMatrix.zero(2))]
     for i, s in enumerate(sigmas, 1):
-        frames += [(f"sigma{i} sigma{i % 3 + 1} anticommute", s.anticommutator(sigmas[i % 3]).is_zero()),
-                   (f"sigma{i} squares to one", s * s == SquareMatrix.identity(4)),
+        frames += [(f"sigma{i} sigma{i % 3 + 1} anticommute", s.anticommutator(sigmas[i % 3]), zero),
+                   (f"sigma{i} squares to one", s * s, SquareMatrix.identity(4)),
                    (f"alpha and beta commute with sigma{i}",
-                    frame3.alpha.commutator(s).is_zero() and frame3.beta.commutator(s).is_zero())]
+                    (frame3.alpha.commutator(s), frame3.beta.commutator(s)), (zero, zero))]
     out.append(_entry("C14.frames", "dirac",
                       "frame relations: squares one, anticommuting, commuting 3d triple",
-                      _tally(frames, _holds), seed=seed, show=_name))
+                      _tally(frames, _sides), seed=seed, show=_name))
     return out
 
 
@@ -799,18 +802,16 @@ def check_dirac(seed: int) -> list[CheckResult]:
 
 def check_real_generators(seed: int) -> list[CheckResult]:
     gens = dirac.majorana_dirac_generators()
-    copies = dirac.commuting_copies_check()
-    real = [(name, getattr(gens, name).is_real()) for name in ("ax", "ay", "az", "beta_prime")]
     return [
         _entry("C15.realness", "real-generators",
                "all four generator matrices are entrywise real",
-               _tally(real, _holds), seed=seed, show=_name),
+               _tally(clifford.real_relations(gens), _sides), seed=seed, show=_name),
         _entry("C15.relations", "real-generators",
                "alphas square to +1, b' to -1, all four pairwise anticommute",
-               _tally(gens.relation_table.items(), _holds), seed=seed, show=_name),
+               _tally(dirac.generator_relations(gens), _sides), seed=seed, show=_name),
         _entry("C15.commuting-copies", "real-generators",
                "the two split-generator copies commute elementwise and each is standard",
-               _tally(vars(copies).items(), _holds), seed=seed, show=_name),
+               _tally(dirac.commuting_copy_relations(), _sides), seed=seed, show=_name),
     ]
 
 

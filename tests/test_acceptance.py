@@ -18,7 +18,7 @@ from iterant_lab import verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "16291f637366a0fcbe47ece36ef4348b986efe9269e56b07957bee33be714032"
+ROWS_SHA256 = "453b5eeea49468aa211df07ef252da41485c131e68216b5db0c0499ec25e4b68"
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -619,7 +620,7 @@ PINNED = {
         "bdf1d33abbc018dccafef618108d6c2c5ebb968ac1f03ba6647e95a7c33b4636"),
     "schrodinger-csv-out": (("schrodinger", "run", "--n", "16", "--steps", "40", "--dt", "0.3",
                 "--sample-every", "3", "--init", "planewave:2", "--out", "out.csv"),
-        "40495c81c3af33b12bc1a596e5de13a00c91bf96f9e189fb4cae567122332ad3"),
+        "2ccdff114ca8c6f8a550e71b1fef90a234d0f09cac8bf392518a17a4c3cceb23"),
     "schrodinger-dispersion": (("schrodinger", "run", "--n", "64", "--steps", "400",
                 "--dispersion", "3"),
         "06bd3e1f223e44edce97b3638d0c4708fea3f617743143ecf9540fccb5245bce"),
@@ -656,3 +657,31 @@ def test_output_bytes_are_pinned(tmp_path, capsys, monkeypatch, case):
     captured = capsys.readouterr()
     written = Path("out.csv").read_text() if "--out" in argv else ""
     assert _outcome_digest(code, captured.out, captured.err, written) == digest
+
+
+def _benchmark_faulty_inputs() -> list[tuple[str, ...]]:
+    """FAULTY_INPUTS of perfbench/workloads.py, read without importing the benchmark."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "FAULTY_INPUTS":
+            return list(ast.literal_eval(node.value))
+    raise LookupError("perfbench/workloads.py defines no FAULTY_INPUTS")
+
+
+# the known-bad inputs: each once exited 0, ran past 20 s, or is a benchmark
+# fault case
+KNOWN_BAD_ARGV = [
+    ("lof", "reduce", "(()", "--random", "5", "4", "1"),
+    ("lof", "reduce", "()", "--random", "5", "4", "1", "--trace", "--format", "json"),
+    ("lof", "reduce", "", "--random", "5", "4", "1"),
+    ("schrodinger", "run", "--n", "8", "--steps", "1000000000"),
+    *_benchmark_faulty_inputs(),
+]
+
+
+@pytest.mark.parametrize("argv", KNOWN_BAD_ARGV, ids=" ".join)
+def test_known_bad_argv_fails_in_one_line(capsys, argv):
+    code = main(list(argv))  # an uncaught exception fails the test
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert len(captured.err.splitlines()) <= 1

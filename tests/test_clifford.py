@@ -12,13 +12,14 @@ from iterant_lab.clifford import (
     braid_conjugate,
     braid_word_matrix,
     clifford_generators,
-    fermion_pair,
+    braider_relations,
+    fermion_relations,
     fusion_power,
     lorentz_boost,
     minkowski_observable,
-    quaternion_braiders,
     quaternion_products,
     quaternion_triple,
+    real_relations,
     split_quaternions,
 )
 from iterant_lab.groups import Permutation
@@ -50,8 +51,9 @@ def test_quaternion_tables(variant):
 def test_klein4_variant_is_real_4x4():
     triple = quaternion_triple("klein4")
     assert triple.dim == 4
-    for m in (triple.I, triple.J, triple.K):
-        assert m.is_real()
+    assert all(lhs == rhs for _, lhs, rhs in real_relations(vars(triple)))
+    i_times_i = triple.I.scale(GaussianRational(0, 1))
+    assert list(real_relations({"iI": i_times_i})) == [("iI", i_times_i, -i_times_i)]
     assert triple.I * triple.J * triple.K == -identity(4)
 
 
@@ -163,38 +165,44 @@ def test_braid_images_stay_clifford():
 
 def test_quaternion_braiders_relations():
     rep = clifford_generators(3)
-    braiders = quaternion_braiders(rep)
-    assert braiders.relations_hold
+    relations = list(braider_relations(rep))
+    assert [name for name, _, _ in relations] == ["ABA = BAB", "BCB = CBC", "ACA = CAC"]
+    assert all(lhs == rhs for _, lhs, rhs in relations)
     triple = clifford.quaternions_from_triple(rep)
+    a, c = identity(rep.dim) + triple.I, identity(rep.dim) + triple.K
     # (1+I)(1-I) = 1 - I^2 = 2
-    assert braiders.A * (identity(rep.dim) - triple.I) == identity(rep.dim).scale(2)
-    assert braiders.C * braiders.A * braiders.C == braiders.A * braiders.C * braiders.A
+    assert a * (identity(rep.dim) - triple.I) == identity(rep.dim).scale(2)
+    assert relations[2][1:] == (a * c * a, c * a * c)
 
 
 def test_fermion_pair_relations():
     rep = clifford_generators(2)
-    pair = fermion_pair(rep, 1, 2)
-    assert pair.psi_squared_zero
-    assert pair.dagger_squared_zero
-    assert pair.anticommutator_is_one
-    assert pair.psi_dagger == pair.psi.conjugate_transpose()
+    relations = {name: (lhs, rhs) for name, lhs, rhs in fermion_relations(rep, 1, 2)}
+    assert list(relations) == ["psi^2 = 0", "psi+^2 = 0", "psi psi+ + psi+ psi = 1",
+                               "psi+ = conjugate transpose of psi"]
+    assert all(lhs == rhs for lhs, rhs in relations.values())
+    assert relations["psi^2 = 0"][1] == SquareMatrix.zero(2)
+    assert relations["psi psi+ + psi+ psi = 1"][1] == identity(2)
     half = Fraction(1, 2)
     i_half = GaussianRational(Fraction(0), half)
     sq = split_quaternions()
-    assert pair.psi == sq.polarity.scale(half) + sq.shift.scale(i_half)
+    psi_dagger, psi_dagger_from_psi = relations["psi+ = conjugate transpose of psi"]
+    psi = psi_dagger_from_psi.conjugate_transpose()
+    assert psi == sq.polarity.scale(half) + sq.shift.scale(i_half)
+    assert psi_dagger == sq.polarity.scale(half) - sq.shift.scale(i_half)
 
 
 def test_quaternion_braiders_require_three_generators():
     with pytest.raises(ValueError, match="3 generators"):
-        quaternion_braiders(clifford_generators(2))
+        list(braider_relations(clifford_generators(2)))
 
 
 def test_fermion_pair_index_validation():
     rep = clifford_generators(3)
     with pytest.raises(ValueError):
-        fermion_pair(rep, 1, 1)
+        list(fermion_relations(rep, 1, 1))
     with pytest.raises(ValueError):
-        fermion_pair(rep, 0, 2)
+        list(fermion_relations(rep, 0, 2))
 
 
 def test_fusion_rule():

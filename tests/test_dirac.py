@@ -4,23 +4,31 @@ from fractions import Fraction
 import pytest
 
 from iterant_lab import dirac
+from iterant_lab.clifford import real_relations
 from iterant_lab.dirac import (
     OnShellParams,
-    commuting_copies_check,
+    commuting_copy_relations,
     dirac_frame,
+    generator_relations,
     majorana_dirac_generators,
-    majorana_split,
     nilpotent_pair,
     nilpotent_u,
-    plane_wave_residual,
-    relation_report,
+    relations,
 )
 from iterant_lab.matrix import SquareMatrix
-from iterant_lab.scalars import GaussianRational
 
 
 def identity(n):
     return SquareMatrix.identity(n)
+
+
+def sides(triples) -> dict:
+    """The (lhs, rhs) of each (name, lhs, rhs) relation, by name."""
+    return {name: (lhs, rhs) for name, lhs, rhs in triples}
+
+
+def holds(triples) -> dict:
+    return {name: lhs == rhs for name, (lhs, rhs) in sides(triples).items()}
 
 
 def test_frame_1d_relations():
@@ -139,45 +147,48 @@ def test_sum_difference_identities():
 def test_majorana_split_example():
     frame = dirac_frame("1d")
     params = OnShellParams.of(5, 3, 4)
-    split = majorana_split(frame, params)
-    assert split.a_squared_one
-    assert split.b_squared_one
-    assert split.anticommute
-    assert split.reconstructs_u
-    assert split.reconstructs_u_dagger
-    i_unit = GaussianRational(Fraction(0), Fraction(1))
-    rebuilt = (split.A + split.B.scale(i_unit)).scale(5)
-    assert rebuilt == nilpotent_u(frame, params)
+    table = sides(relations(frame, params))
+    for name in ("split-a-squared", "split-b-squared", "split-anticommute", "split-rebuild"):
+        lhs, rhs = table[name]
+        assert lhs == rhs, name
+    (rebuilt_u, rebuilt_dagger), (u, u_dagger) = table["split-rebuild"]
+    assert rebuilt_u == nilpotent_u(frame, params)
+    assert (u, u_dagger) == nilpotent_pair(frame, params, "time_reversed")
+    assert rebuilt_dagger == u_dagger
 
 
 def test_majorana_split_zero_energy():
     frame = dirac_frame("1d")
-    with pytest.raises(ValueError, match="nonzero"):
-        majorana_split(frame, OnShellParams.of(0, 1, 1))
+    names = holds(relations(frame, OnShellParams.of(0, 1, 1)))
+    assert not any(name.startswith("split-") for name in names)
 
 
 def test_plane_wave_residual_on_shell():
     frame = dirac_frame("1d")
     for e, p, m in ((5, 3, 4), (1, 1, 0), (13, 5, 12)):
-        report = plane_wave_residual(frame, OnShellParams.of(e, p, m))
-        assert report.is_solution
-        assert report.factorization_ok
-        assert report.shell_defect == 0
+        params = OnShellParams.of(e, p, m)
+        (residual, factored), (zero, u) = sides(relations(frame, params))["plane-wave"]
+        assert residual.is_zero() and zero.is_zero()
+        assert factored == u
+        assert params.shell_defect == 0
 
 
 def test_plane_wave_residual_off_shell_reports():
     frame = dirac_frame("1d")
-    report = plane_wave_residual(frame, OnShellParams.of(2, 1, 0))
-    assert not report.is_solution
-    assert report.shell_defect == -3
-    assert report.factorization_ok
+    params = OnShellParams.of(2, 1, 0)
+    (residual, factored), (zero, u) = sides(relations(frame, params))["plane-wave"]
+    assert residual != zero
+    assert residual == identity(2).scale(-3)  # D ba U = U^2 = (p^2 + m^2 - E^2) 1
+    assert params.shell_defect == -3
+    assert factored == u
 
 
 def test_plane_wave_residual_3d():
     frame = dirac_frame("3d")
-    report = plane_wave_residual(frame, OnShellParams.of(7, (2, 3, 6), 0))
-    assert report.is_solution
-    assert report.factorization_ok
+    (residual, factored), (zero, u) = sides(
+        relations(frame, OnShellParams.of(7, (2, 3, 6), 0)))["plane-wave"]
+    assert residual == zero
+    assert factored == u
 
 
 def test_pythagorean_sweep_both_versions():
@@ -209,34 +220,37 @@ def test_3d_identities():
         u, u_dag = nilpotent_pair(frame, params, "time_reversed")
         assert u * u_dag + u_dag * u == one.scale(4 * params.energy ** 2)
         assert p_op * p_op == one.scale(params.momentum_squared)
-        split = majorana_split(frame, params)
-        assert split.a_squared_one and split.b_squared_one and split.anticommute
+        table = holds(relations(frame, params))
+        assert table["split-a-squared"] and table["split-b-squared"] and table["split-anticommute"]
 
 
 def test_majorana_dirac_generators():
     gens = majorana_dirac_generators()
     one = identity(4)
-    assert gens.ax * gens.ax == one
-    assert gens.beta_prime * gens.beta_prime == -one
-    assert gens.ax.anticommutator(gens.ay).is_zero()
-    assert gens.all_real
-    assert all(gens.relation_table.values())
+    assert list(gens) == ["ax", "ay", "az", "beta_prime"]
+    assert gens["ax"] * gens["ax"] == one
+    assert gens["beta_prime"] * gens["beta_prime"] == -one
+    assert gens["ax"].anticommutator(gens["ay"]).is_zero()
+    assert all(holds(real_relations(gens)).values())
+    table = holds(generator_relations(gens))
+    assert len(table) == 11 and all(table.values())
+    assert "beta_prime^2 = -1" in table and "ax ay + ay ax = 0" in table
 
 
 def test_commuting_copies():
-    report = commuting_copies_check()
-    assert report.ok
-    assert report.commutators_vanish
-    assert report.hatted_root_squares_to_minus_one
+    table = holds(commuting_copy_relations())
+    assert list(table) == ["commutators_vanish", "hatted_relations", "plain_relations",
+                           "hatted_root_squares_to_minus_one"]
+    assert all(table.values())
 
 
 def test_relation_report_leaves_out_the_split_at_zero_energy():
     frame = dirac_frame("1d")
-    on_shell = relation_report(frame, OnShellParams.of(5, 3, 4))
+    on_shell = holds(relations(frame, OnShellParams.of(5, 3, 4)))
     assert all(on_shell.values())
-    at_rest = relation_report(frame, OnShellParams.of(0, 0, 0))
+    at_rest = holds(relations(frame, OnShellParams.of(0, 0, 0)))
     assert all(at_rest.values())
     assert set(on_shell) - set(at_rest) == {
         "split-a-squared", "split-b-squared", "split-anticommute", "split-rebuild"}
-    off_shell = relation_report(frame, OnShellParams.of(2, 1, 0))
+    off_shell = holds(relations(frame, OnShellParams.of(2, 1, 0)))
     assert not off_shell["u-squared-zero"] and not off_shell["plane-wave"]

@@ -10,6 +10,7 @@ from iterant_lab.iterants import (
     element_from_json,
     format_period2,
     imaginary_unit,
+    majorana_pair_relations,
     natural_sn_algebra,
     parse_period2,
     period_two_algebra,
@@ -222,3 +223,12 @@ def test_json_roundtrip():
 def test_vector_length_is_checked():
     with pytest.raises(ValueError, match="length"):
         period_two_algebra().vector([1, 2, 3])
+
+
+def test_majorana_pair_relations():
+    relations = {name: (lhs, rhs) for name, lhs, rhs in majorana_pair_relations()}
+    assert list(relations) == ["polarity_squared_one", "shift_squared_one", "anticommute",
+                               "product_squares_to_minus_one"]
+    assert all(lhs == rhs for lhs, rhs in relations.values())
+    one = period_two_algebra().one()
+    assert relations["product_squares_to_minus_one"] == (-one, -one)

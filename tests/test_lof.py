@@ -13,7 +13,6 @@ from iterant_lab.lof import (
     confluence_fuzz,
     confluence_probe,
     eval_logic,
-    majorana_pair_bridge,
     parse,
     random_expression,
     reduce_expression,
@@ -247,14 +246,6 @@ def test_unparse_roundtrip():
     for _ in range(100):
         expr = random_expression(rng, max_depth=5, max_width=3)
         assert parse(unparse(expr)) == expr
-
-
-def test_majorana_pair_bridge():
-    bridge = majorana_pair_bridge()
-    assert bridge["polarity_squared_one"]
-    assert bridge["shift_squared_one"]
-    assert bridge["anticommute"]
-    assert bridge["product_squares_to_minus_one"]
 
 
 def test_confluence_fuzz_finds_no_disagreement():

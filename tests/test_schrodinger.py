@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from iterant_lab.groups import MAX_LATTICE_WORK
 from iterant_lab.schrodinger import (
     FieldState,
     LatticeConfig,
@@ -27,8 +28,16 @@ def test_config_validation():
 
 
 def test_stability_warning_flag():
-    assert not cfg_of(dt=0.2).stability_warning  # r = 0.2
-    assert cfg_of(dt=0.3).stability_warning  # r = 0.3 > 1/4
+    assert not cfg_of(dt=0.49).stability_warning  # r = 0.49 < 1/2
+    assert cfg_of(dt=0.5).stability_warning  # r = 0.5, the bound itself
+
+
+def test_lattice_work_cap():
+    LatticeConfig(cells=256, dx=1.0, dt=0.1, kappa=1.0, steps=10_000)  # the largest verify run
+    LatticeConfig(cells=1024, dx=1.0, dt=0.1, kappa=1.0, steps=MAX_LATTICE_WORK // 1024)
+    for cells, steps in ((1024, MAX_LATTICE_WORK // 1024 + 1), (8, 10**9), (2, 20_000)):
+        with pytest.raises(ValueError, match="lattice work cap"):
+            LatticeConfig(cells=cells, dx=1.0, dt=0.1, kappa=1.0, steps=steps)
 
 
 def test_combine():

@@ -4,7 +4,8 @@ The real checks run once per session, in tests/test_acceptance.py; these
 tests drive the helper on small literal cases.
 """
 
-from iterant_lab import verify
+from iterant_lab import dirac, verify
+from iterant_lab.matrix import SquareMatrix
 
 
 def test_tally_counts_the_cases_and_keeps_the_first_disagreement():
@@ -31,3 +32,15 @@ def test_a_failing_row_carries_the_first_disagreeing_case():
 def test_a_row_that_checked_no_case_fails():
     row = verify._entry("X01.row", "test", "nothing", verify._tally([], lambda n: (n, n)), seed=5)
     assert (row.passed, row.lhs, row.witness) == (False, "0/0 agree", None)
+
+
+def test_a_failing_relation_shows_its_two_sides_not_false():
+    off_shell = dirac.relations(dirac.dirac_frame("1d"), dirac.OnShellParams.of(2, 1, 0))
+    row = verify._entry("X01.row", "test", "off shell", verify._tally(off_shell, verify._sides),
+                        seed=5, show=verify._name)
+    assert not row.passed
+    # U^2 = (p^2 + m^2 - E^2) 1 = -3 against 0: the first relation fails
+    assert row.witness == {"seed": 5, "index": 0, "inputs": "u-squared-zero",
+                           "lhs": str(SquareMatrix.identity(2).scale(-3)),
+                           "rhs": str(SquareMatrix.zero(2))}
+    assert "False" not in row.witness["lhs"] + row.witness["rhs"]
