@@ -121,6 +121,9 @@ def cmd_matrep_decompose(args):
 def cmd_matrep_isocheck(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
+    if args.samples > groups.MAX_ISOCHECK_SAMPLES:
+        raise ValueError(f"--samples {args.samples} exceeds the cap of "
+                         f"{groups.MAX_ISOCHECK_SAMPLES}")
     if args.natural:
         family, degree = groups.parse_group_name(args.group)
         if family != "s":
@@ -382,8 +385,8 @@ def cmd_lof_reduce(args):
         if args.expression is not None or args.trace:
             raise ValueError("--random draws its own expressions; give no EXPR and no --trace")
         trials, depth, seed = args.random
-        if trials < 1:
-            raise ValueError(f"--random N must be positive, got {trials}")
+        if not 1 <= trials <= groups.MAX_LOF_TRIALS:
+            raise ValueError(f"--random N {trials} is outside 1..{groups.MAX_LOF_TRIALS}")
         if not 1 <= depth <= groups.MAX_LOF_DEPTH:
             raise ValueError(f"--random DEPTH {depth} is outside 1..{groups.MAX_LOF_DEPTH}")
         disagreements = lof.confluence_fuzz(trials, max_depth=depth, orders=4, seed=seed)

@@ -23,15 +23,21 @@ from .scalars import parse_integer
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
 # embedding or decomposing an n x n matrix over the n! permutations stops at
 # n = 5, the isocheck of a regular action, whose algebra has dimension
-# order^2, stops at order 8, the random mark trees of the confluence fuzz,
-# which hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at
-# depth 8, and a lattice run stops at 2^22 cells x steps (the largest verify
-# run is 256 x 10^4, a third of a second).
+# order^2, stops at order 8 and at 10^4 samples (10^3 take about half a second
+# on c8), the random mark trees of the confluence fuzz, which hold up to
+# 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
+# trees (about 5 s at depth 8), a parsed mark expression stops at 4000 marks
+# (a flat list of 4000 reduces in about 0.6 s), and a lattice run stops at
+# 2^22 cells x steps (the largest verify run is 256 x 10^4, a third of a
+# second).
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
 MAX_ISOCHECK_ORDER = 8
+MAX_ISOCHECK_SAMPLES = 10_000
 MAX_LOF_DEPTH = 8
+MAX_LOF_TRIALS = 2000
+MAX_LOF_MARKS = 4000
 MAX_LATTICE_WORK = 2 ** 22
 
 

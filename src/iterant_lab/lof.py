@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Union
 
+from .groups import MAX_LOF_MARKS
+
 Node = Union["Mark", "Var"]
 
 
@@ -150,8 +152,11 @@ def parse(text: str) -> MarkExpr:
     """Grammar: expr := term*; term := '(' expr ')' | '*' | letter.
 
     '*' stands for the empty expression and may appear anywhere; whitespace
-    is ignored.
+    is ignored.  More than groups.MAX_LOF_MARKS marks is a ValueError.
     """
+    marks = text.count("(")
+    if marks > MAX_LOF_MARKS:
+        raise ValueError(f"an expression of {marks} marks exceeds the cap of {MAX_LOF_MARKS}")
     stack: list[list[Node]] = [[]]
     opens: list[int] = []
     for pos, ch in enumerate(text):

@@ -40,11 +40,14 @@ class LatticeConfig:
     def __post_init__(self) -> None:
         if self.cells < 2:
             raise ValueError("need at least two cells")
-        if self.dx <= 0 or self.dt <= 0:
+        if not (self.dx > 0 and self.dt > 0):  # nan included
             raise ValueError("dx and dt must be positive")
+        if self.steps < 0:
+            raise ValueError(f"steps must not be negative, got {self.steps}")
         # a tick's numpy calls cost about as much as 256 cells of arithmetic,
-        # so a smaller lattice is counted as 256 cells
-        if max(self.cells, 256) * self.steps > MAX_LATTICE_WORK:
+        # so a smaller lattice is counted as 256 cells, and a run of no steps
+        # still holds its cells
+        if max(self.cells, 256) * max(self.steps, 1) > MAX_LATTICE_WORK:
             raise ValueError(f"{self.cells} cells x {self.steps} steps exceeds the lattice work "
                              f"cap of {MAX_LATTICE_WORK} (fewer than 256 cells count as 256)")
 

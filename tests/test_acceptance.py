@@ -18,20 +18,38 @@ from iterant_lab import verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "453b5eeea49468aa211df07ef252da41485c131e68216b5db0c0499ec25e4b68"
+ROWS_SHA256 = "c0bec295f5dcd480387c5572b43b6f803a6f4ee19ee95faf82922ba9939cd6af"
 
 
 @pytest.fixture(scope="session")
 def suite():
-    """The one verify-all run of the session, and its wall time."""
-    start = time.monotonic()
-    report = verify.run_verify(seed=SEED)
-    return report, time.monotonic() - start
+    """The one verify-all run of the session, its wall time, and the criterion
+    of each ALL_CHECKS element in the order run_verify called them, seen by a
+    wrapper around each element as the benchmark's criterion timer wraps them."""
+    called = []
+
+    def seen(check):
+        def wrapper(seed):
+            rows = check(seed)
+            called.append(rows[0].check_id.split(".", 1)[0])
+            return rows
+
+        return wrapper
+
+    original = list(verify.ALL_CHECKS)
+    verify.ALL_CHECKS[:] = [seen(check) for check in original]
+    try:
+        start = time.monotonic()
+        report = verify.run_verify(seed=SEED)
+        elapsed = time.monotonic() - start
+    finally:
+        verify.ALL_CHECKS[:] = original
+    return report, elapsed, called
 
 
 def _assert_all(suite, criterion: str) -> None:
     """Print and assert the rows of the criterion whose id opens its title."""
-    report, _ = suite
+    report = suite[0]
     prefix = criterion.split()[0] + "."
     entries = [e for e in report.entries if e.check_id.startswith(prefix)]
     assert entries, f"no rows for {criterion}"
@@ -127,7 +145,7 @@ def test_c17_lattice_scheme(suite):
 
 
 def test_full_suite_runtime_and_uniqueness(suite):
-    report, elapsed = suite
+    report, elapsed, _ = suite
     print(f"verify-all: {len(report.entries)} checks in {elapsed:.1f}s")
     assert report.all_passed, [e.check_id for e in report.entries if not e.passed]
     assert elapsed < 60.0
@@ -135,3 +153,7 @@ def test_full_suite_runtime_and_uniqueness(suite):
     assert len(ids) == len(set(ids))
     rows = [[e.check_id, e.passed, e.lhs, e.rhs] for e in report.entries]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ROWS_SHA256
+
+
+def test_every_criterion_runs_once_in_order_through_the_check_list(suite):
+    assert suite[2] == [f"C{k:02d}" for k in range(1, 18)]

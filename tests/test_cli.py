@@ -1,14 +1,21 @@
+import argparse
 import ast
 import hashlib
 import json
 import random
+import signal
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iterant_lab import groups, lof, verify
-from iterant_lab.cli import main
+from iterant_lab.cli import build_parser, main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
                                   regular_algebra)
 from iterant_lab.scalars import MAX_LITERAL_DIGITS
@@ -191,19 +198,19 @@ def test_schrodinger_dispersion_json(capsys):
 
 # Stand-in checks for verify-all, built like the real ones from verify's tally,
 # so each real check still runs once per session (in the acceptance suite).
+@verify._criterion("test")
 def _product_rows(seed):
-    pairs = verify._rand_pairs(period_two_algebra(), random.Random(seed), 20)
-    return [verify._entry("X01.product-match", "test", "M(xy) = M(x) M(y) on 20 pairs",
-                          verify._tally(pairs, verify._matrix_relation),
-                          seed=seed, show=verify._period2_inputs)]
+    yield ("X01.product-match", "M(xy) = M(x) M(y) on 20 pairs",
+           verify._rand_pairs(period_two_algebra(), random.Random(seed), 20),
+           verify._matrix_relation, verify._period2_inputs)
 
 
+@verify._criterion("test")
 def _commuting_rows(seed):
     """Wrong on purpose: period-two products do not commute."""
-    pairs = verify._rand_pairs(period_two_algebra(), random.Random(seed), 20)
-    return [verify._entry("X02.commutes", "test", "xy = yx on 20 pairs",
-                          verify._tally(pairs, lambda xy: (xy[0] * xy[1], xy[1] * xy[0])),
-                          seed=seed, show=verify._period2_inputs)]
+    yield ("X02.commutes", "xy = yx on 20 pairs",
+           verify._rand_pairs(period_two_algebra(), random.Random(seed), 20),
+           lambda xy: (xy[0] * xy[1], xy[1] * xy[0]), verify._period2_inputs)
 
 
 def test_verify_all_seeded_subprocess_free(capsys, monkeypatch):
@@ -230,12 +237,12 @@ def test_verify_all_seeded_subprocess_free(capsys, monkeypatch):
     assert status == {"X01.product-match": "PASS", "X02.commutes": "FAIL"}
 
 
+@verify._criterion("test")
 def _regular_commuting_rows(seed):
     """Wrong on purpose: s3 is not abelian, so neither is its regular algebra."""
-    pairs = verify._rand_pairs(regular_algebra(groups.symmetric(3)), random.Random(seed), 20)
-    return [verify._entry("X03.regular-commutes", "test", "xy = yx on 20 s3 pairs",
-                          verify._tally(pairs, lambda xy: (xy[0] * xy[1], xy[1] * xy[0])),
-                          seed=seed, show=lambda xy: [x.to_json() for x in xy])]
+    yield ("X03.regular-commutes", "xy = yx on 20 s3 pairs",
+           verify._rand_pairs(regular_algebra(groups.symmetric(3)), random.Random(seed), 20),
+           lambda xy: (xy[0] * xy[1], xy[1] * xy[0]), lambda xy: [x.to_json() for x in xy])
 
 
 def test_verify_all_json_witness_reads_back_with_element_from_json(capsys, monkeypatch):
@@ -488,6 +495,10 @@ def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     ["matrep", "isocheck", "--group", "c9"],
     ["lof", "reduce", "--random", "10", "100", "1"],
     ["lof", "reduce", "--random", "-1", "6", "1"],
+    ["lof", "reduce", "()" * 4001],
+    ["matrep", "isocheck", "--group", "c3", "--samples", "9" * 60],
+    ["lof", "reduce", "--random", "9" * 60, "1", "1"],
+    ["schrodinger", "run", "--n", "9" * 60, "--steps", "0"],
 ])
 def test_size_caps_exit_two_at_once(capsys, argv):
     start = time.perf_counter()
@@ -496,6 +507,11 @@ def test_size_caps_exit_two_at_once(capsys, argv):
     assert code == 2
     assert one_error_line(capsys.readouterr().err)
     assert elapsed < 1.0
+
+
+def test_lof_reduce_takes_an_expression_at_the_mark_cap(capsys):
+    code, out = run_cli(capsys, "lof", "reduce", "()" * groups.MAX_LOF_MARKS)
+    assert (code, out) == (0, "marked\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
@@ -676,6 +692,10 @@ KNOWN_BAD_ARGV = [
     ("lof", "reduce", "", "--random", "5", "4", "1"),
     ("schrodinger", "run", "--n", "8", "--steps", "1000000000"),
     *_benchmark_faulty_inputs(),
+    ("matrep", "isocheck", "--group", "c3", "--samples", "9" * 60),
+    ("lof", "reduce", "--random", "9" * 60, "1", "1"),
+    ("schrodinger", "run", "--n", "9" * 60, "--steps", "0"),
+    ("schrodinger", "run", "--n", "4", "--steps", "-1"),
 ]
 
 
@@ -685,3 +705,103 @@ def test_known_bad_argv_fails_in_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert code in (1, 2)
     assert len(captured.err.splitlines()) <= 1
+
+
+# The argv fuzz: tricky values, and three plain ones so that a call gets past its
+# first check to the next.
+FUZZ_TOKENS = ("", "0", "-1", "1/0", "nan", "inf", "1e309", "9" * 60, "-" + "9" * 60,
+               "(((", "s0", "c0", "s7", "1", "3", "c3")
+
+
+def _subcommands(parser, prefix=()):
+    """(argv prefix, parser) of each subcommand that build_parser defines."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, prefix + (name,))
+            return
+    yield prefix, parser
+
+
+SUBCOMMANDS = list(_subcommands(build_parser()))
+
+
+def _values(action) -> tuple[str, ...]:
+    """The flag's choices, or the FUZZ_TOKENS its type reads: argparse itself
+    refuses the rest, before any command runs."""
+    if action.choices:
+        return tuple(action.choices)
+    read = action.type or str
+    return tuple(token for token in FUZZ_TOKENS if _reads(read, token))
+
+
+def _reads(read, token: str) -> bool:
+    try:
+        read(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _argv(draw) -> tuple[str, ...]:
+    """A real subcommand with its required arguments and some of its other
+    flags, each value drawn from _values."""
+    prefix, parser = draw(st.sampled_from(SUBCOMMANDS))
+    argv = list(prefix)
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.required and not draw(st.booleans()):
+            continue
+        count = action.nargs if isinstance(action.nargs, int) else 1
+        values = _values(action)
+        argv += action.option_strings[:1] + [draw(st.sampled_from(values)) for _ in range(count)]
+    return tuple(argv)
+
+
+class _Overtime(Exception):
+    """A call ran past its deadline (not an OSError, which main reports)."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime
+
+
+def _call(argv) -> tuple[int, bool, str]:
+    """main(argv) within 5 s: its exit code, whether argparse exited, and stderr."""
+    err = StringIO()
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.alarm(5)
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            try:
+                return main(list(argv)), False, err.getvalue()
+            except SystemExit as exit_:
+                return exit_.code, True, err.getvalue()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_examples(test):
+    for argv in KNOWN_BAD_ARGV:
+        test = example(argv=tuple(argv))(test)
+    return test
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(argv=_argv())
+@_with_examples
+def test_argv_fuzz_exits_0_1_or_2_with_one_error_line_in_time(argv):
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as scratch:
+        patch.chdir(scratch)  # for --out
+        patch.setattr(verify, "ALL_CHECKS", [_product_rows, _commuting_rows])
+        code, from_argparse, err = _call(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.splitlines()
+        errors = [line for line in lines if "error:" in line]
+        assert len(errors) == 1 and errors[0] == lines[-1]
+        # argparse prints its usage lines first
+        assert len(lines) == 1 or (from_argparse and lines[0].startswith("usage:"))

@@ -25,6 +25,10 @@ def test_config_validation():
         LatticeConfig(cells=1, dx=1.0, dt=0.1, kappa=1.0, steps=1)
     with pytest.raises(ValueError):
         LatticeConfig(cells=8, dx=0.0, dt=0.1, kappa=1.0, steps=1)
+    with pytest.raises(ValueError):
+        LatticeConfig(cells=8, dx=float("nan"), dt=0.1, kappa=1.0, steps=1)
+    with pytest.raises(ValueError, match="steps must not be negative"):
+        LatticeConfig(cells=8, dx=1.0, dt=0.1, kappa=1.0, steps=-1)
 
 
 def test_stability_warning_flag():
@@ -35,7 +39,8 @@ def test_stability_warning_flag():
 def test_lattice_work_cap():
     LatticeConfig(cells=256, dx=1.0, dt=0.1, kappa=1.0, steps=10_000)  # the largest verify run
     LatticeConfig(cells=1024, dx=1.0, dt=0.1, kappa=1.0, steps=MAX_LATTICE_WORK // 1024)
-    for cells, steps in ((1024, MAX_LATTICE_WORK // 1024 + 1), (8, 10**9), (2, 20_000)):
+    for cells, steps in ((1024, MAX_LATTICE_WORK // 1024 + 1), (8, 10**9), (2, 20_000),
+                         (MAX_LATTICE_WORK + 1, 0)):  # a run of no steps counts as one
         with pytest.raises(ValueError, match="lattice work cap"):
             LatticeConfig(cells=cells, dx=1.0, dt=0.1, kappa=1.0, steps=steps)
 

@@ -1,7 +1,7 @@
-"""The tally behind every many-case verify-all row.
+"""The one evaluator behind every verify-all row.
 
 The real checks run once per session, in tests/test_acceptance.py; these
-tests drive the helper on small literal cases.
+tests evaluate declared rows of small literal cases.
 """
 
 from iterant_lab import dirac, verify
@@ -17,30 +17,72 @@ def test_a_passing_row_gives_counts_and_renders_no_witness():
     def render(case):
         raise AssertionError("a passing row rendered a witness")
 
-    row = verify._entry("X01.row", "test", "n = n", verify._tally([1, 2], lambda n: (n, n)),
-                        seed=5, show=render)
+    row = verify._evaluate("test", 5, ("X01.row", "n = n", [1, 2], lambda n: (n, n), render))
     assert (row.passed, row.lhs, row.rhs, row.witness) == (True, "2/2 agree", "2/2 agree", None)
 
 
 def test_a_failing_row_carries_the_first_disagreeing_case():
-    row = verify._entry("X01.row", "test", "n^2 = 2n", verify._tally([2, 3, 4], lambda n: (n * n, 2 * n)),
-                        seed=5, show=lambda n: {"n": n})
+    row = verify._evaluate("test", 5, ("X01.row", "n^2 = 2n", [2, 3, 4],
+                                       lambda n: (n * n, 2 * n), lambda n: {"n": n}))
     assert (row.passed, row.lhs, row.rhs) == (False, "1/3 agree", "3/3 agree")
     assert row.witness == {"seed": 5, "index": 1, "inputs": {"n": 3}, "lhs": "9", "rhs": "6"}
 
 
 def test_a_row_that_checked_no_case_fails():
-    row = verify._entry("X01.row", "test", "nothing", verify._tally([], lambda n: (n, n)), seed=5)
+    row = verify._evaluate("test", 5, ("X01.row", "nothing", [], lambda n: (n, n), str))
     assert (row.passed, row.lhs, row.witness) == (False, "0/0 agree", None)
 
 
 def test_a_failing_relation_shows_its_two_sides_not_false():
     off_shell = dirac.relations(dirac.dirac_frame("1d"), dirac.OnShellParams.of(2, 1, 0))
-    row = verify._entry("X01.row", "test", "off shell", verify._tally(off_shell, verify._sides),
-                        seed=5, show=verify._name)
+    row = verify._evaluate("test", 5, ("X01.row", "off shell", off_shell,
+                                       verify._sides, verify._name))
     assert not row.passed
     # U^2 = (p^2 + m^2 - E^2) 1 = -3 against 0: the first relation fails
     assert row.witness == {"seed": 5, "index": 0, "inputs": "u-squared-zero",
                            "lhs": str(SquareMatrix.identity(2).scale(-3)),
                            "rhs": str(SquareMatrix.zero(2))}
     assert "False" not in row.witness["lhs"] + row.witness["rhs"]
+
+
+def test_a_single_case_row_passes_exactly_when_its_printed_sides_are_equal():
+    two = SquareMatrix.identity(2).scale(2)
+    held = verify._evaluate("test", 5, ("X01.row", "2 = 2", two, SquareMatrix.identity(2) * two))
+    assert (held.passed, held.lhs, held.rhs, held.witness) == (True, str(two), str(two), None)
+    failed = verify._evaluate("test", 5, ("X01.row", "2 = 0", two, SquareMatrix.zero(2)))
+    assert (failed.passed, failed.lhs, failed.rhs) == (False, str(two), str(SquareMatrix.zero(2)))
+    assert failed.lhs != failed.rhs
+
+
+def test_a_table_tally_names_the_first_differing_cell():
+    table = [["1", "S"], ["S", "1"]]
+    reference = [["1", "S"], ["1", "S"]]
+    row = verify._evaluate("test", 5, (
+        "X01.table", "table matches", [(i, j) for i in range(2) for j in range(2)],
+        lambda c: (table[c[0]][c[1]], reference[c[0]][c[1]]),
+        lambda c: {"row": c[0], "col": c[1]}))
+    assert (row.passed, row.lhs, row.rhs) == (False, "2/4 agree", "4/4 agree")
+    assert row.witness == {"seed": 5, "index": 2, "inputs": {"row": 1, "col": 0},
+                           "lhs": "S", "rhs": "1"}
+
+
+def test_a_criterion_gives_its_area_and_seed_to_every_row():
+    @verify._criterion("test")
+    def rows(seed):
+        yield "X01.single", "one = one", 1, 1
+        yield "X01.tally", "n = n + 1", [seed], lambda n: (n, n + 1), lambda n: {"n": n}
+
+    single, tally = rows(9)
+    assert (single.area, tally.area) == ("test", "test")
+    assert tally.witness == {"seed": 9, "index": 0, "inputs": {"n": 9}, "lhs": "9", "rhs": "10"}
+
+
+def test_each_row_is_evaluated_before_the_next_is_declared():
+    drawn = []
+
+    @verify._criterion("test")
+    def rows(seed):
+        yield "X01.first", "draws", (drawn.append(n) or n for n in range(3)), lambda n: (n, n), str
+        yield "X01.second", "sees the draws", len(drawn), 3
+
+    assert [row.passed for row in rows(0)] == [True, True]
