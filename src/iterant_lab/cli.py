@@ -329,14 +329,17 @@ def _initial_fields(cfg, text: str):
     """The (even, odd) start fields named by --init."""
     kind, _, spec = text.partition(":")
     try:
+        fields = None
         if kind == "planewave":
-            return schrodinger.plane_wave_fields(cfg, int(spec))
+            fields = schrodinger.plane_wave_fields(cfg, int(spec))
         if kind == "gaussian":
             params = {"mu": cfg.cells / 2, "sigma": cfg.cells / 16}
             pairs = (part.split("=") for part in spec.split(","))
             given = {key: float(value) for key, value in pairs}
             if given.keys() <= params.keys():
-                return schrodinger.gaussian_fields(cfg, **(params | given))
+                fields = schrodinger.gaussian_fields(cfg, **(params | given))
+        if fields is not None and np.all(np.isfinite(fields)):
+            return fields
     except ValueError:
         pass
     raise ValueError(f"cannot read init {text!r}; use gaussian:mu=..,sigma=.. or planewave:k")
@@ -355,10 +358,9 @@ def cmd_schrodinger_run(args):
             report = schrodinger.dispersion_check(cfg, args.dispersion)
             printed = (report.measured_omega, report.rel_error)
         else:
-            result = schrodinger.run(cfg, *_initial_fields(cfg, args.init))
-            samples = [(index, result.psi_e[index], result.psi_o[index])
-                       for index in range(0, result.pairs + 1, args.sample_every)]
-            printed = [e * e + o * o for _, e, o in samples]
+            samples = schrodinger.run(cfg, *_initial_fields(cfg, args.init),
+                                      every=args.sample_every)
+            printed = [e * e + o * o for e, o in samples]
     if not all(np.all(np.isfinite(value)) for value in printed):
         print(f"schrodinger run failed: the fields overflowed at r = {cfg.ratio:.4f}",
               file=sys.stderr)
@@ -371,7 +373,8 @@ def cmd_schrodinger_run(args):
 
     def rows():
         yield "t_index,cell,psi_e,psi_o,re,im,abs2"
-        for (index, e, o), abs2 in zip(samples, printed):
+        for sample, ((e, o), abs2) in enumerate(zip(samples, printed)):
+            index = sample * args.sample_every
             for cell in range(cfg.cells):
                 re_v, im_v = e[cell], o[cell]
                 yield (f"{index},{cell},{re_v:.12g},{im_v:.12g},{re_v:.12g},{im_v:.12g},"

@@ -221,12 +221,10 @@ def braider_relations(rep: CliffordRep) -> Relations:
     yield "ACA = CAC", a * c * a, c * a * c
 
 
-def fermion_relations(rep: CliffordRep, j: int = 1, k: int = 2) -> Relations:
-    """The fermion relations of psi = (c_j + i c_k)/2 and psi+ = (c_j - i c_k)/2,
+def fermion_relations(rep: CliffordRep) -> Relations:
+    """The fermion relations of psi = (c_1 + i c_2)/2 and psi+ = (c_1 - i c_2)/2,
     each as (name, lhs, rhs); they follow from the anticommuting square-one pair."""
-    if j == k or not (1 <= j <= rep.n and 1 <= k <= rep.n):
-        raise ValueError(f"need distinct generator indices in 1..{rep.n}, got ({j}, {k})")
-    c, cp = rep.generators[j - 1], rep.generators[k - 1]
+    c, cp = rep.generators[0], rep.generators[1]
     half = Fraction(1, 2)
     psi = (c + cp.scale(I_UNIT)).scale(half)
     psi_dag = (c - cp.scale(I_UNIT)).scale(half)
@@ -299,9 +297,6 @@ class BoostResult:
     k_squared: Fraction
     u_minus: Fraction  # t - x
     u_plus: Fraction  # t + x
-    invariant: Fraction  # t^2 - x^2, preserved in both modes
-    gamma: Fraction | None = None
-    k: Fraction | None = None
     t_prime: Fraction | None = None
     x_prime: Fraction | None = None
 
@@ -320,7 +315,6 @@ def lorentz_boost(v: Fraction, t: Fraction, x: Fraction) -> BoostResult:
     if one_minus <= 0:
         raise ValueError(f"velocity magnitude must be < 1, got {v}")
     k_squared = (1 + v) / (1 - v)
-    invariant = t * t - x * x
     root = sqrt_exact(one_minus)
     if root is None:
         return BoostResult(
@@ -328,7 +322,6 @@ def lorentz_boost(v: Fraction, t: Fraction, x: Fraction) -> BoostResult:
             k_squared=k_squared,
             u_minus=t - x,
             u_plus=t + x,
-            invariant=invariant,
         )
     gamma = 1 / root
     t_prime = gamma * (t - x * v)
@@ -338,9 +331,6 @@ def lorentz_boost(v: Fraction, t: Fraction, x: Fraction) -> BoostResult:
         k_squared=k_squared,
         u_minus=t - x,
         u_plus=t + x,
-        invariant=invariant,
-        gamma=gamma,
-        k=(1 + v) * gamma,
         t_prime=t_prime,
         x_prime=x_prime,
     )
@@ -363,7 +353,6 @@ class HermitianObservable:
     matrix: SquareMatrix
     determinant: Fraction
     trace: Fraction
-    charpoly: tuple[Fraction, Fraction, Fraction]  # (1, -2T, det)
     eigenvalues: tuple[Fraction, Fraction] | None  # exact roots when available
     hermitian: bool
 
@@ -388,7 +377,6 @@ def minkowski_observable(event: SpacetimeEvent) -> HermitianObservable:
         matrix=h,
         determinant=det.re,
         trace=2 * t,
-        charpoly=(Fraction(1), -2 * t, det.re),
         eigenvalues=eigenvalues,
         hermitian=h.is_hermitian(),
     )

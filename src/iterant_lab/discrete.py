@@ -132,8 +132,8 @@ class ShiftPoly:
         return ShiftPoly.build(dt, {0: x})
 
     @staticmethod
-    def shift_operator(dt, power: int = 1) -> ShiftPoly:
-        return ShiftPoly.build(dt, {power: Sequence.constant(1)})
+    def shift_operator(dt) -> ShiftPoly:
+        return ShiftPoly.build(dt, {1: Sequence.constant(1)})
 
     def coefficient(self, power: int) -> Sequence:
         for k, seq in self.terms:

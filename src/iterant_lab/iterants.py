@@ -227,15 +227,14 @@ def element_from_json(algebra: IterantAlgebra, obj: dict) -> IterantElement:
 @lru_cache(maxsize=None)
 def period_two_algebra() -> IterantAlgebra:
     """Vectors [a, b] and the swap element e with e^2 = 1 and [a,b]e = e[b,a]."""
-    group = Group(("1", "e"), ((0, 1), (1, 0)), validate=False, label="s2")
+    group = Group(("1", "e"), ((0, 1), (1, 0)), label="s2")
     action = GroupAction(group, 2, ((0, 1), (1, 0)), label="period-2")
     return IterantAlgebra(action)
 
 
-def shift_element(algebra: IterantAlgebra | None = None) -> IterantElement:
+def shift_element() -> IterantElement:
     """The bare shift e (all-ones coefficient on the swap)."""
-    algebra = algebra or period_two_algebra()
-    return algebra.element_of("e")
+    return period_two_algebra().element_of("e")
 
 
 def polarity_element(first: int = -1) -> IterantElement:

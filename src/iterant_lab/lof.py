@@ -360,7 +360,6 @@ def reduce_untraced(expr: MarkExpr) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class ConfluenceReport:
-    trials: int
     reference_value: str
     values_seen: tuple[str, ...]
     all_agree: bool
@@ -373,7 +372,7 @@ def confluence_probe(expr: MarkExpr, trials: int, seed: int) -> ConfluenceReport
     values = tuple(sorted({_rewrite(expr, lambda work: work.random(rng))[0]
                            for _ in range(trials)}))
     reference = "marked" if eval_logic(expr, {}) else "unmarked"
-    return ConfluenceReport(trials, reference, values, values == (reference,))
+    return ConfluenceReport(reference, values, values == (reference,))
 
 
 def fuzz_cases(count: int, max_depth: int, seed: int) -> Iterator[tuple[MarkExpr, int]]:

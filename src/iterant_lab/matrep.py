@@ -86,7 +86,6 @@ def reassemble(terms: list[DecompositionTerm], n: int) -> SquareMatrix:
 @dataclass(frozen=True)
 class KernelReport:
     in_kernel: bool
-    image: SquareMatrix
     criteria_agree: bool
 
 
@@ -111,7 +110,7 @@ def kernel_test(x: IterantElement) -> KernelReport:
                 sums_vanish = False
             if image.entry(i, j) != total:
                 cross_ok = False
-    return KernelReport(image.is_zero(), image, cross_ok and sums_vanish == image.is_zero())
+    return KernelReport(image.is_zero(), cross_ok and sums_vanish == image.is_zero())
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class IsoReport:
     algebra_dim: int
     matrix_dim: int
     homomorphism_ok: bool
-    homomorphism_samples: int
     injective_on_basis: bool
     image_rank: int
     spans_matrix_algebra: bool
@@ -170,7 +168,6 @@ def iso_check(action: GroupAction, samples: int = 100, seed: int = 0) -> IsoRepo
         algebra_dim=algebra.dimension(),
         matrix_dim=n2,
         homomorphism_ok=hom_ok,
-        homomorphism_samples=samples,
         injective_on_basis=injective,
         image_rank=rank,
         spans_matrix_algebra=rank == n2,

@@ -5,7 +5,7 @@ One real field would only diffuse; the alternating-sign recursion
     psi(t+1) - psi(t) = (-1)^t * (kappa dt / dx^2) * second difference
 
 becomes wave-like once the even- and odd-tick values are read as two coupled
-fields.  ``run`` realizes that reading: even ticks update the even field from
+fields.  ``ticks`` realizes that reading: even ticks update the even field from
 the curvature of the odd field (+), odd ticks update the odd field from the
 even field (-), which is the standard staggered real/imaginary discretization
 of  i d_t psi = kappa d_xx psi  for psi = psi_e + i psi_o.  One even+odd pair
@@ -17,7 +17,7 @@ This is the only module that uses floating point; everything is numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,13 @@ class LatticeConfig:
     def __post_init__(self) -> None:
         if self.cells < 2:
             raise ValueError("need at least two cells")
-        if not (self.dx > 0 and self.dt > 0):  # nan included
-            raise ValueError("dx and dt must be positive")
+        for name, value in (("dx", self.dx), ("dt", self.dt), ("kappa", self.kappa)):
+            if not 0 < value < math.inf:  # nan included
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        # dx^2 may underflow to 0 and kappa*dt overflow to inf
+        if not (self.dx * self.dx > 0 and 0 < self.ratio < math.inf):
+            raise ValueError(f"r = kappa*dt/dx^2 must be finite and positive, got kappa = "
+                             f"{self.kappa}, dt = {self.dt}, dx = {self.dx}")
         if self.steps < 0:
             raise ValueError(f"steps must not be negative, got {self.steps}")
         # a tick's numpy calls cost about as much as 256 cells of arithmetic,
@@ -61,78 +66,55 @@ class LatticeConfig:
         return self.ratio >= STABILITY_WARNING_RATIO
 
 
-@dataclass(frozen=True)
-class FieldState:
-    t_index: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
-
-
 def second_difference(values: np.ndarray) -> np.ndarray:
     """Periodic stencil psi(x-dx) - 2 psi(x) + psi(x+dx)."""
     return np.roll(values, 1) - 2.0 * values + np.roll(values, -1)
 
 
-@dataclass
-class RunResult:
-    """Sampled trajectories of the two coupled fields, one sample per tick pair."""
-
-    cfg: LatticeConfig
-    psi_e: list[np.ndarray] = field(default_factory=list)
-    psi_o: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def pairs(self) -> int:
-        return len(self.psi_e) - 1
-
-    def combined(self, index: int) -> np.ndarray:
-        return self.psi_e[index] + 1j * self.psi_o[index]
-
-    def norm(self, index: int) -> float:
-        e, o = self.psi_e[index], self.psi_o[index]
-        return float(np.sum(e * e + o * o) * self.cfg.dx)
-
-
-def run(cfg: LatticeConfig, initial_even: FieldState, initial_odd: FieldState) -> RunResult:
-    """Alternate the two half-updates for cfg.steps ticks, sampling each pair.
+def ticks(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray):
+    """Yield the (even, odd) field pair at the start and after each pair of
+    the cfg.steps ticks; each yielded array is new and is not changed later.
 
     Even tick:  psi_e += r * stencil(psi_o);  odd tick:  psi_o -= r * stencil(psi_e).
     """
-    for state in (initial_even, initial_odd):
-        if state.values.shape != (cfg.cells,):
-            raise ValueError(f"field has shape {state.values.shape}, expected ({cfg.cells},)")
-    e = initial_even.values.astype(float).copy()
-    o = initial_odd.values.astype(float).copy()
+    for values in (even, odd):
+        if values.shape != (cfg.cells,):
+            raise ValueError(f"field has shape {values.shape}, expected ({cfg.cells},)")
+    e, o = even.astype(float), odd.astype(float)
     r = cfg.ratio
-    result = RunResult(cfg)
-    result.psi_e.append(e.copy())
-    result.psi_o.append(o.copy())
+    yield e, o
     for tick in range(cfg.steps):
         if tick % 2 == 0:
             e = e + r * second_difference(o)
         else:
             o = o - r * second_difference(e)
-            result.psi_e.append(e.copy())
-            result.psi_o.append(o.copy())
-    return result
+            yield e, o
 
 
-def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[FieldState, FieldState]:
+def run(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray,
+        every: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs 0, every, 2*every, ... of ``ticks``, after all cfg.steps ticks."""
+    return [pair for index, pair in enumerate(ticks(cfg, even, odd)) if index % every == 0]
+
+
+def norm(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray) -> float:
+    """The squared norm sum(psi_e^2 + psi_o^2) dx of one field pair."""
+    return float(np.sum(even * even + odd * odd) * cfg.dx)
+
+
+def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     if not sigma > 0:
         raise ValueError(f"gaussian width sigma must be positive, got {sigma}")
     x = np.arange(cfg.cells) * cfg.dx
     envelope = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
-    return FieldState(0, envelope), FieldState(1, np.zeros(cfg.cells))
+    return envelope, np.zeros(cfg.cells)
 
 
-def plane_wave_fields(cfg: LatticeConfig, k_mode: int) -> tuple[FieldState, FieldState]:
+def plane_wave_fields(cfg: LatticeConfig, k_mode: int) -> tuple[np.ndarray, np.ndarray]:
     """exp(i k x) split into its real (even) and imaginary (odd) parts."""
     x = np.arange(cfg.cells) * cfg.dx
     k = 2.0 * math.pi * k_mode / (cfg.cells * cfg.dx)
-    return FieldState(0, np.cos(k * x)), FieldState(1, np.sin(k * x))
+    return np.cos(k * x), np.sin(k * x)
 
 
 def lattice_frequency(cfg: LatticeConfig, k_mode: int) -> float:
@@ -164,19 +146,18 @@ def dispersion_check(cfg: LatticeConfig, k_mode: int) -> DispersionReport:
     predicted = lattice_frequency(cfg, k_mode)
     if k_mode == 0:
         return DispersionReport(0, 0.0, 0.0, 0.0, 0)
-    even, odd = plane_wave_fields(cfg, k_mode)
-    result = run(cfg, even, odd)
-    x = np.arange(cfg.cells) * cfg.dx
+    if predicted == 0:
+        raise ValueError(f"the predicted frequency of mode {k_mode} underflows to 0")
+    x =np.arange(cfg.cells) * cfg.dx
     k = 2.0 * math.pi * k_mode / (cfg.cells * cfg.dx)
     probe = np.exp(-1j * k * x)
-    series = np.array(
-        [np.sum(probe * result.combined(i)) / cfg.cells for i in range(result.pairs + 1)]
-    )
+    series = np.array([np.sum(probe * (e + 1j * o)) / cfg.cells
+                       for e, o in ticks(cfg, *plane_wave_fields(cfg, k_mode))])
     if len(series) < 3:
         raise ValueError("run too short to measure a frequency; need >= 3 samples")
     increments = np.angle(series[1:] * series[:-1].conj())
     total_phase = float(np.sum(increments))
-    total_time = result.pairs * cfg.dt
+    total_time = (len(series) - 1) * cfg.dt
     measured = abs(total_phase) / total_time
     rel_error = abs(measured - predicted) / predicted
     return DispersionReport(k_mode, measured, predicted, rel_error, len(series))

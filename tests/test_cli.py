@@ -478,6 +478,8 @@ def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
                  "error: cannot read init 'gaussian:mu=4,sigma=0'; "
                  "use gaussian:mu=..,sigma=.. or planewave:k",
                  marks=pytest.mark.filterwarnings("error")),
+    (["--init", "gaussian:mu=nan,sigma=1"], "error: cannot read init 'gaussian:mu=nan,sigma=1'; "
+                                            "use gaussian:mu=..,sigma=.. or planewave:k"),
 ])
 def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     code = main(["schrodinger", "run", "--n", "8", "--steps", "4", *flags])
@@ -684,8 +686,9 @@ def _benchmark_faulty_inputs() -> list[tuple[str, ...]]:
     raise LookupError("perfbench/workloads.py defines no FAULTY_INPUTS")
 
 
-# the known-bad inputs: each once exited 0, ran past 20 s, or is a benchmark
-# fault case
+# the known-bad inputs: each once exited 0, ran past 20 s, ended in a
+# traceback, or is a benchmark fault case; the lattice parameters dx, dt and
+# kappa, and r = kappa*dt/dx^2, once reached the lattice unread
 KNOWN_BAD_ARGV = [
     ("lof", "reduce", "(()", "--random", "5", "4", "1"),
     ("lof", "reduce", "()", "--random", "5", "4", "1", "--trace", "--format", "json"),
@@ -696,6 +699,11 @@ KNOWN_BAD_ARGV = [
     ("lof", "reduce", "--random", "9" * 60, "1", "1"),
     ("schrodinger", "run", "--n", "9" * 60, "--steps", "0"),
     ("schrodinger", "run", "--n", "4", "--steps", "-1"),
+    *(("schrodinger", "run", "--n", "8", "--steps", "4", *flags) for flags in (
+        ("--dt", "inf"), ("--dt", "1e309"), ("--kappa", "inf"), ("--kappa", "1e308", "--dt", "10"),
+        ("--kappa", "nan"), ("--dx", "inf"), ("--dx", "1e-200"),
+        ("--dx", "1e-170", "--dispersion", "1"), ("--kappa", "0", "--dispersion", "1"))),
+    ("schrodinger", "run", "--kappa", "-1", "--dispersion", "3", "--steps", "400"),
 ]
 
 

@@ -17,6 +17,7 @@ from iterant_lab.groups import (
     regular_action,
     symmetric,
 )
+from iterant_lab.iterants import period_two_algebra
 from iterant_lab.matrix import SquareMatrix
 
 BUILTINS = ["c2", "c3", "c4", "c6", "c7", "c8", "klein4", "s3"]
@@ -54,17 +55,27 @@ def test_s3_relations():
 
 def test_explicit_table_validation_errors():
     with pytest.raises(GroupTableError) as err:
-        Group(("a", "b"), ((0, 1), (1, 1)), validate=True)  # b*b = b: no inverse structure
+        Group(("a", "b"), ((0, 1), (1, 1)))  # b*b = b: no inverse structure
     assert err.value.axiom in ("identity", "inverses")
     with pytest.raises(GroupTableError) as err:
-        Group(("a", "b", "c"), ((0, 1, 2), (1, 2, 0), (2, 1, 0)), validate=True)
+        Group(("a", "b", "c"), ((0, 1, 2), (1, 2, 0), (2, 1, 0)))
     assert err.value.axiom in ("associativity", "inverses")
     with pytest.raises(GroupTableError):
-        Group(("a",), ((1,),), validate=True)  # entry out of range
+        Group(("a",), ((1,),))  # entry out of range
+
+
+@pytest.mark.parametrize("name", [*(f"c{n}" for n in range(1, 9)), "klein4",
+                                  *(f"s{n}" for n in range(1, 5)), "period-two"])
+def test_builtin_tables_are_closed_and_associative(name):
+    group = period_two_algebra().group if name == "period-two" else groups.builtin_group(name)
+    ids = range(group.order)
+    assert all(0 <= v < group.order for row in group.table for v in row)
+    assert all(group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+               for a, b, c in itertools.product(ids, repeat=3))
 
 
 def test_explicit_valid_table():
-    g = Group(("1", "x"), ((0, 1), (1, 0)), validate=True)
+    g = Group(("1", "x"), ((0, 1), (1, 0)))
     assert g.order == 2
     assert g.inv(1) == 1
 

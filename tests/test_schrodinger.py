@@ -1,18 +1,22 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from iterant_lab import verify
 from iterant_lab.groups import MAX_LATTICE_WORK
 from iterant_lab.schrodinger import (
-    FieldState,
     LatticeConfig,
     dispersion_check,
     gaussian_fields,
     lattice_frequency,
+    norm,
     plane_wave_fields,
     run,
     second_difference,
+    ticks,
 )
 
 
@@ -29,6 +33,30 @@ def test_config_validation():
         LatticeConfig(cells=8, dx=float("nan"), dt=0.1, kappa=1.0, steps=1)
     with pytest.raises(ValueError, match="steps must not be negative"):
         LatticeConfig(cells=8, dx=1.0, dt=0.1, kappa=1.0, steps=-1)
+    # dx, dt, kappa and r = kappa*dt/dx^2 must be finite and positive
+    for dx, dt, kappa, message in [
+        (1.0, math.inf, 1.0, "dt must be finite and positive, got inf"),
+        (1.0, 1e309, 1.0, "dt must be finite and positive, got inf"),
+        (1.0, math.nan, 1.0, "dt must be finite and positive, got nan"),
+        (1.0, 0.05, math.inf, "kappa must be finite and positive, got inf"),
+        (1.0, 0.05, math.nan, "kappa must be finite and positive, got nan"),
+        (1.0, 0.05, 0.0, "kappa must be finite and positive, got 0.0"),
+        (1.0, 0.05, -1.0, "kappa must be finite and positive, got -1.0"),
+        (math.inf, 0.05, 1.0, "dx must be finite and positive, got inf"),
+        (1.0, 10.0, 1e308, "r = kappa*dt/dx^2 must be finite and positive"),  # kappa*dt = inf
+        (1e-200, 0.05, 1.0, "r = kappa*dt/dx^2 must be finite and positive"),  # dx^2 = 0
+        (1e-170, 0.05, 1.0, "r = kappa*dt/dx^2 must be finite and positive"),
+        (1e200, 0.05, 1.0, "r = kappa*dt/dx^2 must be finite and positive"),  # r = 0
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatticeConfig(cells=8, dx=dx, dt=dt, kappa=kappa, steps=4)
+
+
+def test_dispersion_rejects_a_predicted_frequency_that_underflows():
+    cfg = LatticeConfig(cells=4096, dx=1.0, dt=1e300, kappa=1e-320, steps=4)
+    assert 0 < cfg.ratio < math.inf
+    with pytest.raises(ValueError, match="underflows to 0"):
+        dispersion_check(cfg, 1)
 
 
 def test_stability_warning_flag():
@@ -47,8 +75,8 @@ def test_lattice_work_cap():
 
 def test_combine():
     cfg = cfg_of(cells=2, steps=0)
-    result = run(cfg, FieldState(0, np.array([1.0, 0.0])), FieldState(1, np.array([0.0, 2.0])))
-    c = result.combined(0)
+    [(e, o)] = run(cfg, np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+    c = e + 1j * o
     assert c.dtype == complex
     assert c[0] == 1.0 and c[1] == 2.0j
 
@@ -57,28 +85,55 @@ def test_combine_euler_identity():
     cfg = cfg_of(cells=64, steps=0)
     x = np.arange(cfg.cells) * cfg.dx
     k = 2 * math.pi * 5 / (cfg.cells * cfg.dx)
-    assert np.allclose(run(cfg, *plane_wave_fields(cfg, 5)).combined(0), np.exp(1j * k * x))
+    [(e, o)] = run(cfg, *plane_wave_fields(cfg, 5))
+    assert np.allclose(e + 1j * o, np.exp(1j * k * x))
 
 
 def test_norm_definition():
     cfg = cfg_of(cells=2, dx=0.5, steps=0)
-    result = run(cfg, FieldState(0, np.array([3.0, 0.0])), FieldState(1, np.array([0.0, 4.0])))
-    assert result.norm(0) == pytest.approx((9 + 16) * 0.5)
+    [pair] = run(cfg, np.array([3.0, 0.0]), np.array([0.0, 4.0]))
+    assert norm(cfg, *pair) == pytest.approx((9 + 16) * 0.5)
 
 
 def test_run_zero_fields_stay_zero():
     cfg = cfg_of(steps=50)
     zeros = np.zeros(cfg.cells)
-    result = run(cfg, FieldState(0, zeros), FieldState(1, zeros))
-    assert all(np.all(result.psi_e[i] == 0) for i in range(result.pairs + 1))
+    assert all(np.all(e == 0) for e, _ in run(cfg, zeros, zeros))
 
 
 def test_run_norm_drift_gaussian():
     cfg = LatticeConfig(cells=128, dx=1.0, dt=0.1, kappa=1.0, steps=1000)
     even, odd = gaussian_fields(cfg, mu=64.0, sigma=8.0)
-    result = run(cfg, even, odd)
-    drift = abs(result.norm(result.pairs) / result.norm(0) - 1.0)
+    pairs = run(cfg, even, odd)
+    drift = abs(norm(cfg, *pairs[-1]) / norm(cfg, *pairs[0]) - 1.0)
     assert drift < 0.01
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 7, 40])
+def test_run_is_the_list_of_the_streamed_pairs(steps):
+    cfg = cfg_of(cells=16, steps=steps)
+    fields = plane_wave_fields(cfg, 2)
+    pairs = run(cfg, *fields)
+    assert len(pairs) == steps // 2 + 1
+    streamed = list(ticks(cfg, *fields))
+    for index in (0, -1):
+        assert all(np.array_equal(a, b) for a, b in zip(pairs[index], streamed[index]))
+    sampled = run(cfg, *fields, every=3)
+    assert len(sampled) == steps // 6 + 1
+    assert all(np.array_equal(a, b) for pair, every_third in zip(sampled, streamed[::3])
+               for a, b in zip(pair, every_third))
+
+
+def test_schrodinger_check_holds_one_pair_at_a_time():
+    # a stored trajectory of the 10^4-tick norm run alone would take 20 MB
+    tracemalloc.start()
+    try:
+        rows = verify.check_schrodinger(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row.passed for row in rows)
+    assert peak < 1_000_000
 
 
 def test_dispersion_zero_mode():
@@ -116,9 +171,4 @@ def test_second_difference_annihilates_linears_modulo_wrap():
 def test_run_rejects_wrong_shape():
     cfg = cfg_of()
     with pytest.raises(ValueError):
-        run(cfg, FieldState(0, np.zeros(cfg.cells + 1)), FieldState(1, np.zeros(cfg.cells)))
-
-
-def test_field_state_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FieldState(0, np.array([1.0, np.nan]))
+        run(cfg, np.zeros(cfg.cells + 1), np.zeros(cfg.cells))
