@@ -15,9 +15,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 
-import numpy as np
-
-from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
+from . import clifford, dirac, discrete, groups, lof, matrep, verify
 from .iterants import format_period2, parse_period2
 from .matrix import SquareMatrix
 from .scalars import parse_integer, parse_rational, scalar_to_json
@@ -327,6 +325,8 @@ def cmd_discrete_commutator(args):
 
 def _initial_fields(cfg, text: str):
     """The (even, odd) start fields named by --init."""
+    from . import schrodinger
+
     kind, _, spec = text.partition(":")
     try:
         fields = None
@@ -338,7 +338,7 @@ def _initial_fields(cfg, text: str):
             given = {key: float(value) for key, value in pairs}
             if given.keys() <= params.keys():
                 fields = schrodinger.gaussian_fields(cfg, **(params | given))
-        if fields is not None and np.all(np.isfinite(fields)):
+        if fields is not None and schrodinger.finite(fields):
             return fields
     except ValueError:
         pass
@@ -346,14 +346,20 @@ def _initial_fields(cfg, text: str):
 
 
 def cmd_schrodinger_run(args):
+    from . import schrodinger  # numpy loads with the lattice, not at start-up
+
     cfg = schrodinger.LatticeConfig(
         cells=args.n, dx=args.dx, dt=args.dt, kappa=args.kappa, steps=args.steps
     )
     if args.sample_every < 1:
         raise ValueError(f"--sample-every must be positive, got {args.sample_every}")
+    kept = cfg.steps // 2 // args.sample_every + 1  # the tick pairs the CSV writes
+    if args.dispersion is None and cfg.cells * kept > groups.MAX_LATTICE_ROWS:
+        raise ValueError(f"{cfg.cells} cells x {kept} samples is {cfg.cells * kept} CSV rows, "
+                         f"over the cap of {groups.MAX_LATTICE_ROWS}; raise --sample-every")
     # Overflow is tested below on every value printed, so numpy's own
     # warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with schrodinger.overflow_quiet():
         if args.dispersion is not None:
             report = schrodinger.dispersion_check(cfg, args.dispersion)
             printed = (report.measured_omega, report.rel_error)
@@ -361,7 +367,7 @@ def cmd_schrodinger_run(args):
             samples = schrodinger.run(cfg, *_initial_fields(cfg, args.init),
                                       every=args.sample_every)
             printed = [e * e + o * o for e, o in samples]
-    if not all(np.all(np.isfinite(value)) for value in printed):
+    if not all(schrodinger.finite(value) for value in printed):
         print(f"schrodinger run failed: the fields overflowed at r = {cfg.ratio:.4f}",
               file=sys.stderr)
         return 1, {}

@@ -27,9 +27,10 @@ from .scalars import parse_integer
 # on c8), the random mark trees of the confluence fuzz, which hold up to
 # 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
 # trees (about 5 s at depth 8), a parsed mark expression stops at 4000 marks
-# (a flat list of 4000 reduces in about 0.6 s), and a lattice run stops at
+# (a flat list of 4000 reduces in about 0.6 s), a lattice run stops at
 # 2^22 cells x steps (the largest verify run is 256 x 10^4, a third of a
-# second).
+# second), and the CSV of a run at 2^19 rows of cells x samples (about 4 s;
+# the README tour writes 256,256).
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
@@ -39,6 +40,7 @@ MAX_LOF_DEPTH = 8
 MAX_LOF_TRIALS = 2000
 MAX_LOF_MARKS = 4000
 MAX_LATTICE_WORK = 2 ** 22
+MAX_LATTICE_ROWS = 2 ** 19
 
 
 class GroupTableError(ValueError):

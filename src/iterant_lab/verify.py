@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger
+from . import clifford, dirac, discrete, groups, lof, matrep
 from .iterants import (
     IterantAlgebra,
     conjugate_period2,
@@ -809,6 +809,8 @@ def check_discrete(seed: int):
 
 @_criterion("lattice-schrodinger")
 def check_schrodinger(seed: int):
+    from . import schrodinger  # the one criterion that needs numpy
+
     cfg = schrodinger.LatticeConfig(cells=256, dx=1.0, dt=0.05, kappa=1.0, steps=4000)
     report = schrodinger.dispersion_check(cfg, 3)
     yield _Tolerance("C17.dispersion",

@@ -4,6 +4,8 @@ import hashlib
 import json
 import random
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -473,7 +475,8 @@ def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
                                 "use gaussian:mu=..,sigma=.. or planewave:k"),
     (["--init", "planewave:x"], "error: cannot read init 'planewave:x'; "
                                 "use gaussian:mu=..,sigma=.. or planewave:k"),
-    # numpy's divide-by-zero warning would print its own stderr lines
+    # schrodinger.overflow_quiet silences overflow and invalid values only, so a
+    # division by sigma = 0 would print numpy's divide-by-zero warning on stderr
     pytest.param(["--init", "gaussian:mu=4,sigma=0"],
                  "error: cannot read init 'gaussian:mu=4,sigma=0'; "
                  "use gaussian:mu=..,sigma=.. or planewave:k",
@@ -501,6 +504,8 @@ def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     ["matrep", "isocheck", "--group", "c3", "--samples", "9" * 60],
     ["lof", "reduce", "--random", "9" * 60, "1", "1"],
     ["schrodinger", "run", "--n", "9" * 60, "--steps", "0"],
+    ["schrodinger", "run", "--n", "4000000", "--steps", "1"],
+    ["schrodinger", "run", "--n", "256", "--steps", "16000"],
 ])
 def test_size_caps_exit_two_at_once(capsys, argv):
     start = time.perf_counter()
@@ -509,6 +514,46 @@ def test_size_caps_exit_two_at_once(capsys, argv):
     assert code == 2
     assert one_error_line(capsys.readouterr().err)
     assert elapsed < 1.0
+
+
+def test_schrodinger_csv_rows_stop_at_the_row_cap(capsys, monkeypatch):
+    # the README tour writes 256 cells x 1001 samples
+    assert 256 * (2000 // 2 + 1) <= groups.MAX_LATTICE_ROWS
+    monkeypatch.setattr(groups, "MAX_LATTICE_ROWS", 16 * 5)
+    code, out = run_cli(capsys, "schrodinger", "run", "--n", "16", "--steps", "8")
+    assert (code, len(out.splitlines())) == (0, 1 + 16 * 5)
+    code = main(["schrodinger", "run", "--n", "16", "--steps", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: 16 cells x 6 samples is 96 CSV rows, over the cap of 80; "
+                            "raise --sample-every\n")
+    code, out = run_cli(capsys, "schrodinger", "run", "--n", "16", "--steps", "19",
+                        "--sample-every", "2")
+    assert (code, len(out.splitlines())) == (0, 1 + 16 * 5)
+    # a dispersion report writes no rows
+    code, _ = run_cli(capsys, "schrodinger", "run", "--n", "16", "--steps", "40",
+                      "--dispersion", "1")
+    assert code == 0
+
+
+def test_start_up_does_not_load_numpy():
+    """Importing the CLI, building its parser and running an exact command
+    leave numpy unloaded; a lattice run loads it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from iterant_lab.cli import build_parser, main\n"
+        "build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['lof', 'reduce', '(())'])\n"
+        "    before = 'numpy' in sys.modules\n"
+        "    main(['schrodinger', 'run', '--n', '8', '--steps', '4', '--dispersion', '1'])\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_lof_reduce_takes_an_expression_at_the_mark_cap(capsys):
@@ -704,6 +749,8 @@ KNOWN_BAD_ARGV = [
         ("--kappa", "nan"), ("--dx", "inf"), ("--dx", "1e-200"),
         ("--dx", "1e-170", "--dispersion", "1"), ("--kappa", "0", "--dispersion", "1"))),
     ("schrodinger", "run", "--kappa", "-1", "--dispersion", "3", "--steps", "400"),
+    ("schrodinger", "run", "--n", "4000000", "--steps", "1"),
+    ("schrodinger", "run", "--n", "256", "--steps", "16000"),
 ]
 
 

@@ -168,6 +168,51 @@ def test_second_difference_annihilates_linears_modulo_wrap():
     assert np.allclose(inner, 0.0)
 
 
+def _roll_difference(values):
+    """The stencil as np.roll writes it, the reference for the slice stencil."""
+    return np.roll(values, 1) - 2.0 * values + np.roll(values, -1)
+
+
+def _roll_ticks(cfg, even, odd):
+    """ticks with the np.roll stencil: the same loop, the reference."""
+    e, o = even.astype(float), odd.astype(float)
+    yield e, o
+    for tick in range(cfg.steps):
+        if tick % 2 == 0:
+            e = e + cfg.ratio * _roll_difference(o)
+        else:
+            o = o - cfg.ratio * _roll_difference(e)
+            yield e, o
+
+
+@pytest.mark.parametrize("cells", [2, 3, 4, 257])
+def test_second_difference_is_the_roll_formula_bit_for_bit(cells):
+    rng = np.random.default_rng(cells)
+    # magnitudes from 1e-8 to 1e8, so that another order of the sum would round otherwise
+    values = rng.standard_normal(cells) * 10.0 ** rng.integers(-8, 9, cells)
+    special = values.copy()
+    special[rng.permutation(cells)[:2]] = [np.inf, np.nan]
+    for field in (values, special, -special, np.zeros(cells)):
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(second_difference(field), _roll_difference(field),
+                                  equal_nan=True)
+
+
+def test_ticks_are_the_roll_scheme_bit_for_bit():
+    cfg = cfg_of(cells=257, dt=0.2, steps=100)
+    rng = np.random.default_rng(3)
+    even, odd = rng.standard_normal(cfg.cells), rng.standard_normal(cfg.cells)
+    pairs = list(ticks(cfg, even, odd))
+    reference = list(_roll_ticks(cfg, even, odd))
+    assert len(pairs) == len(reference) == 51
+    for (e, o), (ref_e, ref_o) in zip(pairs, reference):
+        assert np.array_equal(e, ref_e) and np.array_equal(o, ref_o)
+    # each yielded array is new: no two pairs share memory
+    arrays = [array for pair in pairs for array in pair]
+    assert len({id(array) for array in arrays}) == len(arrays)
+    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+
+
 def test_run_rejects_wrong_shape():
     cfg = cfg_of()
     with pytest.raises(ValueError):
