@@ -133,18 +133,8 @@ def cmd_matrep_isocheck(args):
             raise ValueError(f"group order {group.order} exceeds the desk-scale cap of "
                              f"{groups.MAX_ISOCHECK_ORDER}")
         action = groups.regular_action(group)
-    report = matrep.iso_check(action, samples=args.samples, seed=args.seed)
-    payload = {
-        "action": report.action_label,
-        "algebra_dim": report.algebra_dim,
-        "matrix_dim": report.matrix_dim,
-        "homomorphism_ok": report.homomorphism_ok,
-        "injective_on_basis": report.injective_on_basis,
-        "image_rank": report.image_rank,
-        "spans_matrix_algebra": report.spans_matrix_algebra,
-        "isomorphism": report.isomorphism,
-    }
-    return (0 if report.homomorphism_ok else 1), {
+    payload = matrep.iso_check(action, samples=args.samples, seed=args.seed)
+    return (0 if payload["homomorphism_ok"] else 1), {
         "json": payload,
         "text": lambda: (f"{key}: {value}" for key, value in payload.items()),
     }
@@ -296,7 +286,9 @@ def cmd_discrete_commutator(args):
     dt = parse_rational(args.dt)
     if dt == 0:
         raise ValueError("--dt must be nonzero")
-    report = discrete.basic_commutator(seq, dt)
+    lhs, rhs = discrete.basic_commutator(seq, dt)
+    left, right = discrete.on_overlap(lhs, rhs)
+    equal = left == right
 
     def poly_payload(poly):
         terms = []
@@ -310,16 +302,12 @@ def cmd_discrete_commutator(args):
             })
         return terms
 
-    payload = {
-        "lhs": poly_payload(report.lhs),
-        "rhs": poly_payload(report.rhs),
-        "equal": report.equal,
-    }
-    return (0 if report.equal else 1), {
+    payload = {"lhs": poly_payload(lhs), "rhs": poly_payload(rhs), "equal": equal}
+    return (0 if equal else 1), {
         "json": payload,
         "text": lambda: [f"[x, Dx] terms: {payload['lhs']}",
                          f"J (dx)^2/dt terms: {payload['rhs']}",
-                         f"equal on overlap: {report.equal}"],
+                         f"equal on overlap: {equal}"],
     }
 
 

@@ -354,7 +354,6 @@ class HermitianObservable:
     determinant: Fraction
     trace: Fraction
     eigenvalues: tuple[Fraction, Fraction] | None  # exact roots when available
-    hermitian: bool
 
 
 def minkowski_observable(event: SpacetimeEvent) -> HermitianObservable:
@@ -378,5 +377,4 @@ def minkowski_observable(event: SpacetimeEvent) -> HermitianObservable:
         determinant=det.re,
         trace=2 * t,
         eigenvalues=eigenvalues,
-        hermitian=h.is_hermitian(),
     )

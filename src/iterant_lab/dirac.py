@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import Relations, split_quaternions
-from .matrix import SquareMatrix, scalar_matrix
+from .matrix import SquareMatrix
 from .scalars import I_UNIT
 
 VERSIONS = ("conjugate", "time_reversed")
@@ -91,7 +91,7 @@ class DiracFrame:
                 f"{params.space_dim}-dimensional"
             )
         if self.space_dim == 1:
-            return scalar_matrix(self.dim, params.momentum)
+            return SquareMatrix.identity(self.dim).scale(params.momentum)
         total = SquareMatrix.zero(self.dim)
         for p_i, s_i in zip(params.momentum, self.sigmas):
             total = total + s_i.scale(p_i)

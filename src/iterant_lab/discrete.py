@@ -4,7 +4,9 @@ Coefficients live on an integer tick grid (tick n stands for t0 + n*dt).  The
 single rewriting rule f(t) J = J f(t + dt) normalizes every operator word to
 the canonical form  sum over k of J^k f_k(t)  with all J factors leftmost.
 The central identity  [x, Dx] = J (x(t+dt) - x(t))^2 / dt  holds for every
-sequence, on the window where both sides are defined.
+sequence, on the window where both sides are defined.  ``basic_commutator``
+returns its two sides, and ``on_overlap`` reads two operators on the windows
+they share, so the caller compares them with ``==``.
 """
 
 from __future__ import annotations
@@ -105,14 +107,6 @@ def overlap_window(
     return (lo, hi)
 
 
-def sequences_equal_on_overlap(a: Sequence, b: Sequence) -> bool:
-    if a.samples is None and b.samples is None:
-        return a.const == b.const
-    window = overlap_window(a.window(), b.window())
-    lo, hi = window  # type: ignore[misc]
-    return all(a.value_at(t) == b.value_at(t) for t in range(lo, hi))
-
-
 @dataclass(frozen=True)
 class ShiftPoly:
     """Canonical operator word  sum over k of J^k f_k  with a fixed tick size dt."""
@@ -173,14 +167,19 @@ class ShiftPoly:
         return ShiftPoly(self.dt, tuple((k, seq.scale(factor)) for k, seq in self.terms))
 
 
-def shiftpolys_equal_on_overlap(a: ShiftPoly, b: ShiftPoly) -> bool:
-    if a.dt != b.dt:
-        return False
+def on_overlap(a: ShiftPoly, b: ShiftPoly) -> tuple[tuple, tuple]:
+    """Each operator's tick size, then for each J power that either holds the
+    power and its coefficient's values on the window the two coefficients
+    share (the one value where both are constant).  The operators are equal on
+    their overlap exactly when the two results are equal."""
+    sides: tuple[list, list] = ([a.dt], [b.dt])
     for k in sorted({k for k, _ in a.terms} | {k for k, _ in b.terms}):
-        fa, fb = a.coefficient(k), b.coefficient(k)
-        if not sequences_equal_on_overlap(fa, fb):
-            return False
-    return True
+        pair = (a.coefficient(k), b.coefficient(k))
+        window = overlap_window(pair[0].window(), pair[1].window())
+        for side, f in zip(sides, pair):
+            values = (f.const,) if window is None else tuple(map(f.value_at, range(*window)))
+            side.append((k, values))
+    return tuple(sides[0]), tuple(sides[1])
 
 
 def discrete_derivative(x: Sequence, dt) -> ShiftPoly:
@@ -192,20 +191,15 @@ def discrete_derivative(x: Sequence, dt) -> ShiftPoly:
     j_op = ShiftPoly.shift_operator(dt)
     x_poly = ShiftPoly.from_sequence(x, dt)
     commutator = (x_poly * j_op - j_op * x_poly).scale(1 / dt)
-    if not shiftpolys_equal_on_overlap(definition, commutator):
+    lhs, rhs = on_overlap(definition, commutator)
+    if lhs != rhs:
         raise AssertionError("derivative definition and commutator form disagree")
     return definition
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    lhs: ShiftPoly
-    rhs: ShiftPoly
-    equal: bool
-
-
-def basic_commutator(x: Sequence, dt) -> CommutatorReport:
-    """[x, Dx] against J (x(t+dt) - x(t))^2 / dt; equal on the shared window."""
+def basic_commutator(x: Sequence, dt) -> tuple[ShiftPoly, ShiftPoly]:
+    """[x, Dx] and J (x(t+dt) - x(t))^2 / dt, which agree on the shared window:
+    compare on_overlap of the two."""
     if x.samples is not None and len(x) < 3:
         raise ValueError("commutator needs a window of length >= 3")
     dt = Fraction(dt)
@@ -214,25 +208,18 @@ def basic_commutator(x: Sequence, dt) -> CommutatorReport:
     lhs = x_poly * dx - dx * x_poly
     delta = x.advanced(1) - x
     rhs = ShiftPoly.build(dt, {1: (delta * delta).scale(1 / dt)})
-    return CommutatorReport(lhs, rhs, shiftpolys_equal_on_overlap(lhs, rhs))
+    return lhs, rhs
 
 
-@dataclass(frozen=True)
-class ConstancyReport:
-    constant: bool
-    diffusion_constant: Fraction | None
-
-
-def brownian_constancy(x: Sequence, dt) -> ConstancyReport:
-    """Whether (x(t+dt) - x(t))^2 / dt is the same for every step of the window."""
+def diffusion_constant(x: Sequence, dt) -> Fraction | None:
+    """(x(t+dt) - x(t))^2 / dt when it is the same for every step of the
+    window, else None."""
     if x.samples is None:
-        return ConstancyReport(True, Fraction(0))
+        return Fraction(0)
     if len(x) < 3:
         raise ValueError("constancy check needs a window of length >= 3")
     dt = Fraction(dt)
     steps = [
         (x.samples[i + 1] - x.samples[i]) ** 2 / dt for i in range(len(x.samples) - 1)
     ]
-    if all(s == steps[0] for s in steps):
-        return ConstancyReport(True, steps[0])
-    return ConstancyReport(False, None)
+    return steps[0] if all(s == steps[0] for s in steps) else None

@@ -5,6 +5,12 @@ sum of diagonal-times-permutation matrices.  For the natural symmetric-group
 algebras it has a one-sided inverse ``embed_matrix`` built from the exact
 decomposition  M = (1/(n-1)!) * sum over all permutations of diag(v) * P,
 where v picks the matrix entries (m_{1p(1)}, ..., m_{np(n)}).
+
+The checks hand back two sides for the caller to compare: ``entry_sums`` is
+the kernel's entry-sum criterion as a matrix, equal to ``to_matrix`` of the
+same element exactly when the two kernel criteria agree, and
+``product_relation`` gives M(xy) beside M(x) M(y).  ``iso_check`` reads the
+latter on seeded random pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .iterants import (
     IterantAlgebra,
     IterantElement,
     natural_sn_algebra,
+    random_pairs,
 )
 from .matrix import SquareMatrix, bareiss, integer_rows
 from .scalars import GaussianRational
@@ -83,63 +90,26 @@ def reassemble(terms: list[DecompositionTerm], n: int) -> SquareMatrix:
     return total.scale(Fraction(1, factorial(n - 1)))
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    in_kernel: bool
-    criteria_agree: bool
+def entry_sums(x: IterantElement) -> SquareMatrix:
+    """The entry-sum criterion as a matrix: entry (i, j) adds the i-th
+    coefficients of the terms whose element moves i to j.
 
-
-def kernel_test(x: IterantElement) -> KernelReport:
-    """Zero-image test cross-checked against the entry-sum criterion.
-
-    The element sum(a_g * g) maps to zero exactly when, for every (i, j), the
-    i-th coefficients of the terms whose element moves i to j add to zero.
+    x maps to zero exactly when every such sum vanishes, so the criterion
+    agrees with the zero-image test exactly when entry_sums(x) == to_matrix(x).
     """
-    image = to_matrix(x)
-    algebra = x.algebra
-    n = algebra.degree
-    sums_vanish = True
-    cross_ok = True
-    for i in range(n):
-        for j in range(n):
-            total = GaussianRational()
-            for gid, vec in x.terms:
-                if algebra.action.point_maps[gid][i] == j:
-                    total = total + vec[i]
-            if not total.is_zero():
-                sums_vanish = False
-            if image.entry(i, j) != total:
-                cross_ok = False
-    return KernelReport(image.is_zero(), cross_ok and sums_vanish == image.is_zero())
+    maps, n = x.algebra.action.point_maps, x.algebra.degree
+    return SquareMatrix(tuple(
+        tuple(sum((vec[i] for gid, vec in x.terms if maps[gid][i] == j), GaussianRational())
+              for j in range(n))
+        for i in range(n)))
 
 
-@dataclass(frozen=True)
-class IsoReport:
-    action_label: str
-    algebra_dim: int
-    matrix_dim: int
-    homomorphism_ok: bool
-    injective_on_basis: bool
-    image_rank: int
-    spans_matrix_algebra: bool
-
-    @property
-    def isomorphism(self) -> bool:
-        return (
-            self.homomorphism_ok
-            and self.injective_on_basis
-            and self.spans_matrix_algebra
-            and self.algebra_dim == self.matrix_dim
-        )
-
-
-def _random_element(algebra: IterantAlgebra, rng: random.Random, max_terms: int = 3) -> IterantElement:
-    total = algebra.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        gid = rng.randrange(algebra.group.order)
-        vec = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(algebra.degree)]
-        total = total + algebra.term(vec, gid)
-    return total
+def product_relation(
+    pair: tuple[IterantElement, IterantElement],
+) -> tuple[SquareMatrix, SquareMatrix]:
+    """M(xy) against M(x) M(y)."""
+    x, y = pair
+    return to_matrix(x * y), to_matrix(x) * to_matrix(y)
 
 
 def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
@@ -147,28 +117,26 @@ def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
     return bareiss(integer_rows(vectors)[0])[0]
 
 
-def iso_check(action: GroupAction, samples: int = 100, seed: int = 0) -> IsoReport:
-    """Probe whether to_matrix is an isomorphism onto the full matrix algebra."""
+def iso_check(action: GroupAction, samples: int = 100, seed: int = 0) -> dict:
+    """Probe whether to_matrix is an isomorphism onto the full matrix algebra:
+    the fields ``matrep isocheck`` prints, in its order.  The homomorphism
+    probe compares the two sides of product_relation on seeded random pairs
+    and stops at the first pair that differs."""
     algebra = IterantAlgebra(action)
-    rng = random.Random(seed)
-    hom_ok = True
-    for _ in range(samples):
-        x = _random_element(algebra, rng)
-        y = _random_element(algebra, rng)
-        if to_matrix(x * y) != to_matrix(x) * to_matrix(y):
-            hom_ok = False
-            break
+    pairs = random_pairs(algebra, random.Random(seed), samples)
+    hom_ok = all(lhs == rhs for lhs, rhs in map(product_relation, pairs))
     basis_images = [to_matrix(b) for b in algebra.basis()]
     injective = len(set(basis_images)) == len(basis_images)
     flat = [[m.rows[i][j] for i in range(m.n) for j in range(m.n)] for m in basis_images]
     rank = _matrix_rank(flat)
-    n2 = action.degree * action.degree
-    return IsoReport(
-        action_label=action.label,
-        algebra_dim=algebra.dimension(),
-        matrix_dim=n2,
-        homomorphism_ok=hom_ok,
-        injective_on_basis=injective,
-        image_rank=rank,
-        spans_matrix_algebra=rank == n2,
-    )
+    dim, n2 = algebra.dimension(), action.degree * action.degree
+    return {
+        "action": action.label,
+        "algebra_dim": dim,
+        "matrix_dim": n2,
+        "homomorphism_ok": hom_ok,
+        "injective_on_basis": injective,
+        "image_rank": rank,
+        "spans_matrix_algebra": rank == n2,
+        "isomorphism": hom_ok and injective and rank == n2 == dim,
+    }

@@ -168,9 +168,6 @@ class SquareMatrix:
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
 
-    def is_hermitian(self) -> bool:
-        return self == self.conjugate_transpose()
-
     def anticommutator(self, other: SquareMatrix) -> SquareMatrix:
         return self * other + other * self
 
@@ -215,10 +212,6 @@ class SquareMatrix:
     def _check_dim(self, other: SquareMatrix) -> None:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n}x{self.n} vs {other.n}x{other.n}")
-
-
-def scalar_matrix(n: int, value: ScalarLike) -> SquareMatrix:
-    return SquareMatrix.identity(n).scale(value)
 
 
 def integer_rows(

@@ -33,7 +33,6 @@ from typing import NamedTuple
 
 from . import clifford, dirac, discrete, groups, lof, matrep
 from .iterants import (
-    IterantAlgebra,
     conjugate_period2,
     determinant_period2,
     format_period2,
@@ -41,11 +40,13 @@ from .iterants import (
     majorana_pair_relations,
     natural_sn_algebra,
     period_two_algebra,
+    random_element,
+    random_pairs,
     regular_algebra,
     term_by_permutation,
 )
 from .matrix import SquareMatrix
-from .scalars import GaussianRational, _from_triple
+from .scalars import random_scalar
 
 # cases per random row
 PAIRS = 500             # C02, and C04 for each group
@@ -140,7 +141,13 @@ def _criterion(area: str):
 
 
 def _text(value) -> str:
-    return "; ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    """A side as text: str of a value, and a tuple's items read the same way,
+    joined by "; " at the top and in parentheses below it, so that a rational
+    at any depth prints as 1/2, not as its repr."""
+    def item(v) -> str:
+        return f"({', '.join(map(item, v))})" if isinstance(v, tuple) else str(v)
+
+    return "; ".join(map(item, value)) if isinstance(value, tuple) else str(value)
 
 
 def _name(case: tuple) -> str:
@@ -154,33 +161,6 @@ def _sides(case: tuple) -> tuple:
 
 def _rand_fraction(rng: random.Random, span: int = 9, den: int = 5) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
-def _rand_scalar(rng: random.Random, span: int = 9, den: int = 5) -> GaussianRational:
-    """a/b + (c/d)i, drawn as two _rand_fraction calls would draw them."""
-    a, b = rng.randint(-span, span), rng.randint(1, den)
-    c, d = rng.randint(-span, span), rng.randint(1, den)
-    return _from_triple(a * d, c * b, b * d)
-
-
-def _rand_element(algebra: IterantAlgebra, rng: random.Random, max_terms: int = 3):
-    total = algebra.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        gid = rng.randrange(algebra.group.order)
-        total = total + algebra.term([_rand_scalar(rng) for _ in range(algebra.degree)], gid)
-    return total
-
-
-def _rand_pairs(algebra: IterantAlgebra, rng: random.Random, count: int, max_terms: int = 3):
-    for _ in range(count):
-        x = _rand_element(algebra, rng, max_terms)
-        yield x, _rand_element(algebra, rng, max_terms)
-
-
-def _matrix_relation(pair) -> tuple[SquareMatrix, SquareMatrix]:
-    """M(xy) against M(x) M(y)."""
-    x, y = pair
-    return matrep.to_matrix(x * y), matrep.to_matrix(x) * matrep.to_matrix(y)
 
 
 def _period2_inputs(case) -> list[str]:
@@ -209,8 +189,8 @@ def check_iterant_root(seed: int):
 @_criterion("matrix-bridge")
 def check_matrix_identity(seed: int):
     yield ("C02.product-match", f"iterant product equals matrix product on {PAIRS} random pairs",
-           _rand_pairs(period_two_algebra(), random.Random(seed + 2), PAIRS),
-           _matrix_relation, _period2_inputs)
+           random_pairs(period_two_algebra(), random.Random(seed + 2), PAIRS),
+           matrep.product_relation, _period2_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +201,7 @@ def check_matrix_identity(seed: int):
 def check_determinant_bridge(seed: int):
     rng = random.Random(seed + 3)
     cases = [(z, w, determinant_period2(z), determinant_period2(w))
-             for z, w in _rand_pairs(period_two_algebra(), rng, BRIDGE_PAIRS)]
+             for z, w in random_pairs(period_two_algebra(), rng, BRIDGE_PAIRS)]
     yield ("C03.det-equals-matrix-det",
            f"Z conj(Z) equals the matrix determinant on {BRIDGE_PAIRS} samples",
            cases, lambda c: (c[2], matrep.to_matrix(c[0]).determinant()), _period2_inputs)
@@ -294,8 +274,8 @@ def check_g_table_theorem(seed: int):
         action = groups.regular_action(group)
         yield (f"C04.{name}-homomorphism",
                f"{name}: regular-algebra product maps to matrix product ({PAIRS} pairs)",
-               _rand_pairs(regular_algebra(group), rng, PAIRS, max_terms=2),
-               _matrix_relation, lambda xy: [x.to_json() for x in xy])
+               random_pairs(regular_algebra(group), rng, PAIRS, max_terms=2),
+               matrep.product_relation, lambda xy: [x.to_json() for x in xy])
         table_mats = groups.element_matrices_from_g_table(group)
 
         def placement(g: int):
@@ -364,7 +344,7 @@ def check_decomposition(seed: int):
     rng = random.Random(seed + 7)
     for n in (2, 3, 4):
         matrices = (
-            SquareMatrix.from_rows([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)])
+            SquareMatrix.from_rows([[random_scalar(rng) for _ in range(n)] for _ in range(n)])
             for _ in range(MATRICES_PER_DIM)
         )
         yield (f"C07.n{n}-roundtrip",
@@ -404,8 +384,8 @@ def _kernel_family_element(algebra, vals: dict[str, Fraction]):
     )
 
 
-def _kernel(report: matrep.KernelReport) -> str:
-    return "kernel" if report.in_kernel else "not kernel"
+def _kernel(x) -> str:
+    return "kernel" if matrep.to_matrix(x).is_zero() else "not kernel"
 
 
 @_criterion("representation")
@@ -414,10 +394,9 @@ def check_kernel(seed: int):
     perm = groups.Permutation.from_cycles
     e1 = [1, 0, 0]
     x = algebra.vector(e1) - term_by_permutation(algebra, e1, perm(3, "(23)"))
-    report = matrep.kernel_test(x)
-    agree = "agree" if report.criteria_agree else "disagree"
+    agree = "agree" if matrep.to_matrix(x) == matrep.entry_sums(x) else "disagree"
     yield ("C08.single-transposition", "e1 - e1*(23) lies in the kernel",
-           f"{_kernel(report)}, criteria {agree}", "kernel, criteria agree")
+           f"{_kernel(x)}, criteria {agree}", "kernel, criteria agree")
     yield ("C08.idempotent-like", "that element satisfies x^2 = 2x (so it is not nilpotent)",
            x * x, 2 * x)
 
@@ -431,24 +410,24 @@ def check_kernel(seed: int):
         - term_by_permutation(algebra, [a, b, c], perm(3, "(23)"))
     )
     yield ("C08.circulant-difference", "circulant-vs-embedding difference lies in the kernel",
-           _kernel(matrep.kernel_test(y)), "kernel")
+           _kernel(y), "kernel")
     ones = {k: Fraction(1) for k in "xyzwtrspq"}
     yield ("C08.kernel-family-ones", "nine-parameter kernel family at all-ones lies in the kernel",
-           _kernel(matrep.kernel_test(_kernel_family_element(algebra, ones))), "kernel")
+           _kernel(_kernel_family_element(algebra, ones)), "kernel")
 
     rng = random.Random(seed + 8)
     elements, families = [], []
     for idx in range(KERNEL_SAMPLES):
-        elements.append(_rand_element(algebra, rng, max_terms=4))
+        elements.append(random_element(algebra, rng, max_terms=4))
         if idx % 10 == 0:
             families.append({k: _rand_fraction(rng) for k in "xyzwtrspq"})
     yield ("C08.criteria-agree",
            f"zero-image and entry-sum criteria agree on {KERNEL_SAMPLES} random elements",
-           elements, lambda e: (matrep.kernel_test(e).criteria_agree, True),
+           elements, lambda e: (matrep.to_matrix(e), matrep.entry_sums(e)),
            lambda e: e.to_json())
+    zero = SquareMatrix.zero(algebra.degree)
     yield ("C08.random-family", "random kernel-family instances always map to zero",
-           families,
-           lambda v: (matrep.kernel_test(_kernel_family_element(algebra, v)).in_kernel, True),
+           families, lambda v: (matrep.to_matrix(_kernel_family_element(algebra, v)), zero),
            lambda v: {k: str(q) for k, q in v.items()})
 
 
@@ -502,7 +481,7 @@ def check_minkowski(seed: int):
     yield ("C09.trace", "trace H = 2T on all samples",
            cases, lambda c: (c[1].trace, 2 * c[0].t), show)
     yield ("C09.hermitian", "H equals its conjugate transpose",
-           cases, lambda c: (c[1].hermitian, True), show)
+           cases, lambda c: (c[1].matrix, c[1].matrix.conjugate_transpose()), show)
     yield ("C09.example-roots", "reference events give charpoly roots {1,3} and {-5,5}",
            "; ".join(_spectrum(clifford.minkowski_observable(clifford.SpacetimeEvent.of(*event)))
                      for event in ((2, 1, 0, 0), (0, 3, 4, 0))),
@@ -643,13 +622,6 @@ def check_fusion(seed: int):
 WORKED_EXPRESSION = "((((()())())())())()"
 
 
-def _confluent(case):
-    """The values the random rule orders reach, against the reference value."""
-    expr, probe_seed = case
-    report = lof.confluence_probe(expr, trials=3, seed=probe_seed)
-    return report.values_seen, (report.reference_value,)
-
-
 @_criterion("mark-calculus")
 def check_lof(seed: int):
     for tag, text, value, description in (
@@ -661,7 +633,8 @@ def check_lof(seed: int):
 
     yield ("C13.confluence",
            f"{FUZZ} random expressions reduce to the same value in random rule order",
-           lof.fuzz_cases(FUZZ, max_depth=6, seed=seed + 13), _confluent,
+           lof.fuzz_cases(FUZZ, max_depth=6, seed=seed + 13),
+           lambda c: lof.confluence_probe(c[0], trials=3, seed=c[1]),
            lambda c: {"expression": str(c[0]), "probe_seed": c[1]})
 
     rows = [(text, {"A": a, "B": b}, expected) for a in (False, True) for b in (False, True)
@@ -788,19 +761,19 @@ def check_discrete(seed: int):
     )
     yield ("C16.commutator-identity",
            f"[x, Dx] = J (dx)^2/dt exactly on {SEQUENCES} random sequences",
-           draws, lambda d: (discrete.basic_commutator(discrete.Sequence.from_values(d[0]),
-                                                       d[1]).equal, True),
+           draws, lambda d: discrete.on_overlap(
+               *discrete.basic_commutator(discrete.Sequence.from_values(d[0]), d[1])),
            lambda d: {"seq": ",".join(map(str, d[0])), "dt": str(d[1])})
     # the walk is drawn after the sequences, from the same generator
     walk_values = [Fraction(0)]
     for _ in range(20):
         walk_values.append(walk_values[-1] + rng.choice([-1, 1]))
-    walk = discrete.brownian_constancy(discrete.Sequence.from_values(walk_values), 1)
+    constant = discrete.diffusion_constant(discrete.Sequence.from_values(walk_values), 1)
     yield ("C16.brownian-constant", "unit-step walk has constant squared step, K = 1",
-           f"K={walk.diffusion_constant}", "K=1")
+           f"K={constant}", "K=1")
     quad = discrete.Sequence.from_values([Fraction(t * t) for t in range(10)])
     yield ("C16.non-constant", "a quadratic sequence is detected as non-constant",
-           discrete.brownian_constancy(quad, 1).constant, False)
+           discrete.diffusion_constant(quad, 1) is not None, False)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iterant_lab import groups, lof, verify
+from iterant_lab import groups, lof, matrep, verify
 from iterant_lab.cli import build_parser, main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
-                                  regular_algebra)
+                                  random_pairs, regular_algebra)
 from iterant_lab.scalars import MAX_LITERAL_DIGITS
 
 
@@ -203,15 +203,15 @@ def test_schrodinger_dispersion_json(capsys):
 @verify._criterion("test")
 def _product_rows(seed):
     yield ("X01.product-match", "M(xy) = M(x) M(y) on 20 pairs",
-           verify._rand_pairs(period_two_algebra(), random.Random(seed), 20),
-           verify._matrix_relation, verify._period2_inputs)
+           random_pairs(period_two_algebra(), random.Random(seed), 20),
+           matrep.product_relation, verify._period2_inputs)
 
 
 @verify._criterion("test")
 def _commuting_rows(seed):
     """Wrong on purpose: period-two products do not commute."""
     yield ("X02.commutes", "xy = yx on 20 pairs",
-           verify._rand_pairs(period_two_algebra(), random.Random(seed), 20),
+           random_pairs(period_two_algebra(), random.Random(seed), 20),
            lambda xy: (xy[0] * xy[1], xy[1] * xy[0]), verify._period2_inputs)
 
 
@@ -229,8 +229,8 @@ def test_verify_all_seeded_subprocess_free(capsys, monkeypatch):
     assert (str(x * y), str(y * x)) == (witness["lhs"], witness["rhs"])
     assert witness["lhs"] != witness["rhs"]
     # and the seed and index alone draw the same inputs
-    drawn = verify._rand_pairs(period_two_algebra(), random.Random(witness["seed"]),
-                               witness["index"] + 1)
+    drawn = random_pairs(period_two_algebra(), random.Random(witness["seed"]),
+                         witness["index"] + 1)
     assert list(drawn)[-1] == (x, y)
 
     code, out = run_cli(capsys, "verify-all", "--seed", "3")
@@ -243,7 +243,7 @@ def test_verify_all_seeded_subprocess_free(capsys, monkeypatch):
 def _regular_commuting_rows(seed):
     """Wrong on purpose: s3 is not abelian, so neither is its regular algebra."""
     yield ("X03.regular-commutes", "xy = yx on 20 s3 pairs",
-           verify._rand_pairs(regular_algebra(groups.symmetric(3)), random.Random(seed), 20),
+           random_pairs(regular_algebra(groups.symmetric(3)), random.Random(seed), 20),
            lambda xy: (xy[0] * xy[1], xy[1] * xy[0]), lambda xy: [x.to_json() for x in xy])
 
 

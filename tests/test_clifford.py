@@ -286,7 +286,7 @@ def test_minkowski_random_events():
     for _ in range(200):
         t, x, y, z = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
         rep = minkowski_observable(SpacetimeEvent.of(t, x, y, z))
-        assert rep.hermitian
+        assert rep.matrix == rep.matrix.conjugate_transpose()
         assert rep.determinant == t * t - x * x - y * y - z * z
         assert rep.trace == 2 * t
         # charpoly evaluated at the matrix itself vanishes

@@ -7,15 +7,24 @@ from iterant_lab.discrete import (
     Sequence,
     ShiftPoly,
     basic_commutator,
-    brownian_constancy,
+    diffusion_constant,
     discrete_derivative,
-    sequences_equal_on_overlap,
-    shiftpolys_equal_on_overlap,
+    on_overlap,
 )
 
 
 def seq_of(fn, length=10, start=0):
     return Sequence.from_values([Fraction(fn(t)) for t in range(start, start + length)], start)
+
+
+def equal_on_overlap(a: ShiftPoly, b: ShiftPoly) -> bool:
+    lhs, rhs = on_overlap(a, b)
+    return lhs == rhs
+
+
+def sequences_agree(a: Sequence, b: Sequence) -> bool:
+    """Two signals, each read as the J^0 operator of one tick, agree on their overlap."""
+    return equal_on_overlap(ShiftPoly.from_sequence(a, 1), ShiftPoly.from_sequence(b, 1))
 
 
 def test_sequence_window_and_values():
@@ -50,13 +59,13 @@ def test_shift_commutation_rule():
     j_op = ShiftPoly.shift_operator(1)
     fj = ShiftPoly.from_sequence(f, 1) * j_op
     assert fj.coefficient(0).is_zero_on_window()
-    assert sequences_equal_on_overlap(fj.coefficient(1), f.advanced(1))
+    assert sequences_agree(fj.coefficient(1), f.advanced(1))
 
 
 def test_shift_operator_powers():
     j_op = ShiftPoly.shift_operator(1)
     jj = j_op * j_op
-    assert sequences_equal_on_overlap(jj.coefficient(2), Sequence.constant(1))
+    assert sequences_agree(jj.coefficient(2), Sequence.constant(1))
     assert jj.coefficient(1).is_zero_on_window()
 
 
@@ -112,16 +121,16 @@ def test_derivative_window_too_short():
 
 
 def test_commutator_linear():
-    report = basic_commutator(seq_of(lambda t: t, 8), 1)
-    assert report.equal
-    coeff = report.rhs.coefficient(1)
+    lhs, rhs = basic_commutator(seq_of(lambda t: t, 8), 1)
+    assert equal_on_overlap(lhs, rhs)
+    coeff = rhs.coefficient(1)
     assert all(coeff.value_at(t) == 1 for t in range(*coeff.window()))
 
 
 def test_commutator_quadratic():
-    report = basic_commutator(seq_of(lambda t: t * t, 8), 1)
-    assert report.equal
-    coeff = report.rhs.coefficient(1)
+    lhs, rhs = basic_commutator(seq_of(lambda t: t * t, 8), 1)
+    assert equal_on_overlap(lhs, rhs)
+    coeff = rhs.coefficient(1)
     for t in range(*coeff.window()):
         assert coeff.value_at(t) == (2 * t + 1) ** 2
 
@@ -131,9 +140,9 @@ def test_commutator_unit_step_walk():
     values = [Fraction(0)]
     for _ in range(12):
         values.append(values[-1] + rng.choice([-1, 1]))
-    report = basic_commutator(Sequence.from_values(values), 1)
-    assert report.equal
-    coeff = report.rhs.coefficient(1)
+    lhs, rhs = basic_commutator(Sequence.from_values(values), 1)
+    assert equal_on_overlap(lhs, rhs)
+    coeff = rhs.coefficient(1)
     assert all(coeff.value_at(t) == 1 for t in range(*coeff.window()))
 
 
@@ -142,7 +151,7 @@ def test_commutator_random_sequences():
     for _ in range(200):
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(16)]
         dt = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        assert basic_commutator(Sequence.from_values(values), dt).equal
+        assert equal_on_overlap(*basic_commutator(Sequence.from_values(values), dt))
 
 
 def test_commutator_window_too_short():
@@ -161,27 +170,33 @@ def test_shiftpoly_mul_associative():
                 terms[rng.randint(0, 2)] = Sequence.from_values(values)
             polys.append(ShiftPoly.build(1, terms))
         a, b, c = polys
-        assert shiftpolys_equal_on_overlap((a * b) * c, a * (b * c))
+        assert equal_on_overlap((a * b) * c, a * (b * c))
 
 
 def test_brownian_constancy_cases():
     walk = Sequence.from_values([0, 1, 0, 1, 0])
-    report = brownian_constancy(walk, 1)
-    assert report.constant
-    assert report.diffusion_constant == 1
+    assert diffusion_constant(walk, 1) == 1
 
     uneven = Sequence.from_values([0, 1, 3])
-    assert not brownian_constancy(uneven, 1).constant
+    assert diffusion_constant(uneven, 1) is None
 
     flat = Sequence.from_values([5, 5, 5, 5])
-    report = brownian_constancy(flat, 1)
-    assert report.constant
-    assert report.diffusion_constant == 0
+    assert diffusion_constant(flat, 1) == 0
 
 
 def test_brownian_scaled_steps():
     # steps of size 2 with dt = 4 give K = 1
     values = [0, 2, 0, 2, 4, 2]
-    report = brownian_constancy(Sequence.from_values(values), 4)
-    assert report.constant
-    assert report.diffusion_constant == 1
+    assert diffusion_constant(Sequence.from_values(values), 4) == 1
+
+
+def test_on_overlap_sides():
+    # the shared window of [0, 4) and [1, 6) is [1, 4); tick sizes lead each side
+    a = ShiftPoly.build(1, {1: seq_of(lambda t: t, 4)})
+    b = ShiftPoly.build(1, {1: seq_of(lambda t: t, 5, start=1), 2: Sequence.constant(3)})
+    lhs, rhs = on_overlap(a, b)
+    assert lhs == (1, (1, (1, 2, 3)), (2, (0,)))
+    assert rhs == (1, (1, (1, 2, 3)), (2, (3,)))
+    half = ShiftPoly.build(Fraction(1, 2), {1: seq_of(lambda t: t, 4)})
+    assert not equal_on_overlap(a, half)
+    assert equal_on_overlap(a, a)

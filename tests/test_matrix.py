@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterant_lab.matrix import SquareMatrix, integer_rows, scalar_matrix
+from iterant_lab.matrix import SquareMatrix, integer_rows
 from iterant_lab.scalars import GaussianRational
 
 
@@ -27,7 +27,7 @@ def test_rejects_non_square():
 def test_identity_and_zero():
     assert SquareMatrix.identity(3) * SquareMatrix.identity(3) == SquareMatrix.identity(3)
     assert SquareMatrix.zero(3).is_zero()
-    assert scalar_matrix(2, Fraction(3)) == SquareMatrix.diagonal([3, 3])
+    assert SquareMatrix.identity(2).scale(Fraction(3)) == SquareMatrix.diagonal([3, 3])
 
 
 def test_ring_axioms_random():

@@ -1,10 +1,14 @@
 """No public name in the package is reached only by the tests.
 
 Every ``def`` and ``class`` under ``src/iterant_lab`` that is not a dunder
-must be referenced somewhere in the package source, as a name, an attribute
-or an imported name.  A function that only a test calls is dead code: wire
-it into a ``verify-all`` row or delete it.  Likewise every dataclass field
-must be read as an attribute somewhere in the package source.
+must be referenced somewhere in the package source.  One at the top of a
+module counts as referenced only as a bare name in its own module, as
+``from .module import name`` or as ``module.name``, so a same-named method or
+attribute elsewhere does not keep it alive; a method or nested function
+counts as referenced as any name, attribute or imported name.  A function
+that only a test calls is dead code: wire it into a ``verify-all`` row or
+delete it.  Likewise every dataclass field must be read as an attribute
+somewhere in the package source.
 """
 
 import ast
@@ -22,22 +26,36 @@ ALLOWED_DATACLASSES = {"DispersionReport"}
 
 
 def _trees() -> dict[str, ast.Module]:
-    return {path.name: ast.parse(path.read_text(), str(path))
+    return {path.stem: ast.parse(path.read_text(), str(path))
             for path in sorted(SOURCE.glob("*.py"))}
 
 
-def _defined(trees) -> dict[str, str]:
-    """Each non-dunder def or class name, with the file that defines it."""
-    out = {}
-    for file, tree in trees.items():
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defs(nodes) -> list[ast.AST]:
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not _is_dunder(node.name)]
+
+
+def _module_references(trees) -> set[tuple[str, str]]:
+    """(module, name) for each bare name in a module, each ``from .module
+    import name`` and each ``module.name``."""
+    out = set()
+    for module, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    out.setdefault(node.name, file)
+            if isinstance(node, ast.Name):
+                out.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                out.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                out.add((node.value.id, node.attr))
     return out
 
 
-def _referenced(trees) -> set[str]:
+def _any_references(trees) -> set[str]:
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -52,10 +70,15 @@ def _referenced(trees) -> set[str]:
 
 def test_every_def_and_class_is_referenced_in_the_package():
     trees = _trees()
-    referenced = _referenced(trees)
-    dead = sorted(f"{file}:{name}" for name, file in _defined(trees).items()
-                  if name not in referenced and name not in ALLOWED)
-    assert not dead, f"defined in src/ but referenced only by tests, if at all: {dead}"
+    by_module, by_name = _module_references(trees), _any_references(trees)
+    dead = []
+    for module, tree in trees.items():
+        top = _defs(tree.body)
+        dead += [f"{module}.py:{node.name}" for node in top
+                 if (module, node.name) not in by_module and node.name not in ALLOWED]
+        inner = [node for node in _defs(ast.walk(tree)) if node not in top]
+        dead += [f"{module}.py:{node.name}" for node in inner if node.name not in by_name]
+    assert not dead, f"defined in src/ but referenced only by tests, if at all: {sorted(dead)}"
 
 
 def _dataclass_fields(trees) -> dict[tuple[str, str], str]:
@@ -80,7 +103,7 @@ def test_every_dataclass_field_is_read_in_the_package():
     trees = _trees()
     read = _read_attributes(trees)
     fields = _dataclass_fields(trees)
-    unread = sorted(f"{file}:{cls}.{field}" for (cls, field), file in fields.items()
+    unread = sorted(f"{file}.py:{cls}.{field}" for (cls, field), file in fields.items()
                     if field not in read and (cls, field) not in ALLOWED_FIELDS
                     and cls not in ALLOWED_DATACLASSES)
     assert not unread, f"dataclass fields that nothing in src/ reads: {unread}"

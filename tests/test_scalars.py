@@ -14,7 +14,6 @@ from iterant_lab.scalars import (
     format_scalar,
     parse_rational,
     parse_scalar,
-    scalar,
     scalar_from_json,
     scalar_to_json,
     sqrt_exact,
@@ -29,27 +28,28 @@ def rand_scalar(rng):
 
 
 def test_rational_product():
-    assert scalar(Fraction(1, 2)) * scalar(Fraction(1, 3)) == scalar(Fraction(1, 6))
+    half, third = GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3))
+    assert half * third == GaussianRational(Fraction(1, 6))
 
 
 def test_i_squared_is_minus_one():
-    i = scalar(0, 1)
-    assert i * i == scalar(-1)
+    i = GaussianRational(0, 1)
+    assert i * i == GaussianRational(-1)
 
 
 def test_unit_modulus_product():
-    z = scalar(Fraction(3, 5), Fraction(4, 5))
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
     # direct expansion (a+bi)(a-bi) = a^2 + b^2 = 9/25 + 16/25 = 1
-    assert z * z.conjugate() == scalar(1)
+    assert z * z.conjugate() == GaussianRational(1)
 
 
 def test_conjugate_examples():
-    assert scalar(2, 3).conjugate() == scalar(2, -3)
-    assert scalar(5).conjugate() == scalar(5)
-    x, y = scalar(1, 1), scalar(2, -1)
+    assert GaussianRational(2, 3).conjugate() == GaussianRational(2, -3)
+    assert GaussianRational(5).conjugate() == GaussianRational(5)
+    x, y = GaussianRational(1, 1), GaussianRational(2, -1)
     # hand expansion: (1+i)(2-i) = 3+i, so both sides are 3-i
-    assert (x * y).conjugate() == scalar(3, -1)
-    assert x.conjugate() * y.conjugate() == scalar(3, -1)
+    assert (x * y).conjugate() == GaussianRational(3, -1)
+    assert x.conjugate() * y.conjugate() == GaussianRational(3, -1)
 
 
 def test_conjugate_involution():
@@ -61,7 +61,7 @@ def test_conjugate_involution():
 
 def test_field_axioms_on_random_triples():
     rng = random.Random(1)
-    one = scalar(1)
+    one = GaussianRational(1)
     for _ in range(1000):
         a, b, c = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng)
         assert (a + b) + c == a + (b + c)
@@ -71,7 +71,7 @@ def test_field_axioms_on_random_triples():
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
             assert a * (one / a) == one
-        assert a + (-a) == scalar(0)
+        assert a + (-a) == GaussianRational(0)
 
 
 def test_norm_squared_is_real():
@@ -83,7 +83,7 @@ def test_norm_squared_is_real():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        scalar(1) / scalar(0)
+        GaussianRational(1) / GaussianRational(0)
 
 
 def test_parse_reduction_canonical():
@@ -94,14 +94,14 @@ def test_parse_reduction_canonical():
 @pytest.mark.parametrize(
     "text,expected",
     [
-        ("3/5+4/5i", scalar(Fraction(3, 5), Fraction(4, 5))),
-        ("3/5 + 4/5 i", scalar(Fraction(3, 5), Fraction(4, 5))),
-        ("-1/2", scalar(Fraction(-1, 2))),
-        ("i", scalar(0, 1)),
-        ("-i", scalar(0, -1)),
-        ("3-2i", scalar(3, -2)),
-        ("7", scalar(7)),
-        ("4/5i", scalar(0, Fraction(4, 5))),
+        ("3/5+4/5i", GaussianRational(Fraction(3, 5), Fraction(4, 5))),
+        ("3/5 + 4/5 i", GaussianRational(Fraction(3, 5), Fraction(4, 5))),
+        ("-1/2", GaussianRational(Fraction(-1, 2))),
+        ("i", GaussianRational(0, 1)),
+        ("-i", GaussianRational(0, -1)),
+        ("3-2i", GaussianRational(3, -2)),
+        ("7", GaussianRational(7)),
+        ("4/5i", GaussianRational(0, Fraction(4, 5))),
     ],
 )
 def test_parse_cases(text, expected):
@@ -123,7 +123,7 @@ def test_format_parse_roundtrip():
 
 
 def test_json_roundtrip():
-    z = scalar(Fraction(-3, 7), Fraction(2, 5))
+    z = GaussianRational(Fraction(-3, 7), Fraction(2, 5))
     obj = scalar_to_json(z)
     assert obj == {"re": [-3, 7], "im": [2, 5]}
     assert scalar_from_json(obj) == z
@@ -267,7 +267,7 @@ def test_text_json_and_repr_keep_their_form(z):
 
 
 def test_setting_an_attribute_raises():
-    z = scalar(Fraction(1, 2), 3)
+    z = GaussianRational(Fraction(1, 2), 3)
     for name in ("re", "im", "re_num", "im_num", "den", "other"):
         with pytest.raises(AttributeError):
             setattr(z, name, 1)

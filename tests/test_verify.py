@@ -1,10 +1,16 @@
 """The one evaluator behind every verify-all row.
 
 The real checks run once per session, in tests/test_acceptance.py; these
-tests evaluate declared rows of small literal cases.
+tests evaluate declared rows of small literal cases, and run a real
+criterion only with one case of a library function broken on purpose.
 """
 
-from iterant_lab import dirac, verify
+import dataclasses
+
+import pytest
+
+from iterant_lab import clifford, dirac, discrete, matrep, verify
+from iterant_lab.iterants import natural_sn_algebra
 from iterant_lab.matrix import SquareMatrix
 
 
@@ -86,3 +92,85 @@ def test_each_row_is_evaluated_before_the_next_is_declared():
         yield "X01.second", "sees the draws", len(drawn), 3
 
     assert [row.passed for row in rows(0)] == [True, True]
+
+
+# One case of the library function behind each row, broken on purpose: the
+# row's check, the module and name of the function, the function's input for
+# a case of the row, how the broken call spoils its result, and the two sides
+# the witness must then show.
+BROKEN = 3  # the index of the broken case
+
+
+def _plus_identity(m: SquareMatrix) -> SquareMatrix:
+    return m + SquareMatrix.identity(m.n)
+
+
+def _family(v):
+    return verify._kernel_family_element(natural_sn_algebra(3), v)
+
+
+def _not_hermitian(observable):
+    return dataclasses.replace(observable, matrix=observable.matrix
+                               + SquareMatrix.from_rows([[0, 1], [0, 0]]))
+
+
+def _commutator_text(sides):
+    lhs, rhs = discrete.on_overlap(*sides)
+    return verify._text(lhs), verify._text(rhs)
+
+
+def _doubled_rhs(sides):
+    return sides[0], sides[1].scale(2)
+
+
+WITNESS_ROWS = {
+    "C08.criteria-agree": (
+        verify.check_kernel, matrep, "entry_sums", lambda e: e, _plus_identity,
+        lambda e: (str(matrep.to_matrix(e)), str(_plus_identity(matrep.entry_sums(e))))),
+    "C08.random-family": (
+        verify.check_kernel, matrep, "to_matrix", _family, _plus_identity,
+        lambda v: (str(_plus_identity(matrep.to_matrix(_family(v)))),
+                   str(SquareMatrix.zero(3)))),
+    "C09.hermitian": (
+        verify.check_minkowski, clifford, "minkowski_observable", lambda c: c[0], _not_hermitian,
+        lambda c: (str(_not_hermitian(c[1]).matrix),
+                   str(_not_hermitian(c[1]).matrix.conjugate_transpose()))),
+    "C16.commutator-identity": (
+        verify.check_discrete, discrete, "basic_commutator",
+        lambda d: discrete.Sequence.from_values(d[0]), _doubled_rhs,
+        lambda d: _commutator_text(_doubled_rhs(discrete.basic_commutator(
+            discrete.Sequence.from_values(d[0]), d[1])))),
+}
+
+
+@pytest.mark.parametrize("row_id", WITNESS_ROWS)
+def test_a_broken_case_fails_its_row_with_both_computed_sides(monkeypatch, row_id):
+    check, module, name, input_of, spoil, expected = WITNESS_ROWS[row_id]
+    # the declaration up to the row, so that lazy cases are drawn in order
+    cases, _, show = next(row[2:] for row in check.__wrapped__(7) if row[0] == row_id)
+    cases = list(cases)
+    target = input_of(cases[BROKEN])
+    real = getattr(module, name)
+
+    def broken(*args):
+        result = real(*args)
+        return spoil(result) if args[0] == target else result
+
+    monkeypatch.setattr(module, name, broken)
+    row = {r.check_id: r for r in check(7)}[row_id]
+    monkeypatch.undo()
+
+    count = len(cases)
+    assert (row.passed, row.lhs) == (False, f"{count - 1}/{count} agree")
+    witness = row.witness
+    assert (witness["index"], witness["inputs"]) == (BROKEN, show(cases[BROKEN]))
+    assert (witness["lhs"], witness["rhs"]) == expected(cases[BROKEN])
+    assert witness["lhs"] != witness["rhs"]
+    assert not {witness["lhs"], witness["rhs"]} & {"False", "True"}
+    assert "Fraction(" not in witness["lhs"] + witness["rhs"]
+
+
+def test_the_commutator_witness_prints_rationals_as_text():
+    sides = discrete.on_overlap(*discrete.basic_commutator(
+        discrete.Sequence.from_values(["1/2", 0, 1]), "1/3"))
+    assert verify._text(sides[1]) == "1/3; (1, (3/4, 3))"
