@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from iterant_lab.lof import (
     parse,
     random_expression,
     reduce_expression,
+    reduce_untraced,
     unparse,
 )
 
@@ -246,6 +248,32 @@ def test_unparse_roundtrip():
     for _ in range(100):
         expr = random_expression(rng, max_depth=5, max_width=3)
         assert parse(unparse(expr)) == expr
+
+
+# sha256 of the value, the trace and the untraced result of every expression
+# of _pinned_sweep, in order; a change to the reducer's output must update it
+REDUCER_SHA256 = "55495285e5445f7e02243ff92dbc1f461382f8b4059a22593b9f2af94fdefde4"
+
+
+def _pinned_sweep():
+    """676 expressions: 600 seeded random forests of every shape bound from
+    depth 1 to 6 and width 1 to 5, then flat lists and one mark holding a flat
+    list, of 2 to 39 empty marks."""
+    rng = random.Random(16)
+    for i in range(600):
+        yield random_expression(rng, max_depth=1 + i % 6, max_width=1 + i % 5)
+    for k in range(2, 40):
+        yield parse("()" * k)
+        yield parse("(" + "()" * k + ")")
+
+
+def test_reducer_output_is_pinned():
+    digest = hashlib.sha256()
+    for expr in _pinned_sweep():
+        result = reduce_expression(expr)
+        trace = tuple((s.rule, s.location, s.before, s.after) for s in result.trace)
+        digest.update(repr((result.value, trace, reduce_untraced(expr))).encode())
+    assert digest.hexdigest() == REDUCER_SHA256
 
 
 def test_confluence_fuzz_finds_no_disagreement():
