@@ -1,7 +1,10 @@
 """Parser and reducer for the calculus of indications.
 
 An expression is a forest of marks; a mark may contain another expression.
-Two rewrite rules drive reduction:
+``MarkExpr`` holds it as its text alone, "(" and ")" around each mark's
+contents and a letter for each variable, and compares two texts as forests,
+with every sibling list read as a multiset.  Two rewrite rules drive
+reduction:
 
 * calling:  two sibling empty marks condense to one;
 * crossing: a mark containing exactly one empty mark (and nothing else)
@@ -15,7 +18,7 @@ keeps a worklist of the sibling lists that hold a redex, so each step looks
 again at three lists, not at the whole forest.  The deterministic reducer and
 the seeded random prober differ only in how they pick the next redex, and the
 prober hands back the values its runs reach beside the linear value, for the
-caller to compare.  Every walk over a forest keeps its own stack, so nesting
+caller to compare.  Every walk over a text keeps its own stack, so nesting
 depth is bounded by memory, not by Python's recursion limit.  Letters extend
 the grammar to the primary algebra, where juxtaposition reads as OR and
 enclosure as NOT.  The order-two generator pair behind the re-entrant mark
@@ -28,104 +31,41 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Union
+from typing import Any, Callable, Iterator
 
 from .groups import MAX_LOF_MARKS
 
-Node = Union["Mark", "Var"]
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Mark:
-    """A mark and its contents.  Equality is ordered and structural, unlike
-    MarkExpr's.  Equality, hash and repr read the token stream, so no
-    nesting depth is too deep."""
-
-    children: tuple[Node, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mark):
-            return NotImplemented
-        return self is other or tuple(_tokens(self.children)) == tuple(_tokens(other.children))
-
-    def __hash__(self) -> int:
-        return hash(tuple(_tokens(self.children)))
-
-    def __repr__(self) -> str:
-        # the dataclass text, Mark(children=(...)) and Var(name='a'), with a
-        # trailing comma after the only item of a one-item tuple
-        pieces, counts = [], [0]
-        for token in _tokens((self,)):
-            if token == ")":
-                pieces.append(",))" if counts.pop() == 1 else "))")
-                continue
-            if counts[-1]:
-                pieces.append(", ")
-            counts[-1] += 1
-            if token == "(":
-                pieces.append("Mark(children=(")
-                counts.append(0)
-            else:
-                pieces.append(f"Var(name={token!r})")
-        return "".join(pieces)
-
-
-@dataclass(frozen=True)
-class Var:
-    """A variable of the primary algebra, named by one letter, so that no
-    name is a parenthesis token or splits into two names."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.name, str) and len(self.name) == 1 and self.name.isalpha()):
-            raise ValueError(f"variable name {self.name!r} is not one letter")
-
-
 @dataclass(frozen=True)
 class MarkExpr:
-    """A forest of marks/variables; equality is order-insensitive at every level."""
+    """A forest of marks and variables held as its text: "(" and ")" around
+    each mark's contents and each variable's one-letter name, with no
+    whitespace and no '*'.  The text of a sibling list splits uniquely into
+    the texts of its items, so the text is the token stream every walk reads.
+    Equality is order-insensitive at every level."""
 
-    items: tuple[Node, ...] = ()
+    text: str = ""
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkExpr):
             return NotImplemented
-        return _forest_key(self.items) == _forest_key(other.items)
+        return _forest_key(self.text) == _forest_key(other.text)
 
     def __hash__(self) -> int:
-        return hash(_forest_key(self.items))
+        return hash(_forest_key(self.text))
 
     def variables(self) -> set[str]:
-        return {token for token in _tokens(self.items) if token not in ("(", ")")}
+        return set(self.text) - {"(", ")"}
 
     def __str__(self) -> str:
-        return unparse(self)
+        return self.text or "*"
 
 
-def _tokens(items: Iterable[Node]) -> Iterator[str]:
-    """The text of a forest one token at a time: "(" and ")" around each mark's
-    contents and each variable's name.  An explicit stack replaces recursion,
-    so no nesting depth is too deep."""
-    stack = [iter(items)]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            if stack:
-                yield ")"
-        elif isinstance(node, Var):
-            yield node.name
-        else:
-            yield "("
-            stack.append(iter(node.children))
-
-
-def _fold(items: Iterable[Node], var: Callable[[str], Any], mark: Callable[[list], Any]) -> list:
+def _fold(text: str, var: Callable[[str], Any], mark: Callable[[list], Any]) -> list:
     """The values of a forest's items, bottom up: var gives a variable's value
-    and mark a mark's value from the values of its contents."""
+    and mark a mark's value from the values of its contents.  An explicit
+    stack replaces recursion, so no nesting depth is too deep."""
     stack: list[list] = [[]]
-    for token in _tokens(items):
+    for token in text:
         if token == "(":
             stack.append([])
         elif token == ")":
@@ -136,11 +76,10 @@ def _fold(items: Iterable[Node], var: Callable[[str], Any], mark: Callable[[list
     return stack[0]
 
 
-def _forest_key(items: Iterable[Node]) -> str:
+def _forest_key(text: str) -> str:
     """The text of the forest with every sibling list sorted: equal keys are
-    equal multisets at every level, since the text of a list splits uniquely
-    into the texts of its items (a variable's name is one letter)."""
-    return "".join(sorted(_fold(items, str, lambda keys: "(" + "".join(sorted(keys)) + ")")))
+    equal multisets at every level."""
+    return "".join(sorted(_fold(text, str, lambda keys: "(" + "".join(sorted(keys)) + ")")))
 
 
 class MarkParseError(ValueError):
@@ -158,31 +97,23 @@ def parse(text: str) -> MarkExpr:
     marks = text.count("(")
     if marks > MAX_LOF_MARKS:
         raise ValueError(f"an expression of {marks} marks exceeds the cap of {MAX_LOF_MARKS}")
-    stack: list[list[Node]] = [[]]
+    kept: list[str] = []
     opens: list[int] = []
     for pos, ch in enumerate(text):
         if ch.isspace() or ch == "*":
             continue
         if ch == "(":
-            stack.append([])
             opens.append(pos)
         elif ch == ")":
-            if len(stack) == 1:
+            if not opens:
                 raise MarkParseError("unbalanced ')'", pos)
-            children = stack.pop()
             opens.pop()
-            stack[-1].append(Mark(tuple(children)))
-        elif ch.isalpha():
-            stack[-1].append(Var(ch))
-        else:
+        elif not ch.isalpha():
             raise MarkParseError(f"unexpected character {ch!r}", pos)
-    if len(stack) != 1:
+        kept.append(ch)
+    if opens:
         raise MarkParseError("unbalanced '('", opens[-1])
-    return MarkExpr(tuple(stack[0]))
-
-
-def unparse(expr: MarkExpr) -> str:
-    return "".join(_tokens(expr.items)) or "*"
+    return MarkExpr("".join(kept))
 
 
 @dataclass(frozen=True)
@@ -220,7 +151,7 @@ def _build(expr: MarkExpr) -> list[_Node]:
     """The forest as mutable nodes in preorder, the root first."""
     nodes = [_Node(None, 0)]
     open_nodes = [nodes[0]]
-    for token in _tokens(expr.items):
+    for token in expr.text:
         if token == "(":
             node = _Node(open_nodes[-1], len(nodes))
             open_nodes[-1].children.append(node)
@@ -315,7 +246,7 @@ def _rewrite(
     """
     nodes = _build(expr)
     root, work = nodes[0], _Worklist(nodes)
-    text = unparse(expr) if record else ""
+    text = expr.text
     steps = 0
     while work.live:
         steps += 1
@@ -388,14 +319,14 @@ def confluence_fuzz(count: int, max_depth: int, orders: int, seed: int) -> int:
 
 
 def random_expression(rng: random.Random, max_depth: int = 6, max_width: int = 4) -> MarkExpr:
-    def build(depth: int) -> Node:
+    def build(depth: int) -> str:
         if depth >= max_depth or rng.random() < 0.3:
-            return Mark(())
+            return "()"
         width = rng.randint(0, max_width)
-        return Mark(tuple(build(depth + 1) for _ in range(width)))
+        return "(" + "".join(build(depth + 1) for _ in range(width)) + ")"
 
     top = rng.randint(0, max_width)
-    return MarkExpr(tuple(build(1) for _ in range(top)))
+    return MarkExpr("".join(build(1) for _ in range(top)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,4 +338,4 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
     unbound = expr.variables() - set(assignment)
     if unbound:
         raise ValueError(f"unbound variable(s): {', '.join(sorted(unbound))}")
-    return any(_fold(expr.items, assignment.__getitem__, lambda values: not any(values)))
+    return any(_fold(expr.text, assignment.__getitem__, lambda values: not any(values)))

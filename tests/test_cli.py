@@ -65,10 +65,10 @@ def test_lof_reduce_trace(capsys):
 
 
 def test_lof_reduce_untraced_builds_no_step_text(capsys, monkeypatch):
-    def no_text(expr):
-        raise AssertionError("an untraced reduction built step text")
+    def no_text(owner, index):
+        raise AssertionError("an untraced reduction located step text")
 
-    monkeypatch.setattr(lof, "unparse", no_text)
+    monkeypatch.setattr(lof, "_locate", no_text)
     code, out = run_cli(capsys, "lof", "reduce", "((()())())()", "--format", "json")
     assert (code, json.loads(out)) == (0, {"value": "marked", "steps": 3})
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from iterant_lab import lof
 from iterant_lab.lof import (
-    Mark,
     MarkExpr,
     MarkParseError,
     ReductionStep,
@@ -18,20 +17,22 @@ from iterant_lab.lof import (
     random_expression,
     reduce_expression,
     reduce_untraced,
-    unparse,
 )
 
 WORKED = "((((()())())())())()"
 
 
 def test_parse_single_mark():
-    expr = parse("()")
-    assert expr.items == (Mark(()),)
+    assert parse("()") == MarkExpr("()")
 
 
 def test_parse_nested_mark():
-    expr = parse("(())")
-    assert expr.items == (Mark((Mark(()),)),)
+    assert parse("(())") == MarkExpr("(())")
+
+
+def test_parse_keeps_marks_and_letters_only():
+    assert parse(" ( * a ( ) ) b ").text == "(a())b"
+    assert str(parse(" * ")) == "*" and parse(" * ").text == ""
 
 
 def test_parse_star_is_empty():
@@ -164,7 +165,7 @@ def test_a_hundred_wide_flat_list():
 def test_deep_nesting_needs_no_recursion():
     text = "(" * 3000 + ")" * 3000
     expr = parse(text)
-    assert unparse(expr) == text
+    assert str(expr) == text
     assert expr == parse(text) and eval_logic(expr, {}) is False
     result = reduce_expression(expr)
     assert result.value == "unmarked"
@@ -173,27 +174,28 @@ def test_deep_nesting_needs_no_recursion():
     assert result.trace[-1] == ReductionStep("crossing", (), "(())", "*")
 
 
-def test_deep_marks_compare_hash_print_and_evaluate_without_recursion():
-    deep = parse("(" * 3000 + ")" * 3000).items[0]
-    same = parse("(" * 3000 + ")" * 3000).items[0]
-    other = parse("(" * 3000 + "a" + ")" * 3000).items[0]
+def test_deep_expressions_compare_hash_and_evaluate_without_recursion():
+    deep = parse("(" * 3000 + ")" * 3000)
+    same = parse("(" * 3000 + ")" * 3000)
+    other = parse("(" * 3000 + "a" + ")" * 3000)
     assert deep == same and hash(deep) == hash(same) and deep != other
-    assert repr(deep) == "Mark(children=(" * 2999 + "Mark(children=())" + ",))" * 2999
-    assert repr(other) == "Mark(children=(" * 3000 + "Var(name='a')" + ",))" * 3000
-    assert eval_logic(MarkExpr((deep,)), {}) is False
-    assert eval_logic(MarkExpr((other,)), {"a": True}) is True
+    left = parse("(" * 3000 + "a()" + ")" * 3000)
+    right = parse("(" * 3000 + "()a" + ")" * 3000)
+    assert left == right and hash(left) == hash(right) and left.text != right.text
+    assert other.variables() == {"a"}
+    assert eval_logic(deep, {}) is False
+    assert eval_logic(other, {"a": True}) is True
     assert eval_logic(parse("(" * 2999 + "a" + ")" * 2999), {"a": True}) is False
+    assert reduce_untraced(deep) == ("unmarked", 1500)
 
 
-def test_mark_equality_is_ordered_and_expression_equality_is_not():
-    left, right = parse("(()a)").items[0], parse("(a())").items[0]
-    assert left != right and parse("(()a)") == parse("(a())")
-    assert Mark((Mark(()), lof.Var("a"))) == left
-    assert repr(left) == "Mark(children=(Mark(children=()), Var(name='a')))"
-    assert repr(parse("((b))").items[0]) == "Mark(children=(Mark(children=(Var(name='b'),)),))"
-    for name in ("(", ")", "ab", "", "1"):
-        with pytest.raises(ValueError, match="not one letter"):
-            lof.Var(name)
+def test_expression_equality_ignores_sibling_order_and_text_keeps_it():
+    left, right = parse("(()a)"), parse("(a())")
+    assert left == right and hash(left) == hash(right)
+    assert (left.text, right.text) == ("(()a)", "(a())")
+    assert repr(left) == "MarkExpr(text='(()a)')"
+    assert parse("((a)b)") != parse("((b)a)") and parse("ab") != parse("(ab)")
+    assert parse("ab").variables() == {"a", "b"}
 
 
 def test_confluence_two_crossings():
@@ -243,11 +245,11 @@ def test_logic_unbound_variable():
         eval_logic(parse("AB"), {"A": True})
 
 
-def test_unparse_roundtrip():
+def test_text_roundtrip():
     rng = random.Random(61)
     for _ in range(100):
         expr = random_expression(rng, max_depth=5, max_width=3)
-        assert parse(unparse(expr)) == expr
+        assert parse(str(expr)).text == expr.text
 
 
 # sha256 of the value, the trace and the untraced result of every expression
@@ -281,8 +283,8 @@ def test_confluence_fuzz_finds_no_disagreement():
 
 
 mark_forests = st.recursive(
-    st.just(()),
-    lambda forests: st.lists(forests.map(Mark), max_size=4).map(tuple),
+    st.just(""),
+    lambda forests: st.lists(forests.map(lambda inner: f"({inner})"), max_size=4).map("".join),
     max_leaves=40,
 ).map(MarkExpr)
 
@@ -299,15 +301,31 @@ def test_every_rewrite_order_reaches_the_linear_value(expr, seed):
     assert seen == reference
 
 
+def _oracle_forest(text):
+    """The forest as nested tuples: each mark is the tuple of its contents."""
+    stack = [[]]
+    for ch in text:
+        if ch == "(":
+            stack.append([])
+        else:
+            inner = tuple(stack.pop())
+            stack[-1].append(inner)
+    return tuple(stack[0])
+
+
+def _oracle_text(items):
+    return "".join("(" + _oracle_text(node) + ")" for node in items)
+
+
 def _oracle_redexes(items, path=()):
     """The whole-forest redex walk of the first engine: sibling lists in
     preorder, each giving its one calling and then its crossings by index."""
-    empties = [i for i, node in enumerate(items) if not node.children]
+    empties = [i for i, node in enumerate(items) if not node]
     out = [("calling", path, empties[1])] if len(empties) > 1 else []
     out += [("crossing", path, i) for i, node in enumerate(items)
-            if len(node.children) == 1 and not node.children[0].children]
+            if len(node) == 1 and not node[0]]
     for i, node in enumerate(items):
-        out += _oracle_redexes(node.children, path + (i,))
+        out += _oracle_redexes(node, path + (i,))
     return out
 
 
@@ -315,17 +333,18 @@ def _oracle_drop(items, path, index):
     if not path:
         return items[:index] + items[index + 1:]
     head = path[0]
-    inner = Mark(_oracle_drop(items[head].children, path[1:], index))
+    inner = _oracle_drop(items[head], path[1:], index)
     return items[:head] + (inner,) + items[head + 1:]
 
 
 def oracle_trace(expr):
     """First-deepest reduction by re-walking the whole forest after every step."""
-    items, trace = expr.items, []
+    items, trace = _oracle_forest(expr.text), []
     while redexes := _oracle_redexes(items):
         rule, path, index = max(redexes, key=lambda redex: len(redex[1]))
         after = _oracle_drop(items, path, index)
-        trace.append(ReductionStep(rule, path, unparse(MarkExpr(items)), unparse(MarkExpr(after))))
+        trace.append(ReductionStep(rule, path, _oracle_text(items) or "*",
+                                   _oracle_text(after) or "*"))
         items = after
     return tuple(trace)
 
