@@ -339,9 +339,14 @@ def cmd_schrodinger_run(args):
     cfg = schrodinger.LatticeConfig(
         cells=args.n, dx=args.dx, dt=args.dt, kappa=args.kappa, steps=args.steps
     )
-    if args.sample_every < 1:
-        raise ValueError(f"--sample-every must be positive, got {args.sample_every}")
-    kept = cfg.steps // 2 // args.sample_every + 1  # the tick pairs the CSV writes
+    if args.dispersion is not None and (args.init, args.sample_every) != (None, None):
+        raise ValueError("--dispersion runs its own plane wave and writes no CSV; "
+                         "give no --init and no --sample-every")
+    init = "gaussian:mu=128,sigma=10" if args.init is None else args.init
+    every = 1 if args.sample_every is None else args.sample_every
+    if every < 1:
+        raise ValueError(f"--sample-every must be positive, got {every}")
+    kept = cfg.steps // 2 // every + 1  # the tick pairs the CSV writes
     if args.dispersion is None and cfg.cells * kept > groups.MAX_LATTICE_ROWS:
         raise ValueError(f"{cfg.cells} cells x {kept} samples is {cfg.cells * kept} CSV rows, "
                          f"over the cap of {groups.MAX_LATTICE_ROWS}; raise --sample-every")
@@ -352,8 +357,7 @@ def cmd_schrodinger_run(args):
             report = schrodinger.dispersion_check(cfg, args.dispersion)
             printed = (report.measured_omega, report.rel_error)
         else:
-            samples = schrodinger.run(cfg, *_initial_fields(cfg, args.init),
-                                      every=args.sample_every)
+            samples = schrodinger.run(cfg, *_initial_fields(cfg, init), every=every)
             printed = [e * e + o * o for e, o in samples]
     if not all(schrodinger.finite(value) for value in printed):
         print(f"schrodinger run failed: the fields overflowed at r = {cfg.ratio:.4f}",
@@ -368,7 +372,7 @@ def cmd_schrodinger_run(args):
     def rows():
         yield "t_index,cell,psi_e,psi_o,re,im,abs2"
         for sample, ((e, o), abs2) in enumerate(zip(samples, printed)):
-            index = sample * args.sample_every
+            index = sample * every
             for cell in range(cfg.cells):
                 re_v, im_v = e[cell], o[cell]
                 yield (f"{index},{cell},{re_v:.12g},{im_v:.12g},{re_v:.12g},{im_v:.12g},"
@@ -508,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dt", type=float, default=0.05)
     run_p.add_argument("--kappa", type=float, default=1.0)
     run_p.add_argument("--steps", type=int, default=2000)
-    run_p.add_argument("--init", default="gaussian:mu=128,sigma=10")
-    run_p.add_argument("--sample-every", type=int, default=1)
+    run_p.add_argument("--init", help="CSV only; default gaussian:mu=128,sigma=10")
+    run_p.add_argument("--sample-every", type=int, help="CSV only; default 1")
     run_p.add_argument("--dispersion", type=int, default=None,
                        help="emit the dispersion report for this mode instead of CSV")
     _flags(run_p, cmd_schrodinger_run, formats=())

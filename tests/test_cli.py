@@ -198,6 +198,16 @@ def test_schrodinger_dispersion_json(capsys):
     assert payload["rel_error"] < 0.02
 
 
+@pytest.mark.parametrize("flag", [("--init", "bogus"), ("--init", "gaussian:mu=128,sigma=10"),
+                                  ("--sample-every", "1")])
+def test_schrodinger_dispersion_refuses_csv_flags(capsys, flag):
+    code = main(["schrodinger", "run", "--n", "64", "--steps", "40", "--dispersion", "3", *flag])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: --dispersion runs its own plane wave and writes no CSV; "
+                            "give no --init and no --sample-every\n")
+
+
 # Stand-in checks for verify-all, built like the real ones from verify's tally,
 # so each real check still runs once per session (in the acceptance suite).
 @verify._criterion("test")
@@ -749,6 +759,8 @@ KNOWN_BAD_ARGV = [
         ("--kappa", "nan"), ("--dx", "inf"), ("--dx", "1e-200"),
         ("--dx", "1e-170", "--dispersion", "1"), ("--kappa", "0", "--dispersion", "1"))),
     ("schrodinger", "run", "--kappa", "-1", "--dispersion", "3", "--steps", "400"),
+    ("schrodinger", "run", "--dispersion", "3", "--init", "bogus"),
+    ("schrodinger", "run", "--dispersion", "3", "--sample-every", "2"),
     ("schrodinger", "run", "--n", "4000000", "--steps", "1"),
     ("schrodinger", "run", "--n", "256", "--steps", "16000"),
 ]
