@@ -755,15 +755,22 @@ def check_real_generators(seed: int):
 @_criterion("discrete-calculus")
 def check_discrete(seed: int):
     rng = random.Random(seed + 16)
-    draws = (
-        ([_rand_fraction(rng) for _ in range(16)], Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+    draws = [
+        (discrete.Sequence.from_values([_rand_fraction(rng) for _ in range(16)]),
+         Fraction(rng.randint(1, 4), rng.randint(1, 4)))
         for _ in range(SEQUENCES)
-    )
+    ]
+
+    def show(d):
+        return {"seq": ",".join(map(str, d[0].samples)), "dt": str(d[1])}
+
     yield ("C16.commutator-identity",
            f"[x, Dx] = J (dx)^2/dt exactly on {SEQUENCES} random sequences",
-           draws, lambda d: discrete.on_overlap(
-               *discrete.basic_commutator(discrete.Sequence.from_values(d[0]), d[1])),
-           lambda d: {"seq": ",".join(map(str, d[0])), "dt": str(d[1])})
+           draws, lambda d: discrete.on_overlap(*discrete.basic_commutator(*d)), show)
+    yield ("C16.derivative-commutator",
+           f"Dx = [x, J]/dt exactly on the same {SEQUENCES} sequences",
+           draws, lambda d: discrete.on_overlap(discrete.discrete_derivative(*d),
+                                                discrete.shift_commutator(*d)), show)
     # the walk is drawn after the sequences, from the same generator
     walk_values = [Fraction(0)]
     for _ in range(20):
@@ -773,7 +780,7 @@ def check_discrete(seed: int):
            f"K={constant}", "K=1")
     quad = discrete.Sequence.from_values([Fraction(t * t) for t in range(10)])
     yield ("C16.non-constant", "a quadratic sequence is detected as non-constant",
-           discrete.diffusion_constant(quad, 1) is not None, False)
+           discrete.diffusion_constant(quad, 1), None)
 
 
 # ---------------------------------------------------------------------------

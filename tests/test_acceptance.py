@@ -18,7 +18,7 @@ from iterant_lab import verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "c0bec295f5dcd480387c5572b43b6f803a6f4ee19ee95faf82922ba9939cd6af"
+ROWS_SHA256 = "d7b2b6a9b6986ee443f7f55a0fc1d83d4984d40a26745f1e22e19c05816f7f92"
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from iterant_lab.discrete import (
     diffusion_constant,
     discrete_derivative,
     on_overlap,
+    shift_commutator,
 )
 
 
@@ -113,6 +114,18 @@ def test_derivative_fractional_step():
     x = Sequence.from_values([Fraction(0), Fraction(1), Fraction(2)])
     d = discrete_derivative(x, Fraction(1, 2))
     assert d.coefficient(1).value_at(0) == 2
+
+
+def test_derivative_is_the_shift_commutator():
+    # Dx = J (x(t+dt) - x(t))/dt against [x, J]/dt; a wrong form differs
+    rng = random.Random(53)
+    for _ in range(50):
+        x = Sequence.from_values([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                  for _ in range(8)], rng.randint(-3, 3))
+        dt = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        assert equal_on_overlap(discrete_derivative(x, dt), shift_commutator(x, dt))
+    x = seq_of(lambda t: t * t, 6)
+    assert not equal_on_overlap(discrete_derivative(x, 1), shift_commutator(x, 1).scale(-1))
 
 
 def test_derivative_window_too_short():

@@ -6,6 +6,7 @@ criterion only with one case of a library function broken on purpose.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -136,10 +137,13 @@ WITNESS_ROWS = {
         lambda c: (str(_not_hermitian(c[1]).matrix),
                    str(_not_hermitian(c[1]).matrix.conjugate_transpose()))),
     "C16.commutator-identity": (
-        verify.check_discrete, discrete, "basic_commutator",
-        lambda d: discrete.Sequence.from_values(d[0]), _doubled_rhs,
-        lambda d: _commutator_text(_doubled_rhs(discrete.basic_commutator(
-            discrete.Sequence.from_values(d[0]), d[1])))),
+        verify.check_discrete, discrete, "basic_commutator", lambda d: d[0], _doubled_rhs,
+        lambda d: _commutator_text(_doubled_rhs(discrete.basic_commutator(*d)))),
+    "C16.derivative-commutator": (
+        verify.check_discrete, discrete, "shift_commutator", lambda d: d[0],
+        lambda p: p.scale(2),
+        lambda d: _commutator_text((discrete.discrete_derivative(*d),
+                                    discrete.shift_commutator(*d).scale(2)))),
 }
 
 
@@ -168,6 +172,12 @@ def test_a_broken_case_fails_its_row_with_both_computed_sides(monkeypatch, row_i
     assert witness["lhs"] != witness["rhs"]
     assert not {witness["lhs"], witness["rhs"]} & {"False", "True"}
     assert "Fraction(" not in witness["lhs"] + witness["rhs"]
+
+
+def test_the_non_constant_row_prints_the_constant(monkeypatch):
+    monkeypatch.setattr(discrete, "diffusion_constant", lambda x, dt: Fraction(7, 2))
+    row = {r.check_id: r for r in verify.check_discrete(7)}["C16.non-constant"]
+    assert (row.passed, row.lhs, row.rhs) == (False, "7/2", "None")
 
 
 def test_the_commutator_witness_prints_rationals_as_text():
