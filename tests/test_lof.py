@@ -174,11 +174,12 @@ def test_deep_nesting_needs_no_recursion():
     assert result.trace[-1] == ReductionStep("crossing", (), "(())", "*")
 
 
-def test_deep_expressions_compare_hash_and_evaluate_without_recursion():
+def test_deep_marks_compare_hash_print_and_evaluate_without_recursion():
     deep = parse("(" * 3000 + ")" * 3000)
     same = parse("(" * 3000 + ")" * 3000)
     other = parse("(" * 3000 + "a" + ")" * 3000)
     assert deep == same and hash(deep) == hash(same) and deep != other
+    assert str(other) == "(" * 3000 + "a" + ")" * 3000
     left = parse("(" * 3000 + "a()" + ")" * 3000)
     right = parse("(" * 3000 + "()a" + ")" * 3000)
     assert left == right and hash(left) == hash(right) and left.text != right.text
