@@ -35,13 +35,14 @@ from typing import Any, Callable, Iterator
 
 from .groups import MAX_LOF_MARKS
 
+
 @dataclass(frozen=True)
 class MarkExpr:
     """A forest of marks and variables held as its text: "(" and ")" around
     each mark's contents and each variable's one-letter name, with no
     whitespace and no '*'.  The text of a sibling list splits uniquely into
     the texts of its items, so the text is the token stream every walk reads.
-    Equality is order-insensitive at every level."""
+    Equality is order-insensitive at every level.  parse checks a text."""
 
     text: str = ""
 
