@@ -10,7 +10,9 @@ for ``lof reduce``), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -312,24 +314,34 @@ def cmd_discrete_commutator(args):
 
 
 def _initial_fields(cfg, text: str):
-    """The (even, odd) start fields named by --init."""
+    """The (even, odd) start fields named by --init.  A gaussian parameter left
+    out takes its default: mu = cells*dx/2, the middle of the ring, and sigma =
+    cells*dx/16.  A centre off the ring [0, cells*dx) or a plane wave that does
+    not fit the lattice is refused."""
     from . import schrodinger
 
     kind, _, spec = text.partition(":")
+    ring = cfg.cells * cfg.dx
+    params = {"mu": ring / 2, "sigma": ring / 16}
     try:
-        fields = None
         if kind == "planewave":
-            fields = schrodinger.plane_wave_fields(cfg, int(spec))
+            k_mode = int(spec)
         if kind == "gaussian":
-            params = {"mu": cfg.cells / 2, "sigma": cfg.cells / 16}
-            pairs = (part.split("=") for part in spec.split(","))
-            given = {key: float(value) for key, value in pairs}
-            if given.keys() <= params.keys():
-                fields = schrodinger.gaussian_fields(cfg, **(params | given))
-        if fields is not None and schrodinger.finite(fields):
-            return fields
+            pairs = (part.split("=") for part in spec.split(",")) if spec else ()
+            params |= {key: float(value) for key, value in pairs}
     except ValueError:
-        pass
+        kind = None
+    if kind == "planewave":
+        return schrodinger.plane_wave_fields(cfg, k_mode)
+    if kind == "gaussian" and params.keys() == {"mu", "sigma"}:
+        mu, sigma = params["mu"], params["sigma"]
+        if not (0 <= mu < ring or math.isnan(mu)):
+            raise ValueError(f"gaussian centre mu = {mu} is off the ring [0, {ring}) "
+                             f"of {cfg.cells} cells of width dx = {cfg.dx}")
+        if sigma > 0:
+            fields = schrodinger.gaussian_fields(cfg, mu, sigma)
+            if schrodinger.finite(fields):
+                return fields
     raise ValueError(f"cannot read init {text!r}; use gaussian:mu=..,sigma=.. or planewave:k")
 
 
@@ -342,7 +354,7 @@ def cmd_schrodinger_run(args):
     if args.dispersion is not None and (args.init, args.sample_every) != (None, None):
         raise ValueError("--dispersion runs its own plane wave and writes no CSV; "
                          "give no --init and no --sample-every")
-    init = "gaussian:mu=128,sigma=10" if args.init is None else args.init
+    init = "gaussian:sigma=10" if args.init is None else args.init
     every = 1 if args.sample_every is None else args.sample_every
     if every < 1:
         raise ValueError(f"--sample-every must be positive, got {every}")
@@ -441,7 +453,12 @@ def cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    call and every main(); do not mutate it.  Sharing is safe because
+    parse_args returns a new Namespace each time, no default is mutable, and
+    argparse looks sys.stdout and sys.stderr up when it prints."""
     parser = argparse.ArgumentParser(
         prog="iterant-lab",
         description="Exact-arithmetic workbench for iterant algebras and friends",
@@ -512,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dt", type=float, default=0.05)
     run_p.add_argument("--kappa", type=float, default=1.0)
     run_p.add_argument("--steps", type=int, default=2000)
-    run_p.add_argument("--init", help="CSV only; default gaussian:mu=128,sigma=10")
+    run_p.add_argument("--init", help="CSV only; default gaussian:sigma=10, centred on the "
+                                      "ring (mu = n*dx/2)")
     run_p.add_argument("--sample-every", type=int, help="CSV only; default 1")
     run_p.add_argument("--dispersion", type=int, default=None,
                        help="emit the dispersion report for this mode instead of CSV")

@@ -135,7 +135,10 @@ def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[np.nda
 
 
 def plane_wave_fields(cfg: LatticeConfig, k_mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i k x) split into its real (even) and imaginary (odd) parts."""
+    """exp(i k x) split into its real (even) and imaginary (odd) parts.  A mode
+    with |k| over cells // 2 would alias a lower one, so it is refused."""
+    if abs(k_mode) > cfg.cells // 2:
+        raise ValueError(f"mode {k_mode} does not fit a lattice of {cfg.cells} cells")
     x = np.arange(cfg.cells) * cfg.dx
     k = 2.0 * math.pi * k_mode / (cfg.cells * cfg.dx)
     return np.cos(k * x), np.sin(k * x)
@@ -165,8 +168,7 @@ def dispersion_check(cfg: LatticeConfig, k_mode: int) -> DispersionReport:
     below pi, so unwrapping is trivial).  The measurement error shrinks with
     dt (quadratically for plane-wave starts), so halving dt reduces it.
     """
-    if abs(k_mode) > cfg.cells // 2:
-        raise ValueError(f"mode {k_mode} does not fit a lattice of {cfg.cells} cells")
+    start = plane_wave_fields(cfg, k_mode)
     predicted = lattice_frequency(cfg, k_mode)
     if k_mode == 0:
         return DispersionReport(0, 0.0, 0.0, 0.0, 0)
@@ -176,7 +178,7 @@ def dispersion_check(cfg: LatticeConfig, k_mode: int) -> DispersionReport:
     k = 2.0 * math.pi * k_mode / (cfg.cells * cfg.dx)
     probe = np.exp(-1j * k * x)
     series = np.array([np.sum(probe * (e + 1j * o)) / cfg.cells
-                       for e, o in ticks(cfg, *plane_wave_fields(cfg, k_mode))])
+                       for e, o in ticks(cfg, *start)])
     if len(series) < 3:
         raise ValueError("run too short to measure a frequency; need >= 3 samples")
     increments = np.angle(series[1:] * series[:-1].conj())

@@ -198,6 +198,22 @@ def test_schrodinger_dispersion_json(capsys):
     assert payload["rel_error"] < 0.02
 
 
+@pytest.mark.parametrize("dx", ["1", "0.5"])
+def test_default_start_is_centred_on_the_ring(capsys, dx):
+    base = ("schrodinger", "run", "--n", "16", "--dx", dx, "--steps", "0")
+    ring = 16 * float(dx)
+    code, default = run_cli(capsys, *base)
+    assert code == 0
+    assert default == run_cli(capsys, *base, "--init", f"gaussian:mu={ring / 2},sigma=10")[1]
+    abs2 = [float(line.split(",")[-1]) for line in default.splitlines()[1:]]
+    assert abs2.index(max(abs2)) == 8 and sum(abs2) > 1
+    # a bare gaussian: takes both defaults
+    code, bare = run_cli(capsys, *base, "--init", "gaussian:")
+    assert code == 0
+    assert bare == run_cli(capsys, *base, "--init",
+                           f"gaussian:mu={ring / 2},sigma={ring / 16}")[1]
+
+
 @pytest.mark.parametrize("flag", [("--init", "bogus"), ("--init", "gaussian:mu=128,sigma=10"),
                                   ("--sample-every", "1")])
 def test_schrodinger_dispersion_refuses_csv_flags(capsys, flag):
@@ -493,6 +509,14 @@ def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
                  marks=pytest.mark.filterwarnings("error")),
     (["--init", "gaussian:mu=nan,sigma=1"], "error: cannot read init 'gaussian:mu=nan,sigma=1'; "
                                             "use gaussian:mu=..,sigma=.. or planewave:k"),
+    (["--init", "gaussian:mu=1000"], "error: gaussian centre mu = 1000.0 is off the ring "
+                                     "[0, 8.0) of 8 cells of width dx = 1.0"),
+    (["--init", "gaussian:mu=-1,sigma=2"], "error: gaussian centre mu = -1.0 is off the ring "
+                                           "[0, 8.0) of 8 cells of width dx = 1.0"),
+    (["--init", "gaussian:mu=inf", "--dx", "0.5"], "error: gaussian centre mu = inf is off the "
+                                                   "ring [0, 4.0) of 8 cells of width dx = 0.5"),
+    (["--init", "planewave:1000"], "error: mode 1000 does not fit a lattice of 8 cells"),
+    (["--init", "planewave:-5"], "error: mode -5 does not fit a lattice of 8 cells"),
 ])
 def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     code = main(["schrodinger", "run", "--n", "8", "--steps", "4", *flags])
@@ -564,6 +588,41 @@ def test_start_up_does_not_load_numpy():
                           env={"PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """main builds no parser after the first, and a call leaves nothing in the
+    shared parser for the next: each gives the bytes it gives when run first."""
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    calls = [("lof", "reduce", "()", "--trace", "--format", "json"),
+             ("lof", "reduce", "()"),
+             ("lof", "reduce", "(()())()", "--format", "json", "--out", "out.json"),
+             ("lof", "reduce", "(()())()", "--format", "json")]
+
+    def outcome(argv):
+        Path("out.json").unlink(missing_ok=True)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        written = Path("out.json").read_text() if "--out" in argv else None
+        return code, captured.out, captured.err, written
+
+    first = {}
+    for argv in calls:
+        build_parser.cache_clear()
+        first[argv] = outcome(argv)
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for n in range(50):
+        argv = calls[n % len(calls)]
+        assert outcome(argv) == first[argv], argv
+    assert made == []
 
 
 def test_lof_reduce_takes_an_expression_at_the_mark_cap(capsys):
@@ -763,6 +822,8 @@ KNOWN_BAD_ARGV = [
     ("schrodinger", "run", "--dispersion", "3", "--sample-every", "2"),
     ("schrodinger", "run", "--n", "4000000", "--steps", "1"),
     ("schrodinger", "run", "--n", "256", "--steps", "16000"),
+    *(("schrodinger", "run", "--n", "8", "--steps", "4", "--init", init) for init in (
+        "gaussian:mu=1000", "gaussian:mu=inf", "planewave:1000", "planewave:" + "9" * 400)),
 ]
 
 
