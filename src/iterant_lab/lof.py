@@ -13,21 +13,26 @@ reduction:
 Every variable-free expression reduces to the marked state (one empty mark)
 or the unmarked state (nothing), independently of rule order.  That value is
 the linear rule of ``eval_logic``: a mark is marked iff none of its contents
-is.  One rewrite loop applies the rules to a mutable copy of the forest and
-keeps a worklist of the sibling lists that hold a redex, so each step looks
-again at three lists, not at the whole forest.  The deterministic reducer and
-the seeded random prober differ only in how they pick the next redex, and the
-prober hands back the values its runs reach beside the linear value, for the
-caller to compare.  Every walk over a text keeps its own stack, so nesting
-depth is bounded by memory, not by Python's recursion limit.  Letters extend
-the grammar to the primary algebra, where juxtaposition reads as OR and
-enclosure as NOT.  The order-two generator pair behind the re-entrant mark
-builds no mark; its relations live with the other period-two code, in
-``iterants.majorana_pair_relations``.
+is.  One rewrite loop applies the rules to a worklist built from the text:
+for every owner of a sibling list, its number of live children and its
+ordered empty and crossing children.  A step updates the three lists it can
+change and rescans none, so an untraced step costs a few bisections and heap
+operations at any width or depth.  Only a traced run keeps each mark's
+children and size, to place its steps in the text.  The deterministic
+reducer and the seeded random prober differ only in how they pick the next
+redex; the prober builds the worklist once and rewrites a copy of it for
+each trial, and hands back the values its runs reach beside the linear
+value, for the caller to compare.  Every walk over a text keeps its own
+stack, so nesting depth is bounded by memory, not by Python's recursion
+limit.  Letters extend the grammar to the primary algebra, where
+juxtaposition reads as OR and enclosure as NOT.  The order-two generator
+pair behind the re-entrant mark builds no mark; its relations live with the
+other period-two code, in ``iterants.majorana_pair_relations``.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass
@@ -131,148 +136,204 @@ class ReductionResult:
     trace: tuple[ReductionStep, ...]
 
 
-class _Node:
-    """A mark of the forest under rewriting, or the root that owns the top list."""
-
-    __slots__ = ("parent", "children", "depth", "order", "size")
-
-    def __init__(self, parent: _Node | None, order: int):
-        self.parent = parent
-        self.children: list[_Node] = []
-        self.depth = 0 if parent is None else parent.depth + 1
-        self.order = order  # position in preorder
-        self.size = 0 if parent is None else 1  # marks in the subtree
-
-
-Redex = tuple[str, _Node]  # (rule, the node it drops)
+Redex = tuple[str, int]  # (rule, the id of the mark it drops)
 _REMOVED_MARKS = {"calling": 1, "crossing": 2}
 
 
-def _build(expr: MarkExpr) -> list[_Node]:
-    """The forest as mutable nodes in preorder, the root first."""
-    nodes = [_Node(None, 0)]
-    open_nodes = [nodes[0]]
-    for token in expr.text:
-        if token == "(":
-            node = _Node(open_nodes[-1], len(nodes))
-            open_nodes[-1].children.append(node)
-            nodes.append(node)
-            open_nodes.append(node)
-        elif token == ")":
-            node = open_nodes.pop()
-            open_nodes[-1].size += node.size
-        else:
-            raise ValueError("cannot reduce an expression containing variables")
-    return nodes
-
-
-def _list_redexes(owner: _Node) -> list[Redex]:
-    """The rewrites of the sibling list that owner holds.
-
-    Any two empty siblings condense to the same forest, so a list offers one
-    calling, which drops its second empty mark; then come its crossings in
-    order, each dropping a mark whose only content is one empty mark.
-    """
-    empties = [node for node in owner.children if not node.children]
-    out: list[Redex] = [("calling", empties[1])] if len(empties) > 1 else []
-    out += [("crossing", node) for node in owner.children
-            if len(node.children) == 1 and not node.children[0].children]
-    return out
-
-
 class _Worklist:
-    """The live map from each owner whose sibling list holds a redex to that
-    list's redexes, and a heap of owners ordered deepest first, then by
-    preorder."""
+    """A forest under rewriting and its redex bookkeeping.  Marks are numbered
+    in preorder, 0 being the root that owns the top list, so the order of a
+    sibling list is id order.  Each owner keeps its number of live children
+    and the sorted ids of its empty children and of its crossing children (a
+    mark holding one empty mark and nothing else).  A list offers one calling,
+    which drops its second empty mark, then its crossings in order.  The
+    owners whose list holds a redex form an indexable pool, and a heap holds
+    them deepest first, then by preorder; an owner that has left the pool
+    stays in the heap until it reaches the top."""
 
-    def __init__(self, nodes: list[_Node]):
-        self.nodes = nodes
-        self.live: dict[_Node, list[Redex]] = {}
-        self.heap: list[tuple[int, int]] = []
-        for owner in nodes:
-            self.examine(owner)
+    __slots__ = ("text", "parent", "depth", "count", "empties", "crossings",
+                 "pool", "slot", "heap")
 
-    def examine(self, owner: _Node) -> None:
-        redexes = _list_redexes(owner)
-        if not redexes:
-            self.live.pop(owner, None)
-            return
-        if owner not in self.live:
-            heapq.heappush(self.heap, (-owner.depth, owner.order))
-        self.live[owner] = redexes
+    def __init__(self, text: str):
+        marks = text.count("(") + 1  # and the root
+        parent, depth, count = [-1] * marks, [0] * marks, [0] * marks
+        empties: list[list[int]] = [[] for _ in range(marks)]
+        crossings: list[list[int]] = [[] for _ in range(marks)]
+        open_marks, node = [0], 0
+        for token in text:
+            if token == "(":
+                node += 1
+                up = parent[node] = open_marks[-1]
+                count[up] += 1
+                depth[node] = len(open_marks)
+                open_marks.append(node)
+            elif token == ")":
+                done = open_marks.pop()
+                if not count[done]:
+                    empties[open_marks[-1]].append(done)
+                elif count[done] == 1 and empties[done]:
+                    crossings[open_marks[-1]].append(done)
+            else:
+                raise ValueError("cannot reduce an expression containing variables")
+        self.text, self.parent, self.depth = text, parent, depth
+        self.count, self.empties, self.crossings = count, empties, crossings
+        self.pool = [owner for owner in range(marks) if len(empties[owner]) > 1 or crossings[owner]]
+        self.slot = [-1] * marks  # each owner's place in the pool, -1 outside it
+        for place, owner in enumerate(self.pool):
+            self.slot[owner] = place
+        # deepest first, then by preorder; the key's remainder is the owner
+        self.heap = [owner - depth[owner] * marks for owner in self.pool]
+        heapq.heapify(self.heap)
 
-    def first_deepest(self) -> tuple[_Node, Redex]:
+    def copy(self) -> _Worklist:
+        """An independent copy; the text, parents and depths never change."""
+        twin = object.__new__(_Worklist)
+        twin.text, twin.parent, twin.depth = self.text, self.parent, self.depth
+        twin.count, twin.slot = self.count[:], self.slot[:]
+        twin.empties = list(map(list.copy, self.empties))
+        twin.crossings = list(map(list.copy, self.crossings))
+        twin.pool, twin.heap = self.pool[:], self.heap[:]
+        return twin
+
+    def enlist(self, owner: int) -> None:
+        """Put owner in the pool and the heap if its list holds a redex."""
+        if self.slot[owner] < 0 and (len(self.empties[owner]) > 1 or self.crossings[owner]):
+            self.slot[owner] = len(self.pool)
+            self.pool.append(owner)
+            heapq.heappush(self.heap, owner - self.depth[owner] * len(self.slot))
+
+    def first_deepest(self) -> tuple[int, Redex]:
         """The first redex of the deepest live list, the first in preorder."""
-        while (owner := self.nodes[self.heap[0][1]]) not in self.live:
-            heapq.heappop(self.heap)
-        return owner, self.live[owner][0]
+        heap, slot, n = self.heap, self.slot, len(self.slot)
+        while slot[owner := heap[0] % n] < 0:
+            heapq.heappop(heap)
+        empties = self.empties[owner]
+        return owner, ("calling", empties[1]) if len(empties) > 1 else (
+            "crossing", self.crossings[owner][0])
 
-    def random(self, rng: random.Random) -> tuple[_Node, Redex]:
-        """A random redex of a random live list."""
-        owner = rng.choice(list(self.live))
-        return owner, rng.choice(self.live[owner])
+    def random(self, rng: random.Random) -> tuple[int, Redex]:
+        """A uniform redex of a uniform live list."""
+        owner = rng.choice(self.pool)
+        empties, crossings = self.empties[owner], self.crossings[owner]
+        calling = len(empties) > 1
+        offered = calling + len(crossings)
+        index = (rng.randrange(offered) if offered > 1 else 0) - calling
+        return owner, ("calling", empties[1]) if index < 0 else ("crossing", crossings[index])
+
+    def drop(self, owner: int, node: int, rule: str) -> None:
+        """Apply the redex (rule, node) of owner's list: the list loses node,
+        owner leaves the pool if no redex is left in it, and the lists above
+        are refiled."""
+        siblings = (self.empties if rule == "calling" else self.crossings)[owner]
+        del siblings[bisect.bisect_left(siblings, node)]
+        self.count[owner] -= 1
+        if len(self.empties[owner]) < 2 and not self.crossings[owner]:
+            pool, slot = self.pool, self.slot
+            last = pool.pop()
+            if last != owner:
+                pool[slot[owner]] = last
+                slot[last] = slot[owner]
+            slot[owner] = -1
+        self.refile(owner)
+
+    def refile(self, owner: int) -> None:
+        """The two lists above a rewrite: owner, which lost a mark, may now be
+        empty or a crossing in its parent's list, and a parent holding only
+        an owner that is now empty is a crossing one list higher.  Before the
+        step owner was neither: it held two marks or a mark with contents."""
+        up = self.parent[owner]
+        if up < 0:
+            return
+        if not self.count[owner]:
+            bisect.insort(self.empties[up], owner)
+            self.enlist(up)
+            top = self.parent[up]
+            if self.count[up] == 1 and top >= 0:
+                bisect.insort(self.crossings[top], up)
+                self.enlist(top)
+        elif self.count[owner] == 1 and self.empties[owner]:
+            bisect.insort(self.crossings[up], owner)
+            self.enlist(up)
 
 
-def _locate(owner: _Node, index: int) -> tuple[tuple[int, ...], int]:
+def _layout(text: str) -> tuple[list[list[int]], list[int]]:
+    """Each mark's ordered children and its size (the marks in its subtree),
+    by preorder id, the root 0: what a traced run needs to place its steps."""
+    children: list[list[int]] = [[]]
+    size, open_marks = [0], [0]
+    for token in text:
+        if token == "(":
+            children[open_marks[-1]].append(len(size))
+            open_marks.append(len(size))
+            children.append([])
+            size.append(1)
+        else:  # ")": _Worklist has refused every variable
+            node = open_marks.pop()
+            size[open_marks[-1]] += size[node]
+    return children, size
+
+
+def _locate(parent: list[int], children: list[list[int]], size: list[int],
+            owner: int, index: int) -> tuple[tuple[int, ...], int]:
     """The child-index path from the root to owner's sibling list, and the
     offset in the forest's text of that list's item at index: an opening
     parenthesis for each enclosing mark and two characters for each mark of
     the siblings before it at every level."""
     path = []
-    offset = 2 * sum(node.size for node in owner.children[:index])
-    while (parent := owner.parent) is not None:
-        position = parent.children.index(owner)
+    marks = sum(map(size.__getitem__, children[owner][:index]))
+    while (up := parent[owner]) >= 0:
+        position = children[up].index(owner)
         path.append(position)
         if position:
-            offset += 2 * sum(node.size for node in parent.children[:position])
-        owner = parent
-    return tuple(reversed(path)), offset + len(path)
+            marks += sum(map(size.__getitem__, children[up][:position]))
+        owner = up
+    return tuple(reversed(path)), 2 * marks + len(path)
 
 
 def _rewrite(
-    expr: MarkExpr,
-    pick: Callable[[_Worklist], tuple[_Node, Redex]],
+    work: _Worklist,
+    pick: Callable[[_Worklist], tuple[int, Redex]],
     record: Callable[[str, tuple[int, ...], str, str], None] | None = None,
 ) -> tuple[str, int]:
     """The one rewrite loop: apply the redex that pick chooses until none is
     left, hand each step's rule, location and before/after text to record, and
     return the value read off the normal form, which must be one empty mark or
-    nothing, with the number of steps.  Without record no text is built.
+    nothing, with the number of steps.  Without record no text is built and
+    no size is kept.
 
     A rewrite in one sibling list can change the redexes of only three lists:
     that list, the list holding its owner (the owner may now be empty or hold
     one empty mark) and the list above (whose mark may now hold one empty
-    mark).
-    Those three are examined again; the rest of the worklist stands.
+    mark).  _Worklist.drop updates those three; no list is scanned again.
     """
-    nodes = _build(expr)
-    root, work = nodes[0], _Worklist(nodes)
-    text = expr.text
+    count, empties = work.count, work.empties
+    if record:
+        parent, text = work.parent, work.text
+        children, size = _layout(text)
     steps = 0
-    while work.live:
+    while work.pool:
         steps += 1
         owner, (rule, node) = pick(work)
-        if node.size != _REMOVED_MARKS[rule]:
-            raise AssertionError(f"a {rule} would remove {node.size} marks")
-        index = owner.children.index(node)
+        # a mark's size is 1 plus the sizes of its live children, so a calling
+        # drops one mark with none, and a crossing one whose one child has none
+        if not count[node] == len(empties[node]) == _REMOVED_MARKS[rule] - 1:
+            raise AssertionError(f"a {rule} would drop a mark holding {count[node]} marks, "
+                                 f"{len(empties[node])} of them empty")
         if record:
-            path, offset = _locate(owner, index)
-            after = text[:offset] + text[offset + 2 * node.size:]
+            index = children[owner].index(node)
+            path, offset = _locate(parent, children, size, owner, index)
+            after = text[:offset] + text[offset + 2 * _REMOVED_MARKS[rule]:]
             record(rule, path, text, after or "*")
             text = after
-        del owner.children[index]
-        ancestor: _Node | None = owner
-        while ancestor is not None:
-            ancestor.size -= node.size
-            ancestor = ancestor.parent
-        for _ in range(3):  # the rewritten list, its owner's list and the one above
-            work.examine(owner)
-            if (owner := owner.parent) is None:
-                break
-    top = root.children
-    if len(top) > 1 or (top and top[0].children):
+            del children[owner][index]
+            ancestor = owner
+            while ancestor >= 0:
+                size[ancestor] -= _REMOVED_MARKS[rule]
+                ancestor = parent[ancestor]
+        work.drop(owner, node, rule)
+    if count[0] > 1 or (count[0] and not empties[0]):
         raise AssertionError("non-terminal expression without a redex")
-    return ("marked" if top else "unmarked"), steps
+    return ("marked" if count[0] else "unmarked"), steps
 
 
 def reduce_expression(expr: MarkExpr) -> ReductionResult:
@@ -282,13 +343,13 @@ def reduce_expression(expr: MarkExpr) -> ReductionResult:
     def record(rule: str, path: tuple[int, ...], before: str, after: str) -> None:
         trace.append(ReductionStep(rule, path, before, after))
 
-    value, _ = _rewrite(expr, _Worklist.first_deepest, record)
+    value, _ = _rewrite(_Worklist(expr.text), _Worklist.first_deepest, record)
     return ReductionResult(value, tuple(trace))
 
 
 def reduce_untraced(expr: MarkExpr) -> tuple[str, int]:
     """The value and the step count of the same reduction, with no step text."""
-    return _rewrite(expr, _Worklist.first_deepest)
+    return _rewrite(_Worklist(expr.text), _Worklist.first_deepest)
 
 
 def confluence_probe(
@@ -298,7 +359,8 @@ def confluence_probe(
     reach, against the one-value tuple of the expression's linear value:
     confluence holds exactly when the two are equal."""
     rng = random.Random(seed)
-    values = tuple(sorted({_rewrite(expr, lambda work: work.random(rng))[0]
+    start = _Worklist(expr.text)
+    values = tuple(sorted({_rewrite(start.copy(), lambda work: work.random(rng))[0]
                            for _ in range(trials)}))
     return values, ("marked" if eval_logic(expr, {}) else "unmarked",)
 

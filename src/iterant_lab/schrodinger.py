@@ -127,10 +127,14 @@ def norm(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray) -> float:
 
 
 def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-(x - mu)^2 / 2 sigma^2) as the even field, with x - mu measured
+    on the ring, so a Gaussian near either end wraps across the seam."""
     if not sigma > 0:
         raise ValueError(f"gaussian width sigma must be positive, got {sigma}")
-    x = np.arange(cfg.cells) * cfg.dx
-    envelope = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+    ring = cfg.cells * cfg.dx
+    d = np.arange(cfg.cells) * cfg.dx - mu
+    d -= ring * np.round(d / ring)
+    envelope = np.exp(-0.5 * (d / sigma) ** 2)
     return envelope, np.zeros(cfg.cells)
 
 

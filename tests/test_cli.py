@@ -65,7 +65,7 @@ def test_lof_reduce_trace(capsys):
 
 
 def test_lof_reduce_untraced_builds_no_step_text(capsys, monkeypatch):
-    def no_text(owner, index):
+    def no_text(*location):
         raise AssertionError("an untraced reduction located step text")
 
     monkeypatch.setattr(lof, "_locate", no_text)

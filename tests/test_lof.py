@@ -2,10 +2,11 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iterant_lab import lof
+from iterant_lab.groups import MAX_LOF_MARKS
 from iterant_lab.lof import (
     MarkExpr,
     MarkParseError,
@@ -120,22 +121,30 @@ def test_reduce_rejects_variables():
         reduce_expression(parse("(A)"))
 
 
-@pytest.mark.parametrize("run", [reduce_expression, lambda e: confluence_probe(e, 3, seed=0)])
+RUN_BY_EACH_PICKER = [reduce_expression, lambda e: confluence_probe(e, 3, seed=0)]
+
+
+@pytest.mark.parametrize("run", RUN_BY_EACH_PICKER)
 def test_a_redex_walk_that_stops_early_is_caught(monkeypatch, run):
-    real = lof._list_redexes
-    looked_at = set()
-
-    def misses_every_new_redex(owner):
-        # the first look at each list is true; every look after a rewrite
-        # reports nothing, so the run stops after its first step
-        if owner in looked_at:
-            return []
-        looked_at.add(owner)
-        return real(owner)
-
-    monkeypatch.setattr(lof, "_list_redexes", misses_every_new_redex)
+    # the lists above a rewrite are never updated, so the crossing that the
+    # first step makes one list up goes unseen and the run stops after it
+    monkeypatch.setattr(lof._Worklist, "refile", lambda work, owner: None)
     with pytest.raises(AssertionError, match="non-terminal expression without a redex"):
         run(parse(WORKED))
+
+
+@pytest.mark.parametrize("run", RUN_BY_EACH_PICKER)
+@pytest.mark.parametrize("text,rule,message", [
+    (WORKED, "calling", "a calling would drop a mark holding 2 marks, 1 of them empty"),
+    ("((()))", "crossing", "a crossing would drop a mark holding 1 marks, 0 of them empty"),
+], ids=["calling", "crossing"])
+def test_a_rewrite_of_a_mark_with_live_contents_is_caught(monkeypatch, run, text, rule, message):
+    # both pickers offer the first mark of the top list, which holds more
+    # than the rule may drop
+    for picker in ("first_deepest", "random"):
+        monkeypatch.setattr(lof._Worklist, picker, lambda work, *rng: (0, (rule, 1)))
+    with pytest.raises(AssertionError, match=message):
+        run(parse(text))
 
 
 def test_crossing_beside_an_empty_mark():
@@ -172,6 +181,17 @@ def test_deep_nesting_needs_no_recursion():
     assert len(result.trace) == 1500
     assert result.trace[0].location == (0,) * 2998
     assert result.trace[-1] == ReductionStep("crossing", (), "(())", "*")
+
+
+@pytest.mark.parametrize("text,value,steps", [
+    ("()" * MAX_LOF_MARKS, "marked", MAX_LOF_MARKS - 1),
+    ("(" + "()" * (MAX_LOF_MARKS - 1) + ")", "unmarked", MAX_LOF_MARKS - 1),
+    ("(" * MAX_LOF_MARKS + ")" * MAX_LOF_MARKS, "unmarked", MAX_LOF_MARKS // 2),
+], ids=["flat", "inside", "deep"])
+def test_expressions_at_the_mark_cap_reduce(text, value, steps):
+    expr = parse(text)
+    assert reduce_untraced(expr) == (value, steps)
+    assert confluence_probe(expr, 1, seed=0) == ((value,), (value,))
 
 
 def test_deep_marks_compare_hash_print_and_evaluate_without_recursion():
@@ -354,3 +374,63 @@ def oracle_trace(expr):
 @given(mark_forests)
 def test_worklist_trace_is_the_whole_forest_trace(expr):
     assert reduce_expression(expr).trace == oracle_trace(expr)
+
+
+def _id_forest(text):
+    """The forest as nested [id, children] lists, ids in preorder, the root 0."""
+    root = [0, []]
+    stack, ids = [root], 0
+    for ch in text:
+        if ch == "(":
+            ids += 1
+            stack[-1][1].append(node := [ids, []])
+            stack.append(node)
+        else:
+            stack.pop()
+    return root
+
+
+def _places(node, path=()):
+    """Each mark's id mapped to its child-index path and its mark."""
+    out = {node[0]: (path, node)}
+    for i, child in enumerate(node[1]):
+        out.update(_places(child, path + (i,)))
+    return out
+
+
+def _plain(node):
+    return tuple(_plain(child) for child in node[1])
+
+
+def _engine_redexes(work, places):
+    """The worklist's redexes as (rule, path, index); every owner with one is
+    in the pool."""
+    out = []
+    for owner, (path, mark) in places.items():
+        empties, crossings = work.empties[owner], work.crossings[owner]
+        dropped = [("calling", empties[1])] if len(empties) > 1 else []
+        dropped += [("crossing", node) for node in crossings]
+        assert (work.slot[owner] >= 0) == bool(dropped)
+        ids = [child[0] for child in mark[1]]
+        out += [(rule, path, ids.index(node)) for rule, node in dropped]
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mark_forests, st.integers(min_value=0, max_value=(1 << 30) - 1))
+@example(MarkExpr("((((()))))(()())"), 0)  # a crossing two lists up, rarely drawn
+def test_live_redexes_are_the_whole_forest_redexes_after_every_step(expr, seed):
+    rng = random.Random(seed)
+    for pick in (lof._Worklist.first_deepest, lambda work: work.random(rng)):
+        root = _id_forest(expr.text)
+
+        def checked(work):
+            places = _places(root)
+            assert _engine_redexes(work, places) == sorted(_oracle_redexes(_plain(root)))
+            owner, (rule, node) = pick(work)
+            places[owner][1][1].remove(places[node][1])
+            return owner, (rule, node)
+
+        value, steps = lof._rewrite(lof._Worklist(expr.text), checked)
+        assert _oracle_redexes(_plain(root)) == []
+        assert value == ("marked" if eval_logic(expr, {}) else "unmarked")

@@ -109,6 +109,14 @@ def test_run_norm_drift_gaussian():
     assert drift < 0.01
 
 
+@pytest.mark.parametrize("dx", [1.0, 0.5])
+def test_a_gaussian_at_the_seam_wraps_round_the_ring(dx):
+    cfg = cfg_of(cells=16, dx=dx)
+    even, odd = gaussian_fields(cfg, mu=0.0, sigma=2.0)
+    assert even[0] == 1.0 and even[1] == even[15] > 0.5 and even[2] == even[14]
+    assert np.all(odd == 0)
+
+
 @pytest.mark.parametrize("steps", [0, 1, 2, 7, 40])
 def test_run_is_the_list_of_the_streamed_pairs(steps):
     cfg = cfg_of(cells=16, steps=steps)
