@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import clifford, dirac, discrete, groups, lof, matrep, verify
-from .iterants import format_period2, parse_period2
+from .iterants import parse_period2
 from .matrix import SquareMatrix
 from .scalars import parse_integer, parse_rational, scalar_to_json
 
@@ -146,8 +146,8 @@ def cmd_iterant_eval(args):
     z = parse_period2(args.left)
     w = parse_period2(args.right)
     results = {
-        "sum": format_period2(z + w),
-        "product": format_period2(z * w),
+        "sum": str(z + w),
+        "product": str(z * w),
         "left_matrix": _cells(matrep.to_matrix(z)),
         "product_matrix": _cells(matrep.to_matrix(z * w)),
     }

@@ -19,6 +19,7 @@ from .groups import natural_action, regular_action
 from .scalars import (
     GaussianRational,
     ScalarLike,
+    parse_scalar,
     random_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -305,23 +306,8 @@ def determinant_period2(z: IterantElement) -> GaussianRational:
     return value
 
 
-def format_period2(z: IterantElement) -> str:
-    """Text form "[a,b] + [c,d]e" with zero parts omitted."""
-    algebra = z.algebra
-    a = z.coefficient("1")
-    b = z.coefficient("e")
-    parts = []
-    if any(not c.is_zero() for c in a):
-        parts.append(f"[{a[0]},{a[1]}]")
-    if any(not c.is_zero() for c in b):
-        parts.append(f"[{b[0]},{b[1]}]e")
-    return " + ".join(parts) if parts else "0"
-
-
 def parse_period2(text: str) -> IterantElement:
     """Parse "[a,b] + [c,d]e" (either part optional) into the period-two algebra."""
-    from .scalars import parse_scalar
-
     algebra = period_two_algebra()
     total = algebra.zero()
     s = text.replace(" ", "")

@@ -17,8 +17,9 @@ is.  One rewrite loop applies the rules to a worklist built from the text:
 for every owner of a sibling list, its number of live children and its
 ordered empty and crossing children.  A step updates the three lists it can
 change and rescans none, so an untraced step costs a few bisections and heap
-operations at any width or depth.  Only a traced run keeps each mark's
-children and size, to place its steps in the text.  The deterministic
+operations at any width or depth.  A traced run places each step from the
+marks' preorder ids and depths and the sorted ids of the marks removed so
+far; it keeps no second model of the forest.  The deterministic
 reducer and the seeded random prober differ only in how they pick the next
 redex; the prober builds the worklist once and rewrites a copy of it for
 each trial, and hands back the values its runs reach beside the linear
@@ -256,50 +257,15 @@ class _Worklist:
             self.enlist(up)
 
 
-def _layout(text: str) -> tuple[list[list[int]], list[int]]:
-    """Each mark's ordered children and its size (the marks in its subtree),
-    by preorder id, the root 0: what a traced run needs to place its steps."""
-    children: list[list[int]] = [[]]
-    size, open_marks = [0], [0]
-    for token in text:
-        if token == "(":
-            children[open_marks[-1]].append(len(size))
-            open_marks.append(len(size))
-            children.append([])
-            size.append(1)
-        else:  # ")": _Worklist has refused every variable
-            node = open_marks.pop()
-            size[open_marks[-1]] += size[node]
-    return children, size
-
-
-def _locate(parent: list[int], children: list[list[int]], size: list[int],
-            owner: int, index: int) -> tuple[tuple[int, ...], int]:
-    """The child-index path from the root to owner's sibling list, and the
-    offset in the forest's text of that list's item at index: an opening
-    parenthesis for each enclosing mark and two characters for each mark of
-    the siblings before it at every level."""
-    path = []
-    marks = sum(map(size.__getitem__, children[owner][:index]))
-    while (up := parent[owner]) >= 0:
-        position = children[up].index(owner)
-        path.append(position)
-        if position:
-            marks += sum(map(size.__getitem__, children[up][:position]))
-        owner = up
-    return tuple(reversed(path)), 2 * marks + len(path)
-
-
 def _rewrite(
     work: _Worklist,
     pick: Callable[[_Worklist], tuple[int, Redex]],
-    record: Callable[[str, tuple[int, ...], str, str], None] | None = None,
+    record: Callable[[int, int, str], None] | None = None,
 ) -> tuple[str, int]:
     """The one rewrite loop: apply the redex that pick chooses until none is
-    left, hand each step's rule, location and before/after text to record, and
-    return the value read off the normal form, which must be one empty mark or
-    nothing, with the number of steps.  Without record no text is built and
-    no size is kept.
+    left, hand each step's owner, dropped mark and rule to record before the
+    step is applied, and return the value read off the normal form, which
+    must be one empty mark or nothing, with the number of steps.
 
     A rewrite in one sibling list can change the redexes of only three lists:
     that list, the list holding its owner (the owner may now be empty or hold
@@ -307,29 +273,16 @@ def _rewrite(
     mark).  _Worklist.drop updates those three; no list is scanned again.
     """
     count, empties = work.count, work.empties
-    if record:
-        parent, text = work.parent, work.text
-        children, size = _layout(text)
     steps = 0
     while work.pool:
         steps += 1
         owner, (rule, node) = pick(work)
-        # a mark's size is 1 plus the sizes of its live children, so a calling
-        # drops one mark with none, and a crossing one whose one child has none
+        # a calling drops an empty mark, a crossing a mark holding one empty mark
         if not count[node] == len(empties[node]) == _REMOVED_MARKS[rule] - 1:
             raise AssertionError(f"a {rule} would drop a mark holding {count[node]} marks, "
                                  f"{len(empties[node])} of them empty")
         if record:
-            index = children[owner].index(node)
-            path, offset = _locate(parent, children, size, owner, index)
-            after = text[:offset] + text[offset + 2 * _REMOVED_MARKS[rule]:]
-            record(rule, path, text, after or "*")
-            text = after
-            del children[owner][index]
-            ancestor = owner
-            while ancestor >= 0:
-                size[ancestor] -= _REMOVED_MARKS[rule]
-                ancestor = parent[ancestor]
+            record(owner, node, rule)
         work.drop(owner, node, rule)
     if count[0] > 1 or (count[0] and not empties[0]):
         raise AssertionError("non-terminal expression without a redex")
@@ -337,13 +290,42 @@ def _rewrite(
 
 
 def reduce_expression(expr: MarkExpr) -> ReductionResult:
-    """Deepest-first reduction to marked/unmarked, with a step-by-step trace."""
-    trace: list[ReductionStep] = []
+    """Deepest-first reduction to marked/unmarked, with a step-by-step trace.
 
-    def record(rule: str, path: tuple[int, ...], before: str, after: str) -> None:
-        trace.append(ReductionStep(rule, path, before, after))
+    A step is placed from preorder ids alone.  A removed mark takes its
+    contents with it and no live mark's ancestor is removed, so a live mark's
+    "(" follows one character for each of its ancestors and two for each
+    other live mark before it: 2 (node - 1 - g) - depth + 1 in all, g being
+    the removed marks of smaller id.  A mark's child index is its index in
+    the parsed text less its removed elder siblings; a crossing's inner mark
+    counts only in g, because its owner goes with it."""
+    work = _Worklist(expr.text)
+    parent, depth = work.parent, work.depth
+    born, seen = [0] * len(parent), [0] * len(parent)  # each mark's parsed child index
+    for node in range(1, len(parent)):
+        born[node] = seen[parent[node]]
+        seen[parent[node]] += 1
+    gone: list[int] = []  # the removed marks, sorted
+    gone_from: list[list[int]] = [[] for _ in parent]  # the removed children of each owner
+    text, trace = expr.text, []
 
-    value, _ = _rewrite(_Worklist(expr.text), _Worklist.first_deepest, record)
+    def record(owner: int, node: int, rule: str) -> None:
+        nonlocal text
+        path, mark = [], owner
+        while mark:
+            up = parent[mark]
+            path.append(born[mark] - bisect.bisect_left(gone_from[up], mark))
+            mark = up
+        offset = 2 * (node - 1 - bisect.bisect_left(gone, node)) - depth[node] + 1
+        after = text[:offset] + text[offset + 2 * _REMOVED_MARKS[rule]:]
+        trace.append(ReductionStep(rule, tuple(reversed(path)), text, after or "*"))
+        text = after
+        bisect.insort(gone_from[owner], node)
+        bisect.insort(gone, node)
+        if rule == "crossing":
+            bisect.insort(gone, work.empties[node][0])
+
+    value, _ = _rewrite(work, _Worklist.first_deepest, record)
     return ReductionResult(value, tuple(trace))
 
 
@@ -382,14 +364,18 @@ def confluence_fuzz(count: int, max_depth: int, orders: int, seed: int) -> int:
 
 
 def random_expression(rng: random.Random, max_depth: int = 6, max_width: int = 4) -> MarkExpr:
-    def build(depth: int) -> str:
-        if depth >= max_depth or rng.random() < 0.3:
-            return "()"
-        width = rng.randint(0, max_width)
-        return "(" + "".join(build(depth + 1) for _ in range(width)) + ")"
-
     top = rng.randint(0, max_width)
-    return MarkExpr("".join(build(1) for _ in range(top)))
+    return MarkExpr("".join(_random_mark(rng, 1, max_depth, max_width) for _ in range(top)))
+
+
+def _random_mark(rng: random.Random, depth: int, max_depth: int, max_width: int) -> str:
+    """The text of one random mark at the given depth: empty at max_depth and
+    with probability 0.3, else holding up to max_width random marks."""
+    if depth >= max_depth or rng.random() < 0.3:
+        return "()"
+    width = rng.randint(0, max_width)
+    return "(" + "".join(_random_mark(rng, depth + 1, max_depth, max_width)
+                         for _ in range(width)) + ")"
 
 
 # ---------------------------------------------------------------------------

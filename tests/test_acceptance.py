@@ -3,7 +3,7 @@
 Every algebraic criterion is exact (bit-for-bit equality of exact scalars);
 the lattice-scheme criterion uses the stated tolerances (2% dispersion error,
 1% norm drift, monotone improvement under dt halving).  Every test reads the
-rows of one timed ``run_verify`` run, so each check runs once per session.
+rows of one ``run_verify`` run, so each check runs once per session.
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
@@ -13,25 +13,30 @@ import time
 
 import pytest
 
-from iterant_lab import verify
+from iterant_lab import cli, verify
 
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
 ROWS_SHA256 = "d7b2b6a9b6986ee443f7f55a0fc1d83d4984d40a26745f1e22e19c05816f7f92"
+# sha256 of the whole `verify-all --seed 7 --format json` output, which also
+# carries each row's area, description and witness
+OUTPUT_SHA256 = "5c3b276f69b215527a543903c5e9ce9181446626bfebdf72a2f0c8e2f3747961"
 
 
 @pytest.fixture(scope="session")
 def suite():
     """The one verify-all run of the session, its wall time, and the criterion
-    of each ALL_CHECKS element in the order run_verify called them, seen by a
-    wrapper around each element as the benchmark's criterion timer wraps them."""
+    and time of each ALL_CHECKS element in the order run_verify called them,
+    seen by a wrapper around each element as the benchmark's criterion timer
+    wraps them."""
     called = []
 
     def seen(check):
         def wrapper(seed):
+            start = time.monotonic()
             rows = check(seed)
-            called.append(rows[0].check_id.split(".", 1)[0])
+            called.append((rows[0].check_id.split(".", 1)[0], time.monotonic() - start))
             return rows
 
         return wrapper
@@ -139,7 +144,7 @@ def test_c16_discrete_commutator(suite):
 
 def test_c17_lattice_scheme(suite):
     _assert_all(suite, "C17 lattice scheme: dispersion 2%, norm drift 1%, dt convergence")
-    elapsed = suite[0].seconds["C17"]
+    elapsed = dict(suite[2])["C17"]
     print(f"C17 runtime: {elapsed:.1f}s")
     assert elapsed < 20.0
 
@@ -156,4 +161,11 @@ def test_full_suite_runtime_and_uniqueness(suite):
 
 
 def test_every_criterion_runs_once_in_order_through_the_check_list(suite):
-    assert suite[2] == [f"C{k:02d}" for k in range(1, 18)]
+    assert [criterion for criterion, _ in suite[2]] == [f"C{k:02d}" for k in range(1, 18)]
+
+
+def test_verify_all_json_output_is_pinned(suite, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_verify", lambda seed: suite[0])
+    assert cli.main(["verify-all", "--seed", str(SEED), "--format", "json"]) == 0
+    output = capsys.readouterr().out
+    assert hashlib.sha256(output.encode()).hexdigest() == OUTPUT_SHA256

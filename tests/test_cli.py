@@ -65,10 +65,13 @@ def test_lof_reduce_trace(capsys):
 
 
 def test_lof_reduce_untraced_builds_no_step_text(capsys, monkeypatch):
-    def no_text(*location):
-        raise AssertionError("an untraced reduction located step text")
+    rewrite = lof._rewrite
 
-    monkeypatch.setattr(lof, "_locate", no_text)
+    def no_text(work, pick, record=None):
+        assert record is None, "an untraced reduction recorded its steps"
+        return rewrite(work, pick)
+
+    monkeypatch.setattr(lof, "_rewrite", no_text)
     code, out = run_cli(capsys, "lof", "reduce", "((()())())()", "--format", "json")
     assert (code, json.loads(out)) == (0, {"value": "marked", "steps": 3})
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -303,10 +304,28 @@ def test_confluence_fuzz_finds_no_disagreement():
     assert confluence_fuzz(40, max_depth=5, orders=3, seed=2) == 0
 
 
-mark_forests = st.recursive(
+def test_drawing_fuzz_cases_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        cases = list(lof.fuzz_cases(1000, max_depth=6, seed=20))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(cases) == 1000
+
+
+_forest_texts = st.recursive(
     st.just(""),
     lambda forests: st.lists(forests.map(lambda inner: f"({inner})"), max_size=4).map("".join),
     max_leaves=40,
+)
+mark_forests = st.one_of(
+    _forest_texts,
+    # a forest inside a chain of single marks, where a step that empties a
+    # list makes a crossing two lists up; the branch above rarely draws one
+    st.builds(lambda inner, links: "(" * links + inner + ")" * links,
+              _forest_texts, st.integers(min_value=1, max_value=4)),
 ).map(MarkExpr)
 
 
