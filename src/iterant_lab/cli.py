@@ -216,10 +216,7 @@ def cmd_clifford_fusion(args):
 
 def cmd_dirac_verify(args):
     frame = dirac.dirac_frame(args.dim)
-    if args.dim == "3d":
-        momentum = tuple(parse_rational(tok) for tok in args.p.split(","))
-    else:
-        momentum = parse_rational(args.p)
+    momentum = tuple(parse_rational(tok) for tok in args.p.split(","))
     params = dirac.OnShellParams.of(parse_rational(args.E), momentum, parse_rational(args.m))
     report = _outcomes(dirac.relations(frame, params))
     checks = [

@@ -1,6 +1,8 @@
 """Split quaternions, quaternion triples, anticommuting generator ladders,
 braiding by conjugation, fermion operators, the self-dual fusion ring, and the
-exact spacetime demonstrations (boost and Hermitian observable).
+exact spacetime demonstrations: the Lorentz boost, and the Hermitian
+observable H of an event as a bare matrix, whose trace, determinant and
+roots the caller reads off H itself.
 
 Each identity (a quaternion unit product, a braider or fermion relation, the
 realness of a matrix) is yielded as one (name, lhs, rhs) triple; the caller
@@ -336,45 +338,14 @@ def lorentz_boost(v: Fraction, t: Fraction, x: Fraction) -> BoostResult:
     )
 
 
-@dataclass(frozen=True)
-class SpacetimeEvent:
-    t: Fraction
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    @staticmethod
-    def of(t, x, y, z) -> SpacetimeEvent:
-        return SpacetimeEvent(Fraction(t), Fraction(x), Fraction(y), Fraction(z))
-
-
-@dataclass(frozen=True)
-class HermitianObservable:
-    matrix: SquareMatrix
-    determinant: Fraction
-    trace: Fraction
-    eigenvalues: tuple[Fraction, Fraction] | None  # exact roots when available
-
-
-def minkowski_observable(event: SpacetimeEvent) -> HermitianObservable:
-    """H = [[T+X, Y+Zi], [Y-Zi, T-X]]: Hermitian, det = T^2-X^2-Y^2-Z^2,
-    characteristic polynomial L^2 - 2T L + det."""
-    t, x, y, z = event.t, event.x, event.y, event.z
-    h = SquareMatrix.from_rows(
+def minkowski_observable(event: tuple[Fraction, Fraction, Fraction, Fraction]) -> SquareMatrix:
+    """H = [[T+X, Y+Zi], [Y-Zi, T-X]] for the event (T, X, Y, Z): Hermitian,
+    with trace 2T, det H = T^2-X^2-Y^2-Z^2 and characteristic polynomial
+    L^2 - 2T L + det."""
+    t, x, y, z = event
+    return SquareMatrix.from_rows(
         [
             [GaussianRational(t + x), GaussianRational(y, z)],
             [GaussianRational(y, -z), GaussianRational(t - x)],
         ]
-    )
-    det = h.determinant()
-    if not det.is_real():
-        raise ArithmeticError("determinant of a Hermitian matrix must be real")
-    spatial = x * x + y * y + z * z
-    radius = sqrt_exact(spatial)
-    eigenvalues = (t - radius, t + radius) if radius is not None else None
-    return HermitianObservable(
-        matrix=h,
-        determinant=det.re,
-        trace=2 * t,
-        eigenvalues=eigenvalues,
     )

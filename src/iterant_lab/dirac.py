@@ -11,9 +11,12 @@ anticommutator identities:
 * ``time_reversed``:  U = ba E + b p - a m,   U+ = -ba E + b p - a m,
                       with U U+ + U+ U = 4 E^2.
 
-In three space dimensions p is replaced by the operator p.s built from an
-independent commuting triple of anticommuting square-one matrices, and the
-same identities hold with (p + m)^2 read as the operator square.
+The momentum p has one component per space dimension, and U reads it as the
+operator p.s, the one sum p_1 s_1 + ... over the frame's s_i.  In one
+dimension s_1 is the identity, so p.s is p times the identity; in three
+dimensions s_1, s_2, s_3 are an independent commuting triple of
+anticommuting square-one matrices, and the same identities hold with
+(p + m)^2 read as the operator square.
 
 Each identity is yielded as one (name, lhs, rhs) triple and the caller
 compares the two sides: ``relations`` for one (E, p, m), and
@@ -37,28 +40,23 @@ VERSIONS = ("conjugate", "time_reversed")
 @dataclass(frozen=True)
 class OnShellParams:
     energy: Fraction
-    momentum: Fraction | tuple[Fraction, Fraction, Fraction]
+    momentum: tuple[Fraction, ...]  # one or three components
     mass: Fraction
 
     @staticmethod
     def of(energy, momentum, mass) -> OnShellParams:
+        """A scalar momentum is the 1-tuple of one space dimension."""
         if isinstance(momentum, (tuple, list)):
             p = tuple(Fraction(c) for c in momentum)
-            if len(p) != 3:
-                raise ValueError(f"momentum vector must have 3 components, got {len(p)}")
         else:
-            p = Fraction(momentum)
+            p = (Fraction(momentum),)
+        if len(p) not in (1, 3):
+            raise ValueError(f"momentum must have 1 or 3 components, got {len(p)}")
         return OnShellParams(Fraction(energy), p, Fraction(mass))
 
     @property
-    def space_dim(self) -> int:
-        return 3 if isinstance(self.momentum, tuple) else 1
-
-    @property
     def momentum_squared(self) -> Fraction:
-        if isinstance(self.momentum, tuple):
-            return sum(c * c for c in self.momentum)
-        return self.momentum * self.momentum
+        return sum(c * c for c in self.momentum)
 
     @property
     def shell_defect(self) -> Fraction:
@@ -72,46 +70,40 @@ class OnShellParams:
 
 @dataclass(frozen=True)
 class DiracFrame:
-    """alpha, beta with square one and alpha beta + beta alpha = 0; in the
-    three-dimensional frame an independent commuting triple s_1, s_2, s_3."""
+    """alpha, beta with square one and alpha beta + beta alpha = 0, and one
+    s_i per space dimension commuting with both: the identity in the 1d
+    frame, an anticommuting square-one triple in the 3d frame."""
 
     alpha: SquareMatrix
     beta: SquareMatrix
     sigmas: tuple[SquareMatrix, ...]
-    space_dim: int
 
     @property
     def dim(self) -> int:
         return self.alpha.n
 
     def momentum_operator(self, params: OnShellParams) -> SquareMatrix:
-        if params.space_dim != self.space_dim:
+        """p.s = sum of p_i s_i."""
+        s, p = self.sigmas, params.momentum
+        if len(p) != len(s):
             raise ValueError(
-                f"frame is {self.space_dim}-dimensional but momentum is "
-                f"{params.space_dim}-dimensional"
+                f"frame is {len(s)}-dimensional but momentum is {len(p)}-dimensional"
             )
-        if self.space_dim == 1:
-            return SquareMatrix.identity(self.dim).scale(params.momentum)
-        total = SquareMatrix.zero(self.dim)
-        for p_i, s_i in zip(params.momentum, self.sigmas):
-            total = total + s_i.scale(p_i)
-        return total
+        return sum((s_i.scale(p_i) for s_i, p_i in zip(s[1:], p[1:])), s[0].scale(p[0]))
 
 
 def dirac_frame(dim: str = "1d") -> DiracFrame:
-    """The 2x2 split-generator frame, or its 4x4 three-dimensional extension."""
-    sq = split_quaternions()
+    """The 2x2 split-generator frame, or its 4x4 three-dimensional extension:
+    alpha, beta from the hatted copy and s_1, s_2, s_3 = i s_1 s_2 from the
+    plain copy of the split generators."""
     if dim == "1d":
-        return DiracFrame(alpha=sq.polarity, beta=sq.shift, sigmas=(), space_dim=1)
+        sq = split_quaternions()
+        return DiracFrame(alpha=sq.polarity, beta=sq.shift, sigmas=(sq.one,))
     if dim == "3d":
-        one = sq.one
-        alpha = sq.polarity.kron(one)
-        beta = sq.shift.kron(one)
-        s1 = sq.shift
-        s2 = -sq.polarity
-        s3 = (s1 * s2).scale(I_UNIT)
-        sigmas = tuple(one.kron(s) for s in (s1, s2, s3))
-        return DiracFrame(alpha=alpha, beta=beta, sigmas=sigmas, space_dim=3)
+        hatted, plain = _hatted_and_plain()
+        s1, s2 = plain["shift"], -plain["polarity"]
+        return DiracFrame(alpha=hatted["polarity"], beta=hatted["shift"],
+                          sigmas=(s1, s2, (s1 * s2).scale(I_UNIT)))
     raise ValueError(f"dim must be '1d' or '3d', got {dim!r}")
 
 

@@ -307,7 +307,12 @@ def determinant_period2(z: IterantElement) -> GaussianRational:
 
 
 def parse_period2(text: str) -> IterantElement:
-    """Parse "[a,b] + [c,d]e" (either part optional) into the period-two algebra."""
+    """Parse "[a,b] + [c,d]e" (either part optional) into the period-two algebra.
+
+    A sign may open the text, and one sign separates each two terms; a term
+    must follow every sign.  Positions in errors count the text without its
+    spaces.
+    """
     algebra = period_two_algebra()
     total = algebra.zero()
     s = text.replace(" ", "")
@@ -315,13 +320,11 @@ def parse_period2(text: str) -> IterantElement:
         return total
     pos = 0
     sign = 1
-    while pos < len(s):
-        if s[pos] == "+":
-            sign, pos = 1, pos + 1
-            continue
-        if s[pos] == "-":
-            sign, pos = -1, pos + 1
-            continue
+    if s[0] in "+-":
+        sign, pos = (1 if s[0] == "+" else -1), 1
+    while True:
+        if pos == len(s):
+            raise ValueError(f"expected a term after the sign at position {pos - 1} in {text!r}")
         if s[pos] != "[":
             raise ValueError(f"expected '[' at position {pos} in {text!r}")
         close = s.find("]", pos)
@@ -337,7 +340,11 @@ def parse_period2(text: str) -> IterantElement:
             g = "e"
             pos += 1
         total = total + algebra.term([sign * c for c in entries], g)
-    return total
+        if pos == len(s):
+            return total
+        if s[pos] not in "+-":
+            raise ValueError(f"expected '+' or '-' between terms at position {pos} in {text!r}")
+        sign, pos = (1 if s[pos] == "+" else -1), pos + 1
 
 
 # ---------------------------------------------------------------------------

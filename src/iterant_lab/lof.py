@@ -152,8 +152,7 @@ class _Worklist:
     them deepest first, then by preorder; an owner that has left the pool
     stays in the heap until it reaches the top."""
 
-    __slots__ = ("text", "parent", "depth", "count", "empties", "crossings",
-                 "pool", "slot", "heap")
+    __slots__ = ("parent", "depth", "count", "empties", "crossings", "pool", "slot", "heap")
 
     def __init__(self, text: str):
         marks = text.count("(") + 1  # and the root
@@ -176,7 +175,7 @@ class _Worklist:
                     crossings[open_marks[-1]].append(done)
             else:
                 raise ValueError("cannot reduce an expression containing variables")
-        self.text, self.parent, self.depth = text, parent, depth
+        self.parent, self.depth = parent, depth
         self.count, self.empties, self.crossings = count, empties, crossings
         self.pool = [owner for owner in range(marks) if len(empties[owner]) > 1 or crossings[owner]]
         self.slot = [-1] * marks  # each owner's place in the pool, -1 outside it
@@ -187,9 +186,9 @@ class _Worklist:
         heapq.heapify(self.heap)
 
     def copy(self) -> _Worklist:
-        """An independent copy; the text, parents and depths never change."""
+        """An independent copy; the parents and depths never change."""
         twin = object.__new__(_Worklist)
-        twin.text, twin.parent, twin.depth = self.text, self.parent, self.depth
+        twin.parent, twin.depth = self.parent, self.depth
         twin.count, twin.slot = self.count[:], self.slot[:]
         twin.empties = list(map(list.copy, self.empties))
         twin.crossings = list(map(list.copy, self.crossings))

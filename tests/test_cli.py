@@ -311,11 +311,17 @@ def test_usage_error_exit_code(capsys):
 def test_bad_inputs_exit_two(capsys):
     assert main(["group", "table", "--group", "nosuch"]) == 2
     assert main(["lof", "reduce", "(()"]) == 2
-    assert main(["dirac", "verify", "--E", "5", "--p", "1,2", "--m", "0",
-                 "--dim", "3d"]) == 2
     assert main(["matrep", "isocheck", "--group", "c3", "--natural"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: --natural requires a symmetric group (s<n>)")
+    for dim in ("1d", "3d"):
+        assert main(["dirac", "verify", "--E", "5", "--p", "1,2", "--m", "0",
+                     "--dim", dim]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: momentum must have 1 or 3 components, got 2"]
+    assert main(["dirac", "verify", "--E", "5", "--p", "1,2,2", "--m", "4"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: frame is 1-dimensional but momentum is 3-dimensional"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -804,9 +810,14 @@ def _benchmark_faulty_inputs() -> list[tuple[str, ...]]:
 
 
 # the known-bad inputs: each once exited 0, ran past 20 s, ended in a
-# traceback, or is a benchmark fault case; the lattice parameters dx, dt and
-# kappa, and r = kappa*dt/dx^2, once reached the lattice unread
+# traceback, gave an error that did not name the fault, or is a benchmark fault
+# case; the lattice parameters dx, dt and kappa, and r = kappa*dt/dx^2, once
+# reached the lattice unread
 KNOWN_BAD_ARGV = [
+    *(("iterant", "eval", text, "[1,0]") for text in ("[1,2][3,4]", "[1,2]+", "+", "-")),
+    ("dirac", "verify", "--E", "5", "--p", "1,2,2", "--m", "4"),
+    *(("dirac", "verify", "--E", "5", "--p", "1,2", "--m", "4", "--dim", dim)
+      for dim in ("1d", "3d")),
     ("lof", "reduce", "(()", "--random", "5", "4", "1"),
     ("lof", "reduce", "()", "--random", "5", "4", "1", "--trace", "--format", "json"),
     ("lof", "reduce", "", "--random", "5", "4", "1"),

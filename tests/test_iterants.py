@@ -210,6 +210,21 @@ def test_period2_text_roundtrip():
     assert str(alg.zero()) == "0"
     assert parse_period2("[1,2] + [3,4]e") == alg.vector([1, 2]) + alg.term([3, 4], "e")
     assert parse_period2("-[1,0]e") == alg.term([-1, 0], "e")
+    assert parse_period2("[1,2] - [3,4]e") == alg.vector([1, 2]) - alg.term([3, 4], "e")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1,2][3,4]", "expected '+' or '-' between terms at position 5 in '[1,2][3,4]'"),
+    ("[1,2]e[3,4]", "expected '+' or '-' between terms at position 6 in '[1,2]e[3,4]'"),
+    ("[1,2] +", "expected a term after the sign at position 5 in '[1,2] +'"),
+    ("+", "expected a term after the sign at position 0 in '+'"),
+    ("-", "expected a term after the sign at position 0 in '-'"),
+    ("[1,2] + - [3,4]", "expected '[' at position 6 in '[1,2] + - [3,4]'"),
+])
+def test_period2_text_needs_one_sign_between_terms(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_period2(text)
+    assert str(err.value) == message
 
 
 def test_json_roundtrip():

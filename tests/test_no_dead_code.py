@@ -7,8 +7,8 @@ module counts as referenced only as a bare name in its own module, as
 attribute elsewhere does not keep it alive; a method or nested function
 counts as referenced as any name, attribute or imported name.  A function
 that only a test calls is dead code: wire it into a ``verify-all`` row or
-delete it.  Likewise every dataclass field must be read as an attribute
-somewhere in the package source.
+delete it.  Likewise every dataclass field, and every name in a class's
+``__slots__``, must be read as an attribute somewhere in the package source.
 """
 
 import ast
@@ -106,3 +106,50 @@ def test_every_dataclass_field_is_read_in_the_package():
                     if field not in read and (cls, field) not in ALLOWED_FIELDS
                     and cls not in ALLOWED_DATACLASSES)
     assert not unread, f"dataclass fields that nothing in src/ reads: {unread}"
+
+
+def _slots(trees) -> dict[tuple[str, str], str]:
+    """Each (class, name) of each class's ``__slots__``, with its file."""
+    return {(node.name, name): file
+            for file, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.Assign) and getattr(item.targets[0], "id", "") == "__slots__"
+            for name in ast.literal_eval(item.value)}
+
+
+def _copies(trees) -> set[ast.Attribute]:
+    """The values of ``a.x = b.x`` (or a tuple of such pairs): a slot copied
+    into the same slot of another object is not read by the copy."""
+    out = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                out.update(v for t, v in pairs if isinstance(t, ast.Attribute)
+                           and isinstance(v, ast.Attribute) and t.attr == v.attr)
+    return out
+
+
+def test_every_slot_is_read_in_the_package():
+    """A slot name that is also another class's field or slot must be read
+    as ``self.name`` in its own class: a read elsewhere may be the other's."""
+    trees = _trees()
+    copies = _copies(trees)
+    slots = _slots(trees)
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and node not in copies}
+    own_reads = {(cls.name, node.attr) for tree in trees.values() for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and getattr(node.value, "id", "") == "self" and node not in copies}
+    declared = [*_dataclass_fields(trees), *slots]
+    unread = sorted(
+        f"{file}.py:{cls}.{name}" for (cls, name), file in slots.items()
+        if (cls, name) not in own_reads
+        and (name not in reads or any(n == name and c != cls for c, n in declared)))
+    assert not unread, f"slots that nothing in src/ reads: {unread}"

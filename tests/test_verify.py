@@ -5,7 +5,6 @@ tests evaluate declared rows of small literal cases, and run a real
 criterion only with one case of a library function broken on purpose.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -110,9 +109,8 @@ def _family(v):
     return verify._kernel_family_element(natural_sn_algebra(3), v)
 
 
-def _not_hermitian(observable):
-    return dataclasses.replace(observable, matrix=observable.matrix
-                               + SquareMatrix.from_rows([[0, 1], [0, 0]]))
+def _not_hermitian(h: SquareMatrix) -> SquareMatrix:
+    return h + SquareMatrix.from_rows([[0, 1], [0, 0]])
 
 
 def _commutator_text(sides):
@@ -132,10 +130,12 @@ WITNESS_ROWS = {
         verify.check_kernel, matrep, "to_matrix", _family, _plus_identity,
         lambda v: (str(_plus_identity(matrep.to_matrix(_family(v)))),
                    str(SquareMatrix.zero(3)))),
+    "C09.trace": (
+        verify.check_minkowski, clifford, "minkowski_observable", lambda c: c[0], _plus_identity,
+        lambda c: (str(c[1].trace() + 2), str(2 * c[0][0]))),
     "C09.hermitian": (
         verify.check_minkowski, clifford, "minkowski_observable", lambda c: c[0], _not_hermitian,
-        lambda c: (str(_not_hermitian(c[1]).matrix),
-                   str(_not_hermitian(c[1]).matrix.conjugate_transpose()))),
+        lambda c: (str(_not_hermitian(c[1])), str(_not_hermitian(c[1]).conjugate_transpose()))),
     "C16.commutator-identity": (
         verify.check_discrete, discrete, "basic_commutator", lambda d: d[0], _doubled_rhs,
         lambda d: _commutator_text(_doubled_rhs(discrete.basic_commutator(*d)))),
@@ -172,6 +172,19 @@ def test_a_broken_case_fails_its_row_with_both_computed_sides(monkeypatch, row_i
     assert witness["lhs"] != witness["rhs"]
     assert not {witness["lhs"], witness["rhs"]} & {"False", "True"}
     assert "Fraction(" not in witness["lhs"] + witness["rhs"]
+
+
+def test_the_example_roots_are_read_off_the_observable(monkeypatch):
+    real = clifford.minkowski_observable
+
+    def spoiled(event):
+        h = real(event)
+        return _plus_identity(h) if event == (2, 1, 0, 0) else h
+
+    monkeypatch.setattr(clifford, "minkowski_observable", spoiled)
+    row = {r.check_id: r for r in verify.check_minkowski(7)}["C09.example-roots"]
+    # H + 1 = diag(4, 2): charpoly L^2 - 6L + 8
+    assert (row.passed, row.lhs) == (False, "(2, 4) det 8; (-5, 5) det -25")
 
 
 def test_the_non_constant_row_prints_the_constant(monkeypatch):
