@@ -244,7 +244,8 @@ def cmd_dirac_verify(args):
                    "pass": report["plane-wave"] or not params.on_shell})
     all_pass = all(c["pass"] for c in checks)
     payload = {"version": args.version, "dim": args.dim,
-               "E": str(params.energy), "p": args.p, "m": str(params.mass),
+               "E": str(params.energy), "p": ",".join(map(str, params.momentum)),
+               "m": str(params.mass),
                "checks": checks, "all_pass": all_pass}
     return (0 if all_pass else 1), {
         "json": payload,

@@ -310,12 +310,13 @@ def parse_period2(text: str) -> IterantElement:
     """Parse "[a,b] + [c,d]e" (either part optional) into the period-two algebra.
 
     A sign may open the text, and one sign separates each two terms; a term
-    must follow every sign.  Positions in errors count the text without its
-    spaces.
+    must follow every sign.  Spaces are dropped, and positions in errors
+    index the text as given.
     """
     algebra = period_two_algebra()
     total = algebra.zero()
-    s = text.replace(" ", "")
+    kept = [i for i, ch in enumerate(text) if ch != " "]  # where each char of s stands
+    s = "".join(text[i] for i in kept)
     if not s or s == "0":
         return total
     pos = 0
@@ -324,12 +325,13 @@ def parse_period2(text: str) -> IterantElement:
         sign, pos = (1 if s[0] == "+" else -1), 1
     while True:
         if pos == len(s):
-            raise ValueError(f"expected a term after the sign at position {pos - 1} in {text!r}")
+            raise ValueError(
+                f"expected a term after the sign at position {kept[pos - 1]} in {text!r}")
         if s[pos] != "[":
-            raise ValueError(f"expected '[' at position {pos} in {text!r}")
+            raise ValueError(f"expected '[' at position {kept[pos]} in {text!r}")
         close = s.find("]", pos)
         if close < 0:
-            raise ValueError(f"missing ']' for the '[' at position {pos} in {text!r}")
+            raise ValueError(f"missing ']' for the '[' at position {kept[pos]} in {text!r}")
         inner = s[pos + 1 : close]
         entries = [parse_scalar(p) for p in inner.split(",")]
         if len(entries) != 2:
@@ -343,7 +345,8 @@ def parse_period2(text: str) -> IterantElement:
         if pos == len(s):
             return total
         if s[pos] not in "+-":
-            raise ValueError(f"expected '+' or '-' between terms at position {pos} in {text!r}")
+            raise ValueError(
+                f"expected '+' or '-' between terms at position {kept[pos]} in {text!r}")
         sign, pos = (1 if s[pos] == "+" else -1), pos + 1
 
 

@@ -89,17 +89,13 @@ def _forest_key(text: str) -> str:
     return "".join(sorted(_fold(text, str, lambda keys: "(" + "".join(sorted(keys)) + ")")))
 
 
-class MarkParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
 def parse(text: str) -> MarkExpr:
     """Grammar: expr := term*; term := '(' expr ')' | '*' | letter.
 
     '*' stands for the empty expression and may appear anywhere; whitespace
-    is ignored.  More than groups.MAX_LOF_MARKS marks is a ValueError.
+    is ignored.  More than groups.MAX_LOF_MARKS marks is a ValueError, and so
+    is an unbalanced mark or another character, whose message names its
+    position in the text.
     """
     marks = text.count("(")
     if marks > MAX_LOF_MARKS:
@@ -113,13 +109,13 @@ def parse(text: str) -> MarkExpr:
             opens.append(pos)
         elif ch == ")":
             if not opens:
-                raise MarkParseError("unbalanced ')'", pos)
+                raise ValueError(f"unbalanced ')' at position {pos}")
             opens.pop()
         elif not ch.isalpha():
-            raise MarkParseError(f"unexpected character {ch!r}", pos)
+            raise ValueError(f"unexpected character {ch!r} at position {pos}")
         kept.append(ch)
     if opens:
-        raise MarkParseError("unbalanced '('", opens[-1])
+        raise ValueError(f"unbalanced '(' at position {opens[-1]}")
     return MarkExpr("".join(kept))
 
 

@@ -52,7 +52,7 @@ BRIDGE_PAIRS = 200      # C03
 MATRICES_PER_DIM = 34   # C07, for each of n = 2, 3, 4
 KERNEL_SAMPLES = 500    # C08, a kernel-family draw after every tenth
 EVENTS = 200            # C09
-BOOSTS = 100            # C09, for each of the two boost rows
+BOOSTS = 25             # C09, after the events: the boost cases, then the spinor cases
 FUZZ = 1000             # C13
 TRIPLES = 50            # C14, on shell
 OFF_SHELL = 100         # C14
@@ -283,6 +283,12 @@ def check_g_table_theorem(seed: int):
         yield (f"C04.{name}-regular-placement",
                f"{name}: table placement of each element equals its regular permutation matrix",
                range(group.order), placement, group.names.__getitem__)
+        yield from _group_axioms(name, group)
+        yield from _action_law(f"{name}-regular", action)
+    period_two = period_two_algebra()
+    yield from _group_axioms("period-two", period_two.group)
+    yield from _action_law("period-two", period_two.action)
+    yield from _action_law("s3-natural", groups.natural_action(3))
     for name, group, mult, gtable in (("c3", groups.cyclic(3), C3_MULT, C3_GTABLE),
                                       ("c6", groups.cyclic(6), C6_MULT, C6_GTABLE),
                                       ("s3", groups.symmetric(3), S3_MULT, S3_GTABLE)):
@@ -293,6 +299,42 @@ def check_g_table_theorem(seed: int):
                    itertools.product(range(len(reference)), repeat=2),
                    lambda cell: (table[cell[0]][cell[1]], reference[cell[0]][cell[1]]),
                    lambda cell: {"row": cell[0], "col": cell[1]})
+
+
+def _group_axioms(tag: str, group: groups.Group):
+    """The identity-and-inverses row and the associativity row of a group,
+    each witness given by element names, as Group.index_of reads them."""
+    names, mul, one = group.names, group.mul, group.identity
+
+    def identity_inverse(a: int):
+        inverse = group.inv(a)
+        got = (mul(one, a), mul(a, one), mul(a, inverse), mul(inverse, a))
+        return tuple(names[g] for g in got), (names[a], names[a], names[one], names[one])
+
+    yield (f"C04.{tag}-identity-inverses",
+           f"{tag}: 1a = a1 = a and a a^-1 = a^-1 a = 1 for each element a",
+           range(group.order), identity_inverse, names.__getitem__)
+    yield (f"C04.{tag}-associativity", f"{tag}: (ab)c = a(bc) on all {group.order ** 3} triples",
+           itertools.product(range(group.order), repeat=3),
+           lambda t: (names[mul(mul(t[0], t[1]), t[2])], names[mul(t[0], mul(t[1], t[2]))]),
+           lambda t: [names[g] for g in t])
+
+
+def _action_law(tag: str, action: groups.GroupAction):
+    """The action-law row of an action: for each pair (g, h), g permutes the
+    points, the identity fixes them, and i(gh) = (ig)h at every point i."""
+    group, maps = action.group, action.point_maps
+    points = tuple(range(action.degree))
+
+    def law(pair: tuple[int, int]):
+        g, h = pair
+        return ((tuple(sorted(maps[g])), maps[group.identity], tuple(maps[h][i] for i in maps[g])),
+                (points, points, maps[group.mul(g, h)]))
+
+    yield (f"C04.{tag}-action",
+           f"{action.label}: each element acts bijectively, 1 trivially, and i(gh) = (ig)h",
+           itertools.product(range(group.order), repeat=2), law,
+           lambda pair: [group.names[g] for g in pair])
 
 
 @_criterion("groups")
@@ -435,60 +477,81 @@ def check_kernel(seed: int):
 @_criterion("spacetime")
 def check_minkowski(seed: int):
     rng = random.Random(seed + 9)
-    cases = []
-    for _ in range(EVENTS):
-        event = tuple(_rand_fraction(rng) for _ in range(4))
-        cases.append((event, clifford.minkowski_observable(event)))
 
-    def show(case) -> list[str]:
-        return [str(q) for q in case[0]]
+    def draw_event():
+        event = tuple(_rand_fraction(rng) for _ in range(4))
+        return event, clifford.minkowski_observable(event)
+
+    def doppler() -> Fraction:
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    def unimodular() -> SquareMatrix:
+        a = random_scalar(rng) + 10  # real part 1..19, never zero
+        b, c = random_scalar(rng), random_scalar(rng)
+        return SquareMatrix.from_rows([[a, b], [c, (1 + b * c) / a]])
+
+    # Every boost and spinor case is drawn after the events, from the same
+    # generator.  A Doppler factor D > 0 gives the rational velocity
+    # v = (1-D^2)/(1+D^2), and A = [[a, b], [c, (1+bc)/a]] has det A = 1.
+    cases = [draw_event() for _ in range(EVENTS)]
+    boosts = [(doppler(), doppler(), *draw_event()) for _ in range(BOOSTS)]
+    spinors = [(unimodular(), *draw_event()) for _ in range(BOOSTS)]
+
+    def text(event) -> list[str]:
+        return [str(q) for q in event]
 
     def interval(case):
         (t, x, y, z), h = case
         return h.determinant(), t * t - x * x - y * y - z * z
 
-    # The boosts are drawn after the events, from the same generator.  With
-    # a, b >= 1, v = (a^2-b^2)/(a^2+b^2) has 1 - v^2 = (2ab/(a^2+b^2))^2, so the
-    # boost is exact; an odd numerator over an even denominator gives 1 - v^2 a
-    # numerator of 3 mod 4, never a square, so the boost stays light-cone.
-    exact = [(Fraction(a * a - b * b, a * a + b * b), _rand_fraction(rng), _rand_fraction(rng))
-             for a, b in ((rng.randint(1, 9), rng.randint(1, 9)) for _ in range(BOOSTS))]
-    light_cone = []
-    for _ in range(BOOSTS):
-        half = rng.randint(1, 6)
-        v = Fraction(2 * rng.randint(-half, half - 1) + 1, 2 * half)
-        light_cone.append((v, _rand_fraction(rng), _rand_fraction(rng)))
+    def velocity(d: Fraction) -> Fraction:
+        return (1 - d * d) / (1 + d * d)
 
-    def boosted_interval(case):
-        v, t, x = case
-        b = clifford.lorentz_boost(v, t, x)
-        return b.t_prime * b.t_prime - b.x_prime * b.x_prime, t * t - x * x
+    def boosted(case):
+        d, _, (t, x, _, _), h = case
+        b = clifford.doppler_boost(h, d)
+        plus, minus = b.entry(0, 0), b.entry(1, 1)
+        v, gamma = velocity(d), (1 + d * d) / (2 * d)
+        return (((plus + minus) / 2, (plus - minus) / 2, b.determinant()),
+                (gamma * (t - v * x), gamma * (x - v * t), h.determinant()))
 
-    def light_cone_product(case):
-        v, t, x = case
-        b = clifford.lorentz_boost(v, t, x)
-        return ((b.mode, b.k_squared, b.boosted_u_minus_squared() * b.boosted_u_plus_squared()),
-                ("light_cone", (1 + v) / (1 - v), (t * t - x * x) ** 2))
+    def composed(case):
+        d, e, _, h = case
+        v, w = velocity(d), velocity(e)
+        return ((clifford.doppler_boost(clifford.doppler_boost(h, d), e), (v + w) / (1 + v * w)),
+                (clifford.doppler_boost(h, d * e), velocity(d * e)))
 
-    def boost_inputs(case) -> list[str]:
-        return [str(q) for q in case]
+    def spinor(case) -> SquareMatrix:
+        a, _, h = case
+        return a * h * a.conjugate_transpose()
+
+    def hermitian(m: SquareMatrix):
+        return m, m.conjugate_transpose()
+
+    def spinor_inputs(case) -> dict:
+        return {"A": case[0].to_lists(), "event": text(case[1])}
 
     yield ("C09.determinant", f"det H = T^2-X^2-Y^2-Z^2 on {EVENTS} random events",
-           cases, interval, show)
+           cases, interval, lambda c: text(c[0]))
     yield ("C09.trace", "trace H = 2T on all samples",
-           cases, lambda c: (c[1].trace(), 2 * c[0][0]), show)
+           cases, lambda c: (c[1].trace(), 2 * c[0][0]), lambda c: text(c[0]))
     yield ("C09.hermitian", "H equals its conjugate transpose",
-           cases, lambda c: (c[1], c[1].conjugate_transpose()), show)
+           cases, lambda c: hermitian(c[1]), lambda c: text(c[0]))
     yield ("C09.example-roots", "reference events give charpoly roots {1,3} and {-5,5}",
            "; ".join(_spectrum(clifford.minkowski_observable(event))
                      for event in ((2, 1, 0, 0), (0, 3, 4, 0))),
            "(1, 3) det 3; (-5, 5) det -25")
-    yield ("C09.boost-interval",
-           f"t'^2-x'^2 = t^2-x^2 under {BOOSTS} exact boosts, v = (a^2-b^2)/(a^2+b^2)",
-           exact, boosted_interval, boost_inputs)
-    yield ("C09.boost-light-cone",
-           f"k^2 = (1+v)/(1-v) and k^2(t-x)^2 (t+x)^2/k^2 = (t^2-x^2)^2 on {BOOSTS} boosts",
-           light_cone, light_cone_product, boost_inputs)
+    yield ("C09.doppler-boost",
+           f"diag(D,1) H diag(1,1/D) gives T' = gamma(T-vX), X' = gamma(X-vT), keeps det H "
+           f"({BOOSTS} boosts)",
+           boosts, boosted, lambda c: {"D": str(c[0]), "event": text(c[2])})
+    yield ("C09.doppler-composition",
+           f"a boost by D then E is the boost by DE, at velocity (v+w)/(1+vw) ({BOOSTS} pairs)",
+           boosts, composed, lambda c: {"D": str(c[0]), "E": str(c[1]), "event": text(c[2])})
+    yield ("C09.spinor-determinant", f"det(A H A+) = det H for {BOOSTS} A in SL(2, Q(i))",
+           spinors, lambda c: (spinor(c).determinant(), c[2].determinant()), spinor_inputs)
+    yield ("C09.spinor-hermitian", "A H A+ equals its conjugate transpose on the same cases",
+           spinors, lambda c: hermitian(spinor(c)), spinor_inputs)
 
 
 def _spectrum(h: SquareMatrix) -> str:
@@ -537,20 +600,23 @@ def check_braiding(seed: int):
            range(1, rep.n + 1), lambda j: (conjugated(j, (1, 2, 1)), conjugated(j, (2, 1, 2))),
            lambda j: {"j": j})
 
-    def clifford_error(case):
-        rep_n, k = case
-        try:
-            clifford.CliffordRep(tuple(clifford.braid_conjugate(rep_n, k, c)
-                                       for c in rep_n.generators))
-        except ValueError as err:
-            return str(err), None
-        return None, None
+    ladders = [clifford.clifford_generators(n) for n in range(2, 7)]
+
+    def failing_relations(case):
+        ladder, k = case
+        images = tuple(clifford.braid_conjugate(ladder, k, c) for c in ladder.generators)
+        return [name for name, lhs, rhs in clifford.anticommuting_relations(images)
+                if lhs != rhs], []
 
     yield ("C10.relations-preserved",
            "images of the generators are again anticommuting square-one (n <= 6)",
-           [(rep_n, k) for rep_n in map(clifford.clifford_generators, range(2, 7))
-            for k in range(1, rep_n.n)],
-           clifford_error, lambda c: {"n": c[0].n, "k": c[1]})
+           [(ladder, k) for ladder in ladders for k in range(1, ladder.n)],
+           failing_relations, lambda c: {"n": c[0].n, "k": c[1]})
+    yield ("C10.ladder-relations",
+           "each ladder generator squares to one and each two anticommute (n = 2..6)",
+           ((ladder.n, *relation) for ladder in ladders
+            for relation in clifford.anticommuting_relations(ladder.generators)),
+           lambda c: c[2:], lambda c: {"n": c[0], "i": c[1][0], "j": c[1][1]})
 
     def spanned(case):
         k, i = case

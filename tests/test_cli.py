@@ -166,6 +166,15 @@ def test_dirac_verify_3d(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+def test_dirac_verify_prints_every_parameter_in_lowest_terms(capsys):
+    _, out = run_cli(capsys, "dirac", "verify", "--E", "10/2", "--p", "6/2", "--m", "08")
+    payload = json.loads(out)
+    assert (payload["E"], payload["p"], payload["m"]) == ("5", "3", "8")
+    _, out = run_cli(capsys, "dirac", "verify", "--E", "6/2", "--p", "2/2,4/2,-04/2", "--m", "0",
+                     "--dim", "3d")
+    assert json.loads(out)["p"] == "1,2,-2"
+
+
 def test_dirac_majorana_generators(capsys):
     code, out = run_cli(capsys, "dirac", "majorana-generators", "--emit-matrices")
     assert code == 0
@@ -724,10 +733,10 @@ PINNED = {
     "decompose-text": (("matrep", "decompose", "--matrix", "m.json", "--format", "text"),
         "8426f62b8d1dd5f47c528c0517aba70f420a166a1d8245c0c895184ff5aabe76"),
     "isocheck-text": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--samples", "20"),
-        "9295cb4534656cd73a7edb1bbacca2078e462ecf492e0998d641a11979f3565a"),
+        "845a02a295251cf1ac4d959e29bc5e19cf327472a88488e2f6095d4934c57be8"),
     "isocheck-json": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--samples", "20",
                 "--format", "json"),
-        "441c6a71c73d1e2b34c0c0cd23d5b7270daeef2c7067d2e3f139f9a21e636a1e"),
+        "9b646e01ed69dde5320955d731118c990b2910ab2e0231668eef1575d8e4ba93"),
     "quaternions-text": (("clifford", "quaternions", "--variant", "iota_2x2", "--verify"),
         "3c8fa034d4ce25aff5b37957a5c7f6bd63e564d4c9952a40b7aa65ad8b7b6d52"),
     "quaternions-json": (("clifford", "quaternions", "--variant", "iota_2x2", "--verify",

@@ -216,15 +216,26 @@ def test_period2_text_roundtrip():
 @pytest.mark.parametrize("text, message", [
     ("[1,2][3,4]", "expected '+' or '-' between terms at position 5 in '[1,2][3,4]'"),
     ("[1,2]e[3,4]", "expected '+' or '-' between terms at position 6 in '[1,2]e[3,4]'"),
-    ("[1,2] +", "expected a term after the sign at position 5 in '[1,2] +'"),
+    ("[1,2] +", "expected a term after the sign at position 6 in '[1,2] +'"),
     ("+", "expected a term after the sign at position 0 in '+'"),
     ("-", "expected a term after the sign at position 0 in '-'"),
-    ("[1,2] + - [3,4]", "expected '[' at position 6 in '[1,2] + - [3,4]'"),
+    ("[1,2] + - [3,4]", "expected '[' at position 8 in '[1,2] + - [3,4]'"),
 ])
 def test_period2_text_needs_one_sign_between_terms(text, message):
     with pytest.raises(ValueError) as err:
         parse_period2(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("[1,2] + - [3,4]", "-"), ("[1,2] +", "+"), (" [1, 2]  [3,4]", "["),
+    ("[1,2] + x", "x"), ("  [1,2", "["),
+])
+def test_period2_error_positions_index_the_text_as_given(text, fault):
+    with pytest.raises(ValueError) as err:
+        parse_period2(text)
+    position = int(str(err.value).split("position ")[1].split()[0])
+    assert text[position] == fault
 
 
 def test_json_roundtrip():

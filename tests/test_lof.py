@@ -10,7 +10,6 @@ from iterant_lab import lof
 from iterant_lab.groups import MAX_LOF_MARKS
 from iterant_lab.lof import (
     MarkExpr,
-    MarkParseError,
     ReductionStep,
     confluence_fuzz,
     confluence_probe,
@@ -47,13 +46,11 @@ def test_parse_whitespace_ignored():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(MarkParseError) as err:
+    with pytest.raises(ValueError, match=r"^unbalanced '\(' at position 0$"):
         parse("(()")
-    assert err.value.position == 0
-    with pytest.raises(MarkParseError) as err:
+    with pytest.raises(ValueError, match=r"^unbalanced '\)' at position 2$"):
         parse("())")
-    assert err.value.position == 2
-    with pytest.raises(MarkParseError):
+    with pytest.raises(ValueError, match=r"^unexpected character '1' at position 1$"):
         parse("(1)")
 
 

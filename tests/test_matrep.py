@@ -226,7 +226,7 @@ def test_iso_check_s3_regular():
 def test_iso_check_natural_action_not_faithful():
     report = matrep.iso_check(natural_action(3), samples=50)
     assert report["homomorphism_ok"]
-    assert not report["injective_on_basis"]
+    assert not report["distinct_basis_images"]
     assert report["algebra_dim"] == 18
     assert report["matrix_dim"] == 9
     assert report["spans_matrix_algebra"]

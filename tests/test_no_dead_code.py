@@ -7,8 +7,9 @@ module counts as referenced only as a bare name in its own module, as
 attribute elsewhere does not keep it alive; a method or nested function
 counts as referenced as any name, attribute or imported name.  A function
 that only a test calls is dead code: wire it into a ``verify-all`` row or
-delete it.  Likewise every dataclass field, and every name in a class's
-``__slots__``, must be read as an attribute somewhere in the package source.
+delete it.  Likewise every dataclass field, every name in a class's
+``__slots__`` and every attribute a class's ``__init__`` assigns on ``self``
+must be read as an attribute somewhere in the package source.
 """
 
 import ast
@@ -153,3 +154,29 @@ def test_every_slot_is_read_in_the_package():
         if (cls, name) not in own_reads
         and (name not in reads or any(n == name and c != cls for c, n in declared)))
     assert not unread, f"slots that nothing in src/ reads: {unread}"
+
+
+def _init_attributes(trees) -> dict[tuple[str, str], str]:
+    """Each (class, name) that a class's ``__init__`` assigns as ``self.name``,
+    with its file."""
+    out = {}
+    for file, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                for node in ast.walk(init):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and getattr(node.value, "id", "") == "self"):
+                        out[cls.name, node.attr] = file
+    return out
+
+
+def test_every_attribute_set_in_an_init_is_read_in_the_package():
+    trees = _trees()
+    read = _read_attributes(trees)
+    unread = sorted(f"{file}.py:{cls}.{name}"
+                    for (cls, name), file in _init_attributes(trees).items() if name not in read)
+    assert not unread, f"attributes set in __init__ that nothing in src/ reads: {unread}"

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from iterant_lab import clifford, dirac, discrete, matrep, verify
+from iterant_lab import clifford, dirac, discrete, groups, matrep, verify
 from iterant_lab.iterants import natural_sn_algebra
 from iterant_lab.matrix import SquareMatrix
+from iterant_lab.scalars import parse_rational
 
 
 def test_tally_counts_the_cases_and_keeps_the_first_disagreement():
@@ -197,3 +198,135 @@ def test_the_commutator_witness_prints_rationals_as_text():
     sides = discrete.on_overlap(*discrete.basic_commutator(
         discrete.Sequence.from_values(["1/2", 0, 1]), "1/3"))
     assert verify._text(sides[1]) == "1/3; (1, (3/4, 3))"
+
+
+def _rows(declarations) -> dict:
+    return {row.check_id: row for row in (verify._evaluate("test", 7, d) for d in declarations)}
+
+
+def _declared(check, row_id):
+    """The (cases, relation, show) of one declared row, its cases as a list."""
+    cases, relation, show = next(row[2:] for row in check.__wrapped__(7) if row[0] == row_id)
+    return list(cases), relation, show
+
+
+NEW_C04_ROWS = [f"C04.{name}-{row}" for name in ("c3", "c6", "s3", "klein4", "period-two")
+                for row in ("identity-inverses", "associativity")]
+NEW_C04_ROWS += [f"C04.{name}-regular-action" for name in ("c3", "c6", "s3", "klein4")]
+NEW_C04_ROWS += ["C04.period-two-action", "C04.s3-natural-action"]
+
+
+def test_a_non_associative_table_fails_the_associativity_row():
+    # a table with identity and inverses: (aa)b = 1b = b but a(ab) = a1 = a
+    group = groups.Group(("1", "a", "b"), ((0, 1, 2), (1, 0, 0), (2, 0, 0)), label="loop")
+    rows = _rows(verify._group_axioms("loop", group))
+    assert rows["C04.loop-identity-inverses"].passed
+    row = rows["C04.loop-associativity"]
+    assert (row.passed, row.lhs) == (False, "23/27 agree")
+    assert row.witness == {"seed": 7, "index": 14, "inputs": ["a", "a", "b"],
+                           "lhs": "b", "rhs": "a"}
+    assert [group.index_of(name) for name in row.witness["inputs"]] == [1, 1, 2]
+
+
+def test_a_table_whose_first_element_is_not_the_identity_fails_the_identity_row():
+    group = groups.Group(("x", "y"), ((1, 0), (0, 1)), label="swapped")
+    row = _rows(verify._group_axioms("swapped", group))["C04.swapped-identity-inverses"]
+    # 1x = x1 = y: the identity is y, listed second
+    assert (row.passed, row.witness["inputs"]) == (False, "x")
+    assert (row.witness["lhs"], row.witness["rhs"]) == ("y; y; x; x", "x; x; x; x")
+    assert group.index_of(row.witness["inputs"]) == 0
+
+
+@pytest.mark.parametrize("maps, inputs, lhs", [
+    # S acts as S^2 does, so acting by S twice is not acting by S^2
+    (((0, 1, 2), (2, 0, 1), (2, 0, 1)), ["S", "S"],
+     "(0, 1, 2); (0, 1, 2); (1, 2, 0)"),
+    # S sends two points to 1, so it is no bijection
+    (((0, 1, 2), (1, 1, 0), (2, 0, 1)), ["S", "1"], "(0, 1, 1); (0, 1, 2); (1, 1, 0)"),
+    # the identity moves the points
+    (((1, 2, 0), (1, 2, 0), (2, 0, 1)), ["1", "1"], "(0, 1, 2); (1, 2, 0); (2, 0, 1)"),
+])
+def test_a_broken_action_fails_the_action_row(maps, inputs, lhs):
+    group = groups.cyclic(3)
+    action = groups.GroupAction(group, 3, maps, label="c3 broken")
+    row = _rows(verify._action_law("broken", action))["C04.broken-action"]
+    assert (row.passed, row.witness["inputs"], row.witness["lhs"]) == (False, inputs, lhs)
+    g, h = (group.index_of(name) for name in inputs)
+    assert row.witness["rhs"] == verify._text(((0, 1, 2), (0, 1, 2), maps[group.mul(g, h)]))
+
+
+@pytest.mark.parametrize("row_id", NEW_C04_ROWS)
+def test_each_group_row_names_its_elements_as_index_of_reads_them(row_id):
+    cases, _, show = _declared(verify.check_g_table_theorem, row_id)
+    name = row_id.split(".")[1].split("-")[0]
+    group = verify.period_two_algebra().group if name == "period" else groups.builtin_group(name)
+    for case in cases:
+        names = show(case)
+        ids = group.index_of(names) if isinstance(names, str) else [group.index_of(n) for n in names]
+        assert ids == (case if isinstance(case, int) else list(case))
+
+
+@pytest.mark.parametrize("row_id", ["C09.doppler-boost", "C09.doppler-composition"])
+def test_a_wrong_doppler_factor_fails_the_boost_rows(monkeypatch, row_id):
+    cases, _, show = _declared(verify.check_minkowski, row_id)
+    target, real = cases[BROKEN][3], clifford.doppler_boost
+    # D + 1 in place of D, on the observable of the broken case only
+    monkeypatch.setattr(clifford, "doppler_boost",
+                        lambda h, d: real(h, d + 1 if h == target else d))
+    row = {r.check_id: r for r in verify.check_minkowski(7)}[row_id]
+    monkeypatch.undo()
+    assert (row.passed, row.lhs) == (False, f"{len(cases) - 1}/{len(cases)} agree")
+    inputs = row.witness["inputs"]
+    assert (row.witness["index"], inputs) == (BROKEN, show(cases[BROKEN]))
+    d, e, event, _ = cases[BROKEN]
+    assert parse_rational(inputs["D"]) == d
+    assert tuple(map(parse_rational, inputs["event"])) == event
+    assert parse_rational(inputs.get("E", str(e))) == e
+
+
+@pytest.mark.parametrize("row_id, spoil, lhs_of", [
+    # 2A has determinant 4, so det(2A H (2A)+) = 16 det H
+    ("C09.spinor-determinant", lambda c: (c[0].scale(2), c[1], c[2]),
+     lambda c: str(c[2].determinant() * 16)),
+    # A H A+ is Hermitian for every A, but not for an H that is not
+    ("C09.spinor-hermitian", lambda c: (c[0], c[1], _not_hermitian(c[2])),
+     lambda c: str(c[0] * c[2] * c[0].conjugate_transpose())),
+])
+def test_a_broken_spinor_case_fails_its_row(row_id, spoil, lhs_of):
+    cases, relation, show = _declared(verify.check_minkowski, row_id)
+    cases[BROKEN] = spoil(cases[BROKEN])
+    row = _rows([(row_id, "broken", cases, relation, show)])[row_id]
+    assert (row.passed, row.witness["index"], row.witness["lhs"]) == (
+        False, BROKEN, lhs_of(cases[BROKEN]))
+    inputs = row.witness["inputs"]
+    assert SquareMatrix.from_lists(inputs["A"]) == cases[BROKEN][0]
+    assert tuple(map(parse_rational, inputs["event"])) == cases[BROKEN][1]
+
+
+def test_the_spinor_matrices_are_unimodular():
+    cases, _, _ = _declared(verify.check_minkowski, "C09.spinor-determinant")
+    assert all(a.determinant() == 1 for a, _, _ in cases)
+
+
+def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
+    real = clifford.clifford_generators
+
+    def broken(n):
+        rep = real(n)
+        if n != 4:
+            return rep
+        c1, _, *rest = rep.generators
+        return clifford.CliffordRep((c1, c1, *rest))
+
+    monkeypatch.setattr(clifford, "clifford_generators", broken)
+    rows = {r.check_id: r for r in verify.check_braiding(7)}
+    monkeypatch.undo()
+    ladder = rows["C10.ladder-relations"]
+    # three relations at n = 2 and six at n = 3 come first; c1 c1 = 1 against -1
+    assert (ladder.passed, ladder.witness["index"], ladder.witness["inputs"]) == (
+        False, 10, {"n": 4, "i": 1, "j": 2})
+    assert (ladder.witness["lhs"], ladder.witness["rhs"]) == (
+        str(SquareMatrix.identity(4)), str(-SquareMatrix.identity(4)))
+    preserved = rows["C10.relations-preserved"]
+    assert (preserved.passed, preserved.witness["inputs"]) == (False, {"n": 4, "k": 1})
+    assert preserved.witness["rhs"] == "[]" != preserved.witness["lhs"]
