@@ -101,7 +101,7 @@ def cmd_matrep_decompose(args):
     exact = matrep.reassemble(terms, matrix.n) == matrix
     payload = [
         {
-            "perm": term.perm.cycle_string(),
+            "perm": groups.cycle_string(term.perm),
             "diag": [scalar_to_json(c) for c in term.diag],
         }
         for term in terms

@@ -105,26 +105,8 @@ def quaternion_triple(variant: str) -> QuaternionTriple:
             sq.polarity.scale(I_UNIT), sq.polarity * sq.shift, sq.shift.scale(I_UNIT)
         )
     if variant == "majorana_triple":
-        rep = clifford_generators(3)
-        return quaternions_from_triple(rep)
+        return quaternions_from_triple(clifford_generators(3))
     raise ValueError(f"unknown quaternion variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class CliffordRep:
-    """n matrices meant to anticommute pairwise and square to one, taken as
-    given: the C10 rows of verify-all check anticommuting_relations of every
-    ladder the package builds."""
-
-    generators: tuple[SquareMatrix, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.generators)
-
-    @property
-    def dim(self) -> int:
-        return self.generators[0].n
 
 
 MAX_CLIFFORD_GENERATORS = 8
@@ -135,8 +117,10 @@ def _check_generator_count(n: int) -> None:
         raise ValueError(f"generator count must be in 1..{MAX_CLIFFORD_GENERATORS}, got {n}")
 
 
-def clifford_generators(n: int) -> CliffordRep:
-    """Ladder of n anticommuting square-one matrices in dimension 2^ceil(n/2).
+def clifford_generators(n: int) -> tuple[SquareMatrix, ...]:
+    """Ladder of n anticommuting square-one matrices in dimension 2^ceil(n/2),
+    taken as built: the C10 rows of verify-all check anticommuting_relations
+    of every ladder the package builds.
 
     Block j contributes the split pair (polarity, shift) in slot j, preceded by
     parity factors i * polarity * shift (square +1, anticommuting with both).
@@ -158,23 +142,25 @@ def clifford_generators(n: int) -> CliffordRep:
             else:
                 mat = mat.kron(sq.one)
         gens.append(mat)
-    return CliffordRep(tuple(gens))
+    return tuple(gens)
 
 
-def quaternions_from_triple(rep: CliffordRep) -> QuaternionTriple:
-    if rep.n != 3:
-        raise ValueError(f"need exactly 3 generators, got {rep.n}")
-    a, b, c = rep.generators
+def quaternions_from_triple(generators: tuple[SquareMatrix, ...]) -> QuaternionTriple:
+    if len(generators) != 3:
+        raise ValueError(f"need exactly 3 generators, got {len(generators)}")
+    a, b, c = generators
     return QuaternionTriple(b * a, c * b, a * c)
 
 
-def braid_conjugate(rep: CliffordRep, k: int, x: SquareMatrix) -> SquareMatrix:
+def braid_conjugate(
+    generators: tuple[SquareMatrix, ...], k: int, x: SquareMatrix
+) -> SquareMatrix:
     """Conjugation by the k-th braiding element, exactly:
     (1 + c_{k+1} c_k) x (1 - c_{k+1} c_k) / 2."""
-    if not 1 <= k < rep.n:
-        raise ValueError(f"braid index must satisfy 1 <= k < {rep.n}, got {k}")
-    identity = SquareMatrix.identity(rep.dim)
-    w = rep.generators[k] * rep.generators[k - 1]
+    if not 1 <= k < len(generators):
+        raise ValueError(f"braid index must satisfy 1 <= k < {len(generators)}, got {k}")
+    identity = SquareMatrix.identity(generators[0].n)
+    w = generators[k] * generators[k - 1]
     return ((identity + w) * x * (identity - w)).scale(Fraction(1, 2))
 
 
@@ -204,12 +190,12 @@ def braid_word_matrix(n: int, word: list[int]) -> SquareMatrix:
     return total
 
 
-def braider_relations(rep: CliffordRep) -> Relations:
+def braider_relations(generators: tuple[SquareMatrix, ...]) -> Relations:
     """The braid relations of the unnormalized braiders 1+I, 1+J, 1+K, each as
     (name, lhs, rhs); the dropped 1/sqrt(2) factors cancel identically, so the
     relations hold exactly."""
-    triple = quaternions_from_triple(rep)
-    one = SquareMatrix.identity(rep.dim)
+    triple = quaternions_from_triple(generators)
+    one = SquareMatrix.identity(triple.dim)
     a, b, c = one + triple.I, one + triple.J, one + triple.K
     yield "ABA = BAB", a * b * a, b * a * b
     yield "BCB = CBC", b * c * b, c * b * c
@@ -226,17 +212,17 @@ def anticommuting_relations(generators: tuple[SquareMatrix, ...]) -> Relations:
             yield (i, j), a * b, -(b * a)
 
 
-def fermion_relations(rep: CliffordRep) -> Relations:
+def fermion_relations(generators: tuple[SquareMatrix, ...]) -> Relations:
     """The fermion relations of psi = (c_1 + i c_2)/2 and psi+ = (c_1 - i c_2)/2,
     each as (name, lhs, rhs); they follow from the anticommuting square-one pair."""
-    c, cp = rep.generators[0], rep.generators[1]
+    c, cp = generators[0], generators[1]
     half = Fraction(1, 2)
     psi = (c + cp.scale(I_UNIT)).scale(half)
     psi_dag = (c - cp.scale(I_UNIT)).scale(half)
-    zero = SquareMatrix.zero(rep.dim)
+    zero = SquareMatrix.zero(c.n)
     yield "psi^2 = 0", psi * psi, zero
     yield "psi+^2 = 0", psi_dag * psi_dag, zero
-    yield "psi psi+ + psi+ psi = 1", psi.anticommutator(psi_dag), SquareMatrix.identity(rep.dim)
+    yield "psi psi+ + psi+ psi = 1", psi.anticommutator(psi_dag), SquareMatrix.identity(c.n)
     yield "psi+ = conjugate transpose of psi", psi_dag, psi.conjugate_transpose()
 
 
@@ -254,10 +240,6 @@ def real_relations(matrices: dict[str, SquareMatrix]) -> Relations:
 class FusionElement:
     unit: int = 0
     p: int = 0
-
-    def __post_init__(self) -> None:
-        if self.unit < 0 or self.p < 0:
-            raise ValueError("fusion coefficients are non-negative integers")
 
     def __add__(self, other: FusionElement) -> FusionElement:
         return FusionElement(self.unit + other.unit, self.p + other.p)

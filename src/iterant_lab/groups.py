@@ -2,8 +2,9 @@
 
 Conventions, fixed once and inherited by every downstream module:
 
-* permutations act on the right and compose left to right, so the point
-  images satisfy ``(p * q).images[i] == q.images[p.images[i]]``;
+* a permutation is its image tuple; permutations act on the right and
+  compose left to right, so the product pq (p first, then q) is
+  ``tuple(q[i] for i in p)`` and ``pq[i] == q[p[i]]``;
 * the permutation matrix of ``p`` has its row-``i`` one in column ``i*p``;
 * the element ordering of a group is part of the group value, and the
   rearranged multiplication table (identity down the diagonal) quotes it;
@@ -17,6 +18,7 @@ and action the package builds.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -48,71 +50,49 @@ MAX_LATTICE_WORK = 2 ** 22
 MAX_LATTICE_ROWS = 2 ** 19
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {0..n-1}; images[i] is the image of point i (right action)."""
+# A bijection of {0..n-1}, held as its image tuple: images[i] is the image of i.
+Permutation = tuple[int, ...]
 
-    images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a bijection on 0..{n - 1}: {self.images}")
+def cycle_string(images: Permutation) -> str:
+    """Cycle notation on 1-based points; the identity prints as "()"."""
+    seen = [False] * len(images)
+    parts = []
+    for start in range(len(images)):
+        if seen[start] or images[start] == start:
+            seen[start] = True
+            continue
+        cycle = []
+        point = start
+        while not seen[point]:
+            seen[point] = True
+            cycle.append(point + 1)
+            point = images[point]
+        parts.append("(" + "".join(str(p) for p in cycle) + ")")
+    return "".join(parts) if parts else "()"
 
-    @staticmethod
-    def identity(n: int) -> Permutation:
-        return Permutation(tuple(range(n)))
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        """Left-to-right composition: apply self first, then other."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in permutation product")
-        return Permutation(tuple(other.images[i] for i in self.images))
-
-    def cycle_string(self) -> str:
-        """Cycle notation on 1-based points; the identity prints as "()"."""
-        seen = [False] * self.degree
-        parts = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cycle = []
-            point = start
-            while not seen[point]:
-                seen[point] = True
-                cycle.append(point + 1)
-                point = self.images[point]
-            parts.append("(" + "".join(str(p) for p in cycle) + ")")
-        return "".join(parts) if parts else "()"
-
-    @staticmethod
-    def from_cycles(degree: int, text: str) -> Permutation:
-        """Parse 1-based cycle notation like "(12)(34)"; "()" is the identity."""
-        images = list(range(degree))
-        body = text.replace(" ", "")
-        if body in ("", "()", "id", "e"):
-            return Permutation(tuple(images))
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"malformed cycle notation {text!r}")
-        for chunk in body[1:-1].split(")("):
-            points = [int(c) - 1 for c in chunk.split(",")] if "," in chunk else [
-                int(c) - 1 for c in chunk
-            ]
-            if any(p < 0 or p >= degree for p in points):
-                raise ValueError(f"point out of range in cycle {chunk!r}")
-            if len(set(points)) != len(points):
-                raise ValueError(f"repeated point in cycle {chunk!r}")
-            for a, b in zip(points, points[1:] + points[:1]):
-                images[a] = b
-        return Permutation(tuple(images))
-
-    def __str__(self) -> str:
-        return self.cycle_string()
+def from_cycles(degree: int, text: str) -> Permutation:
+    """Read what cycle_string writes: 1-based cycles like "(12)(34)", and
+    "()" for the identity."""
+    images = list(range(degree))
+    if text == "()":
+        return tuple(images)
+    if re.fullmatch(r"(\([0-9]+\))+", text) is None:
+        raise ValueError(f"malformed cycle notation {text!r}")
+    moved: set[int] = set()
+    for chunk in text[1:-1].split(")("):
+        points = [int(c) - 1 for c in chunk]
+        if any(p < 0 or p >= degree for p in points):
+            raise ValueError(f"point out of range in cycle {chunk!r}")
+        if len(set(points)) != len(points):
+            raise ValueError(f"repeated point in cycle {chunk!r}")
+        if moved.intersection(points):
+            raise ValueError(f"cycles share a point in {text!r}: not a bijection")
+        moved.update(points)
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+    return tuple(images)
 
 
 class Group:
@@ -159,14 +139,12 @@ class Group:
 
 def _group_from_permutations(
     perms: list[Permutation], names: list[str], label: str
-) -> tuple[Group, tuple[Permutation, ...]]:
+) -> Group:
     """The table of perms under left-to-right composition, each product
     looked up by its image tuple."""
-    index = {p.images: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(b.images[i] for i in a.images)] for b in perms) for a in perms
-    )
-    return Group(tuple(names), table, label=label), tuple(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(b[i] for i in a)] for b in perms) for a in perms)
+    return Group(tuple(names), table, label=label)
 
 
 @lru_cache(maxsize=None)
@@ -184,43 +162,13 @@ def cyclic(n: int) -> Group:
 @lru_cache(maxsize=None)
 def klein4() -> Group:
     """The group C2 x C2 with elements 1, A, B, C and A^2 = B^2 = C^2 = 1, AB = C."""
-    perms = [
-        Permutation((0, 1, 2, 3)),
-        Permutation((1, 0, 3, 2)),
-        Permutation((2, 3, 0, 1)),
-        Permutation((3, 2, 1, 0)),
-    ]
-    group, _ = _group_from_permutations(perms, ["1", "A", "B", "C"], "klein4")
-    return group
-
-
-@lru_cache(maxsize=None)
-def _symmetric_with_perms(n: int) -> tuple[Group, tuple[Permutation, ...]]:
-    if n < 1:
-        raise ValueError("symmetric group degree must be positive")
-    if n > MAX_SYMMETRIC_DEGREE:
-        raise ValueError(f"symmetric group degree {n} exceeds the cap of {MAX_SYMMETRIC_DEGREE}")
-    if n == 3:
-        # Listing 1, R, R^2, F, RF, R^2F with R = (123), F = (12), so that
-        # R^3 = F^2 = 1 and FR = R^2 F under left-to-right composition.
-        r = Permutation((1, 2, 0))
-        f = Permutation((1, 0, 2))
-        perms = [Permutation.identity(3), r, r * r, f, r * f, r * r * f]
-        names = ["1", "R", "R^2", "F", "RF", "R^2F"]
-        return _group_from_permutations(perms, names, "s3")
-    perms = [Permutation(images) for images in itertools.permutations(range(n))]
-    names = [p.cycle_string() for p in perms]
-    return _group_from_permutations(perms, names, f"s{n}")
+    perms = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    return _group_from_permutations(perms, ["1", "A", "B", "C"], "klein4")
 
 
 def symmetric(n: int) -> Group:
-    """Symmetric group on n points; S_3 uses the R/F listing 1, R, R^2, F, RF, R^2F."""
-    return _symmetric_with_perms(n)[0]
-
-
-def symmetric_permutations(n: int) -> tuple[Permutation, ...]:
-    """The underlying degree-n permutations, aligned with symmetric(n)'s listing."""
-    return _symmetric_with_perms(n)[1]
+    """Symmetric group on n points, listed as natural_action(n) lists it."""
+    return natural_action(n).group
 
 
 def g_table(group: Group) -> tuple[tuple[int, ...], ...]:
@@ -239,11 +187,11 @@ def g_table_names(group: Group) -> list[list[str]]:
     return [[group.names[v] for v in row] for row in g_table(group)]
 
 
-def perm_matrix(p: Permutation) -> SquareMatrix:
+def perm_matrix(images: Permutation) -> SquareMatrix:
     """0/1 matrix with the row-i one in column i*p; products track composition."""
-    n = p.degree
+    n = len(images)
     return SquareMatrix.from_rows(
-        [[1 if j == p.images[i] else 0 for j in range(n)] for i in range(n)]
+        [[1 if j == images[i] else 0 for j in range(n)] for i in range(n)]
     )
 
 
@@ -266,23 +214,24 @@ def matrix_to_perm(m: SquareMatrix) -> Permutation:
     if sorted(images) != list(range(n)):
         bad = next(i for i in range(n) if images.count(images[i]) > 1)
         raise ValueError(f"not a permutation matrix: duplicate column in row {bad}")
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group acting on points 0..degree-1; point_maps[g][i] = i*g."""
+    """A finite group acting on points 0..degree-1; point_maps[g] is the
+    permutation of g, so point_maps[g][i] = i*g."""
 
     group: Group
-    degree: int
-    point_maps: tuple[tuple[int, ...], ...]
+    point_maps: tuple[Permutation, ...]
     label: str = ""
 
-    def perm_of(self, g: int) -> Permutation:
-        return Permutation(self.point_maps[g])
+    @property
+    def degree(self) -> int:
+        return len(self.point_maps[0])
 
     def matrix_of(self, g: int) -> SquareMatrix:
-        return perm_matrix(self.perm_of(g))
+        return perm_matrix(self.point_maps[g])
 
 
 def regular_action(group: Group) -> GroupAction:
@@ -291,15 +240,28 @@ def regular_action(group: Group) -> GroupAction:
         tuple(group.mul(i, g) for i in range(group.order))
         for g in range(group.order)
     )
-    return GroupAction(group, group.order, maps, label=f"{group.label} regular")
+    return GroupAction(group, maps, label=f"{group.label} regular")
 
 
 @lru_cache(maxsize=None)
 def natural_action(n: int) -> GroupAction:
-    """Symmetric group of degree n acting on n points the obvious way."""
-    group, perms = _symmetric_with_perms(n)
-    maps = tuple(p.images for p in perms)
-    return GroupAction(group, n, maps, label=f"s{n} natural")
+    """Symmetric group of degree n acting on n points the obvious way: the
+    listing is every permutation in itertools order, named by its cycles,
+    except S_3, listed as 1, R, R^2, F, RF, R^2F."""
+    if n < 1:
+        raise ValueError("symmetric group degree must be positive")
+    if n > MAX_SYMMETRIC_DEGREE:
+        raise ValueError(f"symmetric group degree {n} exceeds the cap of {MAX_SYMMETRIC_DEGREE}")
+    if n == 3:
+        # R = (123) and F = (12), so that R^3 = F^2 = 1 and FR = R^2 F under
+        # left-to-right composition.
+        perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+        names = ["1", "R", "R^2", "F", "RF", "R^2F"]
+    else:
+        perms = list(itertools.permutations(range(n)))
+        names = [cycle_string(p) for p in perms]
+    group = _group_from_permutations(perms, names, f"s{n}")
+    return GroupAction(group, tuple(perms), label=f"s{n} natural")
 
 
 def element_matrices_from_g_table(group: Group) -> dict[str, SquareMatrix]:

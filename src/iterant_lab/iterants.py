@@ -15,7 +15,7 @@ from functools import lru_cache
 from random import Random
 
 from .groups import Group, GroupAction, Permutation
-from .groups import natural_action, regular_action
+from .groups import cycle_string, natural_action, regular_action
 from .scalars import (
     GaussianRational,
     ScalarLike,
@@ -255,7 +255,7 @@ def random_pairs(
 def period_two_algebra() -> IterantAlgebra:
     """Vectors [a, b] and the swap element e with e^2 = 1 and [a,b]e = e[b,a]."""
     group = Group(("1", "e"), ((0, 1), (1, 0)), label="s2")
-    action = GroupAction(group, 2, ((0, 1), (1, 0)), label="period-2")
+    action = GroupAction(group, ((0, 1), (1, 0)), label="period-2")
     return IterantAlgebra(action)
 
 
@@ -368,6 +368,6 @@ def term_by_permutation(
 ) -> IterantElement:
     """Build a term keyed by the group element that acts as the given permutation."""
     for gid in range(algebra.group.order):
-        if algebra.action.point_maps[gid] == perm.images:
+        if algebra.action.point_maps[gid] == perm:
             return algebra.term(entries, gid)
-    raise ValueError(f"no element of {algebra.group.label} acts as {perm}")
+    raise ValueError(f"no element of {algebra.group.label} acts as {cycle_string(perm)}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation
-from .groups import perm_matrix, symmetric_permutations
+from .groups import natural_action, perm_matrix
 from .iterants import (
     IterantAlgebra,
     IterantElement,
@@ -54,7 +54,7 @@ def to_matrix(x: IterantElement) -> SquareMatrix:
 
 
 def _entry_vector(m: SquareMatrix, p: Permutation) -> tuple[GaussianRational, ...]:
-    return tuple(m.rows[i][p.images[i]] for i in range(m.n))
+    return tuple(m.rows[i][p[i]] for i in range(m.n))
 
 
 def embed_matrix(m: SquareMatrix) -> IterantElement:
@@ -64,9 +64,8 @@ def embed_matrix(m: SquareMatrix) -> IterantElement:
         raise ValueError(f"embedding enumerates n! permutations; n <= {MAX_ENUMERATED_DEGREE} required, got {n}")
     algebra = natural_sn_algebra(n)
     factor = Fraction(1, factorial(n - 1))
-    perms = symmetric_permutations(n)
     total = algebra.zero()
-    for gid, p in enumerate(perms):
+    for gid, p in enumerate(algebra.action.point_maps):
         vec = [factor * c for c in _entry_vector(m, p)]
         total = total + algebra.term(vec, gid)
     return total
@@ -78,7 +77,7 @@ def decompose_matrix(m: SquareMatrix) -> list[DecompositionTerm]:
     if n > MAX_ENUMERATED_DEGREE:
         raise ValueError(f"decomposition enumerates n! permutations; n <= {MAX_ENUMERATED_DEGREE} required, got {n}")
     return [
-        DecompositionTerm(_entry_vector(m, p), p) for p in symmetric_permutations(n)
+        DecompositionTerm(_entry_vector(m, p), p) for p in natural_action(n).point_maps
     ]
 
 

@@ -277,8 +277,8 @@ def check_g_table_theorem(seed: int):
 
         def placement(g: int):
             placed = table_mats[group.names[g]]
-            return ((placed, groups.matrix_to_perm(placed).images),
-                    (action.matrix_of(g), action.perm_of(g).images))
+            return ((placed, groups.matrix_to_perm(placed)),
+                    (action.matrix_of(g), action.point_maps[g]))
 
         yield (f"C04.{name}-regular-placement",
                f"{name}: table placement of each element equals its regular permutation matrix",
@@ -350,7 +350,7 @@ def _cycles(matrix: SquareMatrix) -> str:
     """The permutation of a permutation matrix in cycle notation, or why the
     matrix is not one."""
     try:
-        return groups.matrix_to_perm(matrix).cycle_string()
+        return groups.cycle_string(groups.matrix_to_perm(matrix))
     except ValueError as err:
         return str(err)
 
@@ -399,7 +399,7 @@ def check_decomposition(seed: int):
         "(12)": (2, 4, 9),
     }
     got = {
-        term.perm.cycle_string(): tuple(int(c.re) for c in term.diag)
+        groups.cycle_string(term.perm): tuple(int(c.re) for c in term.diag)
         for term in matrep.decompose_matrix(m)
     }
     yield ("C07.worked-3x3", "3x3 worked decomposition produces the six expected diagonals",
@@ -412,7 +412,7 @@ def check_decomposition(seed: int):
 
 def _kernel_family_element(algebra, vals: dict[str, Fraction]):
     x, y, z, w, t, r, s, p, q = (vals[k] for k in "xyzwtrspq")
-    perm = groups.Permutation.from_cycles
+    perm = groups.from_cycles
     return (
         algebra.vector([x, y, z])
         + term_by_permutation(algebra, [-x, w, t], perm(3, "(23)"))
@@ -430,7 +430,7 @@ def _kernel(x) -> str:
 @_criterion("representation")
 def check_kernel(seed: int):
     algebra = natural_sn_algebra(3)
-    perm = groups.Permutation.from_cycles
+    perm = groups.from_cycles
     e1 = [1, 0, 0]
     x = algebra.vector(e1) - term_by_permutation(algebra, e1, perm(3, "(23)"))
     agree = "agree" if matrep.to_matrix(x) == matrep.entry_sums(x) else "disagree"
@@ -570,16 +570,16 @@ def _spectrum(h: SquareMatrix) -> str:
 
 @_criterion("braiding")
 def check_braiding(seed: int):
-    rep = clifford.clifford_generators(4)
-    gens = rep.generators
+    gens = clifford.clifford_generators(4)
+    count = len(gens)
 
     def image(case):
         k, j = case
         expected = gens[k] if j == k else -gens[k - 1] if j == k + 1 else gens[j - 1]
-        return clifford.braid_conjugate(rep, k, gens[j - 1]), expected
+        return clifford.braid_conjugate(gens, k, gens[j - 1]), expected
 
     yield ("C10.images", "conjugation sends c_k -> c_{k+1}, c_{k+1} -> -c_k, fixes the rest",
-           [(k, j) for k in range(1, rep.n) for j in range(1, rep.n + 1)],
+           [(k, j) for k in range(1, count) for j in range(1, count + 1)],
            image, lambda c: {"k": c[0], "j": c[1]})
 
     words = [(n, [k, k + 1, k], [k + 1, k, k + 1]) for n in range(3, 7) for k in range(1, n - 1)]
@@ -592,43 +592,43 @@ def check_braiding(seed: int):
     def conjugated(j: int, word: tuple[int, ...]) -> SquareMatrix:
         c = gens[j - 1]
         for k in word:
-            c = clifford.braid_conjugate(rep, k, c)
+            c = clifford.braid_conjugate(gens, k, c)
         return c
 
     yield ("C10.conjugation-braid-relation",
            "the conjugation maps themselves satisfy the braid relation",
-           range(1, rep.n + 1), lambda j: (conjugated(j, (1, 2, 1)), conjugated(j, (2, 1, 2))),
+           range(1, count + 1), lambda j: (conjugated(j, (1, 2, 1)), conjugated(j, (2, 1, 2))),
            lambda j: {"j": j})
 
     ladders = [clifford.clifford_generators(n) for n in range(2, 7)]
 
     def failing_relations(case):
         ladder, k = case
-        images = tuple(clifford.braid_conjugate(ladder, k, c) for c in ladder.generators)
+        images = tuple(clifford.braid_conjugate(ladder, k, c) for c in ladder)
         return [name for name, lhs, rhs in clifford.anticommuting_relations(images)
                 if lhs != rhs], []
 
     yield ("C10.relations-preserved",
            "images of the generators are again anticommuting square-one (n <= 6)",
-           [(ladder, k) for ladder in ladders for k in range(1, ladder.n)],
-           failing_relations, lambda c: {"n": c[0].n, "k": c[1]})
+           [(ladder, k) for ladder in ladders for k in range(1, len(ladder))],
+           failing_relations, lambda c: {"n": len(c[0]), "k": c[1]})
     yield ("C10.ladder-relations",
            "each ladder generator squares to one and each two anticommute (n = 2..6)",
-           ((ladder.n, *relation) for ladder in ladders
-            for relation in clifford.anticommuting_relations(ladder.generators)),
+           ((len(ladder), *relation) for ladder in ladders
+            for relation in clifford.anticommuting_relations(ladder)),
            lambda c: c[2:], lambda c: {"n": c[0], "i": c[1][0], "j": c[1][1]})
 
     def spanned(case):
         k, i = case
-        basis = clifford.braid_basis_matrix(rep.n, k)
-        expanded = SquareMatrix.zero(rep.dim)
-        for j in range(rep.n):
+        basis = clifford.braid_basis_matrix(count, k)
+        expanded = SquareMatrix.zero(gens[0].n)
+        for j in range(count):
             expanded = expanded + gens[j].scale(basis.entry(i, j))
-        return expanded, clifford.braid_conjugate(rep, k, gens[i])
+        return expanded, clifford.braid_conjugate(gens, k, gens[i])
 
     yield ("C10.span-matrix-matches-conjugation",
            "the signed-permutation span matrices agree with the conjugation images",
-           [(k, i) for k in range(1, rep.n) for i in range(rep.n)],
+           [(k, i) for k in range(1, count) for i in range(count)],
            spanned, lambda c: {"k": c[0], "i": c[1]})
     yield ("C10.quaternion-braiders",
            "(1+I)(1+J)(1+I) = (1+J)(1+I)(1+J) and cyclic variants, exactly",

@@ -21,7 +21,7 @@ from iterant_lab.clifford import (
     real_relations,
     split_quaternions,
 )
-from iterant_lab.groups import Permutation
+from iterant_lab.groups import from_cycles
 from iterant_lab.iterants import natural_sn_algebra, term_by_permutation
 from iterant_lab.matrix import SquareMatrix
 from iterant_lab.scalars import GaussianRational
@@ -65,25 +65,24 @@ def test_iota_variant_is_2x2():
 def test_signed_permutation_square_in_a4():
     # [+1,-1,-1,+1] attached to (12)(34) squares to -1 in the natural algebra
     a4 = natural_sn_algebra(4)
-    elem = term_by_permutation(a4, [1, -1, -1, 1], Permutation.from_cycles(4, "(12)(34)"))
+    elem = term_by_permutation(a4, [1, -1, -1, 1], from_cycles(4, "(12)(34)"))
     assert elem * elem == a4.scalar(-1)
 
 
 def test_generator_ladder_small():
-    rep = clifford_generators(2)
     sq = split_quaternions()
-    assert rep.generators == (sq.polarity, sq.shift)
+    assert clifford_generators(2) == (sq.polarity, sq.shift)
 
 
 def test_generator_ladder_five():
-    rep = clifford_generators(5)
-    assert rep.dim == 8
+    gens = clifford_generators(5)
+    assert gens[0].n == 8
     one = identity(8)
-    for c in rep.generators:
+    for c in gens:
         assert c * c == one
     for a in range(5):
         for b in range(a + 1, 5):
-            assert rep.generators[a].anticommutator(rep.generators[b]).is_zero()
+            assert gens[a].anticommutator(gens[b]).is_zero()
 
 
 def test_generator_count_limit():
@@ -105,21 +104,21 @@ def test_anticommuting_relations_name_the_pairs_that_fail():
 
 
 def test_braid_conjugate_images():
-    rep = clifford_generators(4)
+    gens = clifford_generators(4)
     for k in range(1, 4):
-        assert braid_conjugate(rep, k, rep.generators[k - 1]) == rep.generators[k]
-        assert braid_conjugate(rep, k, rep.generators[k]) == -rep.generators[k - 1]
+        assert braid_conjugate(gens, k, gens[k - 1]) == gens[k]
+        assert braid_conjugate(gens, k, gens[k]) == -gens[k - 1]
         for j in range(1, 5):
             if j not in (k, k + 1):
-                assert braid_conjugate(rep, k, rep.generators[j - 1]) == rep.generators[j - 1]
+                assert braid_conjugate(gens, k, gens[j - 1]) == gens[j - 1]
 
 
 def test_braid_conjugate_index_range():
-    rep = clifford_generators(3)
+    gens = clifford_generators(3)
     with pytest.raises(ValueError):
-        braid_conjugate(rep, 3, rep.generators[0])
+        braid_conjugate(gens, 3, gens[0])
     with pytest.raises(ValueError):
-        braid_conjugate(rep, 0, rep.generators[0])
+        braid_conjugate(gens, 0, gens[0])
 
 
 def _int_matmul(a, b):
@@ -159,10 +158,10 @@ def test_braid_generator_order_four():
 
 def test_braid_images_stay_clifford():
     for n in (3, 5):
-        rep = clifford_generators(n)
-        one = identity(rep.dim)
+        gens = clifford_generators(n)
+        one = identity(gens[0].n)
         for k in range(1, n):
-            images = [braid_conjugate(rep, k, c) for c in rep.generators]
+            images = [braid_conjugate(gens, k, c) for c in gens]
             for i, a in enumerate(images):
                 assert a * a == one
                 for b in images[i + 1:]:
@@ -170,20 +169,19 @@ def test_braid_images_stay_clifford():
 
 
 def test_quaternion_braiders_relations():
-    rep = clifford_generators(3)
-    relations = list(braider_relations(rep))
+    gens = clifford_generators(3)
+    relations = list(braider_relations(gens))
     assert [name for name, _, _ in relations] == ["ABA = BAB", "BCB = CBC", "ACA = CAC"]
     assert all(lhs == rhs for _, lhs, rhs in relations)
-    triple = clifford.quaternions_from_triple(rep)
-    a, c = identity(rep.dim) + triple.I, identity(rep.dim) + triple.K
+    triple = clifford.quaternions_from_triple(gens)
+    a, c = identity(triple.dim) + triple.I, identity(triple.dim) + triple.K
     # (1+I)(1-I) = 1 - I^2 = 2
-    assert a * (identity(rep.dim) - triple.I) == identity(rep.dim).scale(2)
+    assert a * (identity(triple.dim) - triple.I) == identity(triple.dim).scale(2)
     assert relations[2][1:] == (a * c * a, c * a * c)
 
 
 def test_fermion_pair_relations():
-    rep = clifford_generators(2)
-    relations = {name: (lhs, rhs) for name, lhs, rhs in fermion_relations(rep)}
+    relations = {name: (lhs, rhs) for name, lhs, rhs in fermion_relations(clifford_generators(2))}
     assert list(relations) == ["psi^2 = 0", "psi+^2 = 0", "psi psi+ + psi+ psi = 1",
                                "psi+ = conjugate transpose of psi"]
     assert all(lhs == rhs for lhs, rhs in relations.values())
@@ -233,11 +231,6 @@ def test_fusion_commutative_associative():
     for _ in range(500):
         u, v, w = (FusionElement(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(3))
         assert (u * v) * w == u * (v * w)
-
-
-def test_fusion_rejects_negative():
-    with pytest.raises(ValueError):
-        FusionElement(-1, 0)
 
 
 def test_doppler_boost_example():

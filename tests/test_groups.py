@@ -7,13 +7,15 @@ import pytest
 
 from iterant_lab import groups
 from iterant_lab.groups import (
-    Permutation,
     Group,
+    cycle_string,
     cyclic,
+    from_cycles,
     g_table,
     g_table_names,
     klein4,
     matrix_to_perm,
+    natural_action,
     perm_matrix,
     regular_action,
     symmetric,
@@ -22,6 +24,11 @@ from iterant_lab.iterants import period_two_algebra
 from iterant_lab.matrix import SquareMatrix
 
 BUILTINS = ["c2", "c3", "c4", "c6", "c7", "c8", "klein4", "s3"]
+
+
+def compose(p, q):
+    """p first, then q, on image tuples."""
+    return tuple(q[i] for i in p)
 
 
 def test_cyclic_3():
@@ -97,11 +104,11 @@ def test_s3_g_table_row():
 
 
 def test_perm_matrix_identity():
-    assert perm_matrix(Permutation.identity(4)) == SquareMatrix.identity(4)
+    assert perm_matrix((0, 1, 2, 3)) == SquareMatrix.identity(4)
 
 
 def test_perm_matrix_double_transposition():
-    p = Permutation.from_cycles(4, "(12)(34)")
+    p = from_cycles(4, "(12)(34)")
     expected = SquareMatrix.from_rows(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     )
@@ -109,7 +116,7 @@ def test_perm_matrix_double_transposition():
 
 
 def test_perm_matrix_three_cycle():
-    p = Permutation.from_cycles(3, "(123)")
+    p = from_cycles(3, "(123)")
     expected = SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     assert perm_matrix(p) == expected
 
@@ -120,19 +127,19 @@ def test_perm_matrix_multiplicative():
         n = rng.randint(2, 6)
         images = list(range(n))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
+        p = tuple(images)
         rng.shuffle(images)
-        q = Permutation(tuple(images))
-        assert perm_matrix(p * q) == perm_matrix(p) * perm_matrix(q)
+        q = tuple(images)
+        assert perm_matrix(compose(p, q)) == perm_matrix(p) * perm_matrix(q)
 
 
 def test_matrix_to_perm_identity():
-    assert matrix_to_perm(SquareMatrix.identity(5)) == Permutation.identity(5)
+    assert matrix_to_perm(SquareMatrix.identity(5)) == (0, 1, 2, 3, 4)
 
 
 def test_matrix_to_perm_klein_b():
     mats = groups.element_matrices_from_g_table(klein4())
-    assert matrix_to_perm(mats["B"]).cycle_string() == "(13)(24)"
+    assert cycle_string(matrix_to_perm(mats["B"])) == "(13)(24)"
 
 
 def test_matrix_to_perm_roundtrip():
@@ -141,7 +148,7 @@ def test_matrix_to_perm_roundtrip():
         n = rng.randint(1, 8)
         images = list(range(n))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
+        p = tuple(images)
         assert matrix_to_perm(perm_matrix(p)) == p
 
 
@@ -156,14 +163,14 @@ def test_matrix_to_perm_rejects_bad_rows():
 def test_regular_action_cyclic_generator():
     g = cyclic(3)
     action = regular_action(g)
-    assert action.perm_of(g.index_of("S")).cycle_string() == "(123)"
+    assert cycle_string(action.point_maps[g.index_of("S")]) == "(123)"
 
 
 def test_regular_action_identity_element():
     for name in BUILTINS:
         g = groups.builtin_group(name)
         action = regular_action(g)
-        assert action.perm_of(g.identity).images == tuple(range(g.order))
+        assert action.point_maps[g.identity] == tuple(range(g.order))
 
 
 def test_regular_action_s3_flip_matches_table_matrix():
@@ -171,8 +178,7 @@ def test_regular_action_s3_flip_matches_table_matrix():
     action = regular_action(g)
     mats = groups.element_matrices_from_g_table(g)
     f = g.index_of("F")
-    assert matrix_to_perm(mats["F"]) == action.perm_of(f)
-    assert action.perm_of(f).images == (3, 4, 5, 0, 1, 2)
+    assert matrix_to_perm(mats["F"]) == action.point_maps[f] == (3, 4, 5, 0, 1, 2)
 
 
 def test_table_placement_equals_regular_matrices():
@@ -187,9 +193,9 @@ def test_table_placement_equals_regular_matrices():
 def test_regular_action_is_homomorphism():
     for name in BUILTINS:
         g = groups.builtin_group(name)
-        action = regular_action(g)
+        maps = regular_action(g).point_maps
         for a, b in itertools.product(range(g.order), repeat=2):
-            assert action.perm_of(a) * action.perm_of(b) == action.perm_of(g.mul(a, b))
+            assert compose(maps[a], maps[b]) == maps[g.mul(a, b)]
 
 
 def test_cycle_string_roundtrip():
@@ -198,15 +204,43 @@ def test_cycle_string_roundtrip():
         n = rng.randint(1, 7)
         images = list(range(n))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
-        assert Permutation.from_cycles(n, p.cycle_string()) == p
+        p = tuple(images)
+        assert from_cycles(n, cycle_string(p)) == p
+
+
+@pytest.mark.parametrize("n", range(1, groups.MAX_SYMMETRIC_DEGREE + 1))
+def test_from_cycles_reads_back_every_natural_element(n):
+    for p in natural_action(n).point_maps:
+        assert from_cycles(n, cycle_string(p)) == p
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "malformed"),
+    ("id", "malformed"),
+    ("e", "malformed"),
+    ("(1,2)", "malformed"),
+    ("(1 2)", "malformed"),
+    ("(12", "malformed"),
+    ("(12)()", "malformed"),
+    ("(12)x(3)", "malformed"),
+    ("(14)", "out of range"),
+    ("(01)", "out of range"),
+    ("(121)", "repeated point"),
+    ("(12)(23)", "share a point"),
+])
+def test_from_cycles_refuses_what_cycle_string_never_writes(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_cycles(3, text)
 
 
 def test_permutation_composition_is_left_to_right():
-    p = Permutation.from_cycles(3, "(12)")
-    q = Permutation.from_cycles(3, "(23)")
+    p = from_cycles(3, "(12)")
+    q = from_cycles(3, "(23)")
     # point 1 under p then q: 1 -> 2 -> 3
-    assert (p * q).images[0] == 2
+    assert compose(p, q)[0] == 2
+    action = natural_action(3)
+    a, b = action.point_maps.index(p), action.point_maps.index(q)
+    assert action.point_maps[action.group.mul(a, b)] == compose(p, q)
 
 
 def test_builtin_group_lookup():
@@ -228,8 +262,8 @@ def test_natural_action_is_built_once_per_degree():
     assert groups.natural_action(4) is groups.natural_action(4)
 
 
-# sha256 of json.dumps(symmetric(6).table), taken when the table was built
-# by composing two Permutation objects per cell
+# sha256 of json.dumps(symmetric(6).table), taken when each cell of the
+# table was the product of two permutation objects
 S6_TABLE_SHA256 = "00f35c0a4e6fc8eca78ad08fd9977d03c2111fac283b32a79b7868be6f95844c"
 
 
@@ -249,3 +283,31 @@ def test_cyclic_order_cap_is_the_symmetric_cap():
     assert groups.MAX_GROUP_ORDER == groups.symmetric(groups.MAX_SYMMETRIC_DEGREE).order
     with pytest.raises(ValueError, match="exceeds the cap"):
         cyclic(groups.MAX_GROUP_ORDER + 1)
+
+
+# sha256 of json.dumps of [names, point_maps] of natural_action(n) for
+# n = 1..6, and of the point_maps of the regular actions of REGULAR_PINNED,
+# both taken while a permutation was a class wrapping its image tuple
+NATURAL_LISTINGS_SHA256 = "d10afa5131cc618ce5e79651ad32e394e6c6784779c20ef1f1ec49196f0dbb5a"
+REGULAR_MAPS_SHA256 = "14d41c3ea9fa5be85dd549a42b74d177092b416896b5e63c918de1603bb27078"
+REGULAR_PINNED = [*(f"c{n}" for n in range(1, 9)), "klein4", "s3", "s4"]
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_natural_listings_are_pinned():
+    listings = [[natural_action(n).group.names, natural_action(n).point_maps]
+                for n in range(1, groups.MAX_SYMMETRIC_DEGREE + 1)]
+    assert _sha256(listings) == NATURAL_LISTINGS_SHA256
+
+
+def test_regular_point_maps_are_pinned():
+    maps = [regular_action(groups.builtin_group(name)).point_maps for name in REGULAR_PINNED]
+    assert _sha256(maps) == REGULAR_MAPS_SHA256
+
+
+def test_action_degree_is_the_length_of_a_point_map():
+    assert natural_action(4).degree == 4
+    assert regular_action(symmetric(3)).degree == 6

@@ -93,8 +93,8 @@ def test_rank_matches_sympy_on_rectangular_stacks():
 def test_rank_of_s5_permutation_matrices():
     # 120 flattened 5x5 permutation matrices span a space of dimension (5-1)^2 + 1
     one, zero = GaussianRational(Fraction(1)), GaussianRational()
-    rows = [[one if p.images[i] == j else zero for i in range(5) for j in range(5)]
-            for p in groups.symmetric_permutations(5)]
+    rows = [[one if p[i] == j else zero for i in range(5) for j in range(5)]
+            for p in groups.natural_action(5).point_maps]
     assert matrep._matrix_rank(rows) == sympy_rank(rows) == 17
 
 

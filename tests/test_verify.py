@@ -248,7 +248,7 @@ def test_a_table_whose_first_element_is_not_the_identity_fails_the_identity_row(
 ])
 def test_a_broken_action_fails_the_action_row(maps, inputs, lhs):
     group = groups.cyclic(3)
-    action = groups.GroupAction(group, 3, maps, label="c3 broken")
+    action = groups.GroupAction(group, maps, label="c3 broken")
     row = _rows(verify._action_law("broken", action))["C04.broken-action"]
     assert (row.passed, row.witness["inputs"], row.witness["lhs"]) == (False, inputs, lhs)
     g, h = (group.index_of(name) for name in inputs)
@@ -312,11 +312,11 @@ def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
     real = clifford.clifford_generators
 
     def broken(n):
-        rep = real(n)
+        ladder = real(n)
         if n != 4:
-            return rep
-        c1, _, *rest = rep.generators
-        return clifford.CliffordRep((c1, c1, *rest))
+            return ladder
+        c1, _, *rest = ladder
+        return (c1, c1, *rest)
 
     monkeypatch.setattr(clifford, "clifford_generators", broken)
     rows = {r.check_id: r for r in verify.check_braiding(7)}
