@@ -54,8 +54,15 @@ MAX_LATTICE_ROWS = 2 ** 19
 Permutation = tuple[int, ...]
 
 
+# Up to this many points every point is one digit, and cycle_string writes a
+# cycle's points side by side, as "(123)"; past it a comma separates them, as
+# "(9,11)", which would otherwise read as a cycle of 9, 1 and 1.
+MAX_UNSEPARATED_DEGREE = 9
+
+
 def cycle_string(images: Permutation) -> str:
     """Cycle notation on 1-based points; the identity prints as "()"."""
+    separator = "," if len(images) > MAX_UNSEPARATED_DEGREE else ""
     seen = [False] * len(images)
     parts = []
     for start in range(len(images)):
@@ -68,21 +75,24 @@ def cycle_string(images: Permutation) -> str:
             seen[point] = True
             cycle.append(point + 1)
             point = images[point]
-        parts.append("(" + "".join(str(p) for p in cycle) + ")")
+        parts.append("(" + separator.join(str(p) for p in cycle) + ")")
     return "".join(parts) if parts else "()"
 
 
 def from_cycles(degree: int, text: str) -> Permutation:
-    """Read what cycle_string writes: 1-based cycles like "(12)(34)", and
+    """Read what cycle_string writes for a permutation of degree points:
+    1-based cycles like "(12)(34)", or "(1,2)(10,11)" past nine points, and
     "()" for the identity."""
     images = list(range(degree))
     if text == "()":
         return tuple(images)
-    if re.fullmatch(r"(\([0-9]+\))+", text) is None:
+    separated = degree > MAX_UNSEPARATED_DEGREE
+    cycle = r"\([0-9]+(,[0-9]+)*\)" if separated else r"\([0-9]+\)"
+    if re.fullmatch(f"({cycle})+", text) is None:
         raise ValueError(f"malformed cycle notation {text!r}")
     moved: set[int] = set()
     for chunk in text[1:-1].split(")("):
-        points = [int(c) - 1 for c in chunk]
+        points = [int(c) - 1 for c in (chunk.split(",") if separated else chunk)]
         if any(p < 0 or p >= degree for p in points):
             raise ValueError(f"point out of range in cycle {chunk!r}")
         if len(set(points)) != len(points):

@@ -214,6 +214,35 @@ def test_from_cycles_reads_back_every_natural_element(n):
         assert from_cycles(n, cycle_string(p)) == p
 
 
+def test_from_cycles_reads_back_the_24_point_regular_action_of_s4():
+    maps = regular_action(symmetric(4)).point_maps
+    texts = [cycle_string(p) for p in maps]
+    assert [from_cycles(24, text) for text in texts] == list(maps)
+    # past nine points a comma separates the points: 9 -> 11 is "(9,11)", not "(911)"
+    assert texts[1].startswith("(1,2)(3,5)(4,6)(7,8)(9,11)")
+
+
+def test_cycle_string_writes_no_separator_up_to_nine_points():
+    nine_cycle = tuple(range(1, 9)) + (0,)
+    assert cycle_string(nine_cycle) == "(123456789)"
+    assert from_cycles(9, "(123456789)") == nine_cycle
+    ten_cycle = tuple(range(1, 10)) + (0,)
+    assert cycle_string(ten_cycle) == "(1,2,3,4,5,6,7,8,9,10)"
+    assert from_cycles(10, cycle_string(ten_cycle)) == ten_cycle
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(12)", "out of range"),
+    ("(1,2,)", "malformed"),
+    ("(,1)", "malformed"),
+    ("(9,11,9)", "repeated point"),
+    ("(9,10)(10,11)", "share a point"),
+])
+def test_from_cycles_refuses_separated_text_it_cannot_read(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_cycles(11, text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "malformed"),
     ("id", "malformed"),

@@ -5,12 +5,20 @@ tests evaluate declared rows of small literal cases, and run a real
 criterion only with one case of a library function broken on purpose.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from iterant_lab import clifford, dirac, discrete, groups, matrep, verify
-from iterant_lab.iterants import natural_sn_algebra
+from iterant_lab.iterants import (
+    IterantAlgebra,
+    element_from_json,
+    natural_sn_algebra,
+    parse_period2,
+    period_two_algebra,
+    regular_algebra,
+)
 from iterant_lab.matrix import SquareMatrix
 from iterant_lab.scalars import parse_rational
 
@@ -127,7 +135,7 @@ WITNESS_ROWS = {
     "C08.criteria-agree": (
         verify.check_kernel, matrep, "entry_sums", lambda e: e, _plus_identity,
         lambda e: (str(matrep.to_matrix(e)), str(_plus_identity(matrep.entry_sums(e))))),
-    "C08.random-family": (
+    "C08.family-units": (
         verify.check_kernel, matrep, "to_matrix", _family, _plus_identity,
         lambda v: (str(_plus_identity(matrep.to_matrix(_family(v)))),
                    str(SquareMatrix.zero(3)))),
@@ -330,3 +338,81 @@ def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
     preserved = rows["C10.relations-preserved"]
     assert (preserved.passed, preserved.witness["inputs"]) == (False, {"n": 4, "k": 1})
     assert preserved.witness["rhs"] == "[]" != preserved.witness["lhs"]
+
+
+# The rows that check an identity once over a basis, and what their argument
+# needs of the cases: a row that skipped one would prove nothing.
+def _flat(m: SquareMatrix) -> list:
+    return [c for row in m.rows for c in row]
+
+
+def _regular_needs(name: str):
+    """All |G|^2 pairs (g, h) and all |G| n pairs (g, e_i)."""
+    algebra = regular_algebra(groups.builtin_group(name))
+    order, n = algebra.group.order, algebra.degree
+    elements = [algebra.element_of(g) for g in range(order)]
+    units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
+    needed = set(itertools.product(elements, elements)) | set(itertools.product(elements, units))
+    assert len(needed) == order * order + order * n
+    return needed
+
+
+PROOF_ROWS = {
+    "C02.product-match": (
+        verify.check_matrix_identity,
+        lambda cases: (len(set(cases)) == 16
+                       and set(cases) == set(itertools.product(period_two_algebra().basis(),
+                                                               repeat=2)))),
+    **{f"C04.{name}-homomorphism": (
+        verify.check_g_table_theorem, lambda cases, name=name: _regular_needs(name) <= set(cases))
+       for name in ("c3", "c6", "s3", "klein4")},
+    **{f"C07.n{n}-roundtrip": (
+        verify.check_decomposition,
+        lambda cases, n=n: matrep._matrix_rank([_flat(m) for m in cases]) == n * n)
+       for n in (2, 3, 4)},
+    "C08.criteria-agree": (
+        verify.check_kernel,
+        lambda cases: len(set(cases)) == 18 and set(cases) == set(natural_sn_algebra(3).basis())),
+    # e_i and e_i + e_j in (E, p, m), the polarization of a quadratic form
+    "C14.off-shell-scalar": (
+        verify.check_dirac,
+        lambda cases: {(e, *p, m) for e, p, m in cases}
+        == {tuple(int(k in ij) for k in range(3))
+            for ij in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}),
+}
+
+
+@pytest.mark.parametrize("row_id", PROOF_ROWS)
+def test_each_proof_row_covers_what_its_argument_needs(row_id):
+    check, covers = PROOF_ROWS[row_id]
+    cases, _, _ = _declared(check, row_id)
+    assert covers(cases)
+
+
+@pytest.mark.parametrize("row_id, check", [
+    ("C02.product-match", verify.check_matrix_identity),
+    *((f"C04.{name}-homomorphism", verify.check_g_table_theorem)
+      for name in ("c3", "c6", "s3", "klein4")),
+])
+def test_an_unshifted_product_fails_each_product_row_with_a_witness_that_reads_back(
+        monkeypatch, row_id, check):
+    # (a g)(b h) = (a.b)(gh): the twisted product without its twist
+    monkeypatch.setattr(IterantAlgebra, "shifted_vector", lambda self, vec, g: vec)
+    row = {r.check_id: r for r in check(7)}[row_id]
+    assert not row.passed and row.witness is not None
+    inputs = row.witness["inputs"]
+    if row_id.startswith("C02."):
+        pair = tuple(parse_period2(text) for text in inputs)
+    else:
+        algebra = regular_algebra(groups.builtin_group(row_id.split(".")[1].split("-")[0]))
+        pair = tuple(element_from_json(algebra, obj) for obj in inputs)
+    lhs, rhs = matrep.product_relation(pair)
+    assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
+
+
+@pytest.mark.parametrize("check", [verify.check_matrix_identity, verify.check_g_table_theorem,
+                                   verify.check_decomposition, verify.check_kernel,
+                                   verify.check_dirac])
+def test_a_criterion_that_draws_nothing_gives_the_same_rows_at_every_seed(check):
+    assert check(1) == check(7)
