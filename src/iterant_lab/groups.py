@@ -35,9 +35,10 @@ from .scalars import parse_integer
 # 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
 # trees (about 5 s at depth 8), a parsed mark expression stops at 4000 marks
 # (a flat list of 4000 reduces in about 0.6 s), a lattice run stops at
-# 2^22 cells x steps (the largest verify run is 256 x 10^4, a third of a
-# second), and the CSV of a run at 2^19 rows of cells x samples (about 4 s;
-# the README tour writes 256,256).
+# 2^22 cells x steps (0.5 to 1 s of list ticks at any size, counting fewer
+# than 16 cells as 16; the dispersion report ticks no cells), and the CSV of
+# a run at 2^19 rows of cells x samples (about 4 s; the README tour writes
+# 256,256).
 MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5

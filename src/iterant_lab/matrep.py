@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation
-from .groups import natural_action, perm_matrix
+from .groups import natural_action
 from .iterants import (
     IterantAlgebra,
     IterantElement,
@@ -40,17 +40,21 @@ class DecompositionTerm:
     perm: Permutation
 
 
-def to_matrix(x: IterantElement) -> SquareMatrix:
-    """Linear, multiplicative map sending a*g to diag(a) * P(action of g)."""
-    algebra = x.algebra
-    n = algebra.degree
+def _placed(n: int, terms) -> SquareMatrix:
+    """The sum of diag(vec) * P(images) over the (vec, images) terms: row i of
+    diag(vec) * P(images) holds vec[i] at column images[i] and zeros elsewhere."""
     zero = GaussianRational()
     rows = [[zero] * n for _ in range(n)]
-    for gid, vec in x.terms:
-        maps = algebra.action.point_maps[gid]
+    for vec, images in terms:
         for i in range(n):
-            rows[i][maps[i]] = rows[i][maps[i]] + vec[i]
+            rows[i][images[i]] = rows[i][images[i]] + vec[i]
     return SquareMatrix(tuple(tuple(row) for row in rows))
+
+
+def to_matrix(x: IterantElement) -> SquareMatrix:
+    """Linear, multiplicative map sending a*g to diag(a) * P(action of g)."""
+    maps = x.algebra.action.point_maps
+    return _placed(x.algebra.degree, ((vec, maps[gid]) for gid, vec in x.terms))
 
 
 def _entry_vector(m: SquareMatrix, p: Permutation) -> tuple[GaussianRational, ...]:
@@ -83,10 +87,8 @@ def decompose_matrix(m: SquareMatrix) -> list[DecompositionTerm]:
 
 def reassemble(terms: list[DecompositionTerm], n: int) -> SquareMatrix:
     """(1/(n-1)!) * sum diag(term) * P(term); exact inverse of decompose_matrix."""
-    total = SquareMatrix.zero(n)
-    for term in terms:
-        total = total + SquareMatrix.diagonal(term.diag) * perm_matrix(term.perm)
-    return total.scale(Fraction(1, factorial(n - 1)))
+    placed = _placed(n, ((term.diag, term.perm) for term in terms))
+    return placed.scale(Fraction(1, factorial(n - 1)))
 
 
 def entry_sums(x: IterantElement) -> SquareMatrix:

@@ -11,17 +11,15 @@ even field (-), which is the standard staggered real/imaginary discretization
 of  i d_t psi = kappa d_xx psi  for psi = psi_e + i psi_o.  One even+odd pair
 of ticks advances physical time by dt.
 
-This is the only module that uses floating point and the only one that imports
-numpy; the CLI and ``verify`` import it when a lattice runs, so no other
-command loads numpy.
+Fields are plain lists.  The CLI ticks floats; ``verify`` ticks Fractions,
+with dx, dt and kappa given as Fractions, so that r and every tick are exact.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .groups import MAX_LATTICE_WORK
 
@@ -33,6 +31,8 @@ STABILITY_WARNING_RATIO = 0.5
 
 @dataclass(frozen=True)
 class LatticeConfig:
+    """dx, dt and kappa are floats, or Fractions for an exact run."""
+
     cells: int
     dx: float
     dt: float
@@ -51,12 +51,12 @@ class LatticeConfig:
                              f"{self.kappa}, dt = {self.dt}, dx = {self.dx}")
         if self.steps < 0:
             raise ValueError(f"steps must not be negative, got {self.steps}")
-        # a tick costs about 4 us of numpy calls at any size and 7 us at 256
-        # cells (2-core Xeon, numpy 2.4), so a smaller lattice is counted as
-        # 256 cells, and a run of no steps still holds its cells
-        if max(self.cells, 256) * max(self.steps, 1) > MAX_LATTICE_WORK:
+        # a list tick costs about 1.3 us plus 0.16 us a cell (2-core Xeon,
+        # CPython 3.11), so a smaller lattice is counted as 16 cells, and a
+        # run of no steps still holds its cells
+        if max(self.cells, 16) * max(self.steps, 1) > MAX_LATTICE_WORK:
             raise ValueError(f"{self.cells} cells x {self.steps} steps exceeds the lattice work "
-                             f"cap of {MAX_LATTICE_WORK} (fewer than 256 cells count as 256)")
+                             f"cap of {MAX_LATTICE_WORK} (fewer than 16 cells count as 16)")
 
     @property
     def ratio(self) -> float:
@@ -68,84 +68,65 @@ class LatticeConfig:
         return self.ratio >= STABILITY_WARNING_RATIO
 
 
-def second_difference(values: np.ndarray) -> np.ndarray:
-    """Periodic stencil (psi(x-dx) - 2 psi(x)) + psi(x+dx), summed in that order
-    in every cell, so on float64 arrays it equals
-    np.roll(values, 1) - 2.0 * values + np.roll(values, -1) bit for bit.  The
-    inner cells are done on slices, in place; the two wrap cells as Python floats."""
-    out = 2.0 * values
-    inner = out[1:-1]
-    np.subtract(values[:-2], inner, out=inner)
-    inner += values[2:]
-    first, second = values.item(0), values.item(1)
-    penult, last = values.item(-2), values.item(-1)
-    out[0] = (last - 2.0 * first) + second
-    out[-1] = (penult - 2.0 * last) + first
-    return out
+def second_difference(values: list) -> list:
+    """Periodic stencil (v[i-1] - 2 v[i]) + v[i+1], summed in that order in
+    every cell, so on floats it equals
+    np.roll(values, 1) - 2.0 * values + np.roll(values, -1) bit for bit, and
+    on Fractions it is exact.  On two cells both neighbours are the other cell."""
+    left = values[-1:] + values[:-1]
+    right = values[1:] + values[:1]
+    return [(a - 2 * b) + c for a, b, c in zip(left, values, right)]
 
 
-def ticks(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray):
+def ticks(cfg: LatticeConfig, even: list, odd: list):
     """Yield the (even, odd) field pair at the start and after each pair of
-    the cfg.steps ticks; each yielded array is new and is not changed later.
+    the cfg.steps ticks; each yielded list is new and is not changed later.
 
     Even tick:  psi_e += r * stencil(psi_o);  odd tick:  psi_o -= r * stencil(psi_e).
     """
     for values in (even, odd):
-        if values.shape != (cfg.cells,):
-            raise ValueError(f"field has shape {values.shape}, expected ({cfg.cells},)")
-    e, o = even.astype(float), odd.astype(float)
+        if len(values) != cfg.cells:
+            raise ValueError(f"field has {len(values)} cells, expected {cfg.cells}")
+    e, o = list(even), list(odd)
     r = cfg.ratio
     yield e, o
     for tick in range(cfg.steps):
         if tick % 2 == 0:
-            e = e + r * second_difference(o)
+            e = [v + r * d for v, d in zip(e, second_difference(o))]
         else:
-            o = o - r * second_difference(e)
+            o = [v - r * d for v, d in zip(o, second_difference(e))]
             yield e, o
 
 
-def run(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray,
-        every: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+def run(cfg: LatticeConfig, even: list, odd: list, every: int = 1) -> list[tuple[list, list]]:
     """The pairs 0, every, 2*every, ... of ``ticks``, after all cfg.steps ticks."""
     return [pair for index, pair in enumerate(ticks(cfg, even, odd)) if index % every == 0]
 
 
-def overflow_quiet():
-    """A context in which numpy does not warn of overflow or invalid values,
-    for a caller that tests every value it prints with ``finite``."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def finite(values) -> bool:
-    """Whether every number in a float, an array or a pair of arrays is finite."""
-    return bool(np.all(np.isfinite(values)))
-
-
-def norm(cfg: LatticeConfig, even: np.ndarray, odd: np.ndarray) -> float:
-    """The squared norm sum(psi_e^2 + psi_o^2) dx of one field pair."""
-    return float(np.sum(even * even + odd * odd) * cfg.dx)
-
-
-def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+def gaussian_fields(cfg: LatticeConfig, mu: float, sigma: float) -> tuple[list, list]:
     """exp(-(x - mu)^2 / 2 sigma^2) as the even field, with x - mu measured
-    on the ring, so a Gaussian near either end wraps across the seam."""
+    on the ring, so a Gaussian near either end wraps across the seam.  The
+    exponent is never positive, so a narrow sigma underflows to 0 and never
+    overflows."""
     if not sigma > 0:
         raise ValueError(f"gaussian width sigma must be positive, got {sigma}")
     ring = cfg.cells * cfg.dx
-    d = np.arange(cfg.cells) * cfg.dx - mu
-    d -= ring * np.round(d / ring)
-    envelope = np.exp(-0.5 * (d / sigma) ** 2)
-    return envelope, np.zeros(cfg.cells)
+    z = [math.remainder(cell * cfg.dx - mu, ring) / sigma for cell in range(cfg.cells)]
+    return [math.exp(-0.5 * (v * v)) for v in z], [0.0] * cfg.cells
 
 
-def plane_wave_fields(cfg: LatticeConfig, k_mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i k x) split into its real (even) and imaginary (odd) parts.  A mode
-    with |k| over cells // 2 would alias a lower one, so it is refused."""
+def _check_mode(cfg: LatticeConfig, k_mode: int) -> None:
+    """A mode with |k| over cells // 2 would alias a lower one, so it is refused."""
     if abs(k_mode) > cfg.cells // 2:
         raise ValueError(f"mode {k_mode} does not fit a lattice of {cfg.cells} cells")
-    x = np.arange(cfg.cells) * cfg.dx
+
+
+def plane_wave_fields(cfg: LatticeConfig, k_mode: int) -> tuple[list, list]:
+    """exp(i k x) split into its real (even) and imaginary (odd) parts."""
+    _check_mode(cfg, k_mode)
     k = 2.0 * math.pi * k_mode / (cfg.cells * cfg.dx)
-    return np.cos(k * x), np.sin(k * x)
+    phases = [k * (cell * cfg.dx) for cell in range(cfg.cells)]
+    return [math.cos(p) for p in phases], [math.sin(p) for p in phases]
 
 
 def lattice_frequency(cfg: LatticeConfig, k_mode: int) -> float:
@@ -166,29 +147,36 @@ class DispersionReport:
 
 def dispersion_check(cfg: LatticeConfig, k_mode: int) -> DispersionReport:
     """Measure the phase advance per unit time of the k-th Fourier mode of
-    psi_e + i psi_o over the whole run, and compare against kappa * k_eff^2.
+    psi_e + i psi_o, started as the plane wave exp(i k x), over the whole run,
+    and compare against kappa * k_eff^2.
 
-    The phase is accumulated step by step (each per-pair increment is far
-    below pi, so unwrapping is trivial).  The measurement error shrinks with
-    dt (quadratically for plane-wave starts), so halving dt reduces it.
+    The plane wave is an eigenvector of the periodic second difference, so
+    the run advances only the mode's amplitudes in psi_e and psi_o, by the
+    pair map with mu = r lambda = -dt kappa k_eff^2: the projection a ticked
+    lattice gives, without its cells, and blind to the growth of the highest
+    modes from r = 1/2 on.  The error shrinks with dt (quadratically).
     """
-    start = plane_wave_fields(cfg, k_mode)
+    _check_mode(cfg, k_mode)
     predicted = lattice_frequency(cfg, k_mode)
     if k_mode == 0:
         return DispersionReport(0, 0.0, 0.0, 0.0, 0)
     if predicted == 0:
         raise ValueError(f"the predicted frequency of mode {k_mode} underflows to 0")
-    x =np.arange(cfg.cells) * cfg.dx
-    k = 2.0 * math.pi * k_mode / (cfg.cells * cfg.dx)
-    probe = np.exp(-1j * k * x)
-    series = np.array([np.sum(probe * (e + 1j * o)) / cfg.cells
-                       for e, o in ticks(cfg, *start)])
-    if len(series) < 3:
+    samples = cfg.steps // 2 + 1
+    if samples < 3:
         raise ValueError("run too short to measure a frequency; need >= 3 samples")
-    increments = np.angle(series[1:] * series[:-1].conj())
-    total_phase = float(np.sum(increments))
-    total_time = (len(series) - 1) * cfg.dt
-    measured = abs(total_phase) / total_time
+    mu = -cfg.dt * predicted
+    # the exp(i k x) amplitudes of cos(k x) and sin(k x); at k = cells/2,
+    # cos(k x) = (-1)^x lies wholly in that mode and sin(k x) = 0
+    even, odd = (1.0, 0.0) if 2 * k_mode % cfg.cells == 0 else (0.5, -0.5j)
+    series = [even + 1j * odd]
+    for _ in range(samples - 1):
+        even = even + mu * odd
+        odd = odd - mu * even
+        series.append(even + 1j * odd)
+    # each increment is far below pi, so the phases need no unwrapping
+    total_phase = math.fsum(cmath.phase(after * before.conjugate())
+                            for before, after in zip(series, series[1:]))
+    measured = abs(total_phase) / ((samples - 1) * cfg.dt)
     rel_error = abs(measured - predicted) / predicted
-    return DispersionReport(k_mode, measured, predicted, rel_error, len(series))
-
+    return DispersionReport(k_mode, measured, predicted, rel_error, samples)

@@ -365,6 +365,18 @@ def test_schrodinger_dispersion_overflow_fails_without_nan(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "nan" not in captured.out.lower()
+    # refused before the run: one mode stays bounded where the lattice does not
+    assert (captured.out, captured.err) == (
+        "", "schrodinger run failed: --dispersion needs r < 1/2, got r = 1.0000\n")
+
+
+def test_a_narrow_gaussian_start_gives_no_traceback(capsys):
+    # (x - mu)/sigma reaches 4e300, whose square overflows a float
+    code = main(["schrodinger", "run", "--n", "8", "--steps", "4",
+                 "--init", "gaussian:mu=4,sigma=1e-300"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) <= 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -519,8 +531,7 @@ def test_schrodinger_csv_overflow_fails_without_rows(tmp_path, capsys):
                                 "use gaussian:mu=..,sigma=.. or planewave:k"),
     (["--init", "planewave:x"], "error: cannot read init 'planewave:x'; "
                                 "use gaussian:mu=..,sigma=.. or planewave:k"),
-    # schrodinger.overflow_quiet silences overflow and invalid values only, so a
-    # division by sigma = 0 would print numpy's divide-by-zero warning on stderr
+    # sigma = 0 is refused before any division by it
     pytest.param(["--init", "gaussian:mu=4,sigma=0"],
                  "error: cannot read init 'gaussian:mu=4,sigma=0'; "
                  "use gaussian:mu=..,sigma=.. or planewave:k",
@@ -589,23 +600,24 @@ def test_schrodinger_csv_rows_stop_at_the_row_cap(capsys, monkeypatch):
 
 
 def test_start_up_does_not_load_numpy():
-    """Importing the CLI, building its parser and running an exact command
-    leave numpy unloaded; a lattice run loads it."""
+    """Nothing in the package loads numpy: not start-up, not the lattice (a
+    dispersion report and a small CSV) and not verify-all."""
     script = (
         "import contextlib, io, sys\n"
+        "from iterant_lab import verify\n"
         "from iterant_lab.cli import build_parser, main\n"
         "build_parser()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['lof', 'reduce', '(())'])\n"
-        "    before = 'numpy' in sys.modules\n"
         "    main(['schrodinger', 'run', '--n', '8', '--steps', '4', '--dispersion', '1'])\n"
-        "print(before, 'numpy' in sys.modules)\n"
+        "    main(['schrodinger', 'run', '--n', '8', '--steps', '4'])\n"
+        "verify.run_verify(7)\n"
+        "print('numpy' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=60)
+                          env={"PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False"]
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
+import cmath
 import math
 import re
 import tracemalloc
 
-import numpy as np
+import numpy as np  # the reference the list stencil is compared with, bit for bit
 import pytest
 
 from iterant_lab import verify
@@ -12,7 +13,6 @@ from iterant_lab.schrodinger import (
     dispersion_check,
     gaussian_fields,
     lattice_frequency,
-    norm,
     plane_wave_fields,
     run,
     second_difference,
@@ -65,47 +65,44 @@ def test_stability_warning_flag():
 
 
 def test_lattice_work_cap():
-    LatticeConfig(cells=256, dx=1.0, dt=0.1, kappa=1.0, steps=10_000)  # the largest verify run
+    LatticeConfig(cells=256, dx=1.0, dt=0.1, kappa=1.0, steps=8000)  # the largest verify run
     LatticeConfig(cells=1024, dx=1.0, dt=0.1, kappa=1.0, steps=MAX_LATTICE_WORK // 1024)
-    for cells, steps in ((1024, MAX_LATTICE_WORK // 1024 + 1), (8, 10**9), (2, 20_000),
-                         (MAX_LATTICE_WORK + 1, 0)):  # a run of no steps counts as one
+    LatticeConfig(cells=2, dx=1.0, dt=0.1, kappa=1.0, steps=MAX_LATTICE_WORK // 16)
+    # fewer than 16 cells count as 16, and a run of no steps counts as one
+    for cells, steps in ((1024, MAX_LATTICE_WORK // 1024 + 1), (8, 10**9),
+                         (2, MAX_LATTICE_WORK // 16 + 1), (MAX_LATTICE_WORK + 1, 0)):
         with pytest.raises(ValueError, match="lattice work cap"):
             LatticeConfig(cells=cells, dx=1.0, dt=0.1, kappa=1.0, steps=steps)
 
 
 def test_combine():
     cfg = cfg_of(cells=2, steps=0)
-    [(e, o)] = run(cfg, np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-    c = e + 1j * o
-    assert c.dtype == complex
-    assert c[0] == 1.0 and c[1] == 2.0j
+    [(e, o)] = run(cfg, [1.0, 0.0], [0.0, 2.0])
+    assert [complex(a, b) for a, b in zip(e, o)] == [1.0, 2.0j]
 
 
 def test_combine_euler_identity():
     cfg = cfg_of(cells=64, steps=0)
-    x = np.arange(cfg.cells) * cfg.dx
     k = 2 * math.pi * 5 / (cfg.cells * cfg.dx)
     [(e, o)] = run(cfg, *plane_wave_fields(cfg, 5))
-    assert np.allclose(e + 1j * o, np.exp(1j * k * x))
-
-
-def test_norm_definition():
-    cfg = cfg_of(cells=2, dx=0.5, steps=0)
-    [pair] = run(cfg, np.array([3.0, 0.0]), np.array([0.0, 4.0]))
-    assert norm(cfg, *pair) == pytest.approx((9 + 16) * 0.5)
+    for cell, (a, b) in enumerate(zip(e, o)):
+        assert complex(a, b) == pytest.approx(cmath.exp(1j * k * cell * cfg.dx))
 
 
 def test_run_zero_fields_stay_zero():
     cfg = cfg_of(steps=50)
-    zeros = np.zeros(cfg.cells)
-    assert all(np.all(e == 0) for e, _ in run(cfg, zeros, zeros))
+    zeros = [0.0] * cfg.cells
+    assert all(e == zeros for e, _ in run(cfg, zeros, zeros))
 
 
 def test_run_norm_drift_gaussian():
+    def norm(even, odd):
+        return math.fsum(a * a + b * b for a, b in zip(even, odd))
+
     cfg = LatticeConfig(cells=128, dx=1.0, dt=0.1, kappa=1.0, steps=1000)
     even, odd = gaussian_fields(cfg, mu=64.0, sigma=8.0)
     pairs = run(cfg, even, odd)
-    drift = abs(norm(cfg, *pairs[-1]) / norm(cfg, *pairs[0]) - 1.0)
+    drift = abs(norm(*pairs[-1]) / norm(*pairs[0]) - 1.0)
     assert drift < 0.01
 
 
@@ -114,7 +111,7 @@ def test_a_gaussian_at_the_seam_wraps_round_the_ring(dx):
     cfg = cfg_of(cells=16, dx=dx)
     even, odd = gaussian_fields(cfg, mu=0.0, sigma=2.0)
     assert even[0] == 1.0 and even[1] == even[15] > 0.5 and even[2] == even[14]
-    assert np.all(odd == 0)
+    assert odd == [0.0] * 16
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 7, 40])
@@ -124,16 +121,14 @@ def test_run_is_the_list_of_the_streamed_pairs(steps):
     pairs = run(cfg, *fields)
     assert len(pairs) == steps // 2 + 1
     streamed = list(ticks(cfg, *fields))
-    for index in (0, -1):
-        assert all(np.array_equal(a, b) for a, b in zip(pairs[index], streamed[index]))
+    assert (pairs[0], pairs[-1]) == (streamed[0], streamed[-1])
     sampled = run(cfg, *fields, every=3)
     assert len(sampled) == steps // 6 + 1
-    assert all(np.array_equal(a, b) for pair, every_third in zip(sampled, streamed[::3])
-               for a, b in zip(pair, every_third))
+    assert sampled == streamed[::3]
 
 
 def test_schrodinger_check_holds_one_pair_at_a_time():
-    # a stored trajectory of the 10^4-tick norm run alone would take 20 MB
+    # the dispersion rows evolve one mode, and the exact rows tick rings of 8 cells at most
     tracemalloc.start()
     try:
         rows = verify.check_schrodinger(7)
@@ -170,10 +165,24 @@ def test_dispersion_converges_with_dt():
     assert err_half < 0.6 * err_base
 
 
+def test_dispersion_is_the_projected_lattice_run():
+    """The mode's two amplitudes against the lattice: tick every cell, project
+    psi_e + i psi_o on exp(i k x) after each pair and add up the phase."""
+    for cells, dt, k_mode in ((32, 0.05, 3), (16, 0.2, -5), (8, 0.1, 4), (7, 0.3, -3)):
+        cfg = cfg_of(cells=cells, dt=dt, steps=400)
+        probe = [cmath.exp(-2j * math.pi * k_mode * x / cells) for x in range(cells)]
+        series = [sum(p * complex(a, b) for p, a, b in zip(probe, e, o))
+                  for e, o in ticks(cfg, *plane_wave_fields(cfg, k_mode))]
+        phase = math.fsum(cmath.phase(after * before.conjugate())
+                          for before, after in zip(series, series[1:]))
+        report = dispersion_check(cfg, k_mode)
+        assert report.samples == len(series) == 201
+        assert report.measured_omega == pytest.approx(abs(phase) / (200 * dt), rel=1e-12)
+
+
 def test_second_difference_annihilates_linears_modulo_wrap():
-    values = np.arange(8.0)
-    inner = second_difference(values)[1:-1]
-    assert np.allclose(inner, 0.0)
+    inner = second_difference([float(x) for x in range(8)])[1:-1]
+    assert inner == [0.0] * 6
 
 
 def _roll_difference(values):
@@ -195,6 +204,7 @@ def _roll_ticks(cfg, even, odd):
 
 @pytest.mark.parametrize("cells", [2, 3, 4, 257])
 def test_second_difference_is_the_roll_formula_bit_for_bit(cells):
+    """The list stencil against np.roll on the same floats, inf and nan included."""
     rng = np.random.default_rng(cells)
     # magnitudes from 1e-8 to 1e8, so that another order of the sum would round otherwise
     values = rng.standard_normal(cells) * 10.0 ** rng.integers(-8, 9, cells)
@@ -202,26 +212,27 @@ def test_second_difference_is_the_roll_formula_bit_for_bit(cells):
     special[rng.permutation(cells)[:2]] = [np.inf, np.nan]
     for field in (values, special, -special, np.zeros(cells)):
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(second_difference(field), _roll_difference(field),
-                                  equal_nan=True)
+            assert np.array_equal(np.array(second_difference(field.tolist())),
+                                  _roll_difference(field), equal_nan=True)
 
 
 def test_ticks_are_the_roll_scheme_bit_for_bit():
     cfg = cfg_of(cells=257, dt=0.2, steps=100)
     rng = np.random.default_rng(3)
     even, odd = rng.standard_normal(cfg.cells), rng.standard_normal(cfg.cells)
-    pairs = list(ticks(cfg, even, odd))
+    start = (even.tolist(), odd.tolist())
+    pairs = list(ticks(cfg, *start))
     reference = list(_roll_ticks(cfg, even, odd))
     assert len(pairs) == len(reference) == 51
     for (e, o), (ref_e, ref_o) in zip(pairs, reference):
-        assert np.array_equal(e, ref_e) and np.array_equal(o, ref_o)
-    # each yielded array is new: no two pairs share memory
-    arrays = [array for pair in pairs for array in pair]
-    assert len({id(array) for array in arrays}) == len(arrays)
-    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+        assert e == ref_e.tolist() and o == ref_o.tolist()
+    # each yielded list is new, and the start is a copy of the caller's
+    fields = [field for pair in pairs for field in pair]
+    assert len({id(field) for field in fields}) == len(fields)
+    assert not {id(field) for field in start} & {id(field) for field in fields}
 
 
 def test_run_rejects_wrong_shape():
     cfg = cfg_of()
     with pytest.raises(ValueError):
-        run(cfg, np.zeros(cfg.cells + 1), np.zeros(cfg.cells))
+        run(cfg, [0.0] * (cfg.cells + 1), [0.0] * cfg.cells)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from iterant_lab import clifford, dirac, discrete, groups, matrep, verify
+from iterant_lab import clifford, dirac, discrete, groups, matrep, schrodinger, verify
 from iterant_lab.iterants import (
     IterantAlgebra,
     element_from_json,
@@ -357,6 +357,24 @@ def _regular_needs(name: str):
     return needed
 
 
+def _ticks_every_unit_field(cases, relation) -> bool:
+    """Each (cells, r) case ticks exactly the 2 cells unit fields of its ring,
+    seen by a wrapper around schrodinger.ticks as the relation runs."""
+    real, started = schrodinger.ticks, []
+
+    def recording(cfg, even, odd):
+        started.append((cfg.cells, cfg.ratio, (*even, *odd)))
+        return real(cfg, even, odd)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger, "ticks", recording)
+        for case in cases:
+            relation(case)
+    units = [(cells, r, tuple(int(i == j) for i in range(2 * cells)))
+             for cells, r in cases for j in range(2 * cells)]
+    return sorted(started) == sorted(units)
+
+
 PROOF_ROWS = {
     "C02.product-match": (
         verify.check_matrix_identity,
@@ -382,11 +400,34 @@ PROOF_ROWS = {
 }
 
 
-@pytest.mark.parametrize("row_id", PROOF_ROWS)
+@pytest.mark.parametrize("row_id", [*PROOF_ROWS, "C17.pair-map"])
 def test_each_proof_row_covers_what_its_argument_needs(row_id):
+    if row_id == "C17.pair-map":  # the cases are rings; what it needs is their unit fields
+        cases, relation, _ = _declared(verify.check_schrodinger, row_id)
+        assert _ticks_every_unit_field(cases, relation)
+        return
     check, covers = PROOF_ROWS[row_id]
     cases, _, _ = _declared(check, row_id)
     assert covers(cases)
+
+
+def _wrapless_difference(values):
+    """The stencil with its two wrap terms dropped: the ring cut open at its seam."""
+    padded = [0, *values, 0]
+    return [(a - 2 * b) + c for a, b, c in zip(padded, padded[1:], padded[2:])]
+
+
+@pytest.mark.parametrize("row_id", ["C17.pair-map", "C17.conserved-form"])
+def test_a_stencil_without_its_wrap_fails_each_exact_lattice_row(monkeypatch, row_id):
+    monkeypatch.setattr(schrodinger, "second_difference", _wrapless_difference)
+    row = {r.check_id: r for r in verify.check_schrodinger(7)}[row_id]
+    assert not row.passed and row.witness is not None
+    inputs = row.witness["inputs"]
+    case = (inputs["cells"], parse_rational(inputs["r"]))
+    _, relation, _ = _declared(verify.check_schrodinger, row_id)
+    lhs, rhs = relation(case)
+    assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
 
 
 @pytest.mark.parametrize("row_id, check", [
@@ -413,6 +454,6 @@ def test_an_unshifted_product_fails_each_product_row_with_a_witness_that_reads_b
 
 @pytest.mark.parametrize("check", [verify.check_matrix_identity, verify.check_g_table_theorem,
                                    verify.check_decomposition, verify.check_kernel,
-                                   verify.check_dirac])
+                                   verify.check_dirac, verify.check_schrodinger])
 def test_a_criterion_that_draws_nothing_gives_the_same_rows_at_every_seed(check):
     assert check(1) == check(7)
