@@ -9,12 +9,22 @@ derivative's own commutator form Dx = [x, J]/dt.  ``basic_commutator`` returns
 the two sides of the first, ``discrete_derivative`` and ``shift_commutator``
 those of the second, and ``on_overlap`` reads two operators on the windows
 they share, so the caller compares them with ``==``.
+
+A sequence holds its window as integer numerators over one denominator, in
+canonical form like ``scalars.GaussianRational`` (Knuth, TAOCP vol. 2,
+section 4.5.1): the denominator is positive, the gcd of the numerators and
+the denominator is 1, and a zero window is held over 1, so equal values have
+equal fields.  Every window operation runs on the integers and takes one gcd
+per result; ``Fraction`` values are built only when a caller reads
+``samples``, ``const``, ``value_at`` or ``on_overlap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 
@@ -22,78 +32,110 @@ from typing import Callable, Iterable
 class Sequence:
     """A rational-valued signal: finite window of samples, or a constant.
 
-    Finite form: ``samples`` holds values at ticks start, start+1, ...
-    Constant form: ``samples`` is None and ``const`` is the everywhere-value.
+    The value at tick ``start + i`` is ``nums[i] / den``.  A constant has
+    ``start`` None, no window, and its one numerator in ``nums``.  Build
+    sequences with ``from_values`` and ``constant``, which give the canonical
+    form.
     """
 
-    samples: tuple[Fraction, ...] | None
-    start: int = 0
-    const: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if (self.samples is None) == (self.const is None):
-            raise ValueError("exactly one of samples/const must be given")
+    nums: tuple[int, ...]
+    den: int
+    start: int | None
 
     @staticmethod
     def from_values(values: Iterable, start: int = 0) -> Sequence:
-        return Sequence(tuple(Fraction(v) for v in values), start)
+        # over the lcm of the reduced denominators no prime divides every
+        # numerator and the denominator
+        fracs = [Fraction(v) for v in values]
+        den = lcm(*(f.denominator for f in fracs))
+        return Sequence(tuple(f.numerator * (den // f.denominator) for f in fracs), den, start)
 
     @staticmethod
     def constant(value) -> Sequence:
-        return Sequence(None, 0, Fraction(value))
+        c = Fraction(value)
+        return Sequence((c.numerator,), c.denominator, None)
+
+    @property
+    def samples(self) -> tuple[Fraction, ...] | None:
+        """The window's values, or None for a constant."""
+        if self.start is None:
+            return None
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
+    @property
+    def const(self) -> Fraction | None:
+        """A constant's value, or None for a window."""
+        return None if self.start is not None else self.value_at(0)
 
     def window(self) -> tuple[int, int] | None:
         """Half-open tick range of definition, or None for all ticks."""
-        if self.samples is None:
+        if self.start is None:
             return None
-        return (self.start, self.start + len(self.samples))
+        return (self.start, self.start + len(self.nums))
 
     def value_at(self, tick: int) -> Fraction:
-        if self.samples is None:
-            return self.const  # type: ignore[return-value]
-        if not (self.start <= tick < self.start + len(self.samples)):
+        if self.start is None:
+            return Fraction(self.nums[0], self.den)
+        if not (self.start <= tick < self.start + len(self.nums)):
             raise IndexError(f"tick {tick} outside window {self.window()}")
-        return self.samples[tick - self.start]
+        return Fraction(self.nums[tick - self.start], self.den)
 
     def advanced(self, ticks: int) -> Sequence:
         """The signal t -> self(t + ticks); windows shift accordingly."""
-        if self.samples is None or ticks == 0:
+        if self.start is None or ticks == 0:
             return self
-        return Sequence(self.samples, self.start - ticks)
+        return Sequence(self.nums, self.den, self.start - ticks)
 
-    def _combine(self, other: Sequence, op: Callable) -> Sequence:
-        if self.samples is None and other.samples is None:
-            return Sequence.constant(op(self.const, other.const))
+    def _on(self, window: tuple[int, int] | None) -> tuple[int, ...]:
+        """The numerators on ``window``, which lies inside this sequence's
+        own; a constant's one numerator repeats, and stays single when
+        ``window`` is None."""
+        if self.start is None:
+            return self.nums if window is None else self.nums * (window[1] - window[0])
+        lo, hi = window  # type: ignore[misc]
+        return self.nums[lo - self.start:hi - self.start]
+
+    def _combine(self, other: Sequence, op: Callable[[int, int], int]) -> Sequence:
+        """``op`` (add, sub or mul) on the shared window, on the numerators."""
         window = overlap_window(self.window(), other.window())
-        lo, hi = window  # both cannot be constant here
-        return Sequence(
-            tuple(op(self.value_at(t), other.value_at(t)) for t in range(lo, hi)), lo
-        )
+        a, b = self._on(window), other._on(window)
+        d, e = self.den, other.den
+        if op is mul:
+            d *= e
+        elif d != e:
+            a, b = [v * e for v in a], [v * d for v in b]
+            d *= e
+        return _reduced(tuple(map(op, a, b)), d, None if window is None else window[0])
 
     def __add__(self, other: Sequence) -> Sequence:
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, add)
 
     def __sub__(self, other: Sequence) -> Sequence:
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, sub)
 
     def __mul__(self, other: Sequence) -> Sequence:
-        return self._combine(other, lambda a, b: a * b)
+        return self._combine(other, mul)
 
     def scale(self, factor) -> Sequence:
-        c = Fraction(factor)
-        if self.samples is None:
-            return Sequence.constant(self.const * c)
-        return Sequence(tuple(v * c for v in self.samples), self.start)
+        c = factor if type(factor) in (int, Fraction) else Fraction(factor)
+        p = c.numerator
+        return _reduced(tuple(v * p for v in self.nums), self.den * c.denominator, self.start)
 
     def is_zero_on_window(self) -> bool:
-        if self.samples is None:
-            return self.const == 0
-        return all(v == 0 for v in self.samples)
+        return not any(self.nums)
 
     def __len__(self) -> int:
-        if self.samples is None:
+        if self.start is None:
             raise TypeError("constant sequences have no finite length")
-        return len(self.samples)
+        return len(self.nums)
+
+
+def _reduced(nums: tuple[int, ...], den: int, start: int | None) -> Sequence:
+    """The canonical sequence of ``nums / den`` (den > 0) from ``start``."""
+    g = gcd(*nums, den)
+    if g != 1:
+        nums, den = tuple(v // g for v in nums), den // g
+    return Sequence(nums, den, start)
 
 
 def overlap_window(
@@ -121,7 +163,8 @@ class ShiftPoly:
         kept = tuple(
             (k, seq) for k, seq in sorted(terms.items()) if not seq.is_zero_on_window()
         )
-        return ShiftPoly(Fraction(dt), kept)
+        # every operation passes its own tick size, a Fraction already
+        return ShiftPoly(dt if type(dt) is Fraction else Fraction(dt), kept)
 
     @staticmethod
     def from_sequence(x: Sequence, dt) -> ShiftPoly:
@@ -179,15 +222,14 @@ def on_overlap(a: ShiftPoly, b: ShiftPoly) -> tuple[tuple, tuple]:
         pair = (a.coefficient(k), b.coefficient(k))
         window = overlap_window(pair[0].window(), pair[1].window())
         for side, f in zip(sides, pair):
-            values = (f.const,) if window is None else tuple(map(f.value_at, range(*window)))
-            side.append((k, values))
+            side.append((k, tuple(Fraction(v, f.den) for v in f._on(window))))
     return tuple(sides[0]), tuple(sides[1])
 
 
 def discrete_derivative(x: Sequence, dt) -> ShiftPoly:
     """Dx = J (x(t+dt) - x(t))/dt, which equals shift_commutator(x, dt) on the
     shared window: compare on_overlap of the two."""
-    if x.samples is not None and len(x) < 2:
+    if x.start is not None and len(x) < 2:
         raise ValueError("derivative needs a window of length >= 2")
     dt = Fraction(dt)
     return ShiftPoly.build(dt, {1: (x.advanced(1) - x).scale(1 / dt)})
@@ -204,7 +246,7 @@ def shift_commutator(x: Sequence, dt) -> ShiftPoly:
 def basic_commutator(x: Sequence, dt) -> tuple[ShiftPoly, ShiftPoly]:
     """[x, Dx] and J (x(t+dt) - x(t))^2 / dt, which agree on the shared window:
     compare on_overlap of the two."""
-    if x.samples is not None and len(x) < 3:
+    if x.start is not None and len(x) < 3:
         raise ValueError("commutator needs a window of length >= 3")
     dt = Fraction(dt)
     x_poly = ShiftPoly.from_sequence(x, dt)
@@ -218,12 +260,10 @@ def basic_commutator(x: Sequence, dt) -> tuple[ShiftPoly, ShiftPoly]:
 def diffusion_constant(x: Sequence, dt) -> Fraction | None:
     """(x(t+dt) - x(t))^2 / dt when it is the same for every step of the
     window, else None."""
-    if x.samples is None:
+    if x.start is None:
         return Fraction(0)
     if len(x) < 3:
         raise ValueError("constancy check needs a window of length >= 3")
-    dt = Fraction(dt)
-    steps = [
-        (x.samples[i + 1] - x.samples[i]) ** 2 / dt for i in range(len(x.samples) - 1)
-    ]
-    return steps[0] if all(s == steps[0] for s in steps) else None
+    rate = 1 / Fraction(dt)  # raises on dt = 0 whether or not the steps agree
+    steps = {(b - a) ** 2 for a, b in zip(x.nums, x.nums[1:])}
+    return Fraction(steps.pop(), x.den ** 2) * rate if len(steps) == 1 else None

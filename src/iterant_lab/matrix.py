@@ -6,7 +6,10 @@ directly.  A product reads each factor's integer view, computed at most once
 per matrix: the lcm ``d`` of the entry denominators and integer tables of
 the real and imaginary numerators scaled to it, so that ``A * B`` is a table
 of integer dot products over ``dA * dB``, each entry reduced once by its own
-gcd.  The determinant here and the rank in ``matrep`` both call
+gcd.  Of the four part products of ``(Ar + i Ai)(Br + i Bi)`` only those whose
+two tables both hold a nonzero entry are summed: most products here are of
+real or purely imaginary signed permutations, where one to three of the four
+are zero.  The determinant here and the rank in ``matrep`` both call
 ``bareiss``, one fraction-free elimination over the Gaussian integers
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968), after scaling each row to integers by
@@ -106,13 +109,19 @@ class SquareMatrix:
             a_re, a_im, a_den = self.integers
             b_re, b_im, b_den = other.integers
             den = a_den * b_den
+            # a part product whose real or imaginary table is all zero is zero
+            a_r, a_i = any(map(any, a_re)), any(map(any, a_im))
+            b_r, b_i = any(map(any, b_re)), any(map(any, b_im))
+            rr, ii, ri, ir = a_r and b_r, a_i and b_i, a_r and b_i, a_i and b_r
             cols = tuple(zip(zip(*b_re), zip(*b_im)))
             rows = []
             for ar, ai in zip(a_re, a_im):
                 row = []
                 for br, bi in cols:
-                    xr = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
-                    xi = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+                    xr = ((sum(map(mul, ar, br)) if rr else 0)
+                          - (sum(map(mul, ai, bi)) if ii else 0))
+                    xi = ((sum(map(mul, ar, bi)) if ri else 0)
+                          + (sum(map(mul, ai, br)) if ir else 0))
                     row.append(_from_triple(xr, xi, den) if xr or xi else _ZERO)
                 rows.append(tuple(row))
             return SquareMatrix(tuple(rows))

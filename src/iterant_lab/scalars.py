@@ -88,8 +88,11 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # real values hash like their Fraction so mixed comparisons stay sound
-        return hash(self.re) if self.im_num == 0 else hash((self.re, self.im))
+        # real values hash like their Fraction so mixed comparisons stay sound;
+        # Python's numeric hash gives an integer the hash of its Fraction
+        if self.im_num == 0:
+            return hash(self.re_num) if self.den == 1 else hash(self.re)
+        return hash((self.re, self.im))
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
         o = other if type(other) is GaussianRational else GaussianRational.of(other)

@@ -37,8 +37,11 @@ basis, which proves it everywhere and takes no seed:
   every field keeps Q = v^T G v, for each of four (N, r) cases.
 
 The other seeded rows stay sampled: C03's D(ZW) = D(Z) D(W) is quadratic in
-each factor, and the C09 events, the C13 fuzz, C14's on-shell triples and
-C16's sequences are draws of inputs that no basis stands for.
+each factor, and the C09 events, the C13 fuzz and C14's on-shell triples are
+draws of inputs that no basis stands for.  C16.commutator-identity is
+quadratic in the sequence.  C16.derivative-commutator is linear in the
+sequence at a fixed dt, but each case draws its dt with its sequence, so a
+basis would have to be taken at every tick size.
 
 The area is given once per criterion and the evaluator attaches the seed to
 every witness.  The only rows whose verdict is not an equality are the two

@@ -1,7 +1,11 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterant_lab.discrete import (
     Sequence,
@@ -34,6 +38,10 @@ def test_sequence_window_and_values():
     assert s.value_at(3) == 9
     with pytest.raises(IndexError):
         s.value_at(5)
+    # equal values have equal fields; a zero window is held over 1
+    assert Sequence.from_values([Fraction(1, 2), 1]) == Sequence.from_values([Fraction(2, 4), 1])
+    zero = Sequence.from_values([Fraction(1, 3), 1]).scale(0)
+    assert (zero.nums, zero.den) == ((0, 0), 1)
 
 
 def test_sequence_advanced():
@@ -47,11 +55,6 @@ def test_constant_sequence():
     assert c.value_at(-100) == Fraction(3, 2)
     assert c.window() is None
     assert (c * seq_of(lambda t: t, 4)).value_at(2) == 3
-
-
-def test_sequence_requires_one_form():
-    with pytest.raises(ValueError):
-        Sequence(samples=(Fraction(1),), const=Fraction(1))
 
 
 def test_shift_commutation_rule():
@@ -213,3 +216,118 @@ def test_on_overlap_sides():
     half = ShiftPoly.build(Fraction(1, 2), {1: seq_of(lambda t: t, 4)})
     assert not equal_on_overlap(a, half)
     assert equal_on_overlap(a, a)
+
+
+# --- the integer window against a Fraction reference --------------------------
+#
+# A reference signal is a tick -> Fraction dict for a window, or one Fraction
+# for a constant, computed here in Fractions.
+
+values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def signals(draw):
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        c = draw(values)
+        return Sequence.constant(c), c
+    start = draw(st.integers(min_value=-6, max_value=6))
+    vals = draw(st.lists(st.one_of(values, st.just(Fraction(0))), min_size=1, max_size=8))
+    return Sequence.from_values(vals, start), {start + i: v for i, v in enumerate(vals)}
+
+
+def ref_combine(ra, rb, op):
+    """op on the shared ticks of two references, or None where they share none."""
+    if isinstance(ra, Fraction) and isinstance(rb, Fraction):
+        return op(ra, rb)
+    ticks = sorted(rb if isinstance(ra, Fraction) else
+                   ra.keys() if isinstance(rb, Fraction) else ra.keys() & rb.keys())
+
+    def at(r, t):
+        return r if isinstance(r, Fraction) else r[t]
+
+    return {t: op(at(ra, t), at(rb, t)) for t in ticks} or None
+
+
+def assert_matches(seq: Sequence, ref):
+    """seq holds ref's values through every reader, in the canonical form that
+    gives equal values equal fields."""
+    assert seq.den > 0 and gcd(*seq.nums, seq.den) == 1
+    if not any(seq.nums):
+        assert seq.den == 1
+    if isinstance(ref, Fraction):
+        assert seq == Sequence.constant(ref)
+        assert (seq.window(), seq.samples, seq.const) == (None, None, ref)
+        assert seq.value_at(-1000) == seq.value_at(1000) == ref
+        return
+    ticks = sorted(ref)
+    assert seq == Sequence.from_values([ref[t] for t in ticks], ticks[0])
+    assert seq.window() == (ticks[0], ticks[-1] + 1) and seq.const is None
+    assert seq.samples == tuple(ref[t] for t in ticks)
+    assert all(seq.value_at(t) == ref[t] for t in ticks)
+    for outside in (ticks[0] - 1, ticks[-1] + 1):
+        with pytest.raises(IndexError):
+            seq.value_at(outside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signals(), signals(), values, st.integers(min_value=-4, max_value=4))
+def test_integer_window_matches_a_fraction_reference(a, b, factor, ticks):
+    (sa, ra), (sb, rb) = a, b
+    assert_matches(sa, ra)
+    for op in (operator.add, operator.sub, operator.mul):
+        expected = ref_combine(ra, rb, op)
+        if expected is None:
+            with pytest.raises(ValueError, match="do not overlap"):
+                op(sa, sb)
+        else:
+            assert_matches(op(sa, sb), expected)
+    assert_matches(sa.scale(factor), ref_combine(ra, factor, operator.mul))
+    assert_matches(sa.advanced(ticks), ra if isinstance(ra, Fraction)
+                   else {t - ticks: v for t, v in ra.items()})
+    # on_overlap of the two as J^0 operators: a zero coefficient is dropped and
+    # reads as the constant 0
+    dt = Fraction(2, 3)
+    ra, rb = (Fraction(0) if sa.is_zero_on_window() else ra,
+              Fraction(0) if sb.is_zero_on_window() else rb)
+    pair = ref_combine(ra, rb, lambda x, y: (x, y))
+    pa, pb = ShiftPoly.from_sequence(sa, dt), ShiftPoly.from_sequence(sb, dt)
+    if pair is None:
+        with pytest.raises(ValueError, match="do not overlap"):
+            on_overlap(pa, pb)
+        return
+    if ra == rb == 0:
+        expected = ((dt,), (dt,))
+    else:
+        shared = [pair] if isinstance(pair, tuple) else [pair[t] for t in sorted(pair)]
+        expected = tuple((dt, (0, tuple(side[i] for side in shared))) for i in (0, 1))
+    assert on_overlap(pa, pb) == expected
+
+
+# The commutators take 1/dt once in discrete_derivative, once for the right side
+# of basic_commutator and once in shift_commutator; every other operation of
+# the window kernel runs on integers.
+TICK_SIZE_INVERSES = 3
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_window_kernel_does_no_fraction_arithmetic(monkeypatch):
+    x = Sequence.from_values([Fraction(t * t - 7, t % 5 + 1) for t in range(16)])
+    dt = Fraction(2, 3)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    lhs, rhs = basic_commutator(x, dt)
+    shift = shift_commutator(x, dt)
+    monkeypatch.undo()
+    assert len(calls) <= TICK_SIZE_INVERSES, calls
+    assert on_overlap(lhs, rhs)[0] == on_overlap(lhs, rhs)[1]
+    assert equal_on_overlap(discrete_derivative(x, dt), shift)

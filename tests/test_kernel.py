@@ -112,9 +112,20 @@ scalars = st.one_of(
 )
 
 
-def square_matrices(n):
-    return st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n).map(
+def square_matrices(n, entries=scalars):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).map(
         lambda rows: SquareMatrix(tuple(tuple(row) for row in rows)))
+
+
+# The product skips a part product whose real or imaginary table is all zero,
+# so each factor is drawn whole-real, whole-imaginary, zero or mixed: every
+# combination of skipped parts meets the schoolbook sum.
+part_kinds = st.sampled_from([
+    st.builds(GaussianRational, fractions),
+    st.builds(lambda im: GaussianRational(Fraction(0), im), fractions),
+    st.just(GaussianRational()),
+    scalars,
+])
 
 
 def schoolbook(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
@@ -128,7 +139,7 @@ def schoolbook(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 @st.composite
 def matrix_pair(draw, count=2):
     n = draw(st.integers(min_value=1, max_value=4))
-    return tuple(draw(square_matrices(n)) for _ in range(count))
+    return tuple(draw(square_matrices(n, draw(part_kinds))) for _ in range(count))
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iterant_lab.scalars import (
@@ -241,6 +241,13 @@ def test_every_constructor_gives_the_canonical_triple(z):
 
 @settings(max_examples=300, deadline=None)
 @given(reals, gaussians)
+# a real integer hashes as the int: these are where Python's numeric hash
+# wraps (modulus 2**61 - 1) or special-cases -1
+@example(GaussianRational(-1), GaussianRational(1, 1))
+@example(GaussianRational(0), GaussianRational())
+@example(GaussianRational(2**61 - 1), GaussianRational(0, 2**61 - 1))
+@example(GaussianRational(2**61), GaussianRational(2**61))
+@example(GaussianRational(-2**61), GaussianRational(Fraction(-2**61, 3)))
 def test_real_values_compare_and_hash_like_their_fraction(z, w):
     r = z.re
     assert z == r and r == z and hash(z) == hash(r)
