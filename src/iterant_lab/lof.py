@@ -12,10 +12,23 @@ reduction:
 
 Every variable-free expression reduces to the marked state (one empty mark)
 or the unmarked state (nothing), independently of rule order.  That value is
-the linear rule of ``eval_logic``: a mark is marked iff none of its contents
-is.  One rewrite loop applies the rules to a worklist built from the text:
-for every owner of a sibling list, its number of live children and its
-ordered empty and crossing children.  A step updates the three lists it can
+the linear rule of ``eval_logic`` (``linear_value``): a mark is marked iff
+none of its contents is.  The argument is local.  A rewrite changes one
+sibling list, and a list's value depends only on its members' values, so a
+step that keeps the value of the list it rewrites keeps the value of every
+forest around it.  Every step removes marks, so every run ends, and a forest
+of two marks or more has a redex beside or around a deepest mark, so the only
+normal forms are "()" and nothing, one per value.  So every run ends in the normal form of the
+start's value, whatever the rule order.  Newman's lemma (Newman, Ann. Math.
+43 (1942) 223: a terminating, locally confluent system is confluent) is the
+general form of this argument; the rules are Spencer-Brown's (Laws of Form
+(1969), ch. 5-6).  ``successors`` lists the one-step rewrites of an
+expression and ``forests`` every forest of a given number of marks, so that
+the steps can be checked on every forest up to a size.
+
+One rewrite loop applies the rules to a worklist built from the text: for
+every owner of a sibling list, its number of live children and its ordered
+empty and crossing children.  A step updates the three lists it can
 change and rescans none, so an untraced step costs a few bisections and heap
 operations at any width or depth.  A traced run places each step from the
 marks' preorder ids and depths and the sorted ids of the marks removed so
@@ -339,15 +352,54 @@ def confluence_probe(
     start = _Worklist(expr.text)
     values = tuple(sorted({_rewrite(start.copy(), lambda work: work.random(rng))[0]
                            for _ in range(trials)}))
-    return values, ("marked" if eval_logic(expr, {}) else "unmarked",)
+    return values, (linear_value(expr),)
 
 
-def fuzz_cases(count: int, max_depth: int, seed: int) -> Iterator[tuple[MarkExpr, int]]:
-    """count seeded random expressions, each with the seed of its probe."""
+def successors(expr: MarkExpr) -> list[MarkExpr]:
+    """Every one-step rewrite of expr, one per redex: from each list in the
+    worklist's pool, its one calling and then each of its crossings.  Nothing
+    has been removed yet, so the dropped mark's "(" sits at
+    2 (node - 1) - depth + 1, the offset reduce_expression places a step at,
+    and the rewrite cuts its span out of the text."""
+    work = _Worklist(expr.text)
+    text, depth = expr.text, work.depth
+    after = []
+    for owner in work.pool:
+        empties = work.empties[owner]
+        dropped = [(empties[1], "calling")] if len(empties) > 1 else []
+        dropped += [(node, "crossing") for node in work.crossings[owner]]
+        for node, rule in dropped:
+            offset = 2 * (node - 1) - depth[node] + 1
+            after.append(MarkExpr(text[:offset] + text[offset + 2 * _REMOVED_MARKS[rule]:]))
+    return after
+
+
+def forests(marks: int) -> list[str]:
+    """Every forest of exactly `marks` marks, one per multiset, as its text with
+    every sibling list sorted as _forest_key sorts it, in sorted order.  For 0
+    to 9 marks there are 1, 1, 2, 4, 9, 20, 48, 115, 286 and 719: the rooted
+    trees of marks + 1 nodes.  A forest of n marks is a first mark holding a
+    forest of k marks beside a forest of the other n - 1 - k; each layer is
+    kept as sorted tuples of mark texts, so equal multisets meet in a set."""
+    layers: list[set[tuple[str, ...]]] = [{()}]
+    for n in range(1, marks + 1):
+        layers.append({tuple(sorted(("(" + "".join(inner) + ")", *rest)))
+                       for k in range(n) for inner in layers[k] for rest in layers[n - 1 - k]})
+    return sorted(map("".join, layers[marks]))
+
+
+def fuzz_cases(
+    count: int, max_depth: int, seed: int, min_marks: int = 0
+) -> Iterator[tuple[MarkExpr, int]]:
+    """count seeded random expressions of at least min_marks marks, each with
+    the seed of its probe; a smaller draw is skipped with its probe seed."""
     rng = random.Random(seed)
-    for _ in range(count):
+    while count:
         expr = random_expression(rng, max_depth=max_depth)
-        yield expr, rng.randrange(1 << 30)
+        probe_seed = rng.randrange(1 << 30)
+        if expr.text.count("(") >= min_marks:
+            count -= 1
+            yield expr, probe_seed
 
 
 def confluence_fuzz(count: int, max_depth: int, orders: int, seed: int) -> int:
@@ -383,3 +435,9 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
     if unbound:
         raise ValueError(f"unbound variable(s): {', '.join(sorted(unbound))}")
     return any(_fold(expr.text, assignment.__getitem__, lambda values: not any(values)))
+
+
+def linear_value(expr: MarkExpr) -> str:
+    """"marked" or "unmarked": the value of a variable-free expression under
+    the linear rule, a mark is marked iff none of its contents is."""
+    return "marked" if eval_logic(expr, {}) else "unmarked"

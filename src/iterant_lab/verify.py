@@ -36,12 +36,22 @@ basis, which proves it everywhere and takes no seed:
   compared with [[I, rL], [-rL, I - r^2 L^2]]; and P^T G P = G says that
   every field keeps Q = v^T G v, for each of four (N, r) cases.
 
+C13.confluence is a proof by enumeration, not over a basis, and takes no
+seed: on every forest of at most ENUMERATED_MARKS marks, every one-step
+rewrite keeps the linear value, and a forest with no rewrite is () or the
+void.  Every run ends, since each step removes marks, so every rule order
+reaches the linear value on those forests; the lof module docstring gives the
+local argument that carries this to every size.
+
 The other seeded rows stay sampled: C03's D(ZW) = D(Z) D(W) is quadratic in
-each factor, and the C09 events, the C13 fuzz and C14's on-shell triples are
-draws of inputs that no basis stands for.  C16.commutator-identity is
-quadratic in the sequence.  C16.derivative-commutator is linear in the
-sequence at a fixed dt, but each case draws its dt with its sequence, so a
-basis would have to be taken at every tick size.
+each factor, and the C09 events and C14's on-shell triples are draws of
+inputs that no basis stands for.  C13.confluence-fuzz reduces random forests
+of more than ENUMERATED_MARKS marks in random rule orders: it tests the
+worklist's bookkeeping at depth, which the one-step proof does not run.
+C16.commutator-identity is quadratic in the sequence.
+C16.derivative-commutator is linear in the sequence at a fixed dt, but each
+case draws its dt with its sequence, so a basis would have to be taken at
+every tick size.
 
 The area is given once per criterion and the evaluator attaches the seed to
 every witness.  The only rows whose verdict is not an equality are the two
@@ -80,9 +90,12 @@ from .scalars import random_scalar, sqrt_exact
 BRIDGE_PAIRS = 200      # C03
 EVENTS = 200            # C09
 BOOSTS = 25             # C09, after the events: the boost cases, then the spinor cases
-FUZZ = 1000             # C13
+FUZZ = 100              # C13, forests above ENUMERATED_MARKS
 TRIPLES = 50            # C14, on shell
 SEQUENCES = 200         # C16
+
+# C13.confluence takes every forest of at most this many marks
+ENUMERATED_MARKS = 9
 
 
 @dataclass(frozen=True)
@@ -743,6 +756,18 @@ def check_fusion(seed: int):
 
 
 WORKED_EXPRESSION = "((((()())())())())()"
+_NORMAL_FORMS = {"()": "marked", "": "unmarked"}
+
+
+def _steps_keep_value(expr: lof.MarkExpr) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The linear values of expr's one-step rewrites against its own, once per
+    rewrite; with no rewrite, the value of expr as a normal form, or its text
+    if it is not one, against its own."""
+    value = lof.linear_value(expr)
+    after = lof.successors(expr)
+    if not after:
+        return (_NORMAL_FORMS.get(expr.text, str(expr)),), (value,)
+    return tuple(map(lof.linear_value, after)), (value,) * len(after)
 
 
 @_criterion("mark-calculus")
@@ -755,8 +780,15 @@ def check_lof(seed: int):
         yield f"C13.{tag}", description, lof.reduce_expression(lof.parse(text)).value, value
 
     yield ("C13.confluence",
-           f"{FUZZ} random expressions reduce to the same value in random rule order",
-           lof.fuzz_cases(FUZZ, max_depth=6, seed=seed + 13),
+           f"every rewrite step of every forest of at most {ENUMERATED_MARKS} marks keeps its "
+           "linear value, and () and the void are the only normal forms",
+           (lof.MarkExpr(text) for marks in range(ENUMERATED_MARKS + 1)
+            for text in lof.forests(marks)),
+           _steps_keep_value, lambda expr: {"expression": str(expr)})
+    yield ("C13.confluence-fuzz",
+           f"{FUZZ} random expressions of more than {ENUMERATED_MARKS} marks reduce to their "
+           "linear value in 3 random rule orders",
+           lof.fuzz_cases(FUZZ, max_depth=6, seed=seed + 13, min_marks=ENUMERATED_MARKS + 1),
            lambda c: lof.confluence_probe(c[0], trials=3, seed=c[1]),
            lambda c: {"expression": str(c[0]), "probe_seed": c[1]})
 

@@ -14,10 +14,13 @@ from iterant_lab.lof import (
     confluence_fuzz,
     confluence_probe,
     eval_logic,
+    forests,
+    linear_value,
     parse,
     random_expression,
     reduce_expression,
     reduce_untraced,
+    successors,
 )
 
 WORKED = "((((()())())())())()"
@@ -301,6 +304,13 @@ def test_confluence_fuzz_finds_no_disagreement():
     assert confluence_fuzz(40, max_depth=5, orders=3, seed=2) == 0
 
 
+def test_a_mark_floor_keeps_the_draws_that_reach_it_with_their_probe_seeds():
+    every = list(lof.fuzz_cases(60, max_depth=6, seed=13))
+    large = [case for case in every if case[0].text.count("(") >= 10]
+    assert 0 < len(large) < len(every)
+    assert list(lof.fuzz_cases(len(large), max_depth=6, seed=13, min_marks=10)) == large
+
+
 def test_drawing_fuzz_cases_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
@@ -330,7 +340,7 @@ mark_forests = st.one_of(
 @given(mark_forests, st.integers(min_value=0, max_value=(1 << 30) - 1))
 def test_every_rewrite_order_reaches_the_linear_value(expr, seed):
     result = reduce_expression(expr)
-    assert result.value == ("marked" if eval_logic(expr, {}) else "unmarked")
+    assert result.value == linear_value(expr)
     for step in result.trace:
         removed = step.before.count("(") - step.after.count("(")
         assert removed == (1 if step.rule == "calling" else 2)
@@ -449,4 +459,39 @@ def test_live_redexes_are_the_whole_forest_redexes_after_every_step(expr, seed):
 
         value, steps = lof._rewrite(lof._Worklist(expr.text), checked)
         assert _oracle_redexes(_plain(root)) == []
-        assert value == ("marked" if eval_logic(expr, {}) else "unmarked")
+        assert value == linear_value(expr)
+
+
+FOREST_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)  # rooted trees of n + 1 nodes
+
+
+def test_forests_lists_each_multiset_of_marks_once_in_sorted_form():
+    for marks, count in enumerate(FOREST_COUNTS):
+        texts = forests(marks)
+        assert len(texts) == count and texts == sorted(texts)
+        assert all(text.count("(") == marks and parse(text).text == text for text in texts)
+        keys = [lof._forest_key(text) for text in texts]
+        assert keys == texts and len(set(keys)) == count
+
+
+def _oracle_successor_keys(text):
+    items = _oracle_forest(text)
+    return sorted(lof._forest_key(_oracle_text(_oracle_drop(items, path, index)))
+                  for _, path, index in _oracle_redexes(items))
+
+
+def _successor_keys(expr):
+    return sorted(lof._forest_key(after.text) for after in successors(expr))
+
+
+def test_successors_are_the_oracle_drops_on_every_small_forest():
+    for marks in range(8):
+        for text in forests(marks):
+            assert _successor_keys(MarkExpr(text)) == _oracle_successor_keys(text), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(mark_forests)
+@example(MarkExpr("((((()))))(()())"))
+def test_successors_are_the_oracle_drops(expr):
+    assert _successor_keys(expr) == _oracle_successor_keys(expr.text)

@@ -6,11 +6,12 @@ criterion only with one case of a library function broken on purpose.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from iterant_lab import clifford, dirac, discrete, groups, matrep, schrodinger, verify
+from iterant_lab import clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
 from iterant_lab.iterants import (
     IterantAlgebra,
     element_from_json,
@@ -391,6 +392,11 @@ PROOF_ROWS = {
     "C08.criteria-agree": (
         verify.check_kernel,
         lambda cases: len(set(cases)) == 18 and set(cases) == set(natural_sn_algebra(3).basis())),
+    # every forest of at most ENUMERATED_MARKS marks, each multiset once
+    "C13.confluence": (
+        verify.check_lof,
+        lambda cases: [expr.text for expr in cases]
+        == [text for marks in range(verify.ENUMERATED_MARKS + 1) for text in lof.forests(marks)]),
     # e_i and e_i + e_j in (E, p, m), the polarization of a quadratic form
     "C14.off-shell-scalar": (
         verify.check_dirac,
@@ -427,6 +433,27 @@ def test_a_stencil_without_its_wrap_fails_each_exact_lattice_row(monkeypatch, ro
     _, relation, _ = _declared(verify.check_schrodinger, row_id)
     lhs, rhs = relation(case)
     assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
+
+
+def _inner_dropping(successors):
+    """successors with every crossing rewritten to the empty mark, (()) to (),
+    where it should vanish; a text's crossings are exactly its (()) spans."""
+    def broken(expr):
+        marks = expr.text.count("(")
+        callings = [after for after in successors(expr) if after.text.count("(") == marks - 1]
+        return callings + [lof.MarkExpr(expr.text[:span.start() + 1] + expr.text[span.start() + 3:])
+                           for span in re.finditer(re.escape("(())"), expr.text)]
+    return broken
+
+
+def test_a_crossing_that_keeps_its_mark_fails_the_confluence_proof_with_a_witness(monkeypatch):
+    monkeypatch.setattr(lof, "successors", _inner_dropping(lof.successors))
+    row = {r.check_id: r for r in verify.check_lof(7)}["C13.confluence"]
+    assert not row.passed and row.witness["inputs"] == {"expression": "(())"}
+    _, relation, _ = _declared(verify.check_lof, "C13.confluence")
+    lhs, rhs = relation(lof.parse(row.witness["inputs"]["expression"]))
+    assert (verify._text(lhs), verify._text(rhs)) == (row.witness["lhs"], row.witness["rhs"])
     assert lhs != rhs
 
 
