@@ -135,7 +135,7 @@ def cmd_matrep_isocheck(args):
             raise ValueError(f"group order {group.order} exceeds the desk-scale cap of "
                              f"{groups.MAX_ISOCHECK_ORDER}")
         action = groups.regular_action(group)
-    payload = matrep.iso_check(action, samples=args.samples, seed=args.seed)
+    payload = matrep.iso_check(action)
     return (0 if payload["homomorphism_ok"] else 1), {
         "json": payload,
         "text": lambda: (f"{key}: {value}" for key, value in payload.items()),
@@ -480,12 +480,17 @@ def build_parser() -> argparse.ArgumentParser:
     dec_p = matrep_sub.add_parser("decompose", help="diagonal-times-permutation decomposition")
     dec_p.add_argument("--matrix", required=True, help="JSON file holding the matrix")
     _flags(dec_p, cmd_matrep_decompose, default="json")
-    iso_p = matrep_sub.add_parser("isocheck", help="probe the representation map")
+    iso_p = matrep_sub.add_parser("isocheck",
+                                  help="prove whether the representation map is an isomorphism")
     iso_p.add_argument("--group", required=True)
     iso_p.add_argument("--natural", action="store_true",
                        help="use the natural degree-n symmetric action instead of the regular one")
-    iso_p.add_argument("--samples", type=int, default=100)
-    _flags(iso_p, cmd_matrep_isocheck, seed=True)
+    iso_p.add_argument("--samples", type=int, default=100,
+                       help="checked against its cap, but no longer changes the result: "
+                            "the check is a proof over generators and draws no samples")
+    iso_p.add_argument("--seed", type=int, default=7,
+                       help="accepted, but no longer changes the result: the check draws nothing")
+    _flags(iso_p, cmd_matrep_isocheck)
 
     cliff_sub = _module(sub, "clifford", "quaternions, braiding, fusion")
     quat_p = cliff_sub.add_parser("quaternions", help="a quaternion triple and its table")

@@ -30,9 +30,10 @@ from .scalars import parse_integer
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
 # embedding or decomposing an n x n matrix over the n! permutations stops at
 # n = 5, the isocheck of a regular action, whose algebra has dimension
-# order^2, stops at order 8 and at 10^4 samples (10^3 take about half a second
-# on c8), the random mark trees of the confluence fuzz, which hold up to
-# 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
+# order^2, stops at order 8 (c8 takes about 6 ms, and s6 natural, the largest
+# natural isocheck, about 0.3 s), its --samples at 10^4 (the proof draws
+# none, but the flag is still read under that cap), the random mark trees of
+# the confluence fuzz, which hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
 # trees (about 5 s at depth 8), a parsed mark expression stops at 4000 marks
 # (a flat list of 4000 reduces in about 0.6 s), a lattice run stops at
 # 2^22 cells x steps (0.5 to 1 s of list ticks at any size, counting fewer
@@ -175,6 +176,41 @@ def klein4() -> Group:
     """The group C2 x C2 with elements 1, A, B, C and A^2 = B^2 = C^2 = 1, AB = C."""
     perms = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
     return _group_from_permutations(perms, ["1", "A", "B", "C"], "klein4")
+
+
+def closure(group: Group, elements: list[int]) -> set[int]:
+    """Every product of one or more of the elements.  In a finite group that
+    is the subgroup they generate, since g^-1 = g^(k-1) for g of order k; no
+    elements give the empty set."""
+    reached = set(elements)
+    frontier = list(reached)
+    while frontier:
+        frontier = [h for h in {group.mul(g, s) for g in frontier for s in elements}
+                    if h not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def generators(group: Group) -> list[int]:
+    """A generating set, chosen greedily: the elements in descending order of
+    element order (ties in listing order), each kept if it is not yet in the
+    closure of those kept before it, until that closure is the whole group.
+    Every cyclic group gets one generator, klein4 and S_3 to S_5 two, S_6 three."""
+    def element_order(g: int) -> int:
+        k, power = 1, g
+        while power != group.identity:
+            k, power = k + 1, group.mul(power, g)
+        return k
+
+    kept: list[int] = []
+    reached: set[int] = set()
+    for g in sorted(range(group.order), key=element_order, reverse=True):
+        if len(reached) == group.order:
+            break
+        if g not in reached:
+            kept.append(g)
+            reached = closure(group, kept)
+    return kept
 
 
 def symmetric(n: int) -> Group:

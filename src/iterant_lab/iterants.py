@@ -80,13 +80,11 @@ class IterantAlgebra:
         return tuple(vec[maps[i]] for i in range(self.degree))
 
     def basis(self) -> list[IterantElement]:
-        """All e_i * g; a module basis of the algebra."""
-        out = []
-        for gid in range(self.group.order):
-            for i in range(self.degree):
-                entries = [1 if k == i else 0 for k in range(self.degree)]
-                out.append(self.term(entries, gid))
-        return out
+        """All e_i * g, g outermost; a module basis of the algebra."""
+        n = self.degree
+        units = [_as_vector([int(k == i) for k in range(n)], n) for i in range(n)]
+        return [IterantElement(self, ((gid, unit),))
+                for gid in range(self.group.order) for unit in units]
 
     def dimension(self) -> int:
         return self.degree * self.group.order

@@ -9,26 +9,38 @@ where v picks the matrix entries (m_{1p(1)}, ..., m_{np(n)}).
 The checks hand back two sides for the caller to compare: ``entry_sums`` is
 the kernel's entry-sum criterion as a matrix, equal to ``to_matrix`` of the
 same element exactly when the two kernel criteria agree, and
-``product_relation`` gives M(xy) beside M(x) M(y).  ``iso_check`` reads the
-latter on seeded random pairs.
+``product_relation`` gives M(xy) beside M(x) M(y).
+
+``iso_check`` proves the homomorphism M(xy) = M(x) M(y) from finitely many
+cases, taking the table as a group: associative, with identity 0 (C04 checks
+the axioms of the groups it names).  Both sides are bilinear, so basis terms
+x = a g and y = b h suffice, and by the product rule (a g)(b h) = (a.b^g)(gh)
+the identity is
+
+    diag(a) P_g diag(b) P_h = diag(a.b^g) P_gh,
+
+given M(e_i g) = diag(e_i) P_g.  That holds for all a, b, g, h once, for
+every g, P_g P_h = P_gh for every h and P_g diag(b) = diag(b^g) P_g for the
+unit vectors b, and so for every b, both sides being linear in b.
+product_relation on the cases (s, h) and (s, e_i) gives both facts for each
+generator s.  They pass from g to sg: P_sg P_h = P_s P_g P_h = P_s P_gh =
+P_sgh, and P_sg diag(b) = P_s diag(b^g) P_g = diag(b^sg) P_sg.  So by
+induction on word length they hold for every product of generators, and the
+closure check makes that every element.  The basis-term facts are read off
+the basis images: M(e_i g) has one nonzero entry, 1, at (i, i*g).
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation
-from .groups import natural_action
-from .iterants import (
-    IterantAlgebra,
-    IterantElement,
-    natural_sn_algebra,
-    random_pairs,
-)
-from .matrix import SquareMatrix, bareiss, integer_rows
+from .groups import closure, generators, natural_action
+from .iterants import IterantAlgebra, IterantElement, natural_sn_algebra
+from .matrix import ZERO, SquareMatrix, bareiss, integer_rows
 from .scalars import GaussianRational
 
 
@@ -43,11 +55,10 @@ class DecompositionTerm:
 def _placed(n: int, terms) -> SquareMatrix:
     """The sum of diag(vec) * P(images) over the (vec, images) terms: row i of
     diag(vec) * P(images) holds vec[i] at column images[i] and zeros elsewhere."""
-    zero = GaussianRational()
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for vec, images in terms:
-        for i in range(n):
-            rows[i][images[i]] = rows[i][images[i]] + vec[i]
+        for row, j, c in zip(rows, images, vec):
+            row[j] = c if row[j] is ZERO else row[j] + c
     return SquareMatrix(tuple(tuple(row) for row in rows))
 
 
@@ -118,24 +129,42 @@ def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
     return bareiss(integer_rows(vectors)[0])[0]
 
 
-def iso_check(action: GroupAction, samples: int = 100, seed: int = 0) -> dict:
-    """Probe whether to_matrix is an isomorphism onto the full matrix algebra:
-    the fields ``matrep isocheck`` prints, in its order.  The homomorphism
-    probe compares the two sides of product_relation on seeded random pairs
-    and stops at the first pair that differs."""
+def iso_check(action: GroupAction) -> dict:
+    """Decide whether to_matrix is an isomorphism onto the full matrix algebra:
+    the fields ``matrep isocheck`` prints, in its order.
+
+    The homomorphism is proved as the module docstring argues: generators(G)
+    must close to all of G, product_relation must hold on every (s, h) and
+    (s, e_i) for s in it, and each basis image M(e_i g) must be the matrix
+    unit at (i, i*g).  The checks stop at the first that fails."""
     algebra = IterantAlgebra(action)
-    pairs = random_pairs(algebra, random.Random(seed), samples)
-    hom_ok = all(lhs == rhs for lhs, rhs in map(product_relation, pairs))
+    group, n, maps = action.group, action.degree, action.point_maps
+    gens = generators(group)
+    elements = [algebra.element_of(g) for g in range(group.order)]
+    units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
+    cases = itertools.product([elements[s] for s in gens], elements + units)
     basis_images = [to_matrix(b) for b in algebra.basis()]
-    flat = [[m.rows[i][j] for i in range(m.n) for j in range(m.n)] for m in basis_images]
-    rank = _matrix_rank(flat)
-    dim, n2 = algebra.dimension(), action.degree * action.degree
+    one = GaussianRational(1)
+    matrix_units = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        rows = [[ZERO] * n for _ in range(n)]
+        rows[i][j] = one
+        matrix_units[i, j] = SquareMatrix(tuple(map(tuple, rows)))
+    hom_ok = (len(closure(group, gens)) == group.order
+              and all(lhs == rhs for lhs, rhs in map(product_relation, cases))
+              # basis() lists e_i g with g outermost
+              and all(m == matrix_units[i, maps[g][i]] for (g, i), m
+                      in zip(itertools.product(range(group.order), range(n)), basis_images)))
+    # a repeated image adds nothing to the rank; a natural action repeats each (n-1)! times
+    distinct = dict.fromkeys(basis_images)
+    rank = _matrix_rank([[m.rows[i][j] for i in range(n) for j in range(n)] for m in distinct])
+    dim, n2 = algebra.dimension(), n * n
     return {
         "action": action.label,
         "algebra_dim": dim,
         "matrix_dim": n2,
         "homomorphism_ok": hom_ok,
-        "distinct_basis_images": len(set(basis_images)) == len(basis_images),
+        "distinct_basis_images": len(distinct) == len(basis_images),
         "image_rank": rank,
         "spans_matrix_algebra": rank == n2,
         # rank = n^2 = dim already makes the basis images distinct

@@ -30,7 +30,9 @@ from .scalars import scalar_from_json, scalar_to_json
 GaussianInteger = tuple[int, int]
 IntegerTable = tuple[tuple[int, ...], ...]
 IntegerView = tuple[IntegerTable, IntegerTable, int]  # (re, im, den)
-_ZERO = GaussianRational()
+# The zero entry that products and matrep.to_matrix place: equal matrices
+# built by them compare most entries by identity, without calling __eq__.
+ZERO = GaussianRational()
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class SquareMatrix:
                           - (sum(map(mul, ai, bi)) if ii else 0))
                     xi = ((sum(map(mul, ar, bi)) if ri else 0)
                           + (sum(map(mul, ai, br)) if ir else 0))
-                    row.append(_from_triple(xr, xi, den) if xr or xi else _ZERO)
+                    row.append(_from_triple(xr, xi, den) if xr or xi else ZERO)
                 rows.append(tuple(row))
             return SquareMatrix(tuple(rows))
         return self.scale(other)

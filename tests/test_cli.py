@@ -110,6 +110,14 @@ def test_matrep_isocheck_natural(capsys):
     assert payload["isomorphism"] is False
 
 
+@pytest.mark.parametrize("group", [["c8"], ["s3"], ["s4", "--natural"]])
+def test_matrep_isocheck_ignores_seed_and_samples(capsys, group):
+    outputs = {run_cli(capsys, "matrep", "isocheck", "--group", *group, "--format", "json", *extra)
+               for extra in (["--seed", "0"], ["--seed", "7"], ["--seed", "999"],
+                             ["--samples", "1"], ["--samples", "10000"])}
+    assert len(outputs) == 1
+
+
 def test_iterant_eval(capsys):
     code, out = run_cli(capsys, "iterant", "eval", "[-1,1]e", "[-1,1]e",
                         "--format", "json")

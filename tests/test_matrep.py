@@ -210,22 +210,119 @@ def test_determinant_bridge():
 
 
 def test_iso_check_cyclic_regular():
-    report = matrep.iso_check(regular_action(groups.cyclic(3)), samples=50)
+    report = matrep.iso_check(regular_action(groups.cyclic(3)))
     assert report["isomorphism"]
     assert report["algebra_dim"] == 9 == report["matrix_dim"]
 
 
 def test_iso_check_s3_regular():
-    report = matrep.iso_check(regular_action(groups.symmetric(3)), samples=30)
+    report = matrep.iso_check(regular_action(groups.symmetric(3)))
     assert report["isomorphism"]
     assert report["matrix_dim"] == 36
 
 
 def test_iso_check_natural_action_not_faithful():
-    report = matrep.iso_check(natural_action(3), samples=50)
+    report = matrep.iso_check(natural_action(3))
     assert report["homomorphism_ok"]
     assert not report["distinct_basis_images"]
     assert report["algebra_dim"] == 18
     assert report["matrix_dim"] == 9
     assert report["spans_matrix_algebra"]
     assert not report["isomorphism"]
+
+
+GENERATOR_COUNTS = {**{f"c{n}": 1 for n in range(1, 9)}, "klein4": 2,
+                    "s1": 1, "s2": 1, "s3": 2, "s4": 2, "s5": 2, "s6": 3}
+
+
+@pytest.mark.parametrize("name", GENERATOR_COUNTS)
+def test_generators_close_to_the_whole_group(name):
+    group = groups.builtin_group(name)
+    gens = groups.generators(group)
+    assert len(gens) == GENERATOR_COUNTS[name]
+    assert groups.closure(group, gens) == set(range(group.order))
+
+
+def test_closure_of_a_proper_subset():
+    c8 = groups.cyclic(8)
+    assert groups.closure(c8, [2]) == {0, 2, 4, 6}
+    assert groups.closure(c8, [4, 6]) == {0, 2, 4, 6}
+    assert groups.closure(c8, []) == set()
+
+
+# Every action `matrep isocheck` admits: the regular actions up to order 8
+# and the natural actions up to degree 6.  The fields are those iso_check
+# returns, in its order: action, algebra_dim, matrix_dim, homomorphism_ok,
+# distinct_basis_images, image_rank, spans_matrix_algebra, isomorphism.
+ISOCHECK_TABLE = [
+    ("c1 regular", 1, 1, True, True, 1, True, True),
+    ("c2 regular", 4, 4, True, True, 4, True, True),
+    ("c3 regular", 9, 9, True, True, 9, True, True),
+    ("c4 regular", 16, 16, True, True, 16, True, True),
+    ("c5 regular", 25, 25, True, True, 25, True, True),
+    ("c6 regular", 36, 36, True, True, 36, True, True),
+    ("c7 regular", 49, 49, True, True, 49, True, True),
+    ("c8 regular", 64, 64, True, True, 64, True, True),
+    ("klein4 regular", 16, 16, True, True, 16, True, True),
+    ("s1 regular", 1, 1, True, True, 1, True, True),
+    ("s2 regular", 4, 4, True, True, 4, True, True),
+    ("s3 regular", 36, 36, True, True, 36, True, True),
+    ("s1 natural", 1, 1, True, True, 1, True, True),
+    ("s2 natural", 4, 4, True, True, 4, True, True),
+    ("s3 natural", 18, 9, True, False, 9, True, False),
+    ("s4 natural", 96, 16, True, False, 16, True, False),
+    ("s5 natural", 600, 25, True, False, 25, True, False),
+    ("s6 natural", 4320, 36, True, False, 36, True, False),
+]
+
+
+def _action(label):
+    name, kind = label.split()
+    if kind == "natural":
+        return natural_action(groups.parse_group_name(name)[1])
+    return regular_action(groups.builtin_group(name))
+
+
+@pytest.mark.parametrize("row", ISOCHECK_TABLE, ids=[row[0] for row in ISOCHECK_TABLE])
+def test_iso_check_table(row):
+    assert tuple(matrep.iso_check(_action(row[0])).values()) == row
+
+
+def _swap_two_points(action, g):
+    """action with the images of points 0 and 1 under g exchanged."""
+    maps = list(action.point_maps)
+    images = list(maps[g])
+    images[0], images[1] = images[1], images[0]
+    maps[g] = tuple(images)
+    return groups.GroupAction(action.group, tuple(maps), action.label)
+
+
+@pytest.mark.parametrize("label", ["c8 regular", "s4 natural"])
+def test_iso_check_catches_each_swapped_point_map(label):
+    action = _action(label)
+    caught = [g for g in range(1, action.group.order)
+              if not matrep.iso_check(_swap_two_points(action, g))["homomorphism_ok"]]
+    assert caught == list(range(1, action.group.order))
+
+
+@pytest.mark.parametrize("label", ["c8 regular", "klein4 regular", "s3 regular",
+                                   "s4 natural", "s5 natural"])
+def test_iso_check_needs_a_generating_set(monkeypatch, label):
+    # without its last generator the set no longer generates the group
+    monkeypatch.setattr(matrep, "generators", lambda group: groups.generators(group)[:-1])
+    report = matrep.iso_check(_action(label))
+    assert not report["homomorphism_ok"]
+    assert not report["isomorphism"]
+
+
+def test_iso_check_reads_the_basis_terms(monkeypatch):
+    # conjugating by the swap of points 0 and 1 keeps every product case, but
+    # moves the basis images off the matrix units at (i, i*g)
+    action = _action("c8 regular")
+    swap = groups.perm_matrix((1, 0) + tuple(range(2, action.degree)))
+    plain = matrep.to_matrix
+    monkeypatch.setattr(matrep, "to_matrix", lambda x: swap * plain(x) * swap)
+    algebra = regular_algebra(groups.cyclic(8))
+    x, y = algebra.element_of("S"), algebra.vector(range(8))
+    assert matrep.product_relation((x, y))[0] == matrep.product_relation((x, y))[1]
+    assert not matrep.iso_check(action)["homomorphism_ok"]
