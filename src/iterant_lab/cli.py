@@ -2,9 +2,12 @@
 
 Machine output goes to stdout, diagnostics to stderr.  Each command computes
 its exit code and its output forms; ``_write`` writes the form that --format
-chose to stdout or to the --out file.  --seed makes randomized checks
-reproducible.  Exit codes: 0 success, 1 failed check (or the unmarked state
-for ``lof reduce``), 2 usage error.
+chose to stdout or to the --out file.  JSON is ``json.dumps(payload,
+indent=2, sort_keys=True)`` byte for byte, written by one encoder in pieces:
+each item of the outer two levels on its own, each deeper subtree joined into
+one string, so a long ``lof reduce --trace`` list is never held as one text.
+--seed makes randomized checks reproducible.  Exit codes: 0 success, 1 failed
+check (or the unmarked state for ``lof reduce``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -43,6 +46,63 @@ def _flags(parser: argparse.ArgumentParser, func, formats=JSON_TEXT, default: st
     parser.set_defaults(func=func)
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_json_string = json.encoder.encode_basestring_ascii  # a TypeError on a non-str
+
+# each JSON scalar type's text, as json writes it; a subclass is not JSON here
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
+    indent (a newline and spaces) starting each line after the first."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        brackets = "{}"
+        items = [f"{_json_string(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+    elif type(value) in (list, tuple):
+        brackets = "[]"
+        items = [_json_text(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+def _json_pieces(value, indent: str = "\n", levels: int = 2):
+    """Yield _json_text(value, indent) in pieces: the items of the outer
+    levels of containers one at a time, each deeper subtree as one string."""
+    if not (levels and value and type(value) in (dict, list, tuple)):
+        yield _json_text(value, indent)
+        return
+    inner = indent + "  "
+    is_dict = type(value) is dict
+    yield "{" if is_dict else "["
+    # a list's keys are its indexes, which the text does not show
+    for n, (key, item) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
+        yield ("," if n else "") + inner + (f"{_json_string(key)}: " if is_dict else "")
+        yield from _json_pieces(item, inner, levels - 1)
+    yield indent + ("}" if is_dict else "]")
+
+
 def _write(args, code: int, forms: dict) -> int:
     """Write the form that --format chose, or the one form of a command without
     --format, to stdout or the --out file, and return the command's exit code.
@@ -56,7 +116,7 @@ def _write(args, code: int, forms: dict) -> int:
     form = args.format if "format" in args else next(iter(forms))
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as stream:
         if form == "json":
-            json.dump(forms[form], stream, indent=2, sort_keys=True)
+            stream.writelines(_json_pieces(forms[form]))
             stream.write("\n")
         else:
             stream.writelines(line + "\n" for line in forms[form]())

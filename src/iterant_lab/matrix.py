@@ -19,7 +19,7 @@ the lcm of its entry denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -52,7 +52,9 @@ class SquareMatrix:
         )
 
     @staticmethod
+    @cache
     def identity(n: int) -> SquareMatrix:
+        """The n x n identity, one shared matrix per n (with its integer view)."""
         return SquareMatrix.from_rows(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )

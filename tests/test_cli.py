@@ -2,13 +2,16 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import random
 import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iterant_lab import groups, lof, matrep, verify
-from iterant_lab.cli import build_parser, main
+from iterant_lab.cli import _json_pieces, build_parser, main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
                                   random_pairs, regular_algebra)
 from iterant_lab.scalars import MAX_LITERAL_DIGITS
@@ -802,6 +805,9 @@ PINNED = {
         "a0b3290464d1fa2bb15bf3de6cdbc5da4edf8498c0198bd10efb297059627ee6"),
     "lof-trace-json": (("lof", "reduce", "((((()())())())())()", "--trace", "--format", "json"),
         "ddb0ecb12612b956f84611ad40ba8dbe6a2a49656e8a7ffbb350938dd72826d5"),
+    "lof-trace-json-out": (("lof", "reduce", "((((()())())())())()", "--trace", "--format", "json",
+                "--out", "out.json"),
+        "9c286317cf71eb8a9061c59f69e676e7224eb5b8d741e0bee58089ef24347560"),
     "lof-random-json": (("lof", "reduce", "--random", "20", "4", "11", "--format", "json"),
         "8720b282bb0484b9962a0d714eacdddd992a25a2b8c40d47280a392cbe00fbb1"),
     "verify-all-text": (("verify-all", "--seed", "3"),
@@ -825,8 +831,67 @@ def test_output_bytes_are_pinned(tmp_path, capsys, monkeypatch, case):
     Path("m.json").write_text('{"matrix": [["1+i", 2, 0], [0, "1/2", 3], [4, 0, "-i"]]}')
     code = main(list(argv))
     captured = capsys.readouterr()
-    written = Path("out.csv").read_text() if "--out" in argv else ""
+    written = Path(argv[argv.index("--out") + 1]).read_text() if "--out" in argv else ""
     assert _outcome_digest(code, captured.out, captured.err, written) == digest
+
+
+def _dumped(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_ODD_TEXT = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\U0001f600a')
+                    | st.characters())
+_JSON_LEAVES = (st.none() | st.booleans()
+                | st.integers() | st.sampled_from([2 ** 64, -(2 ** 64) - 1, 3 ** 200])
+                | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+                | _ODD_TEXT)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_ODD_TEXT, children, max_size=4)),
+    max_leaves=30)
+
+
+@given(_JSON_TREES)
+@example([[[[]], {}, ()], {"a": {"b": {"c": [{}]}}}])
+@settings(max_examples=300, deadline=None)
+def test_json_pieces_join_to_json_dumps(tree):
+    # each tree also goes in below the two streamed levels
+    for value in (tree, {"outer": [tree, [tree, {"inner": tree}]]}, [[[tree]]]):
+        assert "".join(_json_pieces(value)) == _dumped(value)
+
+
+# json.dumps refuses the first two too; it would write an int key as text
+@pytest.mark.parametrize("bad", [Fraction(1, 2), {1, 2}, {3: 2}, {"a": 1, 3: 2}])
+@pytest.mark.parametrize("depth", [0, 1, 2, 4])
+def test_json_pieces_refuse_a_non_json_leaf_and_a_non_str_key(bad, depth):
+    value = bad
+    for _ in range(depth):
+        value = [value]
+    with pytest.raises(TypeError):
+        "".join(_json_pieces(value))
+
+
+class _WriteRecorder(StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_a_long_trace_is_written_in_pieces_no_longer_than_one_step():
+    stream = _WriteRecorder()
+    with redirect_stdout(stream):
+        code = main(["lof", "reduce", "(" * 400 + ")" * 400, "--trace", "--format", "json"])
+    steps = json.loads(stream.getvalue())["steps"]
+    assert code == 1 and len(steps) >= 200
+    assert len(stream.writes) > len(steps)
+    # a step sits two levels down, so each of its lines is indented by four
+    longest = max(len(textwrap.indent(_dumped(step), "    ")) for step in steps)
+    assert max(map(len, stream.writes)) <= longest
 
 
 def _benchmark_faulty_inputs() -> list[tuple[str, ...]]:

@@ -30,6 +30,11 @@ def test_identity_and_zero():
     assert SquareMatrix.identity(2).scale(Fraction(3)) == SquareMatrix.diagonal([3, 3])
 
 
+def test_identity_is_shared_per_size():
+    assert SquareMatrix.identity(4) is SquareMatrix.identity(4)
+    assert SquareMatrix.identity(4) == SquareMatrix.diagonal([1] * 4)
+
+
 def test_ring_axioms_random():
     rng = random.Random(70)
     for _ in range(50):
