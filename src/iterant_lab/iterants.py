@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
 
 from .groups import Group, GroupAction, Permutation
 from .groups import cycle_string, natural_action, regular_action
@@ -20,7 +19,6 @@ from .scalars import (
     GaussianRational,
     ScalarLike,
     parse_scalar,
-    random_scalar,
     scalar_from_json,
     scalar_to_json,
 )
@@ -224,25 +222,6 @@ def element_from_json(algebra: IterantAlgebra, obj: dict) -> IterantElement:
         vec = [scalar_from_json(c) for c in term["vec"]]
         total = total + algebra.term(vec, term["g"])
     return total
-
-
-def random_element(algebra: IterantAlgebra, rng: Random, max_terms: int = 3) -> IterantElement:
-    """A sum of 1..max_terms terms, each a random group element with a vector
-    of random_scalar coefficients; the one draw rule for random elements."""
-    total = algebra.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        gid = rng.randrange(algebra.group.order)
-        total = total + algebra.term([random_scalar(rng) for _ in range(algebra.degree)], gid)
-    return total
-
-
-def random_pairs(
-    algebra: IterantAlgebra, rng: Random, count: int, max_terms: int = 3
-) -> Iterator[tuple[IterantElement, IterantElement]]:
-    """count pairs of random elements, drawn lazily, the first of each pair first."""
-    for _ in range(count):
-        x = random_element(algebra, rng, max_terms)
-        yield x, random_element(algebra, rng, max_terms)
 
 
 # ---------------------------------------------------------------------------

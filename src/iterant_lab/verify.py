@@ -16,12 +16,8 @@ compares.  A row passes exactly when those two sides are equal:
 Where an identity is linear in its inputs, a tallied row runs it once over a
 basis, which proves it everywhere and takes no seed:
 
-* C02.product-match and the C04 homomorphism rows: the product and to_matrix
-  are bilinear, so basis pairs suffice.  C02 takes all 16 pairs of the
-  period-two algebra.  Each C04 row takes every (g, h), (g, e_i) and
-  (e_i, h), which give P_g P_h = P_gh and P_g diag(e_i) = diag(e_i^g) P_g,
-  and by the product rule (a g)(b h) = (a.b^g)(gh) these two facts are the
-  homomorphism;
+* C02.product-match: the product and to_matrix are bilinear, so the 16 basis
+  pairs of the period-two algebra suffice;
 * C07's round trips and C08.criteria-agree: both sides are linear, so the
   matrix units and the 18 basis elements suffice;
 * C08's kernel family: at its nine unit parameters it maps to zero
@@ -36,6 +32,33 @@ basis, which proves it everywhere and takes no seed:
   compared with [[I, rL], [-rL, I - r^2 L^2]]; and P^T G P = G says that
   every field keeps Q = v^T G v, for each of four (N, r) cases.
 
+Where an identity is polynomial in its inputs, a tallied row runs it on a set
+that fixes a polynomial of its degree, and takes no seed either: one of degree
+at most t in each variable that vanishes on t + 1 values of each variable is
+zero (Alon, "Combinatorial Nullstellensatz", Combin. Probab. Comput. 8 (1999)
+7, Lemma 2.1), and a quadratic form is fixed by its values on the e_i and
+e_i + e_j (polarization):
+
+* C03, degree 2 over Q(i), with no complex conjugation: D([a, b] + [c, d]e)
+  = ab - cd, det to_matrix(Z), Z conj(Z) and conj(Z) Z are quadratic forms.
+  det-equals-matrix-det and two-sided run on the 10 polarization elements
+  (4 basis elements and their 6 pairwise sums), multiplicative on all 100
+  pairs, as D(ZW) - D(Z) D(W) is quadratic in W for fixed Z and vice versa;
+* C16, degree 1 in 1/dt: each side is a fixed expression in x times 1/dt,
+  quadratic in the 16 ticks of x for commutator-identity and linear for
+  derivative-commutator.  So at dt = 1 and 2/3 the first runs on the 16 unit
+  sequences and their 120 pairwise sums, the second on the units.
+
+Two rows are proofs through generators:
+
+* C04.<group>-homomorphism takes (s, h) and (s, e_i) for s in
+  groups.generators(G), and every (e_i, h), which says e_i h maps to
+  diag(e_i) P_h: the matrep docstring's induction on word length, whose
+  premise that the generators reach the group C04.<group>-generated prints;
+* C10.images shows that conjugation by each braiding element of each ladder
+  of 2 to 6 generators is a signed permutation of the ladder, so its images
+  keep the squares and anticommutators that C10.ladder-relations checks.
+
 C13.confluence is a proof by enumeration, not over a basis, and takes no
 seed: on every forest of at most ENUMERATED_MARKS marks, every one-step
 rewrite keeps the linear value, and a forest with no rewrite is () or the
@@ -43,15 +66,12 @@ void.  Every run ends, since each step removes marks, so every rule order
 reaches the linear value on those forests; the lof module docstring gives the
 local argument that carries this to every size.
 
-The other seeded rows stay sampled: C03's D(ZW) = D(Z) D(W) is quadratic in
-each factor, and the C09 events and C14's on-shell triples are draws of
-inputs that no basis stands for.  C13.confluence-fuzz reduces random forests
-of more than ENUMERATED_MARKS marks in random rule orders: it tests the
-worklist's bookkeeping at depth, which the one-step proof does not run.
-C16.commutator-identity is quadratic in the sequence.
-C16.derivative-commutator is linear in the sequence at a fixed dt, but each
-case draws its dt with its sequence, so a basis would have to be taken at
-every tick size.
+The other rows that draw stay sampled.  The C09 events, boosts and spinor
+maps are seeded draws, and C14's on-shell triples a fixed list: inputs on the
+mass shell, which no basis stands for.  C13.confluence-fuzz reduces seeded
+random forests of more than ENUMERATED_MARKS marks in random rule orders: it
+tests the worklist's bookkeeping at depth, which the one-step proof does not
+run.  C16.brownian-constant ticks one seeded unit-step walk.
 
 The area is given once per criterion and the evaluator attaches the seed to
 every witness.  The only rows whose verdict is not an equality are the two
@@ -79,7 +99,6 @@ from .iterants import (
     majorana_pair_relations,
     natural_sn_algebra,
     period_two_algebra,
-    random_pairs,
     regular_algebra,
     term_by_permutation,
 )
@@ -87,12 +106,10 @@ from .matrix import SquareMatrix
 from .scalars import random_scalar, sqrt_exact
 
 # cases per random row
-BRIDGE_PAIRS = 200      # C03
 EVENTS = 200            # C09
 BOOSTS = 25             # C09, after the events: the boost cases, then the spinor cases
 FUZZ = 100              # C13, forests above ENUMERATED_MARKS
 TRIPLES = 50            # C14, on shell
-SEQUENCES = 200         # C16
 
 # C13.confluence takes every forest of at most this many marks
 ENUMERATED_MARKS = 9
@@ -204,6 +221,11 @@ def _period2_inputs(case) -> list[str]:
     return [str(x) for x in case[:2]]
 
 
+def _polarization(basis: list) -> list:
+    """The basis and then its pairwise sums, which fix a quadratic form."""
+    return basis + [a + b for a, b in itertools.combinations(basis, 2)]
+
+
 # ---------------------------------------------------------------------------
 # C01: the oscillation square root of minus one.
 
@@ -237,17 +259,18 @@ def check_matrix_identity(seed: int):
 
 @_criterion("matrix-bridge")
 def check_determinant_bridge(seed: int):
-    rng = random.Random(seed + 3)
-    cases = [(z, w, determinant_period2(z), determinant_period2(w))
-             for z, w in random_pairs(period_two_algebra(), rng, BRIDGE_PAIRS)]
-    yield ("C03.det-equals-matrix-det",
-           f"Z conj(Z) equals the matrix determinant on {BRIDGE_PAIRS} samples",
-           cases, lambda c: (c[2], matrep.to_matrix(c[0]).determinant()), _period2_inputs)
-    yield ("C03.multiplicative", f"D(ZW) = D(Z) D(W) on {BRIDGE_PAIRS} pairs",
-           cases, lambda c: (determinant_period2(c[0] * c[1]), c[2] * c[3]), _period2_inputs)
-    yield ("C03.two-sided", "Z conj(Z) = conj(Z) Z on all samples",
-           cases, lambda c: (c[0] * conjugate_period2(c[0]), conjugate_period2(c[0]) * c[0]),
+    elements = _polarization(period_two_algebra().basis())
+    det = {z: determinant_period2(z) for z in elements}
+    yield ("C03.det-equals-matrix-det", f"Z conj(Z) equals the matrix determinant on the "
+           f"{len(elements)} polarization elements, so on every Z (both are quadratic forms)",
+           elements, lambda z: (det[z], matrep.to_matrix(z).determinant()), str)
+    yield ("C03.multiplicative", f"D(ZW) = D(Z) D(W) on all {len(elements) ** 2} pairs of them, "
+           "so on every pair (each side is quadratic in Z and in W)",
+           itertools.product(elements, repeat=2),
+           lambda zw: (determinant_period2(zw[0] * zw[1]), det[zw[0]] * det[zw[1]]),
            _period2_inputs)
+    yield ("C03.two-sided", "Z conj(Z) = conj(Z) Z on the same elements, so on every Z",
+           elements, lambda z: (z * conjugate_period2(z), conjugate_period2(z) * z), str)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +327,14 @@ S3_REGULAR_MATRICES = {
 }
 
 
-def _homomorphism_cases(algebra) -> Iterator[tuple]:
-    """The pairs (g, h), (g, e_i) and (e_i, h) of group elements g, h and unit
-    vectors e_i.  By the product rule (a g)(b h) = (a.b^g)(gh), to_matrix is
-    multiplicative exactly when P_g P_h = P_gh and P_g diag(b) = diag(b^g) P_g
-    for every b; the second is linear in b, so the (g, h) and (g, e_i) cases
-    prove both.  The (e_i, h) cases check that e_i h is the basis term
-    diag(e_i) P_h."""
+def _homomorphism_cases(algebra, gens: list[int]) -> list[tuple]:
+    """Every (s, h) and (s, e_i) for s in gens, group elements h and unit
+    vectors e_i, then every (e_i, h)."""
     order, degree = algebra.group.order, algebra.degree
     elements = [algebra.element_of(g) for g in range(order)]
     units = [algebra.vector([int(k == i) for k in range(degree)]) for i in range(degree)]
-    return itertools.chain(itertools.product(elements, elements),
-                           itertools.product(elements, units),
-                           itertools.product(units, elements))
+    return [*itertools.product([elements[s] for s in gens], elements + units),
+            *itertools.product(units, elements)]
 
 
 @_criterion("groups")
@@ -325,12 +343,18 @@ def check_g_table_theorem(seed: int):
         group = groups.builtin_group(name)
         action = groups.regular_action(group)
         algebra = regular_algebra(group)
+        gens = groups.generators(group)
+        cases = _homomorphism_cases(algebra, gens)
         yield (f"C04.{name}-homomorphism",
-               f"{name}: regular-algebra product maps to matrix product on every (g, h), "
-               f"(g, e_i) and (e_i, h), so P_g P_h = P_gh and P_g diag(e_i) = diag(e_i^g) P_g "
-               f"({group.order * (group.order + 2 * algebra.degree)} cases)",
-               _homomorphism_cases(algebra),
-               matrep.product_relation, lambda xy: [x.to_json() for x in xy])
+               f"{name}: regular-algebra product maps to matrix product on every (s, h) and "
+               f"(s, e_i) for the generators s and every (e_i, h), so on every pair of elements "
+               f"the generators reach ({len(cases)} cases)",
+               cases, matrep.product_relation, lambda xy: [x.to_json() for x in xy])
+        named = ", ".join(group.names[s] for s in gens)
+        yield (f"C04.{name}-generated",
+               f"{name}: the closure of the generators {{{named}}} is the whole group",
+               ", ".join(group.names[g] for g in sorted(groups.closure(group, gens))),
+               ", ".join(group.names))
         table_mats = groups.element_matrices_from_g_table(group)
 
         def placement(g: int):
@@ -640,17 +664,20 @@ def _spectrum(h: SquareMatrix) -> str:
 
 @_criterion("braiding")
 def check_braiding(seed: int):
-    gens = clifford.clifford_generators(4)
+    ladders = {n: clifford.clifford_generators(n) for n in range(2, 7)}
+    gens = ladders[4]
     count = len(gens)
 
     def image(case):
-        k, j = case
-        expected = gens[k] if j == k else -gens[k - 1] if j == k + 1 else gens[j - 1]
-        return clifford.braid_conjugate(gens, k, gens[j - 1]), expected
+        n, k, j = case
+        ladder = ladders[n]
+        expected = ladder[k] if j == k else -ladder[k - 1] if j == k + 1 else ladder[j - 1]
+        return clifford.braid_conjugate(ladder, k, ladder[j - 1]), expected
 
-    yield ("C10.images", "conjugation sends c_k -> c_{k+1}, c_{k+1} -> -c_k, fixes the rest",
-           [(k, j) for k in range(1, count) for j in range(1, count + 1)],
-           image, lambda c: {"k": c[0], "j": c[1]})
+    yield ("C10.images", "conjugation sends c_k -> c_{k+1}, c_{k+1} -> -c_k, fixes the rest "
+           "(n = 2..6): a signed permutation, so its images keep C10.ladder-relations",
+           [(n, k, j) for n in ladders for k in range(1, n) for j in range(1, n + 1)],
+           image, lambda c: {"n": c[0], "k": c[1], "j": c[2]})
 
     words = [(n, [k, k + 1, k], [k + 1, k, k + 1]) for n in range(3, 7) for k in range(1, n - 1)]
     words += [(n, [k, j], [j, k]) for n in range(3, 7) for k in range(1, n) for j in range(k + 2, n)]
@@ -670,21 +697,9 @@ def check_braiding(seed: int):
            range(1, count + 1), lambda j: (conjugated(j, (1, 2, 1)), conjugated(j, (2, 1, 2))),
            lambda j: {"j": j})
 
-    ladders = [clifford.clifford_generators(n) for n in range(2, 7)]
-
-    def failing_relations(case):
-        ladder, k = case
-        images = tuple(clifford.braid_conjugate(ladder, k, c) for c in ladder)
-        return [name for name, lhs, rhs in clifford.anticommuting_relations(images)
-                if lhs != rhs], []
-
-    yield ("C10.relations-preserved",
-           "images of the generators are again anticommuting square-one (n <= 6)",
-           [(ladder, k) for ladder in ladders for k in range(1, len(ladder))],
-           failing_relations, lambda c: {"n": len(c[0]), "k": c[1]})
     yield ("C10.ladder-relations",
            "each ladder generator squares to one and each two anticommute (n = 2..6)",
-           ((len(ladder), *relation) for ladder in ladders
+           ((n, *relation) for n, ladder in ladders.items()
             for relation in clifford.anticommuting_relations(ladder)),
            lambda c: c[2:], lambda c: {"n": c[0], "i": c[1][0], "j": c[1][1]})
 
@@ -910,28 +925,24 @@ def check_real_generators(seed: int):
 
 @_criterion("discrete-calculus")
 def check_discrete(seed: int):
-    rng = random.Random(seed + 16)
-    draws = [
-        (discrete.Sequence.from_values([_rand_fraction(rng) for _ in range(16)]),
-         Fraction(rng.randint(1, 4), rng.randint(1, 4)))
-        for _ in range(SEQUENCES)
-    ]
+    units = [discrete.Sequence.from_values([int(k == i) for k in range(16)]) for i in range(16)]
+    tick_sizes = (Fraction(1), Fraction(2, 3))
 
     def show(d):
         return {"seq": ",".join(map(str, d[0].samples)), "dt": str(d[1])}
 
-    yield ("C16.commutator-identity",
-           f"[x, Dx] = J (dx)^2/dt exactly on {SEQUENCES} random sequences",
-           draws, lambda d: discrete.on_overlap(*discrete.basic_commutator(*d)), show)
+    yield ("C16.commutator-identity", "[x, Dx] = J (dx)^2/dt exactly on the 16 unit sequences "
+           "and their 120 pairwise sums at dt = 1 and 2/3, so on every x and dt (quadratic in x)",
+           [(x, dt) for dt in tick_sizes for x in _polarization(units)],
+           lambda d: discrete.on_overlap(*discrete.basic_commutator(*d)), show)
     yield ("C16.derivative-commutator",
-           f"Dx = [x, J]/dt exactly on the same {SEQUENCES} sequences",
-           draws, lambda d: discrete.on_overlap(discrete.discrete_derivative(*d),
-                                                discrete.shift_commutator(*d)), show)
-    # the walk is drawn after the sequences, from the same generator
-    walk_values = [Fraction(0)]
-    for _ in range(20):
-        walk_values.append(walk_values[-1] + rng.choice([-1, 1]))
-    constant = discrete.diffusion_constant(discrete.Sequence.from_values(walk_values), 1)
+           "Dx = [x, J]/dt exactly on the 16 unit sequences at dt = 1 and 2/3, so on all x and dt",
+           [(x, dt) for dt in tick_sizes for x in units],
+           lambda d: discrete.on_overlap(discrete.discrete_derivative(*d),
+                                         discrete.shift_commutator(*d)), show)
+    rng = random.Random(seed + 16)
+    walk = itertools.accumulate((rng.choice([-1, 1]) for _ in range(20)), initial=0)
+    constant = discrete.diffusion_constant(discrete.Sequence.from_values(walk), 1)
     yield ("C16.brownian-constant", "unit-step walk has constant squared step, K = 1",
            f"K={constant}", "K=1")
     quad = discrete.Sequence.from_values([Fraction(t * t) for t in range(10)])

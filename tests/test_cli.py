@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from iterant_lab import groups, lof, matrep, verify
 from iterant_lab.cli import _json_pieces, build_parser, main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
-                                  random_pairs, regular_algebra)
-from iterant_lab.scalars import MAX_LITERAL_DIGITS
+                                  regular_algebra)
+from iterant_lab.scalars import MAX_LITERAL_DIGITS, random_scalar
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +249,25 @@ def test_schrodinger_dispersion_refuses_csv_flags(capsys, flag):
 
 # Stand-in checks for verify-all, built like the real ones from verify's tally,
 # so each real check still runs once per session (in the acceptance suite).
+# Their random pairs are drawn as the C03 rows drew theirs before those became
+# proofs, so the verify-all digests in PINNED keep their meaning.
+def random_element(algebra, rng: random.Random, max_terms: int = 3):
+    """A sum of 1..max_terms terms, each a random group element with a vector
+    of random_scalar coefficients."""
+    total = algebra.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        gid = rng.randrange(algebra.group.order)
+        total = total + algebra.term([random_scalar(rng) for _ in range(algebra.degree)], gid)
+    return total
+
+
+def random_pairs(algebra, rng: random.Random, count: int, max_terms: int = 3):
+    """count pairs of random elements, drawn lazily, the first of each pair first."""
+    for _ in range(count):
+        x = random_element(algebra, rng, max_terms)
+        yield x, random_element(algebra, rng, max_terms)
+
+
 @verify._criterion("test")
 def _product_rows(seed):
     yield ("X01.product-match", "M(xy) = M(x) M(y) on 20 pairs",

@@ -104,11 +104,12 @@ def test_each_row_is_evaluated_before_the_next_is_declared():
     assert [row.passed for row in rows(0)] == [True, True]
 
 
-# One case of the library function behind each row, broken on purpose: the
+# One input of the library function behind each row, broken on purpose: the
 # row's check, the module and name of the function, the function's input for
 # a case of the row, how the broken call spoils its result, and the two sides
-# the witness must then show.
-BROKEN = 3  # the index of the broken case
+# the witness must then show.  The input is that of the case at index BROKEN;
+# in the C16 rows it is a unit sequence, which the row takes at two tick sizes.
+BROKEN = 3  # the index of the first broken case
 
 
 def _plus_identity(m: SquareMatrix) -> SquareMatrix:
@@ -174,8 +175,8 @@ def test_a_broken_case_fails_its_row_with_both_computed_sides(monkeypatch, row_i
     row = {r.check_id: r for r in check(7)}[row_id]
     monkeypatch.undo()
 
-    count = len(cases)
-    assert (row.passed, row.lhs) == (False, f"{count - 1}/{count} agree")
+    count, spoiled = len(cases), sum(input_of(case) == target for case in cases)
+    assert (row.passed, row.lhs) == (False, f"{count - spoiled}/{count} agree")
     witness = row.witness
     assert (witness["index"], witness["inputs"]) == (BROKEN, show(cases[BROKEN]))
     assert (witness["lhs"], witness["rhs"]) == expected(cases[BROKEN])
@@ -336,9 +337,13 @@ def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
         False, 10, {"n": 4, "i": 1, "j": 2})
     assert (ladder.witness["lhs"], ladder.witness["rhs"]) == (
         str(SquareMatrix.identity(4)), str(-SquareMatrix.identity(4)))
-    preserved = rows["C10.relations-preserved"]
-    assert (preserved.passed, preserved.witness["inputs"]) == (False, {"n": 4, "k": 1})
-    assert preserved.witness["rhs"] == "[]" != preserved.witness["lhs"]
+    images = rows["C10.images"]
+    # two cases at n = 2 and six at n = 3 come first; c2 c1 = c1 c1 = 1, so the
+    # conjugation (1 + c2 c1) c1 (1 - c2 c1)/2 sends c1 to 0, not to c2
+    assert (images.passed, images.witness["index"], images.witness["inputs"]) == (
+        False, 8, {"n": 4, "k": 1, "j": 1})
+    assert (images.witness["lhs"], images.witness["rhs"]) == (
+        str(SquareMatrix.zero(4)), str(broken(4)[1]))
 
 
 # The rows that check an identity once over a basis, and what their argument
@@ -347,15 +352,39 @@ def _flat(m: SquareMatrix) -> list:
     return [c for row in m.rows for c in row]
 
 
-def _regular_needs(name: str):
-    """All |G|^2 pairs (g, h) and all |G| n pairs (g, e_i)."""
-    algebra = regular_algebra(groups.builtin_group(name))
-    order, n = algebra.group.order, algebra.degree
+def _exactly(cases, needed: set) -> bool:
+    """The cases are the needed ones, each once."""
+    return len(cases) == len(needed) and set(cases) == needed
+
+
+def _generator_needs(name: str) -> set:
+    """Every (s, h) and (s, e_i) for s in groups.generators(G), and every (e_i, h)."""
+    group = groups.builtin_group(name)
+    algebra = regular_algebra(group)
+    order, n, gens = group.order, algebra.degree, groups.generators(group)
     elements = [algebra.element_of(g) for g in range(order)]
     units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
-    needed = set(itertools.product(elements, elements)) | set(itertools.product(elements, units))
-    assert len(needed) == order * order + order * n
+    needed = ({(elements[s], y) for s in gens for y in elements + units}
+              | set(itertools.product(units, elements)))
+    assert len(needed) == len(gens) * (order + n) + n * order
     return needed
+
+
+def _period_two_polarization() -> set:
+    """The 4 basis elements of the period-two algebra and their 6 pairwise sums."""
+    basis = period_two_algebra().basis()
+    return set(basis) | {a + b for a, b in itertools.combinations(basis, 2)}
+
+
+TICK_SIZES = {Fraction(1), Fraction(2, 3)}  # one of them not an integer
+
+
+def _tick_units() -> list:
+    return [discrete.Sequence.from_values([int(k == i) for k in range(16)]) for i in range(16)]
+
+
+def _at_each_tick_size(sequences) -> set:
+    return {(x, dt) for x in sequences for dt in TICK_SIZES}
 
 
 def _ticks_every_unit_field(cases, relation) -> bool:
@@ -382,9 +411,24 @@ PROOF_ROWS = {
         lambda cases: (len(set(cases)) == 16
                        and set(cases) == set(itertools.product(period_two_algebra().basis(),
                                                                repeat=2)))),
+    # the 10 polarization elements, and every pair of them
+    "C03.det-equals-matrix-det": (
+        verify.check_determinant_bridge, lambda cases: _exactly(cases, _period_two_polarization())),
+    "C03.two-sided": (
+        verify.check_determinant_bridge, lambda cases: _exactly(cases, _period_two_polarization())),
+    "C03.multiplicative": (
+        verify.check_determinant_bridge,
+        lambda cases: _exactly(cases,
+                               set(itertools.product(_period_two_polarization(), repeat=2)))),
     **{f"C04.{name}-homomorphism": (
-        verify.check_g_table_theorem, lambda cases, name=name: _regular_needs(name) <= set(cases))
+        verify.check_g_table_theorem,
+        lambda cases, name=name: _exactly(cases, _generator_needs(name)))
        for name in ("c3", "c6", "s3", "klein4")},
+    # every (n, k, j) of the ladders of 2 to 6 generators
+    "C10.images": (
+        verify.check_braiding,
+        lambda cases: _exactly(cases, {(n, k, j) for n in range(2, 7) for k in range(1, n)
+                                       for j in range(1, n + 1)})),
     **{f"C07.n{n}-roundtrip": (
         verify.check_decomposition,
         lambda cases, n=n: matrep._matrix_rank([_flat(m) for m in cases]) == n * n)
@@ -403,6 +447,14 @@ PROOF_ROWS = {
         lambda cases: {(e, *p, m) for e, p, m in cases}
         == {tuple(int(k in ij) for k in range(3))
             for ij in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}),
+    # the 16 unit sequences and their 120 pairwise sums, or the units alone,
+    # at each of the two tick sizes
+    "C16.commutator-identity": (
+        verify.check_discrete,
+        lambda cases: _exactly(cases, _at_each_tick_size(
+            _tick_units() + [a + b for a, b in itertools.combinations(_tick_units(), 2)]))),
+    "C16.derivative-commutator": (
+        verify.check_discrete, lambda cases: _exactly(cases, _at_each_tick_size(_tick_units()))),
 }
 
 
@@ -479,8 +531,83 @@ def test_an_unshifted_product_fails_each_product_row_with_a_witness_that_reads_b
     assert lhs != rhs
 
 
-@pytest.mark.parametrize("check", [verify.check_matrix_identity, verify.check_g_table_theorem,
-                                   verify.check_decomposition, verify.check_kernel,
-                                   verify.check_dirac, verify.check_schrodinger])
+# The criteria that draw nothing, and the rows of C16 that draw nothing: the
+# prefixes of the rows that must be the same at every seed.
+SEEDLESS_ROWS = {
+    verify.check_matrix_identity: "C02.",
+    verify.check_determinant_bridge: "C03.",
+    verify.check_g_table_theorem: "C04.",
+    verify.check_decomposition: "C07.",
+    verify.check_kernel: "C08.",
+    verify.check_braiding: "C10.",
+    verify.check_dirac: "C14.",
+    verify.check_discrete: ("C16.commutator-identity", "C16.derivative-commutator"),
+    verify.check_schrodinger: "C17.",
+}
+
+
+@pytest.mark.parametrize("check", SEEDLESS_ROWS)
 def test_a_criterion_that_draws_nothing_gives_the_same_rows_at_every_seed(check):
-    assert check(1) == check(7)
+    rows = [[row for row in check(seed) if row.check_id.startswith(SEEDLESS_ROWS[check])]
+            for seed in range(1, 11)]
+    assert rows[0] and all(seeded == rows[0] for seeded in rows[1:])
+
+
+def _nonzero_coordinates(z) -> int:
+    return sum(not c.is_zero() for g in ("1", "e") for c in z.coefficient(g))
+
+
+@pytest.mark.parametrize("row_id", ["C03.det-equals-matrix-det", "C03.multiplicative"])
+def test_a_determinant_wrong_only_off_the_basis_fails_c03_with_a_witness_that_reads_back(
+        monkeypatch, row_id):
+    # D + 1 on the elements with two nonzero coordinates: right on every basis
+    # element, so only the pairwise sums see it
+    real = verify.determinant_period2
+    monkeypatch.setattr(verify, "determinant_period2",
+                        lambda z: real(z) + 1 if _nonzero_coordinates(z) == 2 else real(z))
+    row = {r.check_id: r for r in verify.check_determinant_bridge(7)}[row_id]
+    assert not row.passed and row.witness is not None
+    inputs = row.witness["inputs"]
+    if row_id == "C03.det-equals-matrix-det":
+        # the four basis elements agree, their six sums do not
+        assert (row.lhs, row.witness["index"]) == ("4/10 agree", 4)
+        case = parse_period2(inputs)
+        assert _nonzero_coordinates(case) == 2
+    else:
+        case = tuple(parse_period2(text) for text in inputs)
+        assert max(map(_nonzero_coordinates, case)) == 2
+    _, relation, _ = _declared(verify.check_determinant_bridge, row_id)
+    lhs, rhs = relation(case)
+    assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
+
+
+def test_a_commutator_wrong_only_on_two_tick_sequences_fails_c16_with_a_witness_that_reads_back(
+        monkeypatch):
+    real = discrete.basic_commutator
+    monkeypatch.setattr(discrete, "basic_commutator", lambda x, dt: (
+        _doubled_rhs(real(x, dt)) if sum(map(bool, x.nums)) == 2 else real(x, dt)))
+    row = {r.check_id: r for r in verify.check_discrete(7)}["C16.commutator-identity"]
+    # the 16 units agree at both tick sizes, the 120 sums at neither
+    assert (row.passed, row.lhs, row.witness["index"]) == (False, "32/272 agree", 16)
+    inputs = row.witness["inputs"]
+    x = discrete.Sequence.from_values([parse_rational(v) for v in inputs["seq"].split(",")])
+    case = (x, parse_rational(inputs["dt"]))
+    assert sum(map(bool, x.nums)) == 2 and case[1] in TICK_SIZES
+    _, relation, _ = _declared(verify.check_discrete, "C16.commutator-identity")
+    lhs, rhs = relation(case)
+    assert (verify._text(lhs), verify._text(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
+
+
+def test_a_generating_set_short_of_its_last_generator_fails_the_generated_rows(monkeypatch):
+    # the homomorphism rows still pass on the fewer cases: only the premise
+    # row sees that the generators no longer reach the group
+    real = groups.generators
+    monkeypatch.setattr(groups, "generators", lambda group: real(group)[:-1])
+    rows = {r.check_id: r for r in verify.check_g_table_theorem(7)}
+    for name, reached in (("s3", "1, R, R^2"), ("klein4", "1, A")):
+        group = groups.builtin_group(name)
+        assert rows[f"C04.{name}-homomorphism"].passed
+        row = rows[f"C04.{name}-generated"]
+        assert (row.passed, row.lhs, row.rhs) == (False, reached, ", ".join(group.names))
