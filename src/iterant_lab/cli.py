@@ -6,9 +6,9 @@ chose to stdout or to the --out file.  JSON is ``json.dumps(payload,
 indent=2, sort_keys=True)`` byte for byte, written by one encoder in pieces:
 each item of the outer two levels on its own, each deeper subtree joined into
 one string, so a long ``lof reduce --trace`` list is never held as one text.
-``verify-all --seed`` reaches C09's draws, C13.confluence-fuzz and the walk
-of C16.brownian-constant.  Exit codes: 0 success, 1 failed check (or the
-unmarked state for ``lof reduce``), 2 usage error.
+``verify-all --seed`` reaches only C09's spinor draws of A, C13.confluence-fuzz
+and the walk of C16.brownian-constant.  Exit codes: 0 success, 1 failed check
+(or the unmarked state for ``lof reduce``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -607,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify-all", help="run the full identity suite")
     verify_p.add_argument("--seed", type=int, default=7, help="seeds the only rows that draw: "
-                          "C09, C13.confluence-fuzz and C16.brownian-constant's walk")
+                          "the C09 spinor draws of A, C13.confluence-fuzz and "
+                          "C16.brownian-constant's walk")
     _flags(verify_p, cmd_verify_all, JSON_TEXT_CSV)
 
     return parser

@@ -1,9 +1,5 @@
 """Split quaternions, quaternion triples, anticommuting generator ladders,
-braiding by conjugation, fermion operators, the self-dual fusion ring, and the
-exact spacetime demonstrations: the Hermitian observable H of an event as a
-bare matrix, whose trace, determinant and roots the caller reads off H
-itself, and the Lorentz boost as one exact product on H by its Doppler
-factor.
+braiding by conjugation, fermion operators and the self-dual fusion ring.
 
 Each identity (a quaternion unit product, a generator, braider or fermion
 relation, the realness of a matrix) is yielded as one (name, lhs, rhs)
@@ -26,7 +22,7 @@ from typing import Any
 from .iterants import polarity_element, shift_element
 from .matrep import to_matrix
 from .matrix import SquareMatrix
-from .scalars import I_UNIT, GaussianRational
+from .scalars import I_UNIT
 
 # Each identity is one (name, lhs, rhs) triple; it holds when lhs == rhs.
 Relations = Iterator[tuple[str, Any, Any]]
@@ -273,30 +269,3 @@ def fusion_powers(n: int) -> list[FusionElement]:
 def fusion_power(n: int) -> FusionElement:
     return fusion_powers(n)[-1]
 
-
-# ---------------------------------------------------------------------------
-# Spacetime demonstrations.
-
-
-def doppler_boost(h: SquareMatrix, d: Fraction) -> SquareMatrix:
-    """The boost of the event whose observable is h, as one exact product
-    diag(D, 1) h diag(1, 1/D) for the Doppler factor D > 0: the light-cone
-    coordinates T+X and T-X go to D(T+X) and (T-X)/D, and Y, Z stay.
-
-    The velocity is v = (1-D^2)/(1+D^2) and gamma = (1+D^2)/(2D), so no
-    square root is taken.  Going back, D^2 = (1-v)/(1+v): a rational v whose
-    D is irrational, such as v = 1/2, has no exact boost."""
-    return SquareMatrix.diagonal([d, 1]) * h * SquareMatrix.diagonal([1, 1 / Fraction(d)])
-
-
-def minkowski_observable(event: tuple[Fraction, Fraction, Fraction, Fraction]) -> SquareMatrix:
-    """H = [[T+X, Y+Zi], [Y-Zi, T-X]] for the event (T, X, Y, Z): Hermitian,
-    with trace 2T, det H = T^2-X^2-Y^2-Z^2 and characteristic polynomial
-    L^2 - 2T L + det."""
-    t, x, y, z = event
-    return SquareMatrix.from_rows(
-        [
-            [GaussianRational(t + x), GaussianRational(y, z)],
-            [GaussianRational(y, -z), GaussianRational(t - x)],
-        ]
-    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .groups import Group, GroupAction, Permutation
@@ -281,6 +282,27 @@ def determinant_period2(z: IterantElement) -> GaussianRational:
     if value is None:
         raise ArithmeticError("Z * conj(Z) did not collapse to a scalar")
     return value
+
+
+def event_element(event: tuple[Fraction, Fraction, Fraction, Fraction]) -> IterantElement:
+    """The event (T, X, Y, Z) as [T+X, T-X] + [Y+Zi, Y-Zi]e.  Its matrix is the
+    Hermitian observable H = [[T+X, Y+Zi], [Y-Zi, T-X]], of trace 2T, and its
+    D is the interval T^2-X^2-Y^2-Z^2."""
+    t, x, y, z = event
+    algebra = period_two_algebra()
+    return (algebra.vector([t + x, t - x])
+            + algebra.term([GaussianRational(y, z), GaussianRational(y, -z)], "e"))
+
+
+def doppler_boost(z: IterantElement, d: Fraction) -> IterantElement:
+    """The boost of the event element z by the Doppler factor D > 0, as one exact
+    product [D, 1] z [1, 1/D]: the light-cone coordinates T+X and T-X go to
+    D(T+X) and (T-X)/D, and Y, Z stay.  The velocity is v = (1-D^2)/(1+D^2) and
+    gamma = (1+D^2)/(2D), so no square root is taken.  Going back,
+    D^2 = (1-v)/(1+v): a rational v whose D is irrational, such as v = 1/2, has
+    no exact boost."""
+    algebra = period_two_algebra()
+    return algebra.vector([d, 1]) * z * algebra.vector([1, 1 / Fraction(d)])
 
 
 def parse_period2(text: str) -> IterantElement:

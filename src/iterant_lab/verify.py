@@ -44,6 +44,12 @@ e_i + e_j (polarization):
   det-equals-matrix-det and two-sided run on the 10 polarization elements
   (4 basis elements and their 6 pairwise sums), multiplicative on all 100
   pairs, as D(ZW) - D(Z) D(W) is quadratic in W for fixed Z and vice versa;
+* C09, on the event element z = [T+X, T-X] + [Y+Zi, Y-Zi]e: iterant-form,
+  trace and hermitian are linear over Q (the 4 unit events), determinant is
+  quadratic (the 10 polarization events), and so is doppler-boost, which
+  times 2D has degree 2 in D (those 10 at three D); doppler-composition,
+  times DE, has degree 2 in D and in E and is linear (the units on a 3 x 3
+  grid), and velocity-addition, cleared, degree 4 in D and in E (5 x 5);
 * C16, degree 1 in 1/dt: each side is a fixed expression in x times 1/dt,
   quadratic in the 16 ticks of x for commutator-identity and linear for
   derivative-commutator.  So at dt = 1 and 2/3 the first runs on the 16 unit
@@ -66,12 +72,13 @@ void.  Every run ends, since each step removes marks, so every rule order
 reaches the linear value on those forests; the lof module docstring gives the
 local argument that carries this to every size.
 
-The other rows that draw stay sampled.  The C09 events, boosts and spinor
-maps are seeded draws, and C14's on-shell triples a fixed list: inputs on the
-mass shell, which no basis stands for.  C13.confluence-fuzz reduces seeded
-random forests of more than ENUMERATED_MARKS marks in random rule orders: it
-tests the worklist's bookkeeping at depth, which the one-step proof does not
-run.  C16.brownian-constant ticks one seeded unit-step walk.
+The other rows that draw stay sampled.  The C09 spinor rows draw A in
+SL(2, Q(i)), no vector space, and run each on the polarization events or the
+units; C14's on-shell triples are a fixed list: inputs on the mass shell,
+which no basis stands for.  C13.confluence-fuzz reduces seeded random forests
+of more than ENUMERATED_MARKS marks in random rule orders: it tests the
+worklist's bookkeeping at depth, which the one-step proof does not run.
+C16.brownian-constant ticks one seeded unit-step walk.
 
 The area is given once per criterion and the evaluator attaches the seed to
 every witness.  The only rows whose verdict is not an equality are the two
@@ -95,6 +102,8 @@ from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger
 from .iterants import (
     conjugate_period2,
     determinant_period2,
+    doppler_boost,
+    event_element,
     imaginary_unit,
     majorana_pair_relations,
     natural_sn_algebra,
@@ -103,11 +112,11 @@ from .iterants import (
     term_by_permutation,
 )
 from .matrix import SquareMatrix
-from .scalars import random_scalar, sqrt_exact
+from .scalars import GaussianRational, random_scalar, sqrt_exact
 
 # cases per random row
-EVENTS = 200            # C09
-BOOSTS = 25             # C09, after the events: the boost cases, then the spinor cases
+SPINORS = 5             # C09, the A in SL(2, Q(i))
+DOPPLER = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3), Fraction(1, 2))  # C09, D > 0
 FUZZ = 100              # C13, forests above ENUMERATED_MARKS
 TRIPLES = 50            # C14, on shell
 
@@ -212,10 +221,6 @@ def _sides(case: tuple) -> tuple:
     return case[1:]
 
 
-def _rand_fraction(rng: random.Random, span: int = 9, den: int = 5) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
 def _period2_inputs(case) -> list[str]:
     """The two period-two elements that open a case, as parse_period2 reads them."""
     return [str(x) for x in case[:2]]
@@ -224,6 +229,12 @@ def _period2_inputs(case) -> list[str]:
 def _polarization(basis: list) -> list:
     """The basis and then its pairwise sums, which fix a quadratic form."""
     return basis + [a + b for a, b in itertools.combinations(basis, 2)]
+
+
+def _unit_polarization(n: int) -> list[tuple[int, ...]]:
+    """_polarization of the n unit tuples e_i: the e_i, then the e_i + e_j."""
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return units + [tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(units, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,59 +576,65 @@ def check_kernel(seed: int):
 
 
 # ---------------------------------------------------------------------------
-# C09: the Hermitian spacetime observable.
+# C09: spacetime in the period-two algebra.
 
 
 @_criterion("spacetime")
 def check_minkowski(seed: int):
     rng = random.Random(seed + 9)
 
-    def draw_event():
-        event = tuple(_rand_fraction(rng) for _ in range(4))
-        return event, clifford.minkowski_observable(event)
-
-    def doppler() -> Fraction:
-        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
-
     def unimodular() -> SquareMatrix:
         a = random_scalar(rng) + 10  # real part 1..19, never zero
         b, c = random_scalar(rng), random_scalar(rng)
         return SquareMatrix.from_rows([[a, b], [c, (1 + b * c) / a]])
 
-    # Every boost and spinor case is drawn after the events, from the same
-    # generator.  A Doppler factor D > 0 gives the rational velocity
-    # v = (1-D^2)/(1+D^2), and A = [[a, b], [c, (1+bc)/a]] has det A = 1.
-    cases = [draw_event() for _ in range(EVENTS)]
-    boosts = [(doppler(), doppler(), *draw_event()) for _ in range(BOOSTS)]
-    spinors = [(unimodular(), *draw_event()) for _ in range(BOOSTS)]
+    # A = [[a, b], [c, (1+bc)/a]] has det A = 1; the A are the only draws.  A
+    # Doppler factor D > 0 gives the rational velocity v = (1-D^2)/(1+D^2).
+    spinors = [unimodular() for _ in range(SPINORS)]
+    events = _unit_polarization(4)  # the four unit events come first
+    units, factors = events[:4], DOPPLER[:3]
+
+    def observable(event) -> SquareMatrix:
+        return matrep.to_matrix(event_element(event))
+
+    def written(event) -> SquareMatrix:
+        t, x, y, z = event
+        return SquareMatrix.from_rows([[t + x, GaussianRational(y, z)],
+                                       [GaussianRational(y, -z), t - x]])
+
+    def interval(event):
+        t, x, y, z = event
+        return determinant_period2(event_element(event)), t * t - x * x - y * y - z * z
 
     def text(event) -> list[str]:
         return [str(q) for q in event]
-
-    def interval(case):
-        (t, x, y, z), h = case
-        return h.determinant(), t * t - x * x - y * y - z * z
 
     def velocity(d: Fraction) -> Fraction:
         return (1 - d * d) / (1 + d * d)
 
     def boosted(case):
-        d, _, (t, x, _, _), h = case
-        b = clifford.doppler_boost(h, d)
-        plus, minus = b.entry(0, 0), b.entry(1, 1)
+        d, event = case
+        t, x = event[:2]
+        z = event_element(event)
+        b = doppler_boost(z, d)
+        plus, minus = b.coefficient("1")
         v, gamma = velocity(d), (1 + d * d) / (2 * d)
-        return (((plus + minus) / 2, (plus - minus) / 2, b.determinant()),
-                (gamma * (t - v * x), gamma * (x - v * t), h.determinant()))
+        return (((plus + minus) / 2, (plus - minus) / 2, determinant_period2(b)),
+                (gamma * (t - v * x), gamma * (x - v * t), determinant_period2(z)))
 
     def composed(case):
-        d, e, _, h = case
+        d, e, event = case
+        z = event_element(event)
+        return doppler_boost(doppler_boost(z, d), e), doppler_boost(z, d * e)
+
+    def added(case):
+        d, e = case
         v, w = velocity(d), velocity(e)
-        return ((clifford.doppler_boost(clifford.doppler_boost(h, d), e), (v + w) / (1 + v * w)),
-                (clifford.doppler_boost(h, d * e), velocity(d * e)))
+        return (v + w) / (1 + v * w), velocity(d * e)
 
     def spinor(case) -> SquareMatrix:
-        a, _, h = case
-        return a * h * a.conjugate_transpose()
+        a, event = case
+        return a * observable(event) * a.conjugate_transpose()
 
     def hermitian(m: SquareMatrix):
         return m, m.conjugate_transpose()
@@ -625,27 +642,38 @@ def check_minkowski(seed: int):
     def spinor_inputs(case) -> dict:
         return {"A": case[0].to_lists(), "event": text(case[1])}
 
-    yield ("C09.determinant", f"det H = T^2-X^2-Y^2-Z^2 on {EVENTS} random events",
-           cases, interval, lambda c: text(c[0]))
-    yield ("C09.trace", "trace H = 2T on all samples",
-           cases, lambda c: (c[1].trace(), 2 * c[0][0]), lambda c: text(c[0]))
-    yield ("C09.hermitian", "H equals its conjugate transpose",
-           cases, lambda c: hermitian(c[1]), lambda c: text(c[0]))
+    yield ("C09.iterant-form", "the event element z = [T+X, T-X] + [Y+Zi, Y-Zi]e has the matrix "
+           "H = [[T+X, Y+Zi], [Y-Zi, T-X]] on the unit events, so on every event (linear)",
+           units, lambda event: (observable(event), written(event)), text)
+    yield ("C09.determinant", "D(z) = T^2-X^2-Y^2-Z^2 on the polarization events, so on every "
+           "event (both sides are quadratic forms)", events, interval, text)
+    yield ("C09.trace", "trace H = 2T on the unit events, so on every event (linear)",
+           units, lambda event: (observable(event).trace(), 2 * event[0]), text)
+    yield ("C09.hermitian", "H equals its conjugate transpose on the unit events, so on every "
+           "event (linear over Q)", units, lambda event: hermitian(observable(event)), text)
     yield ("C09.example-roots", "reference events give charpoly roots {1,3} and {-5,5}",
-           "; ".join(_spectrum(clifford.minkowski_observable(event))
-                     for event in ((2, 1, 0, 0), (0, 3, 4, 0))),
+           "; ".join(_spectrum(observable(event)) for event in ((2, 1, 0, 0), (0, 3, 4, 0))),
            "(1, 3) det 3; (-5, 5) det -25")
-    yield ("C09.doppler-boost",
-           f"diag(D,1) H diag(1,1/D) gives T' = gamma(T-vX), X' = gamma(X-vT), keeps det H "
-           f"({BOOSTS} boosts)",
-           boosts, boosted, lambda c: {"D": str(c[0]), "event": text(c[2])})
-    yield ("C09.doppler-composition",
-           f"a boost by D then E is the boost by DE, at velocity (v+w)/(1+vw) ({BOOSTS} pairs)",
-           boosts, composed, lambda c: {"D": str(c[0]), "E": str(c[1]), "event": text(c[2])})
-    yield ("C09.spinor-determinant", f"det(A H A+) = det H for {BOOSTS} A in SL(2, Q(i))",
-           spinors, lambda c: (spinor(c).determinant(), c[2].determinant()), spinor_inputs)
-    yield ("C09.spinor-hermitian", "A H A+ equals its conjugate transpose on the same cases",
-           spinors, lambda c: hermitian(spinor(c)), spinor_inputs)
+    yield ("C09.doppler-boost", "[D,1] z [1,1/D] gives T' = gamma(T-vX), X' = gamma(X-vT) and "
+           f"keeps D(z) on the polarization events at D = {', '.join(map(str, factors))}, so "
+           "on every event and D > 0 (times 2D, degree 2 in D)",
+           itertools.product(factors, events), boosted,
+           lambda c: {"D": str(c[0]), "event": text(c[1])})
+    yield ("C09.doppler-composition", "a boost by D then E is the boost by DE on the unit events "
+           f"at D, E = {', '.join(map(str, factors))}, so on every event and D, E > 0 "
+           "(times DE, degree 2 in D and in E)", itertools.product(factors, factors, units),
+           composed, lambda c: {"D": str(c[0]), "E": str(c[1]), "event": text(c[2])})
+    yield ("C09.velocity-addition", "velocities add: (v+w)/(1+vw) = v(DE) for v = v(D) and "
+           f"w = v(E) at D, E = {', '.join(map(str, DOPPLER))}, so for all D, E > 0 (cleared, "
+           "degree 4 in D and in E)", itertools.product(DOPPLER, repeat=2), added,
+           lambda c: {"D": str(c[0]), "E": str(c[1])})
+    yield ("C09.spinor-determinant", f"det(A H A+) = det H for {SPINORS} A in SL(2, Q(i)), each "
+           "on the polarization events (quadratic forms in the event)",
+           itertools.product(spinors, events),
+           lambda c: (spinor(c).determinant(), observable(c[1]).determinant()), spinor_inputs)
+    yield ("C09.spinor-hermitian", "A H A+ equals its conjugate transpose for the same A, each "
+           "on the unit events (linear in the event)",
+           itertools.product(spinors, units), lambda c: hermitian(spinor(c)), spinor_inputs)
 
 
 def _spectrum(h: SquareMatrix) -> str:
@@ -846,9 +874,6 @@ THREE_D_CASES = [
     (17, (8, 9, 12), 0),
 ]
 
-# e_i and e_i + e_j in (E, p, m): a quadratic form is fixed by its values there
-POLARIZATION = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-
 
 def _on_shell(e, p, m) -> dirac.OnShellParams:
     params = dirac.OnShellParams.of(e, p, m)
@@ -888,7 +913,7 @@ def check_dirac(seed: int):
     yield ("C14.off-shell-scalar",
            "U^2 = (p^2+m^2-E^2) identity on the six polarization triples (E, p, m), "
            "so for every triple (both sides are quadratic forms)",
-           [(e, (p,), m) for e, p, m in POLARIZATION], off_shell_square, _dirac_inputs)
+           [(e, (p,), m) for e, p, m in _unit_polarization(3)], off_shell_square, _dirac_inputs)
 
     sigmas = frame3.sigmas
     zero = SquareMatrix.zero(4)

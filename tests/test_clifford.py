@@ -12,10 +12,8 @@ from iterant_lab.clifford import (
     braid_word_matrix,
     clifford_generators,
     braider_relations,
-    doppler_boost,
     fermion_relations,
     fusion_power,
-    minkowski_observable,
     quaternion_products,
     quaternion_triple,
     real_relations,
@@ -231,52 +229,6 @@ def test_fusion_commutative_associative():
     for _ in range(500):
         u, v, w = (FusionElement(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(3))
         assert (u * v) * w == u * (v * w)
-
-
-def test_doppler_boost_example():
-    # D = 2: v = (1-4)/(1+4) = -3/5 and gamma = 5/4
-    h = doppler_boost(minkowski_observable((5, 0, 3, 4)), Fraction(2))
-    assert h == SquareMatrix.from_rows([[10, GaussianRational(3, 4)],
-                                        [GaussianRational(3, -4), Fraction(5, 2)]])
-    # T' = gamma (T - v X) = 25/4 and X' = gamma (X - v T) = 15/4, Y and Z stay
-    assert (h.trace() / 2, (h.entry(0, 0) - h.entry(1, 1)) / 2) == (Fraction(25, 4), Fraction(15, 4))
-    assert h.determinant() == 5 * 5 - 3 * 3 - 4 * 4
-
-
-def test_doppler_boosts_compose_and_one_is_no_boost():
-    h = minkowski_observable((Fraction(1, 2), 3, -2, Fraction(7, 3)))
-    assert doppler_boost(h, Fraction(1)) == h
-    d, e = Fraction(3, 2), Fraction(2, 7)
-    assert doppler_boost(doppler_boost(h, d), e) == doppler_boost(h, d * e)
-    assert doppler_boost(doppler_boost(h, d), 1 / d) == h
-
-
-def test_minkowski_examples():
-    h = minkowski_observable((2, 1, 0, 0))
-    # charpoly L^2 - 4L + 3: trace 4, determinant 3, roots 1 and 3
-    assert (h.trace(), h.determinant()) == (4, 3)
-    assert [(h - identity(2).scale(root)).determinant() for root in (1, 3)] == [0, 0]
-
-    h = minkowski_observable((1, 0, 0, 0))
-    assert h == identity(2)
-    assert h.determinant() == 1
-
-    h = minkowski_observable((0, 3, 4, 0))
-    assert (h.trace(), h.determinant()) == (0, -25)
-    assert [(h - identity(2).scale(root)).determinant() for root in (-5, 5)] == [0, 0]
-
-
-def test_minkowski_random_events():
-    rng = random.Random(32)
-    for _ in range(200):
-        t, x, y, z = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
-        h = minkowski_observable((t, x, y, z))
-        assert h == h.conjugate_transpose()
-        assert h.determinant() == t * t - x * x - y * y - z * z
-        assert h.trace() == 2 * t
-        # charpoly evaluated at the matrix itself vanishes
-        zero = h * h - h.scale(2 * t) + identity(2).scale(h.determinant())
-        assert zero.is_zero()
 
 
 def test_split_pair_is_the_period_two_iterant_pair():

@@ -7,7 +7,9 @@ from iterant_lab import groups
 from iterant_lab.iterants import (
     conjugate_period2,
     determinant_period2,
+    doppler_boost,
     element_from_json,
+    event_element,
     imaginary_unit,
     majorana_pair_relations,
     natural_sn_algebra,
@@ -17,6 +19,8 @@ from iterant_lab.iterants import (
     regular_algebra,
     shift_element,
 )
+from iterant_lab.matrep import to_matrix
+from iterant_lab.matrix import SquareMatrix
 from iterant_lab.scalars import GaussianRational
 
 
@@ -185,6 +189,58 @@ def test_rescaling_pair_preserves_component_product():
         boosted = alg.vector([k * a, b / k])
         product = boosted.coefficient("1")[0] * boosted.coefficient("1")[1]
         assert product == a * b
+
+
+def test_doppler_boost_example():
+    # D = 2: v = (1-4)/(1+4) = -3/5 and gamma = 5/4
+    z = doppler_boost(event_element((5, 0, 3, 4)), Fraction(2))
+    alg = period_two_algebra()
+    assert z == alg.vector([10, Fraction(5, 2)]) + alg.term(
+        [GaussianRational(3, 4), GaussianRational(3, -4)], "e")
+    h = to_matrix(z)
+    assert h == SquareMatrix.from_rows([[10, GaussianRational(3, 4)],
+                                        [GaussianRational(3, -4), Fraction(5, 2)]])
+    # T' = gamma (T - v X) = 25/4 and X' = gamma (X - v T) = 15/4, Y and Z stay
+    assert (h.trace() / 2, (h.entry(0, 0) - h.entry(1, 1)) / 2) == (Fraction(25, 4), Fraction(15, 4))
+    assert h.determinant() == determinant_period2(z) == 5 * 5 - 3 * 3 - 4 * 4
+
+
+def test_doppler_boosts_compose_and_one_is_no_boost():
+    z = event_element((Fraction(1, 2), 3, -2, Fraction(7, 3)))
+    assert doppler_boost(z, Fraction(1)) == z
+    d, e = Fraction(3, 2), Fraction(2, 7)
+    assert doppler_boost(doppler_boost(z, d), e) == doppler_boost(z, d * e)
+    assert doppler_boost(doppler_boost(z, d), 1 / d) == z
+
+
+def test_minkowski_examples():
+    identity = SquareMatrix.identity(2)
+    h = to_matrix(event_element((2, 1, 0, 0)))
+    # charpoly L^2 - 4L + 3: trace 4, determinant 3, roots 1 and 3
+    assert (h.trace(), h.determinant()) == (4, 3)
+    assert [(h - identity.scale(root)).determinant() for root in (1, 3)] == [0, 0]
+
+    h = to_matrix(event_element((1, 0, 0, 0)))
+    assert h == identity
+    assert h.determinant() == 1
+
+    h = to_matrix(event_element((0, 3, 4, 0)))
+    assert (h.trace(), h.determinant()) == (0, -25)
+    assert [(h - identity.scale(root)).determinant() for root in (-5, 5)] == [0, 0]
+
+
+def test_minkowski_random_events():
+    rng = random.Random(32)
+    for _ in range(200):
+        t, x, y, z = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        element = event_element((t, x, y, z))
+        h = to_matrix(element)
+        assert h == h.conjugate_transpose()
+        assert h.determinant() == determinant_period2(element) == t * t - x * x - y * y - z * z
+        assert h.trace() == 2 * t
+        # charpoly evaluated at the matrix itself vanishes
+        zero = h * h - h.scale(2 * t) + SquareMatrix.identity(2).scale(h.determinant())
+        assert zero.is_zero()
 
 
 def test_algebra_mismatch_raises():

@@ -15,13 +15,14 @@ from iterant_lab import clifford, dirac, discrete, groups, lof, matrep, schrodin
 from iterant_lab.iterants import (
     IterantAlgebra,
     element_from_json,
+    event_element,
     natural_sn_algebra,
     parse_period2,
     period_two_algebra,
     regular_algebra,
 )
 from iterant_lab.matrix import SquareMatrix
-from iterant_lab.scalars import parse_rational
+from iterant_lab.scalars import I_UNIT, parse_rational, parse_scalar
 
 
 def test_tally_counts_the_cases_and_keeps_the_first_disagreement():
@@ -124,6 +125,14 @@ def _not_hermitian(h: SquareMatrix) -> SquareMatrix:
     return h + SquareMatrix.from_rows([[0, 1], [0, 0]])
 
 
+def _observable(event) -> SquareMatrix:
+    return matrep.to_matrix(event_element(event))
+
+
+def _spinor(a: SquareMatrix, h: SquareMatrix) -> SquareMatrix:
+    return a * h * a.conjugate_transpose()
+
+
 def _commutator_text(sides):
     lhs, rhs = discrete.on_overlap(*sides)
     return verify._text(lhs), verify._text(rhs)
@@ -142,11 +151,12 @@ WITNESS_ROWS = {
         lambda v: (str(_plus_identity(matrep.to_matrix(_family(v)))),
                    str(SquareMatrix.zero(3)))),
     "C09.trace": (
-        verify.check_minkowski, clifford, "minkowski_observable", lambda c: c[0], _plus_identity,
-        lambda c: (str(c[1].trace() + 2), str(2 * c[0][0]))),
+        verify.check_minkowski, matrep, "to_matrix", event_element, _plus_identity,
+        lambda ev: (str(_observable(ev).trace() + 2), str(2 * ev[0]))),
     "C09.hermitian": (
-        verify.check_minkowski, clifford, "minkowski_observable", lambda c: c[0], _not_hermitian,
-        lambda c: (str(_not_hermitian(c[1])), str(_not_hermitian(c[1]).conjugate_transpose()))),
+        verify.check_minkowski, matrep, "to_matrix", event_element, _not_hermitian,
+        lambda ev: (str(_not_hermitian(_observable(ev))),
+                    str(_not_hermitian(_observable(ev)).conjugate_transpose()))),
     "C16.commutator-identity": (
         verify.check_discrete, discrete, "basic_commutator", lambda d: d[0], _doubled_rhs,
         lambda d: _commutator_text(_doubled_rhs(discrete.basic_commutator(*d)))),
@@ -186,13 +196,13 @@ def test_a_broken_case_fails_its_row_with_both_computed_sides(monkeypatch, row_i
 
 
 def test_the_example_roots_are_read_off_the_observable(monkeypatch):
-    real = clifford.minkowski_observable
+    real, target = matrep.to_matrix, event_element((2, 1, 0, 0))
 
-    def spoiled(event):
-        h = real(event)
-        return _plus_identity(h) if event == (2, 1, 0, 0) else h
+    def spoiled(z):
+        h = real(z)
+        return _plus_identity(h) if z == target else h
 
-    monkeypatch.setattr(clifford, "minkowski_observable", spoiled)
+    monkeypatch.setattr(matrep, "to_matrix", spoiled)
     row = {r.check_id: r for r in verify.check_minkowski(7)}["C09.example-roots"]
     # H + 1 = diag(4, 2): charpoly L^2 - 6L + 8
     assert (row.passed, row.lhs) == (False, "(2, 4) det 8; (-5, 5) det -25")
@@ -276,31 +286,40 @@ def test_each_group_row_names_its_elements_as_index_of_reads_them(row_id):
         assert ids == (case if isinstance(case, int) else list(case))
 
 
-@pytest.mark.parametrize("row_id", ["C09.doppler-boost", "C09.doppler-composition"])
+X_EVENT = (0, 1, 0, 0)  # moved by every boost but D = 1
+# the cases at X_EVENT that a wrong factor there fails: its three factors in
+# the boost row; in the composition a boost by D + 1 then E against one by
+# DE + 1, which differ unless E = 1
+WRONG_FACTOR_FAILS = {"C09.doppler-boost": 3, "C09.doppler-composition": 6}
+
+
+@pytest.mark.parametrize("row_id", WRONG_FACTOR_FAILS)
 def test_a_wrong_doppler_factor_fails_the_boost_rows(monkeypatch, row_id):
+    failing = WRONG_FACTOR_FAILS[row_id]
     cases, _, show = _declared(verify.check_minkowski, row_id)
-    target, real = cases[BROKEN][3], clifford.doppler_boost
-    # D + 1 in place of D, on the observable of the broken case only
-    monkeypatch.setattr(clifford, "doppler_boost",
-                        lambda h, d: real(h, d + 1 if h == target else d))
+    target, real = event_element(X_EVENT), verify.doppler_boost
+    # D + 1 in place of D, on the element of one event only
+    monkeypatch.setattr(verify, "doppler_boost", lambda z, d: real(z, d + 1 if z == target else d))
     row = {r.check_id: r for r in verify.check_minkowski(7)}[row_id]
     monkeypatch.undo()
-    assert (row.passed, row.lhs) == (False, f"{len(cases) - 1}/{len(cases)} agree")
+    assert (row.passed, row.lhs) == (False, f"{len(cases) - failing}/{len(cases)} agree")
+    # the first case at the event, with E other than 1 in a composition
+    first = next(i for i, case in enumerate(cases) if case[-1] == X_EVENT and 1 not in case[1:-1])
     inputs = row.witness["inputs"]
-    assert (row.witness["index"], inputs) == (BROKEN, show(cases[BROKEN]))
-    d, e, event, _ = cases[BROKEN]
-    assert parse_rational(inputs["D"]) == d
+    assert (row.witness["index"], inputs) == (first, show(cases[first]))
+    *factors, event = cases[first]
+    assert [parse_rational(inputs[k]) for k in ("D", "E") if k in inputs] == factors
     assert tuple(map(parse_rational, inputs["event"])) == event
-    assert parse_rational(inputs.get("E", str(e))) == e
 
 
 @pytest.mark.parametrize("row_id, spoil, lhs_of", [
     # 2A has determinant 4, so det(2A H (2A)+) = 16 det H
-    ("C09.spinor-determinant", lambda c: (c[0].scale(2), c[1], c[2]),
-     lambda c: str(c[2].determinant() * 16)),
-    # A H A+ is Hermitian for every A, but not for an H that is not
-    ("C09.spinor-hermitian", lambda c: (c[0], c[1], _not_hermitian(c[2])),
-     lambda c: str(c[0] * c[2] * c[0].conjugate_transpose())),
+    ("C09.spinor-determinant", lambda c: (c[0].scale(2), c[1]),
+     lambda c: str(_observable(c[1]).determinant() * 16)),
+    # A H A+ is Hermitian for every A, but not for the H of an event with
+    # T = i, which is i times the identity
+    ("C09.spinor-hermitian", lambda c: (c[0], (I_UNIT, 0, 0, 0)),
+     lambda c: str(_spinor(c[0], SquareMatrix.identity(2).scale(I_UNIT)))),
 ])
 def test_a_broken_spinor_case_fails_its_row(row_id, spoil, lhs_of):
     cases, relation, show = _declared(verify.check_minkowski, row_id)
@@ -310,12 +329,13 @@ def test_a_broken_spinor_case_fails_its_row(row_id, spoil, lhs_of):
         False, BROKEN, lhs_of(cases[BROKEN]))
     inputs = row.witness["inputs"]
     assert SquareMatrix.from_lists(inputs["A"]) == cases[BROKEN][0]
-    assert tuple(map(parse_rational, inputs["event"])) == cases[BROKEN][1]
+    assert tuple(map(parse_scalar, inputs["event"])) == cases[BROKEN][1]
 
 
 def test_the_spinor_matrices_are_unimodular():
     cases, _, _ = _declared(verify.check_minkowski, "C09.spinor-determinant")
-    assert all(a.determinant() == 1 for a, _, _ in cases)
+    spinors = {a for a, _ in cases}
+    assert len(spinors) == verify.SPINORS and all(a.determinant() == 1 for a in spinors)
 
 
 def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
@@ -376,6 +396,27 @@ def _period_two_polarization() -> set:
     return set(basis) | {a + b for a, b in itertools.combinations(basis, 2)}
 
 
+def _unit_events() -> set:
+    return {tuple(int(k == i) for k in range(4)) for i in range(4)}
+
+
+def _polarization_events() -> set:
+    """The 4 unit events (T, X, Y, Z) and their 6 pairwise sums."""
+    units = _unit_events()
+    return units | {tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(units, 2)}
+
+
+def _factor_grid(cases, values: int, axes: int, events: set | None = None) -> bool:
+    """The cases are every tuple of `axes` Doppler factors from one set of
+    `values` distinct D > 0, followed by each of the events if there are
+    any, each once: a polynomial of degree values - 1 in each factor."""
+    factors = {d for case in cases for d in case[:axes]}
+    needed = set(itertools.product(factors, repeat=axes))
+    if events is not None:
+        needed = {(*ds, event) for ds in needed for event in events}
+    return len(factors) == values and min(factors) > 0 and _exactly(cases, needed)
+
+
 TICK_SIZES = {Fraction(1), Fraction(2, 3)}  # one of them not an integer
 
 
@@ -420,6 +461,18 @@ PROOF_ROWS = {
         verify.check_determinant_bridge,
         lambda cases: _exactly(cases,
                                set(itertools.product(_period_two_polarization(), repeat=2)))),
+    # C09: the unit events where a row is linear in the event, the 10
+    # polarization events where it is quadratic, and t + 1 Doppler factors
+    # where it has degree t in each
+    **{f"C09.{row}": (verify.check_minkowski, lambda cases: _exactly(cases, _unit_events()))
+       for row in ("iterant-form", "trace", "hermitian")},
+    "C09.determinant": (
+        verify.check_minkowski, lambda cases: _exactly(cases, _polarization_events())),
+    "C09.doppler-boost": (
+        verify.check_minkowski, lambda cases: _factor_grid(cases, 3, 1, _polarization_events())),
+    "C09.doppler-composition": (
+        verify.check_minkowski, lambda cases: _factor_grid(cases, 3, 2, _unit_events())),
+    "C09.velocity-addition": (verify.check_minkowski, lambda cases: _factor_grid(cases, 5, 2)),
     **{f"C04.{name}-homomorphism": (
         verify.check_g_table_theorem,
         lambda cases, name=name: _exactly(cases, _generator_needs(name)))
@@ -531,14 +584,17 @@ def test_an_unshifted_product_fails_each_product_row_with_a_witness_that_reads_b
     assert lhs != rhs
 
 
-# The criteria that draw nothing, and the rows of C16 that draw nothing: the
-# prefixes of the rows that must be the same at every seed.
+# The criteria that draw nothing, and the rows of C09 and C16 that draw
+# nothing: the prefixes of the rows that must be the same at every seed.
 SEEDLESS_ROWS = {
     verify.check_matrix_identity: "C02.",
     verify.check_determinant_bridge: "C03.",
     verify.check_g_table_theorem: "C04.",
     verify.check_decomposition: "C07.",
     verify.check_kernel: "C08.",
+    verify.check_minkowski: tuple(f"C09.{row}" for row in (
+        "iterant-form", "determinant", "trace", "hermitian", "example-roots", "doppler-boost",
+        "doppler-composition", "velocity-addition")),
     verify.check_braiding: "C10.",
     verify.check_dirac: "C14.",
     verify.check_discrete: ("C16.commutator-identity", "C16.derivative-commutator"),
@@ -579,6 +635,48 @@ def test_a_determinant_wrong_only_off_the_basis_fails_c03_with_a_witness_that_re
     _, relation, _ = _declared(verify.check_determinant_bridge, row_id)
     lhs, rhs = relation(case)
     assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
+
+
+def _nonzero_event_coordinates(z) -> int:
+    """How many of T, X, Y, Z are nonzero in z = [T+X, T-X] + [Y+Zi, Y-Zi]e."""
+    (a, b), (c, d) = z.coefficient("1"), z.coefficient("e")
+    return sum(not v.is_zero() for v in (a + b, a - b, c + d, c - d))
+
+
+def test_a_determinant_wrong_only_off_the_unit_events_fails_c09_with_a_witness_that_reads_back(
+        monkeypatch):
+    # D + 1 on the events with two nonzero coordinates: right on the four
+    # units, so only their six pairwise sums see it
+    real = verify.determinant_period2
+    monkeypatch.setattr(verify, "determinant_period2",
+                        lambda z: real(z) + 1 if _nonzero_event_coordinates(z) == 2 else real(z))
+    row = {r.check_id: r for r in verify.check_minkowski(7)}["C09.determinant"]
+    assert (row.passed, row.lhs, row.witness["index"]) == (False, "4/10 agree", 4)
+    event = tuple(map(parse_rational, row.witness["inputs"]))
+    assert sum(map(bool, event)) == 2
+    _, relation, _ = _declared(verify.check_minkowski, "C09.determinant")
+    lhs, rhs = relation(event)
+    assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+    assert lhs != rhs
+
+
+def test_a_boost_right_at_two_factors_fails_the_boost_row_at_the_third(monkeypatch):
+    # adds (D-1)(D-2) [1, 0]: right at D = 1 and 2, so two factors would pass
+    # it, though each side has degree 2 in D
+    real, algebra = verify.doppler_boost, period_two_algebra()
+    monkeypatch.setattr(verify, "doppler_boost",
+                        lambda z, d: real(z, d) + algebra.vector([(d - 1) * (d - 2), 0]))
+    row = {r.check_id: r for r in verify.check_minkowski(7)}["C09.doppler-boost"]
+    cases, relation, show = _declared(verify.check_minkowski, "C09.doppler-boost")
+    third = [i for i, (d, _) in enumerate(cases) if d not in (1, 2)]
+    assert len(third) == 10 and len(cases) == 30
+    assert (row.passed, row.lhs, row.witness["index"]) == (False, "20/30 agree", third[0])
+    inputs = row.witness["inputs"]
+    case = (parse_rational(inputs["D"]), tuple(map(parse_rational, inputs["event"])))
+    assert case == cases[third[0]] and show(case) == inputs
+    lhs, rhs = relation(case)
+    assert (verify._text(lhs), verify._text(rhs)) == (row.witness["lhs"], row.witness["rhs"])
     assert lhs != rhs
 
 
