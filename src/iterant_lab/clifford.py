@@ -14,7 +14,7 @@ identically.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -149,15 +149,17 @@ def quaternions_from_triple(generators: tuple[SquareMatrix, ...]) -> QuaternionT
 
 
 def braid_conjugate(
-    generators: tuple[SquareMatrix, ...], k: int, x: SquareMatrix
-) -> SquareMatrix:
-    """Conjugation by the k-th braiding element, exactly:
-    (1 + c_{k+1} c_k) x (1 - c_{k+1} c_k) / 2."""
+    generators: tuple[SquareMatrix, ...], k: int, xs: Iterable[SquareMatrix]
+) -> list[SquareMatrix]:
+    """Each x conjugated by the k-th braiding element, exactly:
+    (1 + c_{k+1} c_k) x (1 - c_{k+1} c_k) / 2.  w = c_{k+1} c_k and 1 +- w
+    are built once for all of xs."""
     if not 1 <= k < len(generators):
         raise ValueError(f"braid index must satisfy 1 <= k < {len(generators)}, got {k}")
     identity = SquareMatrix.identity(generators[0].n)
     w = generators[k] * generators[k - 1]
-    return ((identity + w) * x * (identity - w)).scale(Fraction(1, 2))
+    left, right = identity + w, identity - w
+    return [(left * x * right).scale(Fraction(1, 2)) for x in xs]
 
 
 def braid_basis_matrix(n: int, k: int) -> SquareMatrix:

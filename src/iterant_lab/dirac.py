@@ -117,26 +117,25 @@ def nilpotent_u(frame: DiracFrame, params: OnShellParams) -> SquareMatrix:
     )
 
 
+def _terms(frame: DiracFrame, params: OnShellParams) -> tuple[SquareMatrix, ...]:
+    """p.s, ba, ab, b(p.s), a(p.s), a m and b m: every product and multiple
+    that both versions' (U, U+) and the plane wave are built from."""
+    a, b, p_op = frame.alpha, frame.beta, frame.momentum_operator(params)
+    return p_op, b * a, a * b, b * p_op, a * p_op, a.scale(params.mass), b.scale(params.mass)
+
+
 def nilpotent_pair(
-    frame: DiracFrame, params: OnShellParams, version: str
+    frame: DiracFrame, params: OnShellParams, version: str,
+    terms: tuple[SquareMatrix, ...] | None = None,
 ) -> tuple[SquareMatrix, SquareMatrix]:
-    """The matched (U, U+) pair for the requested convention (see module doc)."""
-    p_op = frame.momentum_operator(params)
-    ba = frame.beta * frame.alpha
+    """The matched (U, U+) pair for the requested convention (see module doc),
+    from the _terms of frame and params, built here unless they are given."""
+    _, ba, ab, bp, ap, am, bm = terms or _terms(frame, params)
+    e = params.energy
     if version == "conjugate":
-        u = ba.scale(params.energy) + frame.beta * p_op + frame.alpha.scale(params.mass)
-        u_dag = (
-            (frame.alpha * frame.beta).scale(params.energy)
-            + frame.alpha * p_op
-            + frame.beta.scale(params.mass)
-        )
-        return u, u_dag
+        return ba.scale(e) + bp + am, ab.scale(e) + ap + bm
     if version == "time_reversed":
-        u = nilpotent_u(frame, params)
-        u_dag = (
-            ba.scale(-params.energy) + frame.beta * p_op - frame.alpha.scale(params.mass)
-        )
-        return u, u_dag
+        return ba.scale(e) + bp - am, ba.scale(-e) + bp - am
     raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
 
 
@@ -150,16 +149,17 @@ def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
     residual: with D = E - alpha p - beta m one has U = D beta alpha, and
     D beta alpha U = U^2 vanishes.  The split relations are left out when
     E = 0, where the split divides by zero.  Off shell the nilpotency and
-    plane-wave relations fail; the nonzero sides show the defect.
+    plane-wave relations fail; the nonzero sides show the defect.  The _terms
+    and both pairs are built once, and the plain U is the time-reversed one.
     """
     identity = SquareMatrix.identity(frame.dim)
     zero = SquareMatrix.zero(frame.dim)
-    p_op = frame.momentum_operator(params)
-    u_plain = nilpotent_u(frame, params)
+    terms = p_op, ba, _, bp, ap, am, bm = _terms(frame, params)
+    pairs = {version: nilpotent_pair(frame, params, version, terms) for version in VERSIONS}
+    u_plain = pairs["time_reversed"][0]
     yield "u-squared-zero", u_plain * u_plain, zero
     e2 = params.energy * params.energy
-    for version in VERSIONS:
-        u, u_dag = nilpotent_pair(frame, params, version)
+    for version, (u, u_dag) in pairs.items():
         yield f"{version}-u-squared", u * u, zero
         yield f"{version}-dagger-squared", u_dag * u_dag, zero
         anti = u * u_dag + u_dag * u
@@ -175,16 +175,15 @@ def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
             yield "time-reversed-anticommutator", anti, identity.scale(4 * e2)
             yield "time-reversed-diff-squared", minus * minus, identity.scale(-4 * e2)
     if params.energy != 0:
-        a = (frame.beta * p_op - frame.alpha.scale(params.mass)).scale(1 / params.energy)
-        b = (frame.beta * frame.alpha).scale(-I_UNIT)
+        a = (bp - am).scale(1 / params.energy)
+        b = ba.scale(-I_UNIT)
         yield "split-a-squared", a * a, identity
         yield "split-b-squared", b * b, identity
         yield "split-anticommute", a.anticommutator(b), zero
         rebuilt = ((a + b.scale(I_UNIT)).scale(params.energy),
                    (a - b.scale(I_UNIT)).scale(params.energy))
-        yield "split-rebuild", rebuilt, nilpotent_pair(frame, params, "time_reversed")
-    delta = identity.scale(params.energy) - frame.alpha * p_op - frame.beta.scale(params.mass)
-    factored = delta * frame.beta * frame.alpha
+        yield "split-rebuild", rebuilt, pairs["time_reversed"]
+    factored = (identity.scale(params.energy) - ap - bm) * ba
     yield "plane-wave", (factored * u_plain, factored), (zero, u_plain)
 
 

@@ -12,8 +12,8 @@ reduction:
 
 Every variable-free expression reduces to the marked state (one empty mark)
 or the unmarked state (nothing), independently of rule order.  That value is
-the linear rule of ``eval_logic`` (``linear_value``): a mark is marked iff
-none of its contents is.  The argument is local.  A rewrite changes one
+the linear rule (``linear_value``, one pass over the text): a mark is marked
+iff none of its contents is.  The argument is local.  A rewrite changes one
 sibling list, and a list's value depends only on its members' values, so a
 step that keeps the value of the list it rewrites keeps the value of every
 forest around it.  Every step removes marks, so every run ends, and a forest
@@ -438,6 +438,15 @@ def eval_logic(expr: MarkExpr, assignment: dict[str, bool]) -> bool:
 
 
 def linear_value(expr: MarkExpr) -> str:
-    """"marked" or "unmarked": the value of a variable-free expression under
-    the linear rule, a mark is marked iff none of its contents is."""
-    return "marked" if eval_logic(expr, {}) else "unmarked"
+    """"marked" or "unmarked" by the linear rule, a mark is marked iff none of
+    its contents is: one pass keeps whether each open list holds a marked item."""
+    marked = [False]
+    for token in expr.text:
+        if token == "(":
+            marked.append(False)
+        elif token == ")":
+            if not marked.pop():
+                marked[-1] = True
+        else:
+            raise ValueError(f"unbound variable(s): {', '.join(sorted(expr.variables()))}")
+    return "marked" if marked[0] else "unmarked"

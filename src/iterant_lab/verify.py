@@ -695,12 +695,15 @@ def check_braiding(seed: int):
     ladders = {n: clifford.clifford_generators(n) for n in range(2, 7)}
     gens = ladders[4]
     count = len(gens)
+    images = {(n, k): clifford.braid_conjugate(ladder, k, ladder)
+              for n, ladder in ladders.items() for k in range(1, n)}
+    bases = {k: clifford.braid_basis_matrix(count, k) for k in range(1, count)}
 
     def image(case):
         n, k, j = case
         ladder = ladders[n]
         expected = ladder[k] if j == k else -ladder[k - 1] if j == k + 1 else ladder[j - 1]
-        return clifford.braid_conjugate(ladder, k, ladder[j - 1]), expected
+        return images[n, k][j - 1], expected
 
     yield ("C10.images", "conjugation sends c_k -> c_{k+1}, c_{k+1} -> -c_k, fixes the rest "
            "(n = 2..6): a signed permutation, so its images keep C10.ladder-relations",
@@ -714,16 +717,11 @@ def check_braiding(seed: int):
                              clifford.braid_word_matrix(w[0], w[2])),
            lambda w: {"n": w[0], "word": w[1], "compare": w[2]})
 
-    def conjugated(j: int, word: tuple[int, ...]) -> SquareMatrix:
-        c = gens[j - 1]
-        for k in word:
-            c = clifford.braid_conjugate(gens, k, c)
-        return c
-
+    aba, bab = (functools.reduce(lambda cs, k: clifford.braid_conjugate(gens, k, cs), word, gens)
+                for word in ((1, 2, 1), (2, 1, 2)))
     yield ("C10.conjugation-braid-relation",
            "the conjugation maps themselves satisfy the braid relation",
-           range(1, count + 1), lambda j: (conjugated(j, (1, 2, 1)), conjugated(j, (2, 1, 2))),
-           lambda j: {"j": j})
+           range(1, count + 1), lambda j: (aba[j - 1], bab[j - 1]), lambda j: {"j": j})
 
     yield ("C10.ladder-relations",
            "each ladder generator squares to one and each two anticommute (n = 2..6)",
@@ -733,11 +731,10 @@ def check_braiding(seed: int):
 
     def spanned(case):
         k, i = case
-        basis = clifford.braid_basis_matrix(count, k)
         expanded = SquareMatrix.zero(gens[0].n)
         for j in range(count):
-            expanded = expanded + gens[j].scale(basis.entry(i, j))
-        return expanded, clifford.braid_conjugate(gens, k, gens[i])
+            expanded = expanded + gens[j].scale(bases[k].entry(i, j))
+        return expanded, images[count, k][i]
 
     yield ("C10.span-matrix-matches-conjugation",
            "the signed-permutation span matrices agree with the conjugation images",

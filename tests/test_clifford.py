@@ -104,19 +104,27 @@ def test_anticommuting_relations_name_the_pairs_that_fail():
 def test_braid_conjugate_images():
     gens = clifford_generators(4)
     for k in range(1, 4):
-        assert braid_conjugate(gens, k, gens[k - 1]) == gens[k]
-        assert braid_conjugate(gens, k, gens[k]) == -gens[k - 1]
+        assert braid_conjugate(gens, k, [gens[k - 1]]) == [gens[k]]
+        assert braid_conjugate(gens, k, [gens[k]]) == [-gens[k - 1]]
         for j in range(1, 5):
             if j not in (k, k + 1):
-                assert braid_conjugate(gens, k, gens[j - 1]) == gens[j - 1]
+                assert braid_conjugate(gens, k, [gens[j - 1]]) == [gens[j - 1]]
+
+
+def test_braid_conjugate_maps_each_matrix_as_alone():
+    gens = clifford_generators(4)
+    xs = [*gens, gens[0] * gens[1], identity(4)]
+    for k in range(1, 4):
+        assert braid_conjugate(gens, k, xs) == [braid_conjugate(gens, k, [x])[0] for x in xs]
+    assert braid_conjugate(gens, 1, []) == []
 
 
 def test_braid_conjugate_index_range():
     gens = clifford_generators(3)
     with pytest.raises(ValueError):
-        braid_conjugate(gens, 3, gens[0])
+        braid_conjugate(gens, 3, [gens[0]])
     with pytest.raises(ValueError):
-        braid_conjugate(gens, 0, gens[0])
+        braid_conjugate(gens, 0, [gens[0]])
 
 
 def _int_matmul(a, b):
@@ -159,7 +167,7 @@ def test_braid_images_stay_clifford():
         gens = clifford_generators(n)
         one = identity(gens[0].n)
         for k in range(1, n):
-            images = [braid_conjugate(gens, k, c) for c in gens]
+            images = braid_conjugate(gens, k, gens)
             for i, a in enumerate(images):
                 assert a * a == one
                 for b in images[i + 1:]:

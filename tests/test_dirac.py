@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iterant_lab import dirac
 from iterant_lab.clifford import real_relations
@@ -155,6 +157,37 @@ def test_majorana_split_example():
     assert rebuilt_u == nilpotent_u(frame, params)
     assert (u, u_dagger) == nilpotent_pair(frame, params, "time_reversed")
     assert rebuilt_dagger == u_dagger
+
+
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_TRIPLES = st.tuples(_RATIONALS, _RATIONALS, _RATIONALS)
+
+
+def _shell_1d(s, t):
+    """Euclid's parametrization of E^2 = p^2 + m^2."""
+    return OnShellParams.of(s * s + t * t, 2 * s * t, s * s - t * t)
+
+
+def _shell_3d(x):
+    """Stereographic projection onto E^2 = |p|^2 + m^2."""
+    norm = sum(c * c for c in x)
+    return OnShellParams.of(norm + 1, tuple(2 * c for c in x), norm - 1)
+
+
+@pytest.mark.parametrize("dim, draws, on_shell", [
+    ("1d", st.builds(_shell_1d, _RATIONALS, _RATIONALS), True),
+    ("3d", st.builds(_shell_3d, _TRIPLES), True),
+    ("1d", st.builds(OnShellParams.of, _RATIONALS, _RATIONALS, _RATIONALS), False),
+    ("3d", st.builds(OnShellParams.of, _RATIONALS, _TRIPLES, _RATIONALS), False),
+], ids=["1d-on-shell", "3d-on-shell", "1d-off-shell", "3d-off-shell"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_the_time_reversed_pair_holds_the_plain_u(dim, draws, on_shell, data):
+    # relations reads its plain U off the time-reversed pair
+    params = data.draw(draws)
+    assume(params.on_shell == on_shell)
+    frame = dirac_frame(dim)
+    assert nilpotent_pair(frame, params, "time_reversed")[0] == nilpotent_u(frame, params)
 
 
 def test_majorana_split_zero_energy():

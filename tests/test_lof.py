@@ -495,3 +495,36 @@ def test_successors_are_the_oracle_drops_on_every_small_forest():
 @example(MarkExpr("((((()))))(()())"))
 def test_successors_are_the_oracle_drops(expr):
     assert _successor_keys(expr) == _oracle_successor_keys(expr.text)
+
+
+def _folded_value(expr):
+    """The linear value read off eval_logic's generic fold."""
+    return "marked" if eval_logic(expr, {}) else "unmarked"
+
+
+def test_linear_value_is_the_fold_on_every_small_forest_and_its_successors():
+    for marks in range(10):
+        for text in forests(marks):
+            for expr in (MarkExpr(text), *successors(MarkExpr(text))):
+                assert linear_value(expr) == _folded_value(expr), expr.text
+
+
+@settings(max_examples=200, deadline=None)
+@given(mark_forests)
+def test_linear_value_is_the_fold(expr):
+    assert linear_value(expr) == _folded_value(expr)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("()" * MAX_LOF_MARKS, "marked"),
+    ("(" + "()" * (MAX_LOF_MARKS - 1) + ")", "unmarked"),
+    ("(" * MAX_LOF_MARKS + ")" * MAX_LOF_MARKS, "unmarked"),
+    ("(" * (MAX_LOF_MARKS - 1) + ")" * (MAX_LOF_MARKS - 1), "marked"),
+], ids=["wide", "inside", "deep", "deep-odd"])
+def test_linear_value_at_the_mark_cap_needs_no_recursion(text, value):
+    assert linear_value(parse(text)) == value
+
+
+def test_linear_value_names_the_variables_it_cannot_read():
+    with pytest.raises(ValueError, match=r"^unbound variable\(s\): a, b$"):
+        linear_value(parse("((b)())a"))

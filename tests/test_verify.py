@@ -338,6 +338,32 @@ def test_the_spinor_matrices_are_unimodular():
     assert len(spinors) == verify.SPINORS and all(a.determinant() == 1 for a in spinors)
 
 
+FRAMES = {dim: dirac.dirac_frame(dim) for dim in ("1d", "3d")}
+
+
+# The matrix products of the costliest kernels, counted as perfbench's tracer
+# counts them: dirac.relations builds its terms and both (U, U+) pairs once,
+# and C10 each w = c_{k+1} c_k once per ladder and k, so an edit that builds
+# an operator again per use fails here.
+@pytest.mark.parametrize("run, products", [
+    (lambda: list(dirac.relations(FRAMES["1d"], dirac.OnShellParams.of(5, 3, 4))), 23),
+    (lambda: list(dirac.relations(FRAMES["3d"], dirac.OnShellParams.of(3, (1, 2, 2), 0))), 23),
+    (lambda: verify.check_braiding(7), 426),
+], ids=["relations-1d", "relations-3d", "check-braiding"])
+def test_each_operator_is_built_once_per_case(monkeypatch, run, products):
+    count = 0
+    multiply = SquareMatrix.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += isinstance(other, SquareMatrix)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+    run()
+    assert count == products
+
+
 def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
     real = clifford.clifford_generators
 
