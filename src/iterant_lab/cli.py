@@ -6,9 +6,9 @@ chose to stdout or to the --out file.  JSON is ``json.dumps(payload,
 indent=2, sort_keys=True)`` byte for byte, written by one encoder in pieces:
 each item of the outer two levels on its own, each deeper subtree joined into
 one string, so a long ``lof reduce --trace`` list is never held as one text.
-``verify-all --seed`` reaches only C09's spinor draws of A, C13.confluence-fuzz
-and the walk of C16.brownian-constant.  Exit codes: 0 success, 1 failed check
-(or the unmarked state for ``lof reduce``), 2 usage error.
+No verify-all row draws, so ``verify-all --seed`` changes no output.  Exit
+codes: 0 success, 1 failed check (or the unmarked state for ``lof reduce``),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -606,9 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(red_p, cmd_lof_reduce)
 
     verify_p = sub.add_parser("verify-all", help="run the full identity suite")
-    verify_p.add_argument("--seed", type=int, default=7, help="seeds the only rows that draw: "
-                          "the C09 spinor draws of A, C13.confluence-fuzz and "
-                          "C16.brownian-constant's walk")
+    verify_p.add_argument("--seed", type=int, default=7,
+                          help="accepted, but no longer changes the result: no row draws")
     _flags(verify_p, cmd_verify_all, JSON_TEXT_CSV)
 
     return parser

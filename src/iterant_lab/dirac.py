@@ -143,21 +143,21 @@ def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
     """Every relation of U = ba E + b p - a m for one (E, p, m), each as
     (name, lhs, rhs).
 
-    U^2 = 0 for the plain U and for each version's (U, U+), each version's
-    anticommutator and sum/difference squares, the Majorana split
+    U^2 = 0 for each version's (U, U+), each version's anticommutator and
+    sum/difference squares, the Majorana split
     U = (A + iB) E with A, B square-one and anticommuting, and the plane-wave
     residual: with D = E - alpha p - beta m one has U = D beta alpha, and
     D beta alpha U = U^2 vanishes.  The split relations are left out when
     E = 0, where the split divides by zero.  Off shell the nilpotency and
     plane-wave relations fail; the nonzero sides show the defect.  The _terms
-    and both pairs are built once, and the plain U is the time-reversed one.
+    and both pairs are built once; the plain U is the time-reversed one, so
+    its square is time_reversed-u-squared.
     """
     identity = SquareMatrix.identity(frame.dim)
     zero = SquareMatrix.zero(frame.dim)
     terms = p_op, ba, _, bp, ap, am, bm = _terms(frame, params)
     pairs = {version: nilpotent_pair(frame, params, version, terms) for version in VERSIONS}
     u_plain = pairs["time_reversed"][0]
-    yield "u-squared-zero", u_plain * u_plain, zero
     e2 = params.energy * params.energy
     for version, (u, u_dag) in pairs.items():
         yield f"{version}-u-squared", u * u, zero

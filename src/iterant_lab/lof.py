@@ -388,18 +388,11 @@ def forests(marks: int) -> list[str]:
     return sorted(map("".join, layers[marks]))
 
 
-def fuzz_cases(
-    count: int, max_depth: int, seed: int, min_marks: int = 0
-) -> Iterator[tuple[MarkExpr, int]]:
-    """count seeded random expressions of at least min_marks marks, each with
-    the seed of its probe; a smaller draw is skipped with its probe seed."""
+def fuzz_cases(count: int, max_depth: int, seed: int) -> Iterator[tuple[MarkExpr, int]]:
+    """count seeded random expressions, each with the seed of its probe."""
     rng = random.Random(seed)
-    while count:
-        expr = random_expression(rng, max_depth=max_depth)
-        probe_seed = rng.randrange(1 << 30)
-        if expr.text.count("(") >= min_marks:
-            count -= 1
-            yield expr, probe_seed
+    return ((random_expression(rng, max_depth=max_depth), rng.randrange(1 << 30))
+            for _ in range(count))
 
 
 def confluence_fuzz(count: int, max_depth: int, orders: int, seed: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from random import Random
 from typing import Union
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
@@ -183,14 +182,6 @@ def _from_triple(re_num: int, im_num: int, den: int) -> GaussianRational:
 
 
 I_UNIT = GaussianRational(0, 1)
-
-
-def random_scalar(rng: Random) -> GaussianRational:
-    """a/b + (c/d)i with a, c drawn from -9..9 and b, d from 1..5, in the
-    order a, b, c, d."""
-    a, b = rng.randint(-9, 9), rng.randint(1, 5)
-    c, d = rng.randint(-9, 9), rng.randint(1, 5)
-    return _from_triple(a * d, c * b, b * d)
 
 
 def _lowest_terms(num: int, den: int) -> tuple[int, int]:

@@ -1,10 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
-Every row is exact (bit-for-bit equality of exact scalars) but two: the
-lattice scheme's dispersion rows use the stated tolerances (2% dispersion
-error, monotone improvement under dt halving), while its pair map and
-conserved form are exact.  Every test reads the
-rows of one ``run_verify`` run, so each check runs once per session.
+Every row is exact: it compares two exact values with ``==``, on cases
+fixed in the code, so no row draws and the seed changes no row.  Every test
+reads the rows of one ``run_verify`` run, so each check runs once per session.
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
@@ -19,10 +17,10 @@ from iterant_lab import cli, verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "3164f16e1840a5f6d2ea0a1e4bd487a6c35228f014e5d4303455c313258c3d89"
+ROWS_SHA256 = "889265d47a3fbe8a8ec777cbce748226b8ad3512637abc43775cd825166b6af8"
 # sha256 of the whole `verify-all --seed 7 --format json` output, which also
 # carries each row's area, description and witness
-OUTPUT_SHA256 = "ff9837537f19d77744e73442a009e5f7f9dcae6f20ca2e420a0b33b3c023af49"
+OUTPUT_SHA256 = "72f1b0ed3f72b45c13f78cc3933eb7869fe50fdf6fd036764a078957883d05e3"
 
 
 @pytest.fixture(scope="session")
@@ -112,8 +110,8 @@ def test_c08_kernel(suite):
 
 
 def test_c09_minkowski_observable(suite):
-    _assert_all(suite, "C09 spacetime event as a period-two iterant: H, interval and Doppler "
-                       "boosts proved by degree, SL(2, Q(i)) spinor maps on H")
+    _assert_all(suite, "C09 spacetime event as a period-two iterant: H, interval, Doppler "
+                       "boosts and SL(2, Q(i)) spinor maps on H, proved by degree")
 
 
 def test_c10_braiding(suite):
@@ -129,8 +127,8 @@ def test_c12_fusion_ring(suite):
 
 
 def test_c13_mark_calculus(suite):
-    _assert_all(suite, ("C13 mark calculus: worked example, every rewrite step up to 9 marks, "
-                       "100-expression fuzz above, logic tables"))
+    _assert_all(suite, "C13 mark calculus: worked example, every rewrite step up to 9 marks, "
+                       "logic tables")
 
 
 def test_c14_dirac_nilpotents(suite):
@@ -146,8 +144,8 @@ def test_c16_discrete_commutator(suite):
 
 
 def test_c17_lattice_scheme(suite):
-    _assert_all(suite, "C17 lattice scheme: exact pair map and conserved form, dispersion 2%, "
-                       "dt convergence")
+    _assert_all(suite, "C17 lattice scheme: exact pair map, conserved form and dispersion "
+                       "relation of every mode on rings of 2, 3, 4 and 6 cells")
     elapsed = dict(suite[2])["C17"]
     print(f"C17 runtime: {elapsed:.1f}s")
     assert elapsed < 20.0

@@ -23,7 +23,7 @@ from iterant_lab import groups, lof, matrep, verify
 from iterant_lab.cli import _json_pieces, build_parser, main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
                                   regular_algebra)
-from iterant_lab.scalars import MAX_LITERAL_DIGITS, random_scalar
+from iterant_lab.scalars import MAX_LITERAL_DIGITS, GaussianRational
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +251,14 @@ def test_schrodinger_dispersion_refuses_csv_flags(capsys, flag):
 # so each real check still runs once per session (in the acceptance suite).
 # Their random pairs are drawn as the C03 rows drew theirs before those became
 # proofs, so the verify-all digests in PINNED keep their meaning.
+def random_scalar(rng: random.Random) -> GaussianRational:
+    """a/b + (c/d)i with a, c drawn from -9..9 and b, d from 1..5, in the
+    order a, b, c, d."""
+    a, b = rng.randint(-9, 9), rng.randint(1, 5)
+    c, d = rng.randint(-9, 9), rng.randint(1, 5)
+    return GaussianRational(Fraction(a, b), Fraction(c, d))
+
+
 def random_element(algebra, rng: random.Random, max_terms: int = 3):
     """A sum of 1..max_terms terms, each a random group element with a vector
     of random_scalar coefficients."""

@@ -286,4 +286,4 @@ def test_relation_report_leaves_out_the_split_at_zero_energy():
     assert set(on_shell) - set(at_rest) == {
         "split-a-squared", "split-b-squared", "split-anticommute", "split-rebuild"}
     off_shell = holds(relations(frame, OnShellParams.of(2, 1, 0)))
-    assert not off_shell["u-squared-zero"] and not off_shell["plane-wave"]
+    assert not off_shell["time_reversed-u-squared"] and not off_shell["plane-wave"]

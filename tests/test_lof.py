@@ -1,12 +1,13 @@
 import gc
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iterant_lab import lof
+from iterant_lab import lof, verify
 from iterant_lab.groups import MAX_LOF_MARKS
 from iterant_lab.lof import (
     MarkExpr,
@@ -304,11 +305,18 @@ def test_confluence_fuzz_finds_no_disagreement():
     assert confluence_fuzz(40, max_depth=5, orders=3, seed=2) == 0
 
 
-def test_a_mark_floor_keeps_the_draws_that_reach_it_with_their_probe_seeds():
-    every = list(lof.fuzz_cases(60, max_depth=6, seed=13))
-    large = [case for case in every if case[0].text.count("(") >= 10]
-    assert 0 < len(large) < len(every)
-    assert list(lof.fuzz_cases(len(large), max_depth=6, seed=13, min_marks=10)) == large
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_forests_above_the_enumerated_sizes_reach_their_linear_value_in_random_orders(seed):
+    # C13.confluence enumerates every forest of at most ENUMERATED_MARKS
+    # marks; above that, 100 seeded forests, each in 3 random rule orders,
+    # test the worklist's bookkeeping at depth
+    large = (case for case in lof.fuzz_cases(1000, max_depth=6, seed=seed)
+             if case[0].text.count("(") > verify.ENUMERATED_MARKS)
+    forests = list(itertools.islice(large, 100))
+    assert len(forests) == 100
+    for expr, probe_seed in forests:
+        seen, reference = confluence_probe(expr, trials=3, seed=probe_seed)
+        assert seen == reference, (str(expr), probe_seed)
 
 
 def test_drawing_fuzz_cases_leaves_no_cyclic_garbage():

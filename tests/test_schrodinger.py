@@ -128,7 +128,7 @@ def test_run_is_the_list_of_the_streamed_pairs(steps):
 
 
 def test_schrodinger_check_holds_one_pair_at_a_time():
-    # the dispersion rows evolve one mode, and the exact rows tick rings of 8 cells at most
+    # every row ticks rings of 6 cells at most
     tracemalloc.start()
     try:
         rows = verify.check_schrodinger(7)

@@ -6,7 +6,9 @@ criterion only with one case of a library function broken on purpose.
 """
 
 import itertools
+import operator
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from iterant_lab.iterants import (
     regular_algebra,
 )
 from iterant_lab.matrix import SquareMatrix
-from iterant_lab.scalars import I_UNIT, parse_rational, parse_scalar
+from iterant_lab.scalars import I_UNIT, GaussianRational, parse_rational, parse_scalar
 
 
 def test_tally_counts_the_cases_and_keeps_the_first_disagreement():
@@ -56,7 +58,7 @@ def test_a_failing_relation_shows_its_two_sides_not_false():
                                        verify._sides, verify._name))
     assert not row.passed
     # U^2 = (p^2 + m^2 - E^2) 1 = -3 against 0: the first relation fails
-    assert row.witness == {"seed": 5, "index": 0, "inputs": "u-squared-zero",
+    assert row.witness == {"seed": 5, "index": 0, "inputs": "conjugate-u-squared",
                            "lhs": str(SquareMatrix.identity(2).scale(-3)),
                            "rhs": str(SquareMatrix.zero(2))}
     assert "False" not in row.witness["lhs"] + row.witness["rhs"]
@@ -332,10 +334,23 @@ def test_a_broken_spinor_case_fails_its_row(row_id, spoil, lhs_of):
     assert tuple(map(parse_scalar, inputs["event"])) == cases[BROKEN][1]
 
 
+def _elementary(x) -> list[SquareMatrix]:
+    """E12(x) and E21(x)."""
+    return [SquareMatrix.from_rows([[1, x], [0, 1]]), SquareMatrix.from_rows([[1, 0], [x, 1]])]
+
+
+def _spinor_grid(events: set) -> list:
+    """Each E12(x) and E21(x) at x = u + vi, u, v in {0, 1, 2}, on each event,
+    E12(0) = E21(0) = 1 twice over."""
+    return [(a, event) for u, v in itertools.product(range(3), repeat=2)
+            for a in _elementary(GaussianRational(u, v)) for event in events]
+
+
 def test_the_spinor_matrices_are_unimodular():
     cases, _, _ = _declared(verify.check_minkowski, "C09.spinor-determinant")
     spinors = {a for a, _ in cases}
-    assert len(spinors) == verify.SPINORS and all(a.determinant() == 1 for a in spinors)
+    # the 9 E12(x) and 9 E21(x), which share x = 0
+    assert len(spinors) == 17 and all(a.determinant() == 1 for a in spinors)
 
 
 FRAMES = {dim: dirac.dirac_frame(dim) for dim in ("1d", "3d")}
@@ -346,8 +361,8 @@ FRAMES = {dim: dirac.dirac_frame(dim) for dim in ("1d", "3d")}
 # and C10 each w = c_{k+1} c_k once per ladder and k, so an edit that builds
 # an operator again per use fails here.
 @pytest.mark.parametrize("run, products", [
-    (lambda: list(dirac.relations(FRAMES["1d"], dirac.OnShellParams.of(5, 3, 4))), 23),
-    (lambda: list(dirac.relations(FRAMES["3d"], dirac.OnShellParams.of(3, (1, 2, 2), 0))), 23),
+    (lambda: list(dirac.relations(FRAMES["1d"], dirac.OnShellParams.of(5, 3, 4))), 22),
+    (lambda: list(dirac.relations(FRAMES["3d"], dirac.OnShellParams.of(3, (1, 2, 2), 0))), 22),
     (lambda: verify.check_braiding(7), 426),
 ], ids=["relations-1d", "relations-3d", "check-braiding"])
 def test_each_operator_is_built_once_per_case(monkeypatch, run, products):
@@ -454,9 +469,10 @@ def _at_each_tick_size(sequences) -> set:
     return {(x, dt) for x in sequences for dt in TICK_SIZES}
 
 
-def _ticks_every_unit_field(cases, relation) -> bool:
-    """Each (cells, r) case ticks exactly the 2 cells unit fields of its ring,
-    seen by a wrapper around schrodinger.ticks as the relation runs."""
+def _ticks_every_unit_field(row_id: str) -> bool:
+    """Each (cells, r) case of the row ticks exactly the 2 cells unit fields of
+    its ring, seen by a wrapper around schrodinger.ticks as the criterion
+    declares the row and the relation runs."""
     real, started = schrodinger.ticks, []
 
     def recording(cfg, even, odd):
@@ -465,11 +481,25 @@ def _ticks_every_unit_field(cases, relation) -> bool:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schrodinger, "ticks", recording)
+        cases, relation, _ = _declared(verify.check_schrodinger, row_id)
         for case in cases:
             relation(case)
     units = [(cells, r, tuple(int(i == j) for i in range(2 * cells)))
              for cells, r in cases for j in range(2 * cells)]
     return sorted(started) == sorted(units)
+
+
+def _every_mode(cases) -> bool:
+    """The cases are each mode of each ring of C17.pair-map once, and each
+    ring's modes have rank cells, so they span its fields."""
+    rings, _, _ = _declared(verify.check_schrodinger, "C17.pair-map")
+    for cells, r in rings:
+        chosen = {case[2:] for case in cases if case[:2] == (cells, r)}
+        vectors = [[GaussianRational(x) for x in v]
+                   for k, mode, _, v in verify._modes(cells) if (k, mode) in chosen]
+        if len(chosen) != cells or matrep._matrix_rank(vectors) != cells:
+            return False
+    return len(set(cases)) == len(cases) == sum(cells for cells, _ in rings)
 
 
 PROOF_ROWS = {
@@ -499,6 +529,17 @@ PROOF_ROWS = {
     "C09.doppler-composition": (
         verify.check_minkowski, lambda cases: _factor_grid(cases, 3, 2, _unit_events())),
     "C09.velocity-addition": (verify.check_minkowski, lambda cases: _factor_grid(cases, 5, 2)),
+    # E12(x) and E21(x) at the 3 x 3 grid of x = u + vi, where each side has
+    # degree 2 in u and in v, on the events its degree in the event needs
+    "C09.spinor-determinant": (
+        verify.check_minkowski,
+        lambda cases: Counter(cases) == Counter(_spinor_grid(_polarization_events()))),
+    "C09.spinor-hermitian": (
+        verify.check_minkowski,
+        lambda cases: Counter(cases) == Counter(_spinor_grid(_unit_events()))),
+    # the 8 triples of the basis {1, P}
+    "C12.commutative-associative": (
+        verify.check_fusion, lambda cases: _exactly(cases, set(itertools.product("1P", repeat=3)))),
     **{f"C04.{name}-homomorphism": (
         verify.check_g_table_theorem,
         lambda cases, name=name: _exactly(cases, _generator_needs(name)))
@@ -534,14 +575,14 @@ PROOF_ROWS = {
             _tick_units() + [a + b for a, b in itertools.combinations(_tick_units(), 2)]))),
     "C16.derivative-commutator": (
         verify.check_discrete, lambda cases: _exactly(cases, _at_each_tick_size(_tick_units()))),
+    "C17.dispersion": (verify.check_schrodinger, _every_mode),
 }
 
 
 @pytest.mark.parametrize("row_id", [*PROOF_ROWS, "C17.pair-map"])
 def test_each_proof_row_covers_what_its_argument_needs(row_id):
     if row_id == "C17.pair-map":  # the cases are rings; what it needs is their unit fields
-        cases, relation, _ = _declared(verify.check_schrodinger, row_id)
-        assert _ticks_every_unit_field(cases, relation)
+        assert _ticks_every_unit_field(row_id)
         return
     check, covers = PROOF_ROWS[row_id]
     cases, _, _ = _declared(check, row_id)
@@ -565,6 +606,63 @@ def test_a_stencil_without_its_wrap_fails_each_exact_lattice_row(monkeypatch, ro
     lhs, rhs = relation(case)
     assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
     assert lhs != rhs
+
+
+def _odd_tick_flipped(cfg, even, odd):
+    """schrodinger.ticks with the sign of its odd tick flipped:
+    psi_o += r * stencil(psi_e)."""
+    e, o, r = list(even), list(odd), cfg.ratio
+    yield e, o
+    for tick in range(cfg.steps):
+        if tick % 2 == 0:
+            e = [v + r * d for v, d in zip(e, schrodinger.second_difference(o))]
+        else:
+            o = [v + r * d for v, d in zip(o, schrodinger.second_difference(e))]
+            yield e, o
+
+
+def test_a_flipped_odd_tick_fails_the_dispersion_row_on_every_mode_that_turns(monkeypatch):
+    # the pair map becomes [[I, rL], [rL, I + r^2 L^2]]: P(v, 0) = (v, +mu v),
+    # which is right only where mu = r lambda = 0, on the k = 0 modes
+    monkeypatch.setattr(schrodinger, "ticks", _odd_tick_flipped)
+    row = {r.check_id: r for r in verify.check_schrodinger(7)}["C17.dispersion"]
+    cases, relation, show = _declared(verify.check_schrodinger, "C17.dispersion")
+    failing = [case for case in cases if operator.ne(*relation(case))]
+    assert failing == [case for case in cases if case[2] != 0] and len(failing) == 11
+    assert (row.passed, row.lhs) == (False, f"4/{len(cases)} agree")
+    inputs = row.witness["inputs"]
+    case = (inputs["cells"], parse_rational(inputs["r"]), inputs["k"], inputs["mode"])
+    assert case == failing[0] == cases[row.witness["index"]] and show(case) == inputs
+    lhs, rhs = relation(case)
+    assert (verify._text(lhs), verify._text(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_a_spinor_map_right_at_0_and_1_fails_both_spinor_rows_at_2(monkeypatch, part):
+    # adds p(p-1)/2 [[0, 1], [0, 0]] to A H A+, for p the real or imaginary
+    # part of A's x: right at p = 0 and 1, so a 2 x 2 grid would pass it,
+    # though each side has degree 2 in p
+    def off(a: SquareMatrix):
+        return getattr(a.entry(0, 1) + a.entry(1, 0), part)
+
+    real, nudge = verify._spinor, SquareMatrix.from_rows([[0, 1], [0, 0]])
+    monkeypatch.setattr(verify, "_spinor",
+                        lambda a, h: real(a, h) + nudge.scale(off(a) * (off(a) - 1) / 2))
+    rows = {r.check_id: r for r in verify.check_minkowski(7)}
+    for row_id in ("C09.spinor-determinant", "C09.spinor-hermitian"):
+        row = rows[row_id]
+        cases, relation, show = _declared(verify.check_minkowski, row_id)
+        at_two = [i for i, (a, _) in enumerate(cases) if off(a) == 2]
+        assert (row.passed, row.witness["index"]) == (False, at_two[0])
+        inputs = row.witness["inputs"]
+        case = (SquareMatrix.from_lists(inputs["A"]), tuple(map(parse_rational, inputs["event"])))
+        assert case == cases[at_two[0]] and show(case) == inputs
+        lhs, rhs = relation(case)
+        assert (verify._text(lhs), verify._text(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+        assert lhs != rhs
+    # A H A+ fails hermiticity at every case at 2: three values of the other
+    # part, two generators, four unit events
+    assert rows["C09.spinor-hermitian"].lhs == "48/72 agree"
 
 
 def _inner_dropping(successors):
@@ -610,28 +708,9 @@ def test_an_unshifted_product_fails_each_product_row_with_a_witness_that_reads_b
     assert lhs != rhs
 
 
-# The criteria that draw nothing, and the rows of C09 and C16 that draw
-# nothing: the prefixes of the rows that must be the same at every seed.
-SEEDLESS_ROWS = {
-    verify.check_matrix_identity: "C02.",
-    verify.check_determinant_bridge: "C03.",
-    verify.check_g_table_theorem: "C04.",
-    verify.check_decomposition: "C07.",
-    verify.check_kernel: "C08.",
-    verify.check_minkowski: tuple(f"C09.{row}" for row in (
-        "iterant-form", "determinant", "trace", "hermitian", "example-roots", "doppler-boost",
-        "doppler-composition", "velocity-addition")),
-    verify.check_braiding: "C10.",
-    verify.check_dirac: "C14.",
-    verify.check_discrete: ("C16.commutator-identity", "C16.derivative-commutator"),
-    verify.check_schrodinger: "C17.",
-}
-
-
-@pytest.mark.parametrize("check", SEEDLESS_ROWS)
+@pytest.mark.parametrize("check", verify.ALL_CHECKS)
 def test_a_criterion_that_draws_nothing_gives_the_same_rows_at_every_seed(check):
-    rows = [[row for row in check(seed) if row.check_id.startswith(SEEDLESS_ROWS[check])]
-            for seed in range(1, 11)]
+    rows = [check(seed) for seed in range(1, 11)]
     assert rows[0] and all(seeded == rows[0] for seeded in rows[1:])
 
 
