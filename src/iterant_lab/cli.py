@@ -286,7 +286,7 @@ def cmd_dirac_verify(args):
          "pass": report[f"{args.version}-dagger-squared"]},
         {"check": "anticommutator", "lhs": "U U+ + U+ U",
          "rhs": "2(p+m)^2" if args.version == "conjugate" else "4E^2",
-         "pass": report[f"{args.version.replace('_', '-')}-anticommutator"]},
+         "pass": report[f"{args.version}-anticommutator"]},
     ]
     if "split-rebuild" in report:
         checks.extend([

@@ -144,14 +144,14 @@ def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
     (name, lhs, rhs).
 
     U^2 = 0 for each version's (U, U+), each version's anticommutator and
-    sum/difference squares, the Majorana split
-    U = (A + iB) E with A, B square-one and anticommuting, and the plane-wave
-    residual: with D = E - alpha p - beta m one has U = D beta alpha, and
-    D beta alpha U = U^2 vanishes.  The split relations are left out when
-    E = 0, where the split divides by zero.  Off shell the nilpotency and
-    plane-wave relations fail; the nonzero sides show the defect.  The _terms
-    and both pairs are built once; the plain U is the time-reversed one, so
-    its square is time_reversed-u-squared.
+    sum/difference squares, all named <version>-<relation> after VERSIONS,
+    the Majorana split U = (A + iB) E with A, B square-one and anticommuting,
+    and the plane-wave residual: with D = E - alpha p - beta m one has
+    U = D beta alpha, and D beta alpha U = U^2 vanishes.  The split relations
+    are left out when E = 0, where the split divides by zero.  Off shell the
+    nilpotency and plane-wave relations fail; the nonzero sides show the
+    defect.  The _terms and both pairs are built once; the plain U is the
+    time-reversed one, so its square is time_reversed-u-squared.
     """
     identity = SquareMatrix.identity(frame.dim)
     zero = SquareMatrix.zero(frame.dim)
@@ -168,12 +168,12 @@ def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
             m_term = p_op + identity.scale(params.mass)
             expected = (m_term * m_term).scale(2)
             plus = u + u_dag
-            yield "conjugate-anticommutator", anti, expected
-            yield "conjugate-sum-squared", plus * plus, expected
-            yield "conjugate-diff-squared", minus * minus, -expected
+            yield f"{version}-anticommutator", anti, expected
+            yield f"{version}-sum-squared", plus * plus, expected
+            yield f"{version}-diff-squared", minus * minus, -expected
         else:
-            yield "time-reversed-anticommutator", anti, identity.scale(4 * e2)
-            yield "time-reversed-diff-squared", minus * minus, identity.scale(-4 * e2)
+            yield f"{version}-anticommutator", anti, identity.scale(4 * e2)
+            yield f"{version}-diff-squared", minus * minus, identity.scale(-4 * e2)
     if params.energy != 0:
         a = (bp - am).scale(1 / params.energy)
         b = ba.scale(-I_UNIT)

@@ -76,7 +76,18 @@ C13.confluence is a proof by enumeration: on every forest of at most
 ENUMERATED_MARKS marks, every one-step rewrite keeps the linear value, and a
 forest with no rewrite is () or the void; each step removes marks, so every
 rule order reaches the linear value, which the lof docstring carries to every
-size.  C14's on-shell triples are a fixed list: no basis stands for the shell.
+size.
+
+C14.<dim>-<relation> prove each relation of dirac.relations on the whole
+shell E^2 = |w|^2, for w = (p, m) with n = 2 coordinates in 1d and 4 in 3d.
+Times E^k (k = 2 for split-a-squared, whose A carries 1/E, else 0), lhs - rhs
+is a quadratic form R = aE^2 + sum b_k E w_k + sum_{k <= l} c_kl w_k w_l with
+matrix coefficients.  The points (1, +-e_k) give each b_k and each a + c_kk;
+then at (5, 3e_k + 4e_l), k < l, R is 9(a + c_kk) + 16(a + c_ll) + 15b_k +
+20b_l + 12c_kl, which gives each c_kl.  So if R vanishes on these 5 points in
+1d and 14 in 3d, then R = a(E^2 - |w|^2), which vanishes on the shell.  That
+is the dimension of the quadratic forms modulo the shell form, so no point
+can be dropped; E is 1 or 5, never 0, so the split rows run at every point.
 """
 
 from __future__ import annotations
@@ -104,7 +115,6 @@ from .matrix import SquareMatrix
 from .scalars import GaussianRational, sqrt_exact
 
 DOPPLER = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3), Fraction(1, 2))  # C09, D > 0
-TRIPLES = 50            # C14, on shell
 
 # C13.confluence takes every forest of at most this many marks
 ENUMERATED_MARKS = 9
@@ -816,59 +826,37 @@ def check_lof(seed: int):
 # C14: nilpotent plane-wave operators.
 
 
-def _pythagorean_triples(count: int) -> list[tuple[Fraction, tuple[Fraction], Fraction]]:
-    triples = []
-    for a in range(2, 12):
-        for b in range(1, a):
-            p = Fraction(a * a - b * b)
-            m = Fraction(2 * a * b)
-            e = Fraction(a * a + b * b)
-            triples.append((e, (p,), m))
-            triples.append((e, (m,), p))
-            if len(triples) >= count:
-                return triples[:count]
-    return triples
-
-
-THREE_D_CASES = [
-    (5, (1, 2, 2), 4),
-    (13, (3, 4, 0), 12),
-    (3, (1, 2, 2), 0),
-    (7, (2, 3, 6), 0),
-    (25, (12, 9, 12), 16),
-    (17, (8, 9, 12), 0),
-]
-
-
-def _on_shell(e, p, m) -> dirac.OnShellParams:
-    params = dirac.OnShellParams.of(e, p, m)
-    if not params.on_shell:
-        raise AssertionError(f"E={e}, p={p}, m={m} is off shell")
-    return params
+def _shell_points(n: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(E, p, m) at w = (p, m) with n coordinates: the (1, +-e_k), then the
+    (5, 3e_k + 4e_l) for k < l, which fix a relation on the shell (see the
+    module docstring)."""
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    points = [(1, tuple(sign * x for x in e)) for e in units for sign in (1, -1)]
+    points += [(5, tuple(3 * x + 4 * y for x, y in zip(a, b)))
+               for a, b in itertools.combinations(units, 2)]
+    return [(e, w[:-1], w[-1]) for e, w in points]
 
 
 def _dirac_inputs(case) -> dict[str, str]:
-    """(E, p, m) as the --E, --p and --m flags of ``dirac verify`` read them."""
+    """(E, p, m) and the frame as the --E, --p, --m and --dim flags of
+    ``dirac verify`` read them."""
     e, p, m = case[:3]
-    return {"E": str(e), "p": ",".join(map(str, p)), "m": str(m)}
+    return {"E": str(e), "p": ",".join(map(str, p)), "m": str(m), "dim": f"{len(p)}d"}
 
 
 @_criterion("dirac")
 def check_dirac(seed: int):
-    frame1 = dirac.dirac_frame("1d")
-    tables = [(e, p, m, {r[0]: _sides(r) for r in dirac.relations(frame1, _on_shell(e, p, m))})
-              for e, p, m in _pythagorean_triples(TRIPLES)]
-    for key in sorted(tables[0][3]):
-        yield (f"C14.1d-{key}", f"1d {key} on {TRIPLES} on-shell triples",
-               tables, lambda t: t[3][key], _dirac_inputs)
-
-    frame3 = dirac.dirac_frame("3d")
-    yield ("C14.3d-identities",
-           f"all identities with p replaced by p.s on {len(THREE_D_CASES)} on-shell cases",
-           THREE_D_CASES,
-           lambda c: ([name for name, lhs, rhs in dirac.relations(frame3, _on_shell(*c))
-                       if lhs != rhs], []),
-           _dirac_inputs)
+    frame1, frame3 = dirac.dirac_frame("1d"), dirac.dirac_frame("3d")
+    for frame in (frame1, frame3):
+        dim, points = f"{len(frame.sigmas)}d", _shell_points(len(frame.sigmas) + 1)
+        tables = [(e, p, m, {r[0]: _sides(r)
+                             for r in dirac.relations(frame, dirac.OnShellParams.of(e, p, m))})
+                  for e, p, m in points]
+        for key in sorted(tables[0][3]):
+            yield (f"C14.{dim}-{key}",
+                   f"{dim} {key} on the {len(points)} shell points (1, +-e_k), (5, 3e_k + 4e_l) "
+                   "of w = (p, m), so on the whole shell (times E^k, it is a quadratic form)",
+                   tables, lambda t: t[3][key], _dirac_inputs)
 
     def off_shell_square(case):
         params = dirac.OnShellParams.of(*case)

@@ -17,10 +17,10 @@ from iterant_lab import cli, verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "889265d47a3fbe8a8ec777cbce748226b8ad3512637abc43775cd825166b6af8"
+ROWS_SHA256 = "15511a74fa301ea1a463a7aa27270d00643d297a3531218ad6bc1d5fd135887d"
 # sha256 of the whole `verify-all --seed 7 --format json` output, which also
 # carries each row's area, description and witness
-OUTPUT_SHA256 = "72f1b0ed3f72b45c13f78cc3933eb7869fe50fdf6fd036764a078957883d05e3"
+OUTPUT_SHA256 = "0c047715a03b2fe13148c10607af8f06cd2501d50755dad616b896ae0255c848"
 
 
 @pytest.fixture(scope="session")

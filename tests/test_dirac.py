@@ -121,6 +121,15 @@ def test_time_reversed_anticommutator():
     assert u * u_dag + u_dag * u == identity(2).scale(100)  # 4 E^2
 
 
+def test_each_version_names_its_relations_after_itself():
+    names = list(holds(relations(dirac_frame("1d"), OnShellParams.of(5, 3, 4))))
+    kinds = {"conjugate": ("u-squared", "dagger-squared", "anticommutator", "sum-squared",
+                           "diff-squared"),
+             "time_reversed": ("u-squared", "dagger-squared", "anticommutator", "diff-squared")}
+    assert names[:9] == [f"{version}-{kind}" for version in dirac.VERSIONS
+                         for kind in kinds[version]]
+
+
 def test_unknown_version():
     frame = dirac_frame("1d")
     with pytest.raises(ValueError):

@@ -12,8 +12,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from iterant_lab import clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
+from iterant_lab import cli, clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
 from iterant_lab.iterants import (
     IterantAlgebra,
     element_from_json,
@@ -502,6 +504,16 @@ def _every_mode(cases) -> bool:
     return len(set(cases)) == len(cases) == sum(cells for cells, _ in rings)
 
 
+# w = (p, m) has 2 coordinates in 1d and 4 in 3d
+SHELL_N = {"1d": 2, "3d": 4}
+C14_RELATIONS = (
+    *(f"conjugate-{kind}" for kind in ("u-squared", "dagger-squared", "anticommutator",
+                                       "sum-squared", "diff-squared")),
+    *(f"time_reversed-{kind}" for kind in ("u-squared", "dagger-squared", "anticommutator",
+                                           "diff-squared")),
+    "split-a-squared", "split-b-squared", "split-anticommute", "split-rebuild", "plane-wave")
+
+
 PROOF_ROWS = {
     "C02.product-match": (
         verify.check_matrix_identity,
@@ -567,6 +579,12 @@ PROOF_ROWS = {
         lambda cases: {(e, *p, m) for e, p, m in cases}
         == {tuple(int(k in ij) for k in range(3))
             for ij in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}),
+    # each relation on the shell points of its frame, which fix it on the
+    # shell (test_the_shell_points_fix_a_quadratic_form_on_the_shell)
+    **{f"C14.{dim}-{name}": (
+        verify.check_dirac,
+        lambda cases, dim=dim: [case[:3] for case in cases] == verify._shell_points(SHELL_N[dim]))
+       for dim in SHELL_N for name in C14_RELATIONS},
     # the 16 unit sequences and their 120 pairwise sums, or the units alone,
     # at each of the two tick sizes
     "C16.commutator-identity": (
@@ -587,6 +605,103 @@ def test_each_proof_row_covers_what_its_argument_needs(row_id):
     check, covers = PROOF_ROWS[row_id]
     cases, _, _ = _declared(check, row_id)
     assert covers(cases)
+
+
+@pytest.mark.parametrize("dim", SHELL_N)
+def test_the_shell_points_fix_a_quadratic_form_on_the_shell(dim):
+    points = verify._shell_points(SHELL_N[dim])
+    assert all(dirac.OnShellParams.of(*point).on_shell for point in points)
+
+    def rank(chosen) -> int:
+        # the degree-2 monomials of (E, w) = (E, p, m) at each point
+        return matrep._matrix_rank(
+            [[GaussianRational(a * b)
+              for a, b in itertools.combinations_with_replacement((e, *p, m), 2)]
+             for e, p, m in chosen])
+
+    # the quadratic forms in n + 1 variables, less the one shell form, which
+    # vanishes on every point: the points fix every other form
+    n = SHELL_N[dim]
+    assert rank(points) == len(points) == (n + 1) * (n + 2) // 2 - 1
+    assert all(rank(points[:k] + points[k + 1:]) == len(points) - 1 for k in range(len(points)))
+
+
+def _with_cross_term(name: str):
+    """dirac.relations with w_1 w_2 times the identity added to the lhs of the
+    named relation: p m in 1d and p_1 p_2 in 3d."""
+    real = dirac.relations
+
+    def relations(frame, params):
+        for rel, lhs, rhs in real(frame, params):
+            if rel == name:
+                w1, w2 = (*params.momentum, params.mass)[:2]
+                lhs += SquareMatrix.identity(frame.dim).scale(w1 * w2)
+            yield rel, lhs, rhs
+    return relations
+
+
+# w_1 w_2 vanishes at the units (1, +-e_k) and at every (5, 3e_k + 4e_l) but
+# (5, 3e_1 + 4e_2)
+@pytest.mark.parametrize("dim, name, index, inputs", [
+    ("1d", "time_reversed-u-squared", 4, {"E": "5", "p": "3", "m": "4", "dim": "1d"}),
+    ("3d", "time_reversed-anticommutator", 8, {"E": "5", "p": "3,4,0", "m": "0", "dim": "3d"}),
+])
+def test_a_cross_term_fails_one_shell_point_with_a_witness_that_dirac_verify_reads_back(
+        monkeypatch, dim, name, index, inputs):
+    monkeypatch.setattr(dirac, "relations", _with_cross_term(name))
+    row = {r.check_id: r for r in verify.check_dirac(7)}[f"C14.{dim}-{name}"]
+    count = len(verify._shell_points(SHELL_N[dim]))
+    assert (row.passed, row.lhs) == (False, f"{count - 1}/{count} agree")
+    assert (row.witness["index"], row.witness["inputs"]) == (index, inputs)
+    params = dirac.OnShellParams.of(
+        parse_rational(inputs["E"]), tuple(map(parse_rational, inputs["p"].split(","))),
+        parse_rational(inputs["m"]))
+    lhs, rhs = {rel: (l, r) for rel, l, r in dirac.relations(FRAMES[dim], params)}[name]
+    assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"]) and lhs != rhs
+    argv = ["dirac", "verify", *itertools.chain.from_iterable(
+        (f"--{flag}", value) for flag, value in inputs.items())]
+    assert cli.main(argv) == 1
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+
+
+# The premise of the C14 shell rows: times E^k, lhs - rhs of every relation
+# is a quadratic form in (E, w).  k is 2 for split-a-squared, whose A carries
+# 1/E, and 0 for the rest.
+POWER_OF_E = {"split-a-squared": 2}
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _cleared(frame, v) -> dict:
+    """E^k (lhs - rhs) at v = (E, w), by relation and side component."""
+    e, *p, m = v
+    cleared = {}
+    for name, lhs, rhs in dirac.relations(frame, dirac.OnShellParams.of(e, tuple(p), m)):
+        pairs = zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]
+        for k, (l, r) in enumerate(pairs):
+            cleared[name, k] = (l - r).scale(e ** POWER_OF_E.get(name, 0))
+    return cleared
+
+
+@pytest.mark.parametrize("dim", SHELL_N)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_each_relation_times_a_power_of_e_is_a_quadratic_form(dim, data):
+    coordinates = st.lists(_SMALL, min_size=SHELL_N[dim] + 1, max_size=SHELL_N[dim] + 1)
+    v, step = data.draw(coordinates), data.draw(coordinates)
+    scale = data.draw(_SMALL.filter(lambda x: x not in (0, 1, -1)))
+    line = [[a + t * b for a, b in zip(v, step)] for t in range(4)]
+    assume(all(point[0] != 0 for point in line))
+    assume(not dirac.OnShellParams.of(v[0], tuple(v[1:-1]), v[-1]).on_shell)
+    frame = FRAMES[dim]
+    f0, f1, f2, f3 = (_cleared(frame, point) for point in line)
+    scaled = _cleared(frame, [scale * a for a in v])
+    assert len(f0) == 16
+    for key, at_v in f0.items():
+        # a zero third difference along the line: degree at most 2
+        assert (f3[key] - f2[key].scale(3) + f1[key].scale(3) - at_v).is_zero(), key
+        # and homogeneous: no part of degree 0 or 1
+        assert scaled[key] == at_v.scale(scale * scale), key
 
 
 def _wrapless_difference(values):
