@@ -31,8 +31,7 @@ from .scalars import parse_integer
 # embedding or decomposing an n x n matrix over the n! permutations stops at
 # n = 5, the isocheck of a regular action, whose algebra has dimension
 # order^2, stops at order 8 (c8 takes about 6 ms, and s6 natural, the largest
-# natural isocheck, about 0.3 s), its --samples at 10^4 (the proof draws
-# none, but the flag is still read under that cap), the random mark trees of
+# natural isocheck, about 0.3 s), the random mark trees of
 # the confluence fuzz, which hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
 # trees (about 5 s at depth 8), a parsed mark expression stops at 4000 marks
 # (a flat list of 4000 reduces in about 0.6 s), a lattice run stops at
@@ -44,7 +43,6 @@ MAX_SYMMETRIC_DEGREE = 6
 MAX_GROUP_ORDER = factorial(MAX_SYMMETRIC_DEGREE)
 MAX_ENUMERATED_DEGREE = 5
 MAX_ISOCHECK_ORDER = 8
-MAX_ISOCHECK_SAMPLES = 10_000
 MAX_LOF_DEPTH = 8
 MAX_LOF_TRIALS = 2000
 MAX_LOF_MARKS = 4000

@@ -11,7 +11,7 @@ the kernel's entry-sum criterion as a matrix, equal to ``to_matrix`` of the
 same element exactly when the two kernel criteria agree, and
 ``product_relation`` gives M(xy) beside M(x) M(y).
 
-``iso_check`` proves the homomorphism M(xy) = M(x) M(y) from finitely many
+The homomorphism M(xy) = M(x) M(y) is proved here once, from finitely many
 cases, taking the table as a group: associative, with identity 0 (C04 checks
 the axioms of the groups it names).  Both sides are bilinear, so basis terms
 x = a g and y = b h suffice, and by the product rule (a g)(b h) = (a.b^g)(gh)
@@ -22,12 +22,15 @@ the identity is
 given M(e_i g) = diag(e_i) P_g.  That holds for all a, b, g, h once, for
 every g, P_g P_h = P_gh for every h and P_g diag(b) = diag(b^g) P_g for the
 unit vectors b, and so for every b, both sides being linear in b.
-product_relation on the cases (s, h) and (s, e_i) gives both facts for each
-generator s.  They pass from g to sg: P_sg P_h = P_s P_g P_h = P_s P_gh =
-P_sgh, and P_sg diag(b) = P_s diag(b^g) P_g = diag(b^sg) P_sg.  So by
-induction on word length they hold for every product of generators, and the
-closure check makes that every element.  The basis-term facts are read off
-the basis images: M(e_i g) has one nonzero entry, 1, at (i, i*g).
+product_relation on the ``generator_cases`` (s, h) and (s, e_i) gives both
+facts for each generator s.  They pass from g to sg: P_sg P_h = P_s P_g P_h =
+P_s P_gh = P_sgh, and P_sg diag(b) = P_s diag(b^g) P_g = diag(b^sg) P_sg.  So
+by induction on word length they hold for every product of generators, and
+the closure of the generators makes that every element.  ``basis_image``
+gives the premise M(e_i g) = diag(e_i) P_g: M(e_i g) beside the matrix unit
+at (i, i*g).  Two callers run these two pieces: ``iso_check``, for
+``matrep isocheck``, and the C04.<group>-homomorphism and
+C04.<group>-basis-images rows of verify-all.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation
-from .groups import closure, generators, natural_action
+from . import groups
+from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation, natural_action
 from .iterants import IterantAlgebra, IterantElement, natural_sn_algebra
 from .matrix import ZERO, SquareMatrix, bareiss, integer_rows
 from .scalars import GaussianRational
@@ -129,34 +132,52 @@ def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
     return bareiss(integer_rows(vectors)[0])[0]
 
 
+def generator_cases(algebra: IterantAlgebra) -> list[tuple[IterantElement, IterantElement]]:
+    """Every (s, h) and (s, e_i) for s in groups.generators of the algebra's
+    group, group elements h and unit vectors e_i: the product cases of the
+    proof in the module docstring."""
+    group, n = algebra.group, algebra.degree
+    elements = [algebra.element_of(g) for g in range(group.order)]
+    units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
+    return list(itertools.product([elements[s] for s in groups.generators(group)],
+                                  elements + units))
+
+
+_ONE = GaussianRational(1)
+
+
+def matrix_unit(n: int, i: int, j: int) -> SquareMatrix:
+    """The n x n matrix with a single entry 1, at (i, j)."""
+    zeros = (ZERO,) * n
+    return SquareMatrix((zeros,) * i + (zeros[:j] + (_ONE,) + zeros[j + 1:],)
+                        + (zeros,) * (n - i - 1))
+
+
+def basis_image(b: IterantElement) -> tuple[SquareMatrix, SquareMatrix]:
+    """M(e_i g) against the matrix unit at (i, i*g), for the basis element
+    b = e_i g."""
+    (g, vec), = b.terms
+    i = [c.is_zero() for c in vec].index(False)
+    return to_matrix(b), matrix_unit(b.algebra.degree, i, b.algebra.action.point_maps[g][i])
+
+
 def iso_check(action: GroupAction) -> dict:
     """Decide whether to_matrix is an isomorphism onto the full matrix algebra:
     the fields ``matrep isocheck`` prints, in its order.
 
     The homomorphism is proved as the module docstring argues: generators(G)
-    must close to all of G, product_relation must hold on every (s, h) and
-    (s, e_i) for s in it, and each basis image M(e_i g) must be the matrix
-    unit at (i, i*g).  The checks stop at the first that fails."""
+    must close to all of G, product_relation must hold on every
+    generator_cases pair, and each basis_image must be its matrix unit.  The
+    checks stop at the first that fails; the basis images are built once, for
+    that check and for the rank."""
     algebra = IterantAlgebra(action)
-    group, n, maps = action.group, action.degree, action.point_maps
-    gens = generators(group)
-    elements = [algebra.element_of(g) for g in range(group.order)]
-    units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
-    cases = itertools.product([elements[s] for s in gens], elements + units)
-    basis_images = [to_matrix(b) for b in algebra.basis()]
-    one = GaussianRational(1)
-    matrix_units = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        rows = [[ZERO] * n for _ in range(n)]
-        rows[i][j] = one
-        matrix_units[i, j] = SquareMatrix(tuple(map(tuple, rows)))
-    hom_ok = (len(closure(group, gens)) == group.order
-              and all(lhs == rhs for lhs, rhs in map(product_relation, cases))
-              # basis() lists e_i g with g outermost
-              and all(m == matrix_units[i, maps[g][i]] for (g, i), m
-                      in zip(itertools.product(range(group.order), range(n)), basis_images)))
+    group, n = action.group, action.degree
+    images = [basis_image(b) for b in algebra.basis()]
+    hom_ok = (len(groups.closure(group, groups.generators(group))) == group.order
+              and all(lhs == rhs for lhs, rhs in map(product_relation, generator_cases(algebra)))
+              and all(m == unit for m, unit in images))
     # a repeated image adds nothing to the rank; a natural action repeats each (n-1)! times
-    distinct = dict.fromkeys(basis_images)
+    distinct = dict.fromkeys(m for m, _ in images)
     rank = _matrix_rank([[m.rows[i][j] for i in range(n) for j in range(n)] for m in distinct])
     dim, n2 = algebra.dimension(), n * n
     return {
@@ -164,7 +185,7 @@ def iso_check(action: GroupAction) -> dict:
         "algebra_dim": dim,
         "matrix_dim": n2,
         "homomorphism_ok": hom_ok,
-        "distinct_basis_images": len(distinct) == len(basis_images),
+        "distinct_basis_images": len(distinct) == len(images),
         "image_rank": rank,
         "spans_matrix_algebra": rank == n2,
         # rank = n^2 = dim already makes the basis images distinct

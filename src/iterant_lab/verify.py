@@ -58,9 +58,11 @@ quadratic form is fixed on the e_i and e_i + e_j (polarization):
 
 These rows are proofs through generators:
 
-* C04.<group>-homomorphism takes (s, h) and (s, e_i) for s in
-  groups.generators(G), and every (e_i, h): the matrep docstring's induction
-  on word length, whose premise C04.<group>-generated prints;
+* C04.<group>-homomorphism runs matrep.generator_cases, (s, h) and (s, e_i)
+  for s in groups.generators(G), and C04.<group>-basis-images runs
+  matrep.basis_image on every basis element: the matrep docstring's
+  induction on word length, which iso_check runs on the same two pieces, and
+  whose premise C04.<group>-generated prints;
 * C09.spinor-determinant and C09.spinor-hermitian: E12(x) = [[1, x], [0, 1]]
   and E21(x) = [[1, 0], [x, 1]] generate SL(2, Q(i)), as [[a, b], [c, d]] =
   E12((a-1)/c) E21(c) E12((d-1)/c) for c != 0, and E21(1) A has c != 0 if A
@@ -129,15 +131,6 @@ class CheckResult:
     lhs: str
     rhs: str
     witness: dict | None = None
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    entries: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
 
 
 def _tally(cases: Iterable, relation: Callable) -> tuple[int, int, tuple | None]:
@@ -321,29 +314,23 @@ S3_REGULAR_MATRICES = {
 }
 
 
-def _homomorphism_cases(algebra, gens: list[int]) -> list[tuple]:
-    """Every (s, h) and (s, e_i) for s in gens, group elements h and unit
-    vectors e_i, then every (e_i, h)."""
-    order, degree = algebra.group.order, algebra.degree
-    elements = [algebra.element_of(g) for g in range(order)]
-    units = [algebra.vector([int(k == i) for k in range(degree)]) for i in range(degree)]
-    return [*itertools.product([elements[s] for s in gens], elements + units),
-            *itertools.product(units, elements)]
-
-
 @_criterion("groups")
 def check_g_table_theorem(seed: int):
     for name in ("c3", "c6", "s3", "klein4"):
         group = groups.builtin_group(name)
         action = groups.regular_action(group)
         algebra = regular_algebra(group)
-        gens = groups.generators(group)
-        cases = _homomorphism_cases(algebra, gens)
+        cases, basis = matrep.generator_cases(algebra), algebra.basis()
         yield (f"C04.{name}-homomorphism",
                f"{name}: regular-algebra product maps to matrix product on every (s, h) and "
-               f"(s, e_i) for the generators s and every (e_i, h), so on every pair of elements "
-               f"the generators reach ({len(cases)} cases)",
+               f"(s, e_i) for the generators s, so on every pair of elements the generators "
+               f"reach ({len(cases)} cases)",
                cases, matrep.product_relation, lambda xy: [x.to_json() for x in xy])
+        yield (f"C04.{name}-basis-images",
+               f"{name}: M(e_i g) is the matrix unit at (i, i*g) on all {len(basis)} basis "
+               "elements e_i g, as the homomorphism proof needs",
+               basis, matrep.basis_image, lambda b: b.to_json())
+        gens = groups.generators(group)
         named = ", ".join(group.names[s] for s in gens)
         yield (f"C04.{name}-generated",
                f"{name}: the closure of the generators {{{named}}} is the whole group",
@@ -454,19 +441,14 @@ def _roundtrips(m: SquareMatrix):
              matrep.to_matrix(matrep.embed_matrix(m))), (m, m))
 
 
-def _matrix_units(n: int) -> list[SquareMatrix]:
-    """The n^2 matrices with a single entry 1, row by row."""
-    return [SquareMatrix.from_rows([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
-            for i in range(n) for j in range(n)]
-
-
 @_criterion("representation")
 def check_decomposition(seed: int):
     for n in (2, 3, 4):
         yield (f"C07.n{n}-roundtrip",
                f"n={n}: reassembly and section property on the {n * n} matrix units, "
                "so on every matrix (both are linear)",
-               _matrix_units(n), _roundtrips, SquareMatrix.to_lists)
+               [matrep.matrix_unit(n, i, j) for i in range(n) for j in range(n)],
+               _roundtrips, SquareMatrix.to_lists)
     m = SquareMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     expected = {
         "()": (1, 5, 9),
@@ -837,11 +819,16 @@ def _shell_points(n: int) -> list[tuple[int, tuple[int, ...], int]]:
     return [(e, w[:-1], w[-1]) for e, w in points]
 
 
-def _dirac_inputs(case) -> dict[str, str]:
-    """(E, p, m) and the frame as the --E, --p, --m and --dim flags of
-    ``dirac verify`` read them."""
+def _dirac_inputs(case, key: str = "") -> dict[str, str]:
+    """(E, p, m), the frame and, for a <version>-<relation> key, the version,
+    as the --E, --p, --m, --dim and --version flags of ``dirac verify`` read
+    them."""
     e, p, m = case[:3]
-    return {"E": str(e), "p": ",".join(map(str, p)), "m": str(m), "dim": f"{len(p)}d"}
+    inputs = {"E": str(e), "p": ",".join(map(str, p)), "m": str(m), "dim": f"{len(p)}d"}
+    version = key.partition("-")[0]
+    if version in dirac.VERSIONS:
+        inputs["version"] = version
+    return inputs
 
 
 @_criterion("dirac")
@@ -856,7 +843,7 @@ def check_dirac(seed: int):
             yield (f"C14.{dim}-{key}",
                    f"{dim} {key} on the {len(points)} shell points (1, +-e_k), (5, 3e_k + 4e_l) "
                    "of w = (p, m), so on the whole shell (times E^k, it is a quadratic form)",
-                   tables, lambda t: t[3][key], _dirac_inputs)
+                   tables, lambda t: t[3][key], functools.partial(_dirac_inputs, key=key))
 
     def off_shell_square(case):
         params = dirac.OnShellParams.of(*case)
@@ -1050,12 +1037,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_verify(seed: int = 7) -> VerifyReport:
-    """Run every check in ALL_CHECKS, looked up at call time."""
+def run_verify(seed: int = 7) -> tuple[CheckResult, ...]:
+    """Run every check in ALL_CHECKS, looked up at call time; the rows sorted
+    by id."""
     entries: list[CheckResult] = []
     for check in ALL_CHECKS:
         entries.extend(check(seed))
     ids = [e.check_id for e in entries]
     if len(ids) != len(set(ids)):
         raise AssertionError("check ids are not unique")
-    return VerifyReport(tuple(sorted(entries, key=lambda e: e.check_id)))
+    return tuple(sorted(entries, key=lambda e: e.check_id))

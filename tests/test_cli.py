@@ -116,8 +116,7 @@ def test_matrep_isocheck_natural(capsys):
 @pytest.mark.parametrize("group", [["c8"], ["s3"], ["s4", "--natural"]])
 def test_matrep_isocheck_ignores_seed_and_samples(capsys, group):
     outputs = {run_cli(capsys, "matrep", "isocheck", "--group", *group, "--format", "json", *extra)
-               for extra in (["--seed", "0"], ["--seed", "7"], ["--seed", "999"],
-                             ["--samples", "1"], ["--samples", "10000"])}
+               for extra in (["--seed", "0"], ["--seed", "7"], ["--seed", "999"], [])}
     assert len(outputs) == 1
 
 
@@ -167,7 +166,7 @@ def test_dirac_verify(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     names = {c["check"] for c in payload["checks"]}
-    assert {"u_squared_zero", "anticommutator", "plane_wave_residual"} <= names
+    assert {"time_reversed-u-squared", "time_reversed-anticommutator", "plane-wave"} <= names
 
 
 def test_dirac_verify_3d(capsys):
@@ -349,7 +348,11 @@ def test_usage_error_exit_code(capsys):
                  ["group", "table", "--group", "c3", "--seed", "3"],
                  ["lof", "reduce", "--random", "5", "4", "1", "--seed", "3"],
                  ["iterant", "eval", "[1,2]", "[3,4]", "--format", "csv"],
-                 ["schrodinger", "run", "--n", "8", "--steps", "4", "--format", "json"]):
+                 ["schrodinger", "run", "--n", "8", "--steps", "4", "--format", "json"],
+                 # isocheck took --samples before it proved the homomorphism
+                 ["matrep", "isocheck", "--group", "s3", "--samples", "0"],
+                 ["matrep", "isocheck", "--group", "s3", "--samples", "-1"],
+                 ["matrep", "isocheck", "--group", "c3", "--samples", "9" * 60]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -430,61 +433,51 @@ def test_symmetric_degree_cap_exits_two_at_once(capsys, argv):
     assert elapsed < 1.0
 
 
-DIRAC_OFF_SHELL_ROWS = [
-    ("on_shell", "1", "4", False),
-    ("u_squared_zero", "U^2", "0", False),
-    ("dagger_squared_zero", "U+^2", "0", False),
-    ("anticommutator", "U U+ + U+ U", "4E^2", False),
-    ("split_squares", "A^2, B^2", "1, 1", False),
-    ("split_anticommute", "AB + BA", "0", True),
-    ("split_rebuild", "(A + iB)E, (A - iB)E", "U, U+", True),
-    ("plane_wave_residual", "D ba U", "defect -3", True),
-]
-DIRAC_3D_ROWS = [
-    ("on_shell", "25", "25", True),
-    ("u_squared_zero", "U^2", "0", True),
-    ("dagger_squared_zero", "U+^2", "0", True),
-    ("anticommutator", "U U+ + U+ U", "4E^2", True),
-    ("split_squares", "A^2, B^2", "1, 1", True),
-    ("split_anticommute", "AB + BA", "0", True),
-    ("split_rebuild", "(A + iB)E, (A - iB)E", "U, U+", True),
-    ("plane_wave_residual", "D ba U", "0", True),
-]
+# After on_shell, one check per relation of dirac.relations under its C14
+# name: the chosen version's, then the split (left out at E = 0) and the
+# plane wave.
+SPLIT = ("split-a-squared", "split-b-squared", "split-anticommute", "split-rebuild")
+TIME_REVERSED = ("time_reversed-u-squared", "time_reversed-dagger-squared",
+                 "time_reversed-anticommutator", "time_reversed-diff-squared")
+CONJUGATE = ("conjugate-u-squared", "conjugate-dagger-squared", "conjugate-anticommutator",
+             "conjugate-sum-squared", "conjugate-diff-squared")
 
 
-def _conjugate_rows(rows):
-    return [(c, lhs, "2(p+m)^2" if c == "anticommutator" else rhs, ok)
-            for c, lhs, rhs, ok in rows]
+def _passing(*names):
+    return [(name, True) for name in names]
 
 
 @pytest.mark.parametrize("argv, code, rows", [
-    (["--E", "2", "--p", "1", "--m", "0"], 1, DIRAC_OFF_SHELL_ROWS),
+    # off shell each nilpotency fails, and with it the plane wave;
+    # time_reversed-diff-squared and conjugate-sum-squared hold at every (E, p, m)
+    (["--E", "2", "--p", "1", "--m", "0"], 1,
+     [("on_shell", "1", "4", False), *((name, False) for name in TIME_REVERSED[:3]),
+      ("time_reversed-diff-squared", True), ("split-a-squared", False),
+      *_passing(*SPLIT[1:]), ("plane-wave", False)]),
     (["--E", "2", "--p", "1", "--m", "0", "--version", "conjugate"], 1,
-     _conjugate_rows(DIRAC_OFF_SHELL_ROWS)),
+     [("on_shell", "1", "4", False), ("conjugate-u-squared", False),
+      ("conjugate-dagger-squared", False), ("conjugate-anticommutator", False),
+      ("conjugate-sum-squared", True), ("conjugate-diff-squared", False),
+      ("split-a-squared", False), *_passing(*SPLIT[1:]), ("plane-wave", False)]),
     # E = 0: the Majorana split divides by E, so its rows are left out.
-    (["--E", "0", "--p", "0", "--m", "0"], 0, [
-        ("on_shell", "0", "0", True),
-        ("u_squared_zero", "U^2", "0", True),
-        ("dagger_squared_zero", "U+^2", "0", True),
-        ("anticommutator", "U U+ + U+ U", "4E^2", True),
-        ("plane_wave_residual", "D ba U", "0", True),
-    ]),
-    (["--E", "0", "--p", "1", "--m", "2", "--version", "conjugate"], 1, [
-        ("on_shell", "5", "0", False),
-        ("u_squared_zero", "U^2", "0", False),
-        ("dagger_squared_zero", "U+^2", "0", False),
-        ("anticommutator", "U U+ + U+ U", "2(p+m)^2", False),
-        ("plane_wave_residual", "D ba U", "defect 5", True),
-    ]),
-    (["--E", "5", "--p", "1,2,2", "--m", "4", "--dim", "3d"], 0, DIRAC_3D_ROWS),
+    (["--E", "0", "--p", "0", "--m", "0"], 0,
+     [("on_shell", "0", "0", True), *_passing(*TIME_REVERSED, "plane-wave")]),
+    (["--E", "0", "--p", "1", "--m", "2", "--version", "conjugate"], 1,
+     [("on_shell", "5", "0", False), *((name, False) for name in CONJUGATE[:3]),
+      ("conjugate-sum-squared", True), ("conjugate-diff-squared", False),
+      ("plane-wave", False)]),
+    (["--E", "5", "--p", "1,2,2", "--m", "4", "--dim", "3d"], 0,
+     [("on_shell", "25", "25", True), *_passing(*TIME_REVERSED, *SPLIT, "plane-wave")]),
     (["--E", "5", "--p", "1,2,2", "--m", "4", "--dim", "3d", "--version", "conjugate"], 0,
-     _conjugate_rows(DIRAC_3D_ROWS)),
+     [("on_shell", "25", "25", True), *_passing(*CONJUGATE, *SPLIT, "plane-wave")]),
 ])
 def test_dirac_verify_rows(capsys, argv, code, rows):
     got_code, out = run_cli(capsys, "dirac", "verify", *argv)
     payload = json.loads(out)
     assert got_code == code
-    assert [(c["check"], c["lhs"], c["rhs"], c["pass"]) for c in payload["checks"]] == rows
+    # on_shell prints its two sides, each relation its outcome alone
+    assert [tuple(c[key] for key in ("check", "lhs", "rhs", "pass") if key in c)
+            for c in payload["checks"]] == rows
     assert payload["all_pass"] is (code == 0)
 
 
@@ -602,7 +595,7 @@ def test_schrodinger_bad_flags_give_our_message(capsys, flags, message):
     ["lof", "reduce", "--random", "10", "100", "1"],
     ["lof", "reduce", "--random", "-1", "6", "1"],
     ["lof", "reduce", "()" * 4001],
-    ["matrep", "isocheck", "--group", "c3", "--samples", "9" * 60],
+    ["matrep", "isocheck", "--group", "s7", "--natural"],
     ["lof", "reduce", "--random", "9" * 60, "1", "1"],
     ["schrodinger", "run", "--n", "9" * 60, "--steps", "0"],
     ["schrodinger", "run", "--n", "4000000", "--steps", "1"],
@@ -698,15 +691,6 @@ def test_lof_reduce_takes_an_expression_at_the_mark_cap(capsys):
     assert (code, out) == (0, "marked\n")
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_isocheck_samples_below_one_is_a_usage_error(capsys, samples):
-    code = main(["matrep", "isocheck", "--group", "s3", "--samples", samples])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: --samples must be positive, got {samples}\n"
-
-
 def test_lof_reduce_3000_deep_answers_without_recursion(capsys):
     start = time.perf_counter()
     code, out = run_cli(capsys, "lof", "reduce", "(" * 3000 + ")" * 3000)
@@ -782,10 +766,9 @@ PINNED = {
         "4448c6c039dd43bd79bc9e71059c5198afccef99af6d063553e2d2f247c38410"),
     "decompose-text": (("matrep", "decompose", "--matrix", "m.json", "--format", "text"),
         "8426f62b8d1dd5f47c528c0517aba70f420a166a1d8245c0c895184ff5aabe76"),
-    "isocheck-text": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--samples", "20"),
+    "isocheck-text": (("matrep", "isocheck", "--group", "s3", "--seed", "3"),
         "845a02a295251cf1ac4d959e29bc5e19cf327472a88488e2f6095d4934c57be8"),
-    "isocheck-json": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--samples", "20",
-                "--format", "json"),
+    "isocheck-json": (("matrep", "isocheck", "--group", "s3", "--seed", "3", "--format", "json"),
         "9b646e01ed69dde5320955d731118c990b2910ab2e0231668eef1575d8e4ba93"),
     "quaternions-text": (("clifford", "quaternions", "--variant", "iota_2x2", "--verify"),
         "3c8fa034d4ce25aff5b37957a5c7f6bd63e564d4c9952a40b7aa65ad8b7b6d52"),
@@ -805,10 +788,10 @@ PINNED = {
         "8d004a10d1a2f818d95ccc16567c60e2b4c538bf7d9a5096232fd617771434b7"),
     "dirac-verify-json": (("dirac", "verify", "--E", "3", "--p", "1,2,2", "--m", "0", "--dim",
                 "3d", "--version", "conjugate"),
-        "bf85dce19a528025f4885e351dc9ad6c0b61bef2ba413dc4a96c34464b24c079"),
+        "d8a3cdc919d151f7edc5a58db454745d1849238f60de8f230e7fc9bafd6b6993"),
     "dirac-verify-text": (("dirac", "verify", "--E", "6", "--p", "3", "--m", "4", "--format",
                 "text"),
-        "d79927d48e1e83fc9edc2b5db7dd0fd7f7d5bd3bb73ccc24a5784f6239045c26"),
+        "07e53d68135d4a139e0115664ea6a0ea90fa52541080a2cd9e9898d292d50fdc"),
     "majorana-json": (("dirac", "majorana-generators", "--emit-matrices"),
         "452be87c9f6b93ba32945ce84e5d8359dd8bc86bdd36b9f040ef41dc31f66aa9"),
     "majorana-text": (("dirac", "majorana-generators", "--emit-matrices", "--format", "text"),
@@ -944,7 +927,6 @@ KNOWN_BAD_ARGV = [
     ("lof", "reduce", "", "--random", "5", "4", "1"),
     ("schrodinger", "run", "--n", "8", "--steps", "1000000000"),
     *_benchmark_faulty_inputs(),
-    ("matrep", "isocheck", "--group", "c3", "--samples", "9" * 60),
     ("lof", "reduce", "--random", "9" * 60, "1", "1"),
     ("schrodinger", "run", "--n", "9" * 60, "--steps", "0"),
     ("schrodinger", "run", "--n", "4", "--steps", "-1"),

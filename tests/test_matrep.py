@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -308,11 +309,20 @@ def test_iso_check_catches_each_swapped_point_map(label):
 @pytest.mark.parametrize("label", ["c8 regular", "klein4 regular", "s3 regular",
                                    "s4 natural", "s5 natural"])
 def test_iso_check_needs_a_generating_set(monkeypatch, label):
-    # without its last generator the set no longer generates the group
-    monkeypatch.setattr(matrep, "generators", lambda group: groups.generators(group)[:-1])
+    # without its last generator the set no longer generates the group; the
+    # closure check and generator_cases both read groups.generators
+    real = groups.generators
+    monkeypatch.setattr(groups, "generators", lambda group: real(group)[:-1])
     report = matrep.iso_check(_action(label))
     assert not report["homomorphism_ok"]
     assert not report["isomorphism"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_unit_has_a_single_entry_one(n):
+    for i, j in itertools.product(range(n), repeat=2):
+        expected = [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+        assert matrep.matrix_unit(n, i, j) == SquareMatrix.from_rows(expected)
 
 
 def test_iso_check_reads_the_basis_terms(monkeypatch):

@@ -6,6 +6,7 @@ criterion only with one case of a library function broken on purpose.
 """
 
 import itertools
+import json
 import operator
 import re
 from collections import Counter
@@ -421,16 +422,19 @@ def _exactly(cases, needed: set) -> bool:
 
 
 def _generator_needs(name: str) -> set:
-    """Every (s, h) and (s, e_i) for s in groups.generators(G), and every (e_i, h)."""
+    """Every (s, h) and (s, e_i) for s in groups.generators(G)."""
     group = groups.builtin_group(name)
     algebra = regular_algebra(group)
     order, n, gens = group.order, algebra.degree, groups.generators(group)
     elements = [algebra.element_of(g) for g in range(order)]
     units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
-    needed = ({(elements[s], y) for s in gens for y in elements + units}
-              | set(itertools.product(units, elements)))
-    assert len(needed) == len(gens) * (order + n) + n * order
+    needed = {(elements[s], y) for s in gens for y in elements + units}
+    assert len(needed) == len(gens) * (order + n)
     return needed
+
+
+def _c04_algebra(name: str):
+    return regular_algebra(groups.builtin_group(name))
 
 
 def _period_two_polarization() -> set:
@@ -552,9 +556,15 @@ PROOF_ROWS = {
     # the 8 triples of the basis {1, P}
     "C12.commutative-associative": (
         verify.check_fusion, lambda cases: _exactly(cases, set(itertools.product("1P", repeat=3)))),
+    # the generator cases of matrep's proof, and every basis element e_i g
     **{f"C04.{name}-homomorphism": (
         verify.check_g_table_theorem,
-        lambda cases, name=name: _exactly(cases, _generator_needs(name)))
+        lambda cases, name=name: (cases == matrep.generator_cases(_c04_algebra(name))
+                                  and _exactly(cases, _generator_needs(name))))
+       for name in ("c3", "c6", "s3", "klein4")},
+    **{f"C04.{name}-basis-images": (
+        verify.check_g_table_theorem,
+        lambda cases, name=name: cases == _c04_algebra(name).basis())
        for name in ("c3", "c6", "s3", "klein4")},
     # every (n, k, j) of the ladders of 2 to 6 generators
     "C10.images": (
@@ -641,10 +651,18 @@ def _with_cross_term(name: str):
 
 
 # w_1 w_2 vanishes at the units (1, +-e_k) and at every (5, 3e_k + 4e_l) but
-# (5, 3e_1 + 4e_2)
+# (5, 3e_1 + 4e_2); a <version>-<relation> witness names its version, so
+# dirac verify checks the relation that failed, not the default version's
 @pytest.mark.parametrize("dim, name, index, inputs", [
-    ("1d", "time_reversed-u-squared", 4, {"E": "5", "p": "3", "m": "4", "dim": "1d"}),
-    ("3d", "time_reversed-anticommutator", 8, {"E": "5", "p": "3,4,0", "m": "0", "dim": "3d"}),
+    ("1d", "time_reversed-u-squared", 4,
+     {"E": "5", "p": "3", "m": "4", "dim": "1d", "version": "time_reversed"}),
+    ("3d", "time_reversed-anticommutator", 8,
+     {"E": "5", "p": "3,4,0", "m": "0", "dim": "3d", "version": "time_reversed"}),
+    ("1d", "conjugate-u-squared", 4,
+     {"E": "5", "p": "3", "m": "4", "dim": "1d", "version": "conjugate"}),
+    ("3d", "conjugate-sum-squared", 8,
+     {"E": "5", "p": "3,4,0", "m": "0", "dim": "3d", "version": "conjugate"}),
+    ("1d", "split-a-squared", 4, {"E": "5", "p": "3", "m": "4", "dim": "1d"}),
 ])
 def test_a_cross_term_fails_one_shell_point_with_a_witness_that_dirac_verify_reads_back(
         monkeypatch, dim, name, index, inputs):
@@ -663,6 +681,44 @@ def test_a_cross_term_fails_one_shell_point_with_a_witness_that_dirac_verify_rea
     assert cli.main(argv) == 1
     monkeypatch.undo()
     assert cli.main(argv) == 0
+
+
+def _dirac_verify_report(capsys, inputs: dict) -> dict[str, bool]:
+    """Each check dirac verify reports for the witness inputs, by name; each
+    flag is written --flag=value, which a 3d momentum such as -1,0,0 needs."""
+    cli.main(["dirac", "verify", *(f"--{flag}={value}" for flag, value in inputs.items())])
+    return {c["check"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+# with no term added every point agrees; with one, a single point of one row
+# does not, and dirac verify must then fail that relation alone
+@pytest.mark.parametrize("patched", [None, "conjugate-diff-squared", "split-a-squared"])
+def test_dirac_verify_reports_each_c14_relation_at_each_shell_point(monkeypatch, capsys, patched):
+    if patched:
+        monkeypatch.setattr(dirac, "relations", _with_cross_term(patched))
+    reports, disagree = {}, []
+    for row_id, _, cases, relation, show in verify.check_dirac.__wrapped__(7):
+        dim, _, name = row_id.removeprefix("C14.").partition("-")
+        if dim not in SHELL_N:
+            continue
+        for case in cases:
+            inputs = show(case)
+            flags = tuple(inputs.items())
+            if flags not in reports:
+                reports[flags] = _dirac_verify_report(capsys, inputs)
+            lhs, rhs = relation(case)
+            assert reports[flags][name] is (lhs == rhs), (row_id, inputs)
+            disagree += [(name, inputs["dim"])] if lhs != rhs else []
+    assert disagree == ([] if patched is None else [(patched, "1d"), (patched, "3d")])
+    # and it reports nothing else: on_shell, then exactly the relations of the
+    # rows whose witnesses carry its flags
+    for flags, report in reports.items():
+        inputs = dict(flags)
+        version = inputs.get("version", "time_reversed")
+        assert list(report) == ["on_shell", *(
+            name for name in C14_RELATIONS
+            if name.startswith(f"{version}-") or not name.startswith(dirac.VERSIONS))]
+        assert report["on_shell"]
 
 
 # The premise of the C14 shell rows: times E^k, lhs - rhs of every relation
@@ -823,6 +879,29 @@ def test_an_unshifted_product_fails_each_product_row_with_a_witness_that_reads_b
     assert lhs != rhs
 
 
+def test_a_swap_of_two_points_fails_each_basis_images_row_with_a_witness_that_reads_back(
+        monkeypatch):
+    # conjugating to_matrix by the swap of points 0 and 1 keeps every product,
+    # so the homomorphism rows pass, but moves M(e_0) = E_00 to E_11
+    plain = matrep.to_matrix
+
+    def swapped(x):
+        swap = groups.perm_matrix((1, 0) + tuple(range(2, x.algebra.degree)))
+        return swap * plain(x) * swap
+
+    monkeypatch.setattr(matrep, "to_matrix", swapped)
+    rows = {r.check_id: r for r in verify.check_g_table_theorem(7)}
+    for name in ("c3", "c6", "s3", "klein4"):
+        assert rows[f"C04.{name}-homomorphism"].passed
+        row = rows[f"C04.{name}-basis-images"]
+        assert (row.passed, row.witness["index"]) == (False, 0)
+        b = element_from_json(_c04_algebra(name), row.witness["inputs"])
+        assert b == _c04_algebra(name).basis()[0]
+        lhs, rhs = matrep.basis_image(b)
+        assert (str(lhs), str(rhs)) == (row.witness["lhs"], row.witness["rhs"])
+        assert lhs != rhs
+
+
 @pytest.mark.parametrize("check", verify.ALL_CHECKS)
 def test_a_criterion_that_draws_nothing_gives_the_same_rows_at_every_seed(check):
     rows = [check(seed) for seed in range(1, 11)]
@@ -926,6 +1005,10 @@ def test_a_generating_set_short_of_its_last_generator_fails_the_generated_rows(m
     rows = {r.check_id: r for r in verify.check_g_table_theorem(7)}
     for name, reached in (("s3", "1, R, R^2"), ("klein4", "1, A")):
         group = groups.builtin_group(name)
+        # matrep.generator_cases reads the same generators: one fewer s
+        cases = (len(real(group)) - 1) * 2 * group.order
+        assert rows[f"C04.{name}-homomorphism"].lhs == f"{cases}/{cases} agree"
         assert rows[f"C04.{name}-homomorphism"].passed
+        assert rows[f"C04.{name}-basis-images"].passed
         row = rows[f"C04.{name}-generated"]
         assert (row.passed, row.lhs, row.rhs) == (False, reached, ", ".join(group.names))
