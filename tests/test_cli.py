@@ -350,12 +350,22 @@ def test_usage_error_exit_code(capsys):
                  ["iterant", "eval", "[1,2]", "[3,4]", "--format", "csv"],
                  ["schrodinger", "run", "--n", "8", "--steps", "4", "--format", "json"],
                  # isocheck took --samples before it proved the homomorphism
-                 ["matrep", "isocheck", "--group", "s3", "--samples", "0"],
-                 ["matrep", "isocheck", "--group", "s3", "--samples", "-1"],
                  ["matrep", "isocheck", "--group", "c3", "--samples", "9" * 60]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_isocheck_samples_below_one_is_a_usage_error(capsys, samples):
+    # isocheck proves the homomorphism over generators and reads no --samples
+    with pytest.raises(SystemExit) as err:
+        main(["matrep", "isocheck", "--group", "s3", "--samples", samples])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: unrecognized arguments: --samples {samples}")
 
 
 def test_bad_inputs_exit_two(capsys):
