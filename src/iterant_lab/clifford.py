@@ -267,7 +267,3 @@ def fusion_powers(n: int) -> list[FusionElement]:
         powers.append(powers[-1] * FUSION_P)
     return powers
 
-
-def fusion_power(n: int) -> FusionElement:
-    return fusion_powers(n)[-1]
-

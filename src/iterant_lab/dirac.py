@@ -107,16 +107,6 @@ def dirac_frame(dim: str = "1d") -> DiracFrame:
     raise ValueError(f"dim must be '1d' or '3d', got {dim!r}")
 
 
-def nilpotent_u(frame: DiracFrame, params: OnShellParams) -> SquareMatrix:
-    """U = ba E + b p - a m; U^2 = (p^2 + m^2 - E^2) * identity."""
-    p_op = frame.momentum_operator(params)
-    return (
-        (frame.beta * frame.alpha).scale(params.energy)
-        + frame.beta * p_op
-        - frame.alpha.scale(params.mass)
-    )
-
-
 def _terms(frame: DiracFrame, params: OnShellParams) -> tuple[SquareMatrix, ...]:
     """p.s, ba, ab, b(p.s), a(p.s), a m and b m: every product and multiple
     that both versions' (U, U+) and the plane wave are built from."""

@@ -76,17 +76,13 @@ def _entry_vector(m: SquareMatrix, p: Permutation) -> tuple[GaussianRational, ..
 
 
 def embed_matrix(m: SquareMatrix) -> IterantElement:
-    """The section of to_matrix: (1/(n-1)!) * sum of entry-vectors times permutations."""
-    n = m.n
-    if n > MAX_ENUMERATED_DEGREE:
-        raise ValueError(f"embedding enumerates n! permutations; n <= {MAX_ENUMERATED_DEGREE} required, got {n}")
-    algebra = natural_sn_algebra(n)
-    factor = Fraction(1, factorial(n - 1))
-    total = algebra.zero()
-    for gid, p in enumerate(algebra.action.point_maps):
-        vec = [factor * c for c in _entry_vector(m, p)]
-        total = total + algebra.term(vec, gid)
-    return total
+    """The section of to_matrix: the decompose_matrix terms with a nonzero
+    diagonal, each scaled by 1/(n-1)!, as an element of the natural algebra
+    (decompose_matrix lists them in group-id order)."""
+    factor = Fraction(1, factorial(m.n - 1))
+    return IterantElement(natural_sn_algebra(m.n), tuple(
+        (gid, tuple(factor * c for c in term.diag))
+        for gid, term in enumerate(decompose_matrix(m)) if any(term.diag)))
 
 
 def decompose_matrix(m: SquareMatrix) -> list[DecompositionTerm]:
@@ -132,15 +128,15 @@ def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
     return bareiss(integer_rows(vectors)[0])[0]
 
 
-def generator_cases(algebra: IterantAlgebra) -> list[tuple[IterantElement, IterantElement]]:
-    """Every (s, h) and (s, e_i) for s in groups.generators of the algebra's
-    group, group elements h and unit vectors e_i: the product cases of the
-    proof in the module docstring."""
+def generator_cases(algebra: IterantAlgebra,
+                    gens: list[int]) -> list[tuple[IterantElement, IterantElement]]:
+    """Every (s, h) and (s, e_i) for s in gens, group elements h and unit
+    vectors e_i: the product cases of the proof in the module docstring, for
+    the generating set whose closure the caller checks."""
     group, n = algebra.group, algebra.degree
     elements = [algebra.element_of(g) for g in range(group.order)]
     units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
-    return list(itertools.product([elements[s] for s in groups.generators(group)],
-                                  elements + units))
+    return list(itertools.product([elements[s] for s in gens], elements + units))
 
 
 _ONE = GaussianRational(1)
@@ -173,8 +169,10 @@ def iso_check(action: GroupAction) -> dict:
     algebra = IterantAlgebra(action)
     group, n = action.group, action.degree
     images = [basis_image(b) for b in algebra.basis()]
-    hom_ok = (len(groups.closure(group, groups.generators(group))) == group.order
-              and all(lhs == rhs for lhs, rhs in map(product_relation, generator_cases(algebra)))
+    gens = groups.generators(group)
+    hom_ok = (len(groups.closure(group, gens)) == group.order
+              and all(lhs == rhs for lhs, rhs in map(product_relation,
+                                                     generator_cases(algebra, gens)))
               and all(m == unit for m, unit in images))
     # a repeated image adds nothing to the rank; a natural action repeats each (n-1)! times
     distinct = dict.fromkeys(m for m, _ in images)

@@ -74,9 +74,6 @@ class SquareMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
-
     def __add__(self, other: SquareMatrix) -> SquareMatrix:
         self._check_dim(other)
         return SquareMatrix(

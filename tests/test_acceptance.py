@@ -17,10 +17,10 @@ from iterant_lab import cli, verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "ad74b8a9cbc4ac2ac2e914bb948c51d0a9ce64aa7222ebd44b1f9c9549301e2d"
+ROWS_SHA256 = "fb97d57256aaba1355614e940d4d77f830e6b4c631211d4203e7fbff7b617f76"
 # sha256 of the whole `verify-all --seed 7 --format json` output, which also
 # carries each row's area, description and witness
-OUTPUT_SHA256 = "c5abc8a9fe73c76b412a7168ac6eb7fb65e4da5b6b76fe58a8327a92f6e38442"
+OUTPUT_SHA256 = "baf9cef1c78ecd40ec1f8b14def7b69ac91e62860587f0ad7743347af1f4656a"
 
 
 @pytest.fixture(scope="session")

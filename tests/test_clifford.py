@@ -13,7 +13,7 @@ from iterant_lab.clifford import (
     clifford_generators,
     braider_relations,
     fermion_relations,
-    fusion_power,
+    fusion_powers,
     quaternion_products,
     quaternion_triple,
     real_relations,
@@ -211,16 +211,16 @@ def test_fusion_rule():
     p = clifford.FUSION_P
     assert p * p == FusionElement(1, 1)
     assert clifford.FUSION_ONE * p == p
-    assert fusion_power(3) == FusionElement(1, 2)
-    assert fusion_power(4) == FusionElement(2, 3)
+    assert fusion_powers(4)[3:] == [FusionElement(1, 2), FusionElement(2, 3)]
 
 
 def test_fusion_fibonacci_coefficients():
     fib = [0, 1]
     for _ in range(25):
         fib.append(fib[-1] + fib[-2])
+    powers = fusion_powers(20)
     for n in range(1, 21):
-        assert fusion_power(n) == FusionElement(fib[n - 1], fib[n])
+        assert powers[n] == FusionElement(fib[n - 1], fib[n])
 
 
 def test_fusion_commutative_associative():

@@ -201,7 +201,7 @@ def test_doppler_boost_example():
     assert h == SquareMatrix.from_rows([[10, GaussianRational(3, 4)],
                                         [GaussianRational(3, -4), Fraction(5, 2)]])
     # T' = gamma (T - v X) = 25/4 and X' = gamma (X - v T) = 15/4, Y and Z stay
-    assert (h.trace() / 2, (h.entry(0, 0) - h.entry(1, 1)) / 2) == (Fraction(25, 4), Fraction(15, 4))
+    assert (h.trace() / 2, (h.rows[0][0] - h.rows[1][1]) / 2) == (Fraction(25, 4), Fraction(15, 4))
     assert h.determinant() == determinant_period2(z) == 5 * 5 - 3 * 3 - 4 * 4
 
 

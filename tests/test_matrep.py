@@ -309,8 +309,9 @@ def test_iso_check_catches_each_swapped_point_map(label):
 @pytest.mark.parametrize("label", ["c8 regular", "klein4 regular", "s3 regular",
                                    "s4 natural", "s5 natural"])
 def test_iso_check_needs_a_generating_set(monkeypatch, label):
-    # without its last generator the set no longer generates the group; the
-    # closure check and generator_cases both read groups.generators
+    # without its last generator the set no longer generates the group;
+    # iso_check reads groups.generators once, for the closure check and for
+    # generator_cases
     real = groups.generators
     monkeypatch.setattr(groups, "generators", lambda group: real(group)[:-1])
     report = matrep.iso_check(_action(label))

@@ -73,7 +73,7 @@ def test_transpose_and_conjugate_transpose():
         [[GaussianRational(Fraction(1), Fraction(2)), GaussianRational(Fraction(3))],
          [GaussianRational(Fraction(0), Fraction(-1)), GaussianRational(Fraction(5))]]
     )
-    assert m.conjugate_transpose().entry(0, 1) == GaussianRational(Fraction(0), Fraction(1))
+    assert m.conjugate_transpose().rows[0][1] == GaussianRational(Fraction(0), Fraction(1))
     assert m.conjugate_transpose().conjugate_transpose() == m
 
 

@@ -361,12 +361,13 @@ FRAMES = {dim: dirac.dirac_frame(dim) for dim in ("1d", "3d")}
 
 # The matrix products of the costliest kernels, counted as perfbench's tracer
 # counts them: dirac.relations builds its terms and both (U, U+) pairs once,
-# and C10 each w = c_{k+1} c_k once per ladder and k, so an edit that builds
-# an operator again per use fails here.
+# and C10 each w = c_{k+1} c_k once per ladder and k, with no product in
+# C10.images' sums of span-matrix rows, so an edit that builds an operator
+# again per use fails here.
 @pytest.mark.parametrize("run, products", [
     (lambda: list(dirac.relations(FRAMES["1d"], dirac.OnShellParams.of(5, 3, 4))), 22),
     (lambda: list(dirac.relations(FRAMES["3d"], dirac.OnShellParams.of(3, (1, 2, 2), 0))), 22),
-    (lambda: verify.check_braiding(7), 426),
+    (lambda: verify.check_braiding(7), 372),
 ], ids=["relations-1d", "relations-3d", "check-braiding"])
 def test_each_operator_is_built_once_per_case(monkeypatch, run, products):
     count = 0
@@ -408,6 +409,29 @@ def test_a_ladder_that_breaks_a_relation_fails_both_relation_rows(monkeypatch):
         False, 8, {"n": 4, "k": 1, "j": 1})
     assert (images.witness["lhs"], images.witness["rhs"]) == (
         str(SquareMatrix.zero(4)), str(broken(4)[1]))
+
+
+def test_an_unsigned_span_matrix_fails_the_images_row_alone(monkeypatch):
+    # c_{k+1} -> +c_k on the ladder of 5: the swaps still satisfy the braid
+    # relations, so only the comparison with the conjugation sees it
+    real = clifford.braid_basis_matrix
+
+    def unsigned(n, k):
+        span = real(n, k)
+        return span if n != 5 else SquareMatrix.from_rows(
+            [[abs(c.re) for c in row] for row in span.rows])
+
+    monkeypatch.setattr(clifford, "braid_basis_matrix", unsigned)
+    rows = {r.check_id: r for r in verify.check_braiding(7)}
+    monkeypatch.undo()
+    images = rows["C10.images"]
+    # 2, 6 and 12 cases at n = 2, 3, 4 come first; then c_1 and c_2 at n = 5,
+    # k = 1, and conjugation sends c_2 to -c_1
+    assert (images.passed, images.lhs, images.witness["index"], images.witness["inputs"]) == (
+        False, "66/70 agree", 21, {"n": 5, "k": 1, "j": 2})
+    ladder = clifford.clifford_generators(5)
+    assert (images.witness["lhs"], images.witness["rhs"]) == (str(-ladder[0]), str(ladder[0]))
+    assert rows["C10.braid-relations"].passed and rows["C10.order-four"].passed
 
 
 # The rows that check an identity once over a basis, and what their argument
@@ -559,8 +583,10 @@ PROOF_ROWS = {
     # the generator cases of matrep's proof, and every basis element e_i g
     **{f"C04.{name}-homomorphism": (
         verify.check_g_table_theorem,
-        lambda cases, name=name: (cases == matrep.generator_cases(_c04_algebra(name))
-                                  and _exactly(cases, _generator_needs(name))))
+        lambda cases, name=name: (
+            cases == matrep.generator_cases(_c04_algebra(name),
+                                            groups.generators(groups.builtin_group(name)))
+            and _exactly(cases, _generator_needs(name))))
        for name in ("c3", "c6", "s3", "klein4")},
     **{f"C04.{name}-basis-images": (
         verify.check_g_table_theorem,
@@ -814,7 +840,7 @@ def test_a_spinor_map_right_at_0_and_1_fails_both_spinor_rows_at_2(monkeypatch, 
     # part of A's x: right at p = 0 and 1, so a 2 x 2 grid would pass it,
     # though each side has degree 2 in p
     def off(a: SquareMatrix):
-        return getattr(a.entry(0, 1) + a.entry(1, 0), part)
+        return getattr(a.rows[0][1] + a.rows[1][0], part)
 
     real, nudge = verify._spinor, SquareMatrix.from_rows([[0, 1], [0, 0]])
     monkeypatch.setattr(verify, "_spinor",
@@ -999,13 +1025,14 @@ def test_a_commutator_wrong_only_on_two_tick_sequences_fails_c16_with_a_witness_
 
 def test_a_generating_set_short_of_its_last_generator_fails_the_generated_rows(monkeypatch):
     # the homomorphism rows still pass on the fewer cases: only the premise
-    # row sees that the generators no longer reach the group
+    # row sees that the generators no longer reach the group, and it checks
+    # the one generating set that the homomorphism rows run on
     real = groups.generators
     monkeypatch.setattr(groups, "generators", lambda group: real(group)[:-1])
     rows = {r.check_id: r for r in verify.check_g_table_theorem(7)}
     for name, reached in (("s3", "1, R, R^2"), ("klein4", "1, A")):
         group = groups.builtin_group(name)
-        # matrep.generator_cases reads the same generators: one fewer s
+        # the homomorphism rows take that same set: one fewer s
         cases = (len(real(group)) - 1) * 2 * group.order
         assert rows[f"C04.{name}-homomorphism"].lhs == f"{cases}/{cases} agree"
         assert rows[f"C04.{name}-homomorphism"].passed
