@@ -328,16 +328,9 @@ def cmd_discrete_commutator(args):
     equal = left == right
 
     def poly_payload(poly):
-        terms = []
-        for k, coeff in poly.terms:
-            window = coeff.window()
-            terms.append({
-                "j_power": k,
-                "window": list(window) if window else None,
-                "values": [str(v) for v in coeff.samples] if coeff.samples is not None
-                          else str(coeff.const),
-            })
-        return terms
+        return [{"j_power": k, "window": list(c.window()) if c.window() else None,
+                 "values": list(map(str, c.samples)) if c.samples is not None else str(c.const)}
+                for k, c in poly.terms]
 
     payload = {"lhs": poly_payload(lhs), "rhs": poly_payload(rhs), "equal": equal}
     return (0 if equal else 1), {
@@ -488,13 +481,20 @@ def cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a minus and a digit, as in -1,0,0 or -1/2, as a value; so do its subparsers."""
+
+    def _parse_optional(self, arg_string):
+        return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later
     call and every main(); do not mutate it.  Sharing is safe because
     parse_args returns a new Namespace each time, no default is mutable, and
     argparse looks sys.stdout and sys.stderr up when it prints."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iterant-lab",
         description="Exact-arithmetic workbench for iterant algebras and friends",
     )

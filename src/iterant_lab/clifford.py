@@ -131,12 +131,7 @@ def clifford_generators(n: int) -> tuple[SquareMatrix, ...]:
         factor = sq.polarity if slot == 0 else sq.shift
         mat = SquareMatrix.identity(1)
         for j in range(blocks):
-            if j < block:
-                mat = mat.kron(parity)
-            elif j == block:
-                mat = mat.kron(factor)
-            else:
-                mat = mat.kron(sq.one)
+            mat = mat.kron(parity if j < block else factor if j == block else sq.one)
         gens.append(mat)
     return tuple(gens)
 

@@ -82,6 +82,13 @@ class DiracFrame:
     def dim(self) -> int:
         return self.alpha.n
 
+    @property
+    def ba_ab(self) -> tuple[SquareMatrix, SquareMatrix]:
+        """ba and ab, built on first use and kept in the instance dict, writable though frozen."""
+        if "ba_ab" not in self.__dict__:
+            self.__dict__["ba_ab"] = (self.beta * self.alpha, self.alpha * self.beta)
+        return self.__dict__["ba_ab"]
+
     def momentum_operator(self, params: OnShellParams) -> SquareMatrix:
         """p.s = sum of p_i s_i."""
         s, p = self.sigmas, params.momentum
@@ -111,7 +118,7 @@ def _terms(frame: DiracFrame, params: OnShellParams) -> tuple[SquareMatrix, ...]
     """p.s, ba, ab, b(p.s), a(p.s), a m and b m: every product and multiple
     that both versions' (U, U+) and the plane wave are built from."""
     a, b, p_op = frame.alpha, frame.beta, frame.momentum_operator(params)
-    return p_op, b * a, a * b, b * p_op, a * p_op, a.scale(params.mass), b.scale(params.mass)
+    return p_op, *frame.ba_ab, b * p_op, a * p_op, a.scale(params.mass), b.scale(params.mass)
 
 
 def nilpotent_pair(
@@ -185,15 +192,8 @@ def _hatted_and_plain() -> tuple[dict[str, SquareMatrix], dict[str, SquareMatrix
     """Two commuting copies of the split generators; hatted copy = left factor."""
     sq = split_quaternions()
     one = sq.one
-    hatted = {
-        "polarity": sq.polarity.kron(one),
-        "shift": sq.shift.kron(one),
-    }
-    plain = {
-        "polarity": one.kron(sq.polarity),
-        "shift": one.kron(sq.shift),
-    }
-    return hatted, plain
+    return ({"polarity": sq.polarity.kron(one), "shift": sq.shift.kron(one)},
+            {"polarity": one.kron(sq.polarity), "shift": one.kron(sq.shift)})
 
 
 def majorana_dirac_generators() -> dict[str, SquareMatrix]:

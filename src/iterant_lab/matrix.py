@@ -166,14 +166,9 @@ class SquareMatrix:
     def kron(self, other: SquareMatrix) -> SquareMatrix:
         """Tensor (Kronecker) product, self as the left factor."""
         m = other.n
-        size = self.n * m
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                row.append(self.rows[i // m][j // m] * other.rows[i % m][j % m])
-            rows.append(tuple(row))
-        return SquareMatrix(tuple(rows))
+        size = range(self.n * m)
+        return SquareMatrix(tuple(tuple(self.rows[i // m][j // m] * other.rows[i % m][j % m]
+                                        for j in size) for i in size))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)

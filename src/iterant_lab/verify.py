@@ -53,8 +53,13 @@ quadratic form is fixed on the e_i and e_i + e_j (polarization):
   events, at three D); doppler-composition, times DE, has degree 2 in D and E
   and is linear (units, 3 x 3 grid), velocity-addition, cleared, 4 (5 x 5);
 * C16, degree 1 in 1/dt, and 2 (commutator-identity) or 1
-  (derivative-commutator) in the 16 ticks of x: at dt = 1 and 2/3, the first
-  on the unit sequences and their 120 pairwise sums, the second on the units.
+  (derivative-commutator) in x.  Premise (locality): each side's coefficient
+  at tick t depends only on x(t) and x(t+dt), in the same way at every t, so
+  each row is one form in those two values, and a window of 4 ticks, with an
+  interior tick, holds every point that fixes it (test_discrete tests the
+  premise).  At dt = 1 and 2/3, the first runs on the 4 unit sequences of
+  ticks 0..3 and their 6 pairwise sums, the second on the units, and each on
+  one x from tick 5 at dt = 2/3, where the windows start past the units'.
 
 These rows are proofs through generators:
 
@@ -880,19 +885,21 @@ def check_real_generators(seed: int):
 
 @_criterion("discrete-calculus")
 def check_discrete(seed: int):
-    units = [discrete.Sequence.from_values([int(k == i) for k in range(16)]) for i in range(16)]
+    units = [discrete.Sequence.from_values([int(k == i) for k in range(4)]) for i in range(4)]
     tick_sizes = (Fraction(1), Fraction(2, 3))
+    shifted = (discrete.Sequence.from_values([1, -2, 3, Fraction(1, 2)], start=5), Fraction(2, 3))
 
     def show(d):
-        return {"seq": ",".join(map(str, d[0].samples)), "dt": str(d[1])}
+        return {"seq": ",".join(map(str, d[0].samples)), "start": d[0].start, "dt": str(d[1])}
 
-    yield ("C16.commutator-identity", "[x, Dx] = J (dx)^2/dt exactly on the 16 unit sequences "
-           "and their 120 pairwise sums at dt = 1 and 2/3, so on every x and dt (quadratic in x)",
-           [(x, dt) for dt in tick_sizes for x in _polarization(units)],
+    yield ("C16.commutator-identity", "[x, Dx] = J (dx)^2/dt exactly on the 4 unit sequences of "
+           "4 ticks and their 6 pairwise sums at dt = 1 and 2/3, and on one x from tick 5, so on "
+           "every x and dt (quadratic in x, local in t)",
+           [(x, dt) for dt in tick_sizes for x in _polarization(units)] + [shifted],
            lambda d: discrete.on_overlap(*discrete.basic_commutator(*d)), show)
-    yield ("C16.derivative-commutator",
-           "Dx = [x, J]/dt exactly on the 16 unit sequences at dt = 1 and 2/3, so on all x and dt",
-           [(x, dt) for dt in tick_sizes for x in units],
+    yield ("C16.derivative-commutator", "Dx = [x, J]/dt exactly on the 4 unit sequences of 4 "
+           "ticks at dt = 1 and 2/3, and on one x from tick 5, so on all x and dt",
+           [(x, dt) for dt in tick_sizes for x in units] + [shifted],
            lambda d: discrete.on_overlap(discrete.discrete_derivative(*d),
                                          discrete.shift_commutator(*d)), show)
     walks = [(discrete.Sequence.from_values(itertools.accumulate(steps, initial=0)), 1)

@@ -17,10 +17,10 @@ from iterant_lab import cli, verify
 SEED = 7
 # sha256 of the JSON list of [check_id, passed, lhs, rhs] rows of
 # run_verify(seed=SEED); a change that alters a row on purpose updates it
-ROWS_SHA256 = "fb97d57256aaba1355614e940d4d77f830e6b4c631211d4203e7fbff7b617f76"
+ROWS_SHA256 = "1123df78b2a2315dea9e18f230b2adacf9bcc4937b694f021911462d7b93a933"
 # sha256 of the whole `verify-all --seed 7 --format json` output, which also
 # carries each row's area, description and witness
-OUTPUT_SHA256 = "baf9cef1c78ecd40ec1f8b14def7b69ac91e62860587f0ad7743347af1f4656a"
+OUTPUT_SHA256 = "9e889a60d23ce147f4440e43abd40dd1ad670e56504243ea1f07267bf95936ea"
 
 
 @pytest.fixture(scope="session")

@@ -491,6 +491,23 @@ def test_dirac_verify_rows(capsys, argv, code, rows):
     assert payload["all_pass"] is (code == 0)
 
 
+# a value that starts with - and a digit, such as a C14 witness's 3d momentum,
+# after its flag and a space; each passes the shell check
+MINUS_VALUE_ARGV = [
+    ("dirac", "verify", "--E", "1", "--p", "-1,0,0", "--m", "0", "--dim", "3d"),
+    ("dirac", "verify", "--E", "1", "--p", "-3/5", "--m", "-4/5"),
+]
+
+
+@pytest.mark.parametrize("argv", MINUS_VALUE_ARGV, ids=" ".join)
+def test_a_value_that_starts_with_a_minus_reads_after_a_space_as_after_an_equals_sign(
+        capsys, argv):
+    flags = [f"{flag}={value}" for flag, value in zip(argv[2::2], argv[3::2])]
+    spaced = run_cli(capsys, *argv)
+    assert spaced == run_cli(capsys, *argv[:2], *flags)
+    assert spaced[0] == 0 and json.loads(spaced[1])["all_pass"]
+
+
 def test_lof_random_fuzz_json(capsys):
     code, out = run_cli(capsys, "lof", "reduce", "--random", "50", "5", "11",
                         "--format", "json")
@@ -964,7 +981,7 @@ def test_known_bad_argv_fails_in_one_line(capsys, argv):
 
 # The argv fuzz: tricky values, and three plain ones so that a call gets past its
 # first check to the next.
-FUZZ_TOKENS = ("", "0", "-1", "1/0", "nan", "inf", "1e309", "9" * 60, "-" + "9" * 60,
+FUZZ_TOKENS = ("", "0", "-1", "-1,0,0", "1/0", "nan", "inf", "1e309", "9" * 60, "-" + "9" * 60,
                "(((", "s0", "c0", "s7", "1", "3", "c3")
 
 
@@ -1040,7 +1057,7 @@ def _call(argv) -> tuple[int, bool, str]:
 
 
 def _with_examples(test):
-    for argv in KNOWN_BAD_ARGV:
+    for argv in (*KNOWN_BAD_ARGV, *MINUS_VALUE_ARGV):
         test = example(argv=tuple(argv))(test)
     return test
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterant_lab import discrete, verify
 from iterant_lab.discrete import (
     Sequence,
     ShiftPoly,
@@ -216,6 +217,88 @@ def test_on_overlap_sides():
     half = ShiftPoly.build(Fraction(1, 2), {1: seq_of(lambda t: t, 4)})
     assert not equal_on_overlap(a, half)
     assert equal_on_overlap(a, a)
+
+
+# --- the premise of the C16 rows ----------------------------------------------
+#
+# The rows run on a window of 4 ticks, and one window from tick 5; that proves
+# them for every x because each side's coefficient at tick t depends only on
+# x(t) and x(t+dt), in the same way at every t.  The sides of each row, looked
+# up through the module so that a patched kernel is seen:
+C16_SIDES = {
+    "commutator-identity": lambda x, dt: discrete.basic_commutator(x, dt),
+    "derivative-commutator": lambda x, dt: (discrete.discrete_derivative(x, dt),
+                                            discrete.shift_commutator(x, dt)),
+}
+TICK_SIZES = (Fraction(1), Fraction(2, 3))
+
+
+def _moved(poly: ShiftPoly, ticks: int) -> ShiftPoly:
+    """poly with every coefficient's window moved later by ticks."""
+    return ShiftPoly(poly.dt, tuple((k, seq.advanced(-ticks)) for k, seq in poly.terms))
+
+
+def _premise_breaks(x: Sequence, y: Sequence, t: int, ticks: int, dt) -> list[str]:
+    """The rows whose sides break the premise at x: a coefficient at t differs
+    at y, which equals x at t and t + 1 only, or moving x's start by ticks
+    does not move each side's windows by ticks alone."""
+    broken = []
+    for name, sides in C16_SIDES.items():
+        for at_x, at_y, at_moved in zip(sides(x, dt), sides(y, dt), sides(x.advanced(-ticks), dt)):
+            powers = sorted({k for k, _ in at_x.terms + at_y.terms})
+            if ([at_x.coefficient(k).value_at(t) for k in powers]
+                    != [at_y.coefficient(k).value_at(t) for k in powers]
+                    or at_moved != _moved(at_x, ticks)):
+                broken.append(name)
+                break
+    return broken
+
+
+_TICK_VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_each_c16_side_reads_tick_t_from_x_at_t_and_t_plus_dt_alone(data):
+    start = data.draw(st.integers(min_value=-6, max_value=6))
+    x_values = data.draw(st.lists(_TICK_VALUES, min_size=6, max_size=10))
+    others = data.draw(st.lists(_TICK_VALUES, min_size=len(x_values), max_size=len(x_values)))
+    t = data.draw(st.integers(min_value=start, max_value=start + len(x_values) - 2))
+    i = t - start
+    x = Sequence.from_values(x_values, start)
+    y = Sequence.from_values(others[:i] + x_values[i:i + 2] + others[i + 2:], start)
+    ticks = data.draw(st.integers(min_value=-12, max_value=12))
+    assert _premise_breaks(x, y, t, ticks, data.draw(st.sampled_from(TICK_SIZES))) == []
+
+
+def _plus_first_value_from(tick: int, poly: ShiftPoly, x: Sequence) -> ShiftPoly:
+    """poly with x's first value added to its J coefficient at each tick of
+    x's window from tick on: a term that reads x away from t and t + 1."""
+    extra = [x.samples[0] * (s >= tick) for s in range(*x.window())]
+    return poly + ShiftPoly.build(poly.dt, {1: Sequence.from_values(extra, x.start)})
+
+
+@pytest.mark.parametrize("name, kernel", [("commutator-identity", "basic_commutator"),
+                                          ("derivative-commutator", "shift_commutator")])
+def test_a_side_wrong_past_every_window_of_the_rows_passes_them_and_breaks_the_premise(
+        monkeypatch, name, kernel):
+    # the first tick past every window of both rows
+    past = max(x.window()[1] for row in verify.check_discrete.__wrapped__(7)
+               if row[0].removeprefix("C16.") in C16_SIDES for x, _ in row[2])
+    real = getattr(discrete, kernel)
+
+    def spoiled(x, dt):
+        sides = real(x, dt)
+        if kernel == "basic_commutator":
+            return _plus_first_value_from(past, sides[0], x), sides[1]
+        return _plus_first_value_from(past, sides, x)
+
+    monkeypatch.setattr(discrete, kernel, spoiled)
+    assert all(row.passed for row in verify.check_discrete(7))
+    x = Sequence.from_values(range(1, 13))
+    y = Sequence.from_values([7, *range(2, 13)])
+    assert _premise_breaks(x, y, past, 0, 1) == [name]
+    assert _premise_breaks(x, x, 0, past, 1) == [name]
 
 
 # --- the integer window against a Fraction reference --------------------------
