@@ -231,21 +231,28 @@ def cmd_clifford_quaternions(args):
 
 
 def _braid_word(text: str) -> list[int]:
-    return [parse_integer(tok) for tok in text.split()]
+    """The space-separated generator indices of a braid word."""
+    word = []
+    for token in text.split():
+        if not (token[1:] if token[0] in "+-" else token).isdecimal():
+            raise ValueError(f"braid word token {token!r} is not an integer; "
+                             "separate the indices with spaces")
+        word.append(parse_integer(token))
+    return word
 
 
 def cmd_clifford_braid(args):
     word = _braid_word(args.word)
     lhs = clifford.braid_word_matrix(args.n, word)
     payload = {"n": args.n, "word": word, "matrix": _cells(lhs)}
-    if args.compare:
+    if args.compare is not None:
         other = _braid_word(args.compare)
         payload["compare"] = other
         payload["equal"] = lhs == clifford.braid_word_matrix(args.n, other)
 
     def text():
         yield f"word {word} on {args.n} strands:\n{lhs}"
-        if args.compare:
+        if args.compare is not None:
             yield f"equal to word {args.compare}: {payload['equal']}"
 
     return (0 if payload.get("equal", True) else 1), {"json": payload, "text": text}

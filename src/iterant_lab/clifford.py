@@ -1,5 +1,10 @@
-"""Split quaternions, quaternion triples, anticommuting generator ladders,
+"""Quaternion triples, anticommuting generator ladders,
 braiding by conjugation, fermion operators and the self-dual fusion ring.
+
+Clifford algebra comes from the alternation epsilon = [-1, 1] and the shift
+eta, with sqrt(-1) = epsilon eta: each bit j of Z2^k has its own pair
+(epsilon_j, eta_j), and every ladder generator and the klein4 and iota_2x2
+quaternions are each one iterant term v g, read through matrep.to_matrix.
 
 Each identity (a quaternion unit product, a generator, braider or fermion
 relation, the realness of a matrix) is yielded as one (name, lhs, rhs)
@@ -19,31 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .iterants import polarity_element, shift_element
+from .groups import klein4
+from .iterants import alternations_and_shifts, regular_algebra
 from .matrep import to_matrix
 from .matrix import SquareMatrix
 from .scalars import I_UNIT
 
 # Each identity is one (name, lhs, rhs) triple; it holds when lhs == rhs.
 Relations = Iterator[tuple[str, Any, Any]]
-
-
-@dataclass(frozen=True)
-class SplitQuaternions:
-    """The 2x2 system {1, polarity, shift, root} with polarity^2 = shift^2 = 1,
-    polarity*shift = -shift*polarity and root = polarity*shift of square -1."""
-
-    one: SquareMatrix
-    polarity: SquareMatrix
-    shift: SquareMatrix
-    root: SquareMatrix
-
-
-def split_quaternions() -> SplitQuaternions:
-    """The period-two iterants polarity [-1,1] and shift e, read as matrices."""
-    polarity = to_matrix(polarity_element())
-    shift = to_matrix(shift_element())
-    return SplitQuaternions(SquareMatrix.identity(2), polarity, shift, polarity * shift)
 
 
 @dataclass(frozen=True)
@@ -76,30 +64,22 @@ def quaternion_products(triple: QuaternionTriple) -> Relations:
 def quaternion_triple(variant: str) -> QuaternionTriple:
     """Three constructions of I, J, K with I^2 = J^2 = K^2 = IJK = -1.
 
-    * ``klein4``: real 4x4 signed permutation matrices diag(v) * P over the
-      three order-two permutations (12)(34), (13)(24), (14)(23);
-    * ``iota_2x2``: 2x2 Gaussian-rational matrices built from a commuting
-      imaginary unit times the split generators;
+    * ``klein4``: real 4x4 signed permutation matrices, the terms
+      [1,-1,-1,1] A, [1,1,-1,-1] B and [1,-1,1,-1] C of klein4's regular algebra;
+    * ``iota_2x2``: 2x2 Gaussian-rational matrices i epsilon, epsilon eta and
+      i eta of the period-two pair over Z2;
     * ``majorana_triple``: products of a triple of anticommuting square-one
       generators (I = c2 c1, J = c3 c2, K = c1 c3).
     """
     if variant == "klein4":
-        from .groups import klein4, regular_action
-
-        group = klein4()
-        action = regular_action(group)
-        a_mat = action.matrix_of(group.index_of("A"))
-        b_mat = action.matrix_of(group.index_of("B"))
-        c_mat = action.matrix_of(group.index_of("C"))
-        alpha = SquareMatrix.diagonal([1, -1, -1, 1])
-        beta = SquareMatrix.diagonal([1, 1, -1, -1])
-        gamma = SquareMatrix.diagonal([1, -1, 1, -1])
-        return QuaternionTriple(alpha * a_mat, beta * b_mat, gamma * c_mat)
+        algebra = regular_algebra(klein4())
+        return QuaternionTriple(to_matrix(algebra.term([1, -1, -1, 1], "A")),
+                                to_matrix(algebra.term([1, 1, -1, -1], "B")),
+                                to_matrix(algebra.term([1, -1, 1, -1], "C")))
     if variant == "iota_2x2":
-        sq = split_quaternions()
-        return QuaternionTriple(
-            sq.polarity.scale(I_UNIT), sq.polarity * sq.shift, sq.shift.scale(I_UNIT)
-        )
+        (epsilon, eta), = alternations_and_shifts(1)
+        return QuaternionTriple(to_matrix(epsilon.scale(I_UNIT)), to_matrix(epsilon * eta),
+                                to_matrix(eta.scale(I_UNIT)))
     if variant == "majorana_triple":
         return quaternions_from_triple(clifford_generators(3))
     raise ValueError(f"unknown quaternion variant {variant!r}")
@@ -114,26 +94,20 @@ def _check_generator_count(n: int) -> None:
 
 
 def clifford_generators(n: int) -> tuple[SquareMatrix, ...]:
-    """Ladder of n anticommuting square-one matrices in dimension 2^ceil(n/2),
-    taken as built: the C10 rows of verify-all check anticommuting_relations
-    of every ladder the package builds.
+    """Ladder of n anticommuting square-one matrices in dimension 2^k,
+    k = ceil(n/2), taken as built: the C10 rows of verify-all check
+    anticommuting_relations of every ladder the package builds.
 
-    Block j contributes the split pair (polarity, shift) in slot j, preceded by
-    parity factors i * polarity * shift (square +1, anticommuting with both).
-    """
+    c_{2j} = P_j epsilon_j and c_{2j+1} = P_j eta_j over Z2^k, with
+    P_j = prod_{l<j} i epsilon_l eta_l, of square +1 and commuting with both."""
     _check_generator_count(n)
-    sq = split_quaternions()
-    parity = sq.root.scale(I_UNIT)  # squares to +1
-    blocks = (n + 1) // 2
-    gens: list[SquareMatrix] = []
-    for k in range(n):
-        block, slot = divmod(k, 2)
-        factor = sq.polarity if slot == 0 else sq.shift
-        mat = SquareMatrix.identity(1)
-        for j in range(blocks):
-            mat = mat.kron(parity if j < block else factor if j == block else sq.one)
-        gens.append(mat)
-    return tuple(gens)
+    pairs = alternations_and_shifts((n + 1) // 2)
+    parity = pairs[0][0].algebra.one()
+    terms = []
+    for epsilon, eta in pairs:
+        terms += [parity * epsilon, parity * eta]
+        parity = parity * (epsilon * eta).scale(I_UNIT)
+    return tuple(to_matrix(term) for term in terms[:n])
 
 
 def quaternions_from_triple(generators: tuple[SquareMatrix, ...]) -> QuaternionTriple:

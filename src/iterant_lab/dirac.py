@@ -30,7 +30,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import Relations, split_quaternions
+from .clifford import Relations
+from .iterants import alternations_and_shifts
+from .matrep import to_matrix
 from .matrix import SquareMatrix
 from .scalars import I_UNIT
 
@@ -100,12 +102,13 @@ class DiracFrame:
 
 
 def dirac_frame(dim: str = "1d") -> DiracFrame:
-    """The 2x2 split-generator frame, or its 4x4 three-dimensional extension:
-    alpha, beta from the hatted copy and s_1, s_2, s_3 = i s_1 s_2 from the
-    plain copy of the split generators."""
+    """The 2x2 frame alpha = epsilon, beta = eta over Z2, or its 4x4
+    three-dimensional extension over Z2^2: alpha, beta from the hatted copy and
+    s_1, s_2, s_3 = i s_1 s_2 from the plain copy of the split generators."""
     if dim == "1d":
-        sq = split_quaternions()
-        return DiracFrame(alpha=sq.polarity, beta=sq.shift, sigmas=(sq.one,))
+        (epsilon, eta), = alternations_and_shifts(1)
+        return DiracFrame(alpha=to_matrix(epsilon), beta=to_matrix(eta),
+                          sigmas=(SquareMatrix.identity(2),))
     if dim == "3d":
         hatted, plain = _hatted_and_plain()
         s1, s2 = plain["shift"], -plain["polarity"]
@@ -189,11 +192,12 @@ def relations(frame: DiracFrame, params: OnShellParams) -> Relations:
 
 
 def _hatted_and_plain() -> tuple[dict[str, SquareMatrix], dict[str, SquareMatrix]]:
-    """Two commuting copies of the split generators; hatted copy = left factor."""
-    sq = split_quaternions()
-    one = sq.one
-    return ({"polarity": sq.polarity.kron(one), "shift": sq.shift.kron(one)},
-            {"polarity": one.kron(sq.polarity), "shift": one.kron(sq.shift)})
+    """Two commuting copies of the split generators over Z2^2: the hatted copy
+    (epsilon_0, eta_0) on the top bit, the plain copy (epsilon_1, eta_1) on the
+    bottom bit."""
+    (epsilon0, eta0), (epsilon1, eta1) = alternations_and_shifts(2)
+    return ({"polarity": to_matrix(epsilon0), "shift": to_matrix(eta0)},
+            {"polarity": to_matrix(epsilon1), "shift": to_matrix(eta1)})
 
 
 def majorana_dirac_generators() -> dict[str, SquareMatrix]:
@@ -225,7 +229,7 @@ def generator_relations(gens: dict[str, SquareMatrix]) -> Relations:
 
 
 def commuting_copy_relations() -> Relations:
-    """The tensor construction really gives two commuting split-generator
+    """The two bits of Z2^2 really give two commuting split-generator
     copies: the copies commute elementwise, each satisfies the split
     relations, and the hatted root squares to -1."""
     hatted, plain = _hatted_and_plain()

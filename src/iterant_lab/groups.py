@@ -147,16 +147,6 @@ class Group:
         return f"Group({self.label}, order={self.order})"
 
 
-def _group_from_permutations(
-    perms: list[Permutation], names: list[str], label: str
-) -> Group:
-    """The table of perms under left-to-right composition, each product
-    looked up by its image tuple."""
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(tuple(index[tuple(b[i] for i in a)] for b in perms) for a in perms)
-    return Group(tuple(names), table, label=label)
-
-
 @lru_cache(maxsize=None)
 def cyclic(n: int) -> Group:
     """Cyclic group of order n with elements 1, S, S^2, ..."""
@@ -169,11 +159,18 @@ def cyclic(n: int) -> Group:
     return Group(tuple(names), table, label=f"c{n}")
 
 
+def xor_group(names: tuple[str, ...], label: str) -> Group:
+    """Z2^k: the 2^k = len(names) bit masks under XOR, mask g named names[g].
+    Its regular action moves point i to i ^ g."""
+    size = len(names)
+    return Group(names, tuple(tuple(i ^ j for j in range(size)) for i in range(size)), label)
+
+
 @lru_cache(maxsize=None)
 def klein4() -> Group:
-    """The group C2 x C2 with elements 1, A, B, C and A^2 = B^2 = C^2 = 1, AB = C."""
-    perms = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-    return _group_from_permutations(perms, ["1", "A", "B", "C"], "klein4")
+    """The group C2 x C2 with elements 1, A, B, C and A^2 = B^2 = C^2 = 1, AB = C:
+    Z2^2 with A, B and C the masks 1, 2 and 3."""
+    return xor_group(("1", "A", "B", "C"), "klein4")
 
 
 def closure(group: Group, elements: list[int]) -> set[int]:
@@ -305,8 +302,10 @@ def natural_action(n: int) -> GroupAction:
     else:
         perms = list(itertools.permutations(range(n)))
         names = [cycle_string(p) for p in perms]
-    group = _group_from_permutations(perms, names, f"s{n}")
-    return GroupAction(group, tuple(perms), label=f"s{n} natural")
+    # the table under left-to-right composition, each product looked up by its image tuple
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(b[i] for i in a)] for b in perms) for a in perms)
+    return GroupAction(Group(tuple(names), table, f"s{n}"), tuple(perms), label=f"s{n} natural")
 
 
 def element_matrices_from_g_table(group: Group) -> dict[str, SquareMatrix]:

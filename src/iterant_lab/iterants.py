@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groups import Group, GroupAction, Permutation
-from .groups import cycle_string, natural_action, regular_action
+from .groups import cycle_string, natural_action, regular_action, xor_group
 from .scalars import (
     GaussianRational,
     ScalarLike,
@@ -232,7 +232,7 @@ def element_from_json(algebra: IterantAlgebra, obj: dict) -> IterantElement:
 @lru_cache(maxsize=None)
 def period_two_algebra() -> IterantAlgebra:
     """Vectors [a, b] and the swap element e with e^2 = 1 and [a,b]e = e[b,a]."""
-    group = Group(("1", "e"), ((0, 1), (1, 0)), label="s2")
+    group = xor_group(("1", "e"), "s2")
     action = GroupAction(group, ((0, 1), (1, 0)), label="period-2")
     return IterantAlgebra(action)
 
@@ -360,6 +360,23 @@ def natural_sn_algebra(n: int) -> IterantAlgebra:
 
 def regular_algebra(group: Group) -> IterantAlgebra:
     return IterantAlgebra(regular_action(group))
+
+
+@lru_cache(maxsize=None)
+def alternations_and_shifts(k: int) -> tuple[tuple[IterantElement, IterantElement], ...]:
+    """The period-two pairs (epsilon_j, eta_j), j < k, of the regular algebra of
+    Z2^k, its elements named by their k bits: epsilon_j is [-1, 1] on bit j
+    (-1 where bit j is 0), eta_j the shift by bit j.  Bit 0 is the top bit, so
+    to_matrix gives Kronecker order, bit 0 leftmost; pairs of two bits commute."""
+    size = 2 ** k
+    algebra = regular_algebra(xor_group(tuple(format(g, f"0{k}b") for g in range(size)),
+                                        f"z2^{k}"))
+    pairs = []
+    for j in range(k):
+        bit = size >> (j + 1)
+        epsilon = algebra.vector([1 if i & bit else -1 for i in range(size)])
+        pairs.append((epsilon, algebra.element_of(bit)))
+    return tuple(pairs)
 
 
 def term_by_permutation(

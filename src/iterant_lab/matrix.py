@@ -163,13 +163,6 @@ class SquareMatrix:
             return GaussianRational()
         return _from_triple(re, im, scale)
 
-    def kron(self, other: SquareMatrix) -> SquareMatrix:
-        """Tensor (Kronecker) product, self as the left factor."""
-        m = other.n
-        size = range(self.n * m)
-        return SquareMatrix(tuple(tuple(self.rows[i // m][j // m] * other.rows[i % m][j % m]
-                                        for j in size) for i in size))
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
 

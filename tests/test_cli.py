@@ -151,6 +151,24 @@ def test_clifford_braid_unequal_words(capsys):
     assert json.loads(out)["equal"] is False
 
 
+@pytest.mark.parametrize("word, equal, code", [("1 1 1 1", True, 0), ("1", False, 1)])
+def test_an_empty_compare_word_is_the_identity_braid(capsys, word, equal, code):
+    argv = ("clifford", "braid", "--n", "3", "--word", word, "--compare", "")
+    got, out = run_cli(capsys, *argv, "--format", "json")
+    assert (got, json.loads(out)["compare"], json.loads(out)["equal"]) == (code, [], equal)
+    got, out = run_cli(capsys, *argv)
+    assert (got, out.splitlines()[-1]) == (code, f"equal to word : {equal}")
+
+
+@pytest.mark.parametrize("flag", ["--word", "--compare"])
+def test_a_braid_word_token_that_is_not_an_integer_is_named(capsys, flag):
+    argv = ["clifford", "braid", "--n", "3", "--word", "1", flag, "2 1,2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: braid word token '1,2' is not an integer; separate the indices with spaces\n")
+
+
 def test_clifford_fusion(capsys):
     code, out = run_cli(capsys, "clifford", "fusion", "--power", "10",
                         "--format", "json")

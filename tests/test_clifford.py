@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np  # the Kronecker-product reference the iterant ladders are compared with
 import pytest
 
-from iterant_lab import clifford
+from iterant_lab import clifford, dirac
 from iterant_lab.clifford import (
     FusionElement,
     anticommuting_relations,
@@ -17,25 +18,38 @@ from iterant_lab.clifford import (
     quaternion_products,
     quaternion_triple,
     real_relations,
-    split_quaternions,
 )
 from iterant_lab.groups import from_cycles
-from iterant_lab.iterants import natural_sn_algebra, term_by_permutation
+from iterant_lab.iterants import (
+    alternations_and_shifts,
+    natural_sn_algebra,
+    polarity_element,
+    shift_element,
+    term_by_permutation,
+)
+from iterant_lab.matrep import to_matrix
 from iterant_lab.matrix import SquareMatrix
-from iterant_lab.scalars import GaussianRational
+from iterant_lab.scalars import GaussianRational, I_UNIT
 
 
 def identity(n):
     return SquareMatrix.identity(n)
 
 
+def split_pair():
+    """epsilon and eta of Z2 (k = 1) and their matrices."""
+    (epsilon, eta), = alternations_and_shifts(1)
+    return epsilon, eta, to_matrix(epsilon), to_matrix(eta)
+
+
 def test_split_quaternion_relations():
-    sq = split_quaternions()
-    assert sq.polarity * sq.polarity == identity(2)
-    assert sq.shift * sq.shift == identity(2)
-    assert sq.root * sq.root == -identity(2)
-    assert sq.polarity.anticommutator(sq.shift).is_zero()
-    assert sq.root == SquareMatrix.from_rows([[0, -1], [1, 0]])
+    epsilon, eta, polarity, shift = split_pair()
+    one = epsilon.algebra.one()
+    assert epsilon * epsilon == one
+    assert eta * eta == one
+    assert (epsilon * eta) ** 2 == -one  # sqrt(-1) = epsilon eta
+    assert (epsilon * eta + eta * epsilon).is_zero()
+    assert polarity * shift == to_matrix(epsilon * eta) == SquareMatrix.from_rows([[0, -1], [1, 0]])
 
 
 @pytest.mark.parametrize("variant", ["klein4", "iota_2x2", "majorana_triple"])
@@ -68,8 +82,8 @@ def test_signed_permutation_square_in_a4():
 
 
 def test_generator_ladder_small():
-    sq = split_quaternions()
-    assert clifford_generators(2) == (sq.polarity, sq.shift)
+    _, _, polarity, shift = split_pair()
+    assert clifford_generators(2) == (polarity, shift)
 
 
 def test_generator_ladder_five():
@@ -91,11 +105,11 @@ def test_generator_count_limit():
 
 
 def test_anticommuting_relations_name_the_pairs_that_fail():
-    sq = split_quaternions()
-    relations = list(anticommuting_relations((sq.polarity, sq.shift)))
+    _, _, polarity, shift = split_pair()
+    relations = list(anticommuting_relations((polarity, shift)))
     assert [name for name, _, _ in relations] == [(1, 1), (1, 2), (2, 2)]
     assert all(lhs == rhs for _, lhs, rhs in relations)
-    failing = [name for name, lhs, rhs in anticommuting_relations((sq.polarity, sq.polarity, sq.root))
+    failing = [name for name, lhs, rhs in anticommuting_relations((polarity, polarity, polarity * shift))
                if lhs != rhs]
     # polarity commutes with itself; root squares to -1 and anticommutes with polarity
     assert failing == [(1, 2), (3, 3)]
@@ -195,11 +209,11 @@ def test_fermion_pair_relations():
     assert relations["psi psi+ + psi+ psi = 1"][1] == identity(2)
     half = Fraction(1, 2)
     i_half = GaussianRational(Fraction(0), half)
-    sq = split_quaternions()
+    _, _, polarity, shift = split_pair()
     psi_dagger, psi_dagger_from_psi = relations["psi+ = conjugate transpose of psi"]
     psi = psi_dagger_from_psi.conjugate_transpose()
-    assert psi == sq.polarity.scale(half) + sq.shift.scale(i_half)
-    assert psi_dagger == sq.polarity.scale(half) - sq.shift.scale(i_half)
+    assert psi == polarity.scale(half) + shift.scale(i_half)
+    assert psi_dagger == polarity.scale(half) - shift.scale(i_half)
 
 
 def test_quaternion_braiders_require_three_generators():
@@ -240,7 +254,81 @@ def test_fusion_commutative_associative():
 
 
 def test_split_pair_is_the_period_two_iterant_pair():
-    sq = split_quaternions()
-    assert sq.polarity == SquareMatrix.from_rows([[-1, 0], [0, 1]])
-    assert sq.shift == SquareMatrix.from_rows([[0, 1], [1, 0]])
-    assert sq.root * sq.root == -identity(2)
+    epsilon, eta, polarity, shift = split_pair()
+    assert epsilon.terms == polarity_element().terms and eta.terms == shift_element().terms
+    assert polarity == to_matrix(polarity_element()) == SquareMatrix.from_rows([[-1, 0], [0, 1]])
+    assert shift == to_matrix(shift_element()) == SquareMatrix.from_rows([[0, 1], [1, 0]])
+    assert to_matrix((epsilon * eta) ** 2) == -identity(2)
+
+
+# The reference: the Jordan-Wigner ladder as numpy.kron chains of the 2x2
+# epsilon, eta and parity i epsilon eta, block 0 the left factor.
+EPSILON = np.array([[-1, 0], [0, 1]])
+ETA = np.array([[0, 1], [1, 0]])
+PARITY = 1j * EPSILON @ ETA
+ONE = np.eye(2)
+
+
+def kron(*factors):
+    out = np.eye(1)
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+def jordan_wigner(n):
+    blocks = (n + 1) // 2
+    ladder = []
+    for m in range(n):
+        block, slot = divmod(m, 2)
+        factors = [PARITY] * block + [EPSILON if slot == 0 else ETA] + [ONE] * (blocks - block - 1)
+        ladder.append(kron(*factors))
+    return ladder
+
+
+def as_array(m):
+    return np.array([[complex(z.re, z.im) for z in row] for row in m.rows])
+
+
+def one_term(m):
+    """The term v g of the XOR algebra of Z2^k whose to_matrix is m, with g
+    read from row 0; None when m is not one such term."""
+    algebra = alternations_and_shifts(m.n.bit_length() - 1)[0][0].algebra
+    g = next(j for j, z in enumerate(m.rows[0]) if not z.is_zero())
+    term = algebra.term([m.rows[i][i ^ g] for i in range(m.n)], g)
+    return term if to_matrix(term) == m else None
+
+
+UNITS = {GaussianRational(1), GaussianRational(-1), I_UNIT, -I_UNIT}
+
+
+def kron_cases():
+    """(name, matrix the package builds, its Kronecker-product reference)."""
+    for n in range(1, 9):
+        for m, (built, want) in enumerate(zip(clifford_generators(n), jordan_wigner(n)), 1):
+            yield f"ladder {n} c{m}", built, want
+    frame = dirac.dirac_frame("3d")
+    s1, s2 = kron(ONE, ETA), -kron(ONE, EPSILON)
+    yield "3d alpha", frame.alpha, kron(EPSILON, ONE)
+    yield "3d beta", frame.beta, kron(ETA, ONE)
+    for i, want in enumerate((s1, s2, 1j * s1 @ s2), 1):
+        yield f"3d s{i}", frame.sigmas[i - 1], want
+    majorana = dirac.majorana_dirac_generators()
+    yield "ax", majorana["ax"], kron(ETA, ETA)
+    yield "ay", majorana["ay"], kron(ONE, EPSILON)
+    yield "az", majorana["az"], kron(EPSILON, ETA)
+    yield "beta_prime", majorana["beta_prime"], kron(EPSILON @ ETA, ETA)
+    klein = quaternion_triple("klein4")
+    yield "klein4 I", klein.I, kron(EPSILON, EPSILON) @ kron(ONE, ETA)
+    yield "klein4 J", klein.J, -kron(EPSILON, ONE) @ kron(ETA, ONE)
+    yield "klein4 K", klein.K, -kron(ONE, EPSILON) @ kron(ETA, ETA)
+
+
+def test_every_ladder_dirac_and_klein4_matrix_is_its_kron_chain_and_one_unit_term():
+    cases = list(kron_cases())
+    assert len(cases) == 36 + 5 + 4 + 3
+    for name, built, want in cases:
+        assert np.array_equal(as_array(built), want), name
+        term = one_term(built)
+        assert term is not None and len(term.terms) == 1, name
+        assert set(term.terms[0][1]) <= UNITS, name

@@ -83,15 +83,6 @@ def test_trace_is_additive():
     assert (a + b).trace() == a.trace() + b.trace()
 
 
-def test_kron_mixed_product():
-    rng = random.Random(74)
-    a, b = rand_matrix(rng, 2), rand_matrix(rng, 2)
-    c, d = rand_matrix(rng, 2), rand_matrix(rng, 2)
-    # (a kron c)(b kron d) = (ab) kron (cd)
-    assert a.kron(c) * b.kron(d) == (a * b).kron(c * d)
-    assert a.kron(c).n == 4
-
-
 def test_scale_and_neg():
     m = SquareMatrix.from_rows([[1, -2], [0, 3]])
     assert m.scale(Fraction(1, 2)) + m.scale(Fraction(1, 2)) == m
