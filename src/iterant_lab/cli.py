@@ -253,7 +253,7 @@ def cmd_clifford_braid(args):
     def text():
         yield f"word {word} on {args.n} strands:\n{lhs}"
         if args.compare is not None:
-            yield f"equal to word {args.compare}: {payload['equal']}"
+            yield f"equal to word {other}: {payload['equal']}"
 
     return (0 if payload.get("equal", True) else 1), {"json": payload, "text": text}
 

@@ -5,6 +5,8 @@ Clifford algebra comes from the alternation epsilon = [-1, 1] and the shift
 eta, with sqrt(-1) = epsilon eta: each bit j of Z2^k has its own pair
 (epsilon_j, eta_j), and every ladder generator and the klein4 and iota_2x2
 quaternions are each one iterant term v g, read through matrep.to_matrix.
+Over xor_group(k) the elements are 1, e for k = 1 (the period-two algebra),
+1, A, B, C for k = 2 (klein4's), and k bits past that (ladders of 5 to 8).
 
 Each identity (a quaternion unit product, a generator, braider or fermion
 relation, the realness of a matrix) is yielded as one (name, lhs, rhs)

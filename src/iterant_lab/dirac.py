@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import Relations
 from .iterants import alternations_and_shifts
@@ -84,12 +85,10 @@ class DiracFrame:
     def dim(self) -> int:
         return self.alpha.n
 
-    @property
+    @cached_property
     def ba_ab(self) -> tuple[SquareMatrix, SquareMatrix]:
-        """ba and ab, built on first use and kept in the instance dict, writable though frozen."""
-        if "ba_ab" not in self.__dict__:
-            self.__dict__["ba_ab"] = (self.beta * self.alpha, self.alpha * self.beta)
-        return self.__dict__["ba_ab"]
+        """ba and ab, built on first use."""
+        return self.beta * self.alpha, self.alpha * self.beta
 
     def momentum_operator(self, params: OnShellParams) -> SquareMatrix:
         """p.s = sum of p_i s_i."""

@@ -229,40 +229,21 @@ def element_from_json(algebra: IterantAlgebra, obj: dict) -> IterantElement:
 # Period-two algebra: vectors [a, b] with the order-two shift, written "e".
 
 
-@lru_cache(maxsize=None)
 def period_two_algebra() -> IterantAlgebra:
-    """Vectors [a, b] and the swap element e with e^2 = 1 and [a,b]e = e[b,a]."""
-    group = xor_group(("1", "e"), "s2")
-    action = GroupAction(group, ((0, 1), (1, 0)), label="period-2")
-    return IterantAlgebra(action)
-
-
-def shift_element() -> IterantElement:
-    """The bare shift e (all-ones coefficient on the swap)."""
-    return period_two_algebra().element_of("e")
-
-
-def polarity_element(first: int = -1) -> IterantElement:
-    """[first, -first] on the identity; squares to 1 and anticommutes with e."""
-    return period_two_algebra().vector([first, -first])
-
-
-def imaginary_unit(first: int = -1) -> IterantElement:
-    """[first, -first]e; both sign choices square to -1."""
-    return period_two_algebra().term([first, -first], "e")
+    """Vectors [a, b] and the swap e, e^2 = 1 and [a,b]e = e[b,a]: Z2's regular algebra."""
+    return regular_algebra(xor_group(1))
 
 
 def majorana_pair_relations() -> Iterator[tuple[str, IterantElement, IterantElement]]:
-    """The order-two generator pair behind the re-entrant mark, the polarity
-    [1,-1] and the shift: each squares to one, they anticommute, and their
-    product squares to -1.  Each relation is one (name, lhs, rhs) triple."""
-    e = polarity_element(first=1)
-    eta = shift_element()
-    one = e.algebra.one()
-    yield "polarity_squared_one", e * e, one
+    """The order-two pair behind the re-entrant mark, epsilon = [-1,1] and the
+    shift eta: each squares to one, they anticommute, and their product
+    squares to -1.  Each relation is one (name, lhs, rhs) triple."""
+    (epsilon, eta), = alternations_and_shifts(1)
+    one = epsilon.algebra.one()
+    yield "polarity_squared_one", epsilon * epsilon, one
     yield "shift_squared_one", eta * eta, one
-    yield "anticommute", e * eta + eta * e, e.algebra.zero()
-    yield "product_squares_to_minus_one", (e * eta) ** 2, -one
+    yield "anticommute", epsilon * eta + eta * epsilon, epsilon.algebra.zero()
+    yield "product_squares_to_minus_one", (epsilon * eta) ** 2, -one
 
 
 def conjugate_period2(z: IterantElement) -> IterantElement:
@@ -358,19 +339,21 @@ def natural_sn_algebra(n: int) -> IterantAlgebra:
     return IterantAlgebra(natural_action(n))
 
 
+@lru_cache(maxsize=None)
 def regular_algebra(group: Group) -> IterantAlgebra:
+    """The one algebra of the regular action of group."""
     return IterantAlgebra(regular_action(group))
 
 
 @lru_cache(maxsize=None)
 def alternations_and_shifts(k: int) -> tuple[tuple[IterantElement, IterantElement], ...]:
     """The period-two pairs (epsilon_j, eta_j), j < k, of the regular algebra of
-    Z2^k, its elements named by their k bits: epsilon_j is [-1, 1] on bit j
-    (-1 where bit j is 0), eta_j the shift by bit j.  Bit 0 is the top bit, so
-    to_matrix gives Kronecker order, bit 0 leftmost; pairs of two bits commute."""
+    xor_group(k) (period_two_algebra() for k = 1, klein4's for k = 2):
+    epsilon_j is [-1, 1] on bit j (-1 where bit j is 0), eta_j the shift by
+    bit j.  Bit 0 is the top bit, so to_matrix gives Kronecker order, bit 0
+    leftmost; pairs of two bits commute."""
     size = 2 ** k
-    algebra = regular_algebra(xor_group(tuple(format(g, f"0{k}b") for g in range(size)),
-                                        f"z2^{k}"))
+    algebra = regular_algebra(xor_group(k))
     pairs = []
     for j in range(k):
         bit = size >> (j + 1)

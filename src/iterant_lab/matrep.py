@@ -133,9 +133,8 @@ def generator_cases(algebra: IterantAlgebra,
     """Every (s, h) and (s, e_i) for s in gens, group elements h and unit
     vectors e_i: the product cases of the proof in the module docstring, for
     the generating set whose closure the caller checks."""
-    group, n = algebra.group, algebra.degree
-    elements = [algebra.element_of(g) for g in range(group.order)]
-    units = [algebra.vector([int(k == i) for k in range(n)]) for i in range(n)]
+    elements = [algebra.element_of(g) for g in range(algebra.group.order)]
+    units = algebra.basis()[:algebra.degree]  # the e_i on the identity
     return list(itertools.product([elements[s] for s in gens], elements + units))
 
 

@@ -84,6 +84,10 @@ These rows are proofs through generators:
   the order is exactly four as the ladder is linearly independent (by
   C10.ladder-relations, c_j x + x c_j = 2 a_j for x = sum_i a_i c_i).
 
+The matrices of C06, C10 and C11 (ladders of at most 4 generators), C14 and
+C15 are to_matrix images of terms over Z2, whose algebra C02 proves, or Z2^2,
+klein4's, which C04.klein4-* prove; C10's ladders of 5 and 6 are over Z2^3.
+
 C13.confluence is a proof by enumeration: on every forest of at most
 ENUMERATED_MARKS marks, every one-step rewrite keeps the linear value, and a
 forest with no rewrite is () or the void; each step removes marks, so every
@@ -112,11 +116,11 @@ from fractions import Fraction
 
 from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger
 from .iterants import (
+    alternations_and_shifts,
     conjugate_period2,
     determinant_period2,
     doppler_boost,
     event_element,
-    imaginary_unit,
     majorana_pair_relations,
     natural_sn_algebra,
     period_two_algebra,
@@ -229,12 +233,11 @@ def _unit_polarization(n: int) -> list[tuple[int, ...]]:
 
 @_criterion("iterants")
 def check_iterant_root(seed: int):
-    algebra = period_two_algebra()
-    for first, tag in ((-1, "canonical"), (1, "sign-variant")):
-        yield (f"C01.{tag}", f"([{first},{-first}]e)^2 = -1 exactly",
-               imaginary_unit(first=first) ** 2, algebra.scalar(-1))
-    yield ("C01.fourth-power", "fourth power of the imaginary iterant is +1",
-           imaginary_unit() ** 4, algebra.one())
+    (epsilon, eta), = alternations_and_shifts(1)
+    root, one = epsilon * eta, epsilon.algebra.one()
+    for sqrt, tag in ((root, "canonical"), (-root, "sign-variant")):
+        yield f"C01.{tag}", f"({sqrt})^2 = -1 exactly", sqrt ** 2, -one
+    yield "C01.fourth-power", "fourth power of the imaginary iterant is +1", root ** 4, one
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +331,8 @@ S3_REGULAR_MATRICES = {
 def check_g_table_theorem(seed: int):
     for name in ("c3", "c6", "s3", "klein4"):
         group = groups.builtin_group(name)
-        action = groups.regular_action(group)
         algebra = regular_algebra(group)
+        action = algebra.action
         gens = groups.generators(group)
         cases, basis = matrep.generator_cases(algebra, gens), algebra.basis()
         yield (f"C04.{name}-homomorphism",

@@ -23,8 +23,7 @@ from iterant_lab.groups import from_cycles
 from iterant_lab.iterants import (
     alternations_and_shifts,
     natural_sn_algebra,
-    polarity_element,
-    shift_element,
+    period_two_algebra,
     term_by_permutation,
 )
 from iterant_lab.matrep import to_matrix
@@ -255,9 +254,10 @@ def test_fusion_commutative_associative():
 
 def test_split_pair_is_the_period_two_iterant_pair():
     epsilon, eta, polarity, shift = split_pair()
-    assert epsilon.terms == polarity_element().terms and eta.terms == shift_element().terms
-    assert polarity == to_matrix(polarity_element()) == SquareMatrix.from_rows([[-1, 0], [0, 1]])
-    assert shift == to_matrix(shift_element()) == SquareMatrix.from_rows([[0, 1], [1, 0]])
+    algebra = period_two_algebra()
+    assert epsilon == algebra.vector([-1, 1]) and eta == algebra.element_of("e")
+    assert polarity == SquareMatrix.from_rows([[-1, 0], [0, 1]])
+    assert shift == SquareMatrix.from_rows([[0, 1], [1, 0]])
     assert to_matrix((epsilon * eta) ** 2) == -identity(2)
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from iterant_lab import groups
+from iterant_lab import groups, verify
 from iterant_lab.groups import (
     Group,
     cycle_string,
@@ -20,7 +20,7 @@ from iterant_lab.groups import (
     regular_action,
     symmetric,
 )
-from iterant_lab.iterants import period_two_algebra
+from iterant_lab.iterants import period_two_algebra, regular_algebra
 from iterant_lab.matrix import SquareMatrix
 
 BUILTINS = ["c2", "c3", "c4", "c6", "c7", "c8", "klein4", "s3"]
@@ -69,6 +69,25 @@ def test_builtin_tables_are_closed_and_associative(name):
     assert all(0 <= v < group.order for row in group.table for v in row)
     assert all(group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
                for a, b, c in itertools.product(ids, repeat=3))
+
+
+@pytest.mark.parametrize("k, names, label", [
+    (1, ("1", "e"), "s2"),
+    (2, ("1", "A", "B", "C"), "klein4"),
+    (3, ("000", "001", "010", "011", "100", "101", "110", "111"), "z2^3"),
+    (4, tuple(format(g, "04b") for g in range(16)), "z2^4"),
+])
+def test_each_xor_group_passes_the_c04_group_and_action_rows(k, names, label):
+    # C04 covers Z2 (its period-two rows) and Z2^2 (klein4); the ladders of 5
+    # to 8 generators run on Z2^3 and Z2^4, which no C04 row names
+    group = groups.xor_group(k)
+    assert (group.names, group.label, group is groups.xor_group(k)) == (names, label, True)
+    rows = [*verify._group_axioms(label, group),
+            *verify._action_law(label, regular_algebra(group).action)]
+    results = [verify._evaluate("groups", 0, row) for row in rows]
+    assert [(r.check_id, r.passed) for r in results] == [
+        (f"C04.{label}-identity-inverses", True), (f"C04.{label}-associativity", True),
+        (f"C04.{label}-action", True)]
 
 
 def test_explicit_valid_table():

@@ -5,23 +5,28 @@ import pytest
 
 from iterant_lab import groups
 from iterant_lab.iterants import (
+    IterantAlgebra,
+    alternations_and_shifts,
     conjugate_period2,
     determinant_period2,
     doppler_boost,
     element_from_json,
     event_element,
-    imaginary_unit,
     majorana_pair_relations,
     natural_sn_algebra,
     parse_period2,
     period_two_algebra,
-    polarity_element,
     regular_algebra,
-    shift_element,
 )
 from iterant_lab.matrep import to_matrix
 from iterant_lab.matrix import SquareMatrix
 from iterant_lab.scalars import GaussianRational
+
+
+def split_pair():
+    """The alternation epsilon = [-1,1] and the shift eta = e of Z2."""
+    (epsilon, eta), = alternations_and_shifts(1)
+    return epsilon, eta
 
 
 def rand_element(algebra, rng, max_terms=3, span=4):
@@ -53,24 +58,26 @@ def test_mul_componentwise_on_identity_terms():
     assert alg.vector([2, 3]) * alg.vector([5, 7]) == alg.vector([10, 21])
 
 
-def test_imaginary_unit_squares_to_minus_one():
+def test_epsilon_eta_squares_to_minus_one():
     alg = period_two_algebra()
-    for first in (-1, 1):
-        i = imaginary_unit(first=first)
-        assert i * i == alg.scalar(-1)
-    assert imaginary_unit() ** 4 == alg.one()
+    epsilon, eta = split_pair()
+    i = epsilon * eta
+    assert i == alg.term([-1, 1], "e")
+    for root in (i, -i):
+        assert root * root == alg.scalar(-1)
+    assert i ** 4 == alg.one()
 
 
-def test_imaginary_unit_rotates_vectors():
+def test_epsilon_eta_rotates_vectors():
     alg = period_two_algebra()
-    i = imaginary_unit()
+    epsilon, eta = split_pair()
     # i [a,b] = [-b, a] e for a=3, b=5
-    assert i * alg.vector([3, 5]) == alg.term([-5, 3], "e")
+    assert epsilon * eta * alg.vector([3, 5]) == alg.term([-5, 3], "e")
 
 
 def test_shift_relations():
     alg = period_two_algebra()
-    e = shift_element()
+    _, e = split_pair()
     assert e * e == alg.one()
     rng = random.Random(7)
     for _ in range(100):
@@ -80,7 +87,7 @@ def test_shift_relations():
 
 def test_shift_commutes_past_reversed_vector_times_anything():
     alg = period_two_algebra()
-    e = shift_element()
+    _, e = split_pair()
     rng = random.Random(8)
     for _ in range(50):
         b, c = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
@@ -89,8 +96,7 @@ def test_shift_commutes_past_reversed_vector_times_anything():
 
 
 def test_polarity_anticommutes_with_shift():
-    eps = polarity_element()
-    eta = shift_element()
+    eps, eta = split_pair()
     assert (eps * eta + eta * eps).is_zero()
     assert eps * eps == eps.algebra.one()
 
@@ -169,7 +175,7 @@ def test_spacetime_polarity_product_form():
     # with s = [-1,1] of square one, (t + x s)(t' + x' s) = (tt'+xx') + (tx'+xt') s,
     # and t + x s is the light-cone pair [t-x, t+x]
     alg = period_two_algebra()
-    sigma = polarity_element()
+    sigma, _ = split_pair()
     rng = random.Random(15)
     for _ in range(100):
         t, x, t2, x2 = (Fraction(rng.randint(-9, 9)) for _ in range(4))
@@ -253,8 +259,8 @@ def test_algebra_mismatch_raises():
 
 
 def test_equal_algebras_built_separately_interoperate():
-    first = regular_algebra(groups.cyclic(3))
-    second = regular_algebra(groups.cyclic(3))
+    first = IterantAlgebra(groups.regular_action(groups.cyclic(3)))
+    second = IterantAlgebra(groups.regular_action(groups.cyclic(3)))
     assert first.vector([1, 2, 3]) + second.vector([1, 0, 0]) == first.vector([2, 2, 3])
     assert second.element_of("S") * first.element_of("S") == first.element_of("S^2")
 
@@ -304,6 +310,14 @@ def test_json_roundtrip():
 def test_vector_length_is_checked():
     with pytest.raises(ValueError, match="length"):
         period_two_algebra().vector([1, 2, 3])
+
+
+def test_the_z2_and_z2_squared_pairs_live_in_the_period_two_and_klein4_algebras():
+    epsilon, eta = split_pair()
+    assert epsilon + parse_period2("[1,2]e") == parse_period2("[-1,1] + [1,2]e")
+    assert epsilon.algebra is eta.algebra is period_two_algebra()
+    assert alternations_and_shifts(2)[0][0].algebra.group is groups.klein4()
+    assert alternations_and_shifts(2)[0][0].algebra is regular_algebra(groups.klein4())
 
 
 def test_majorana_pair_relations():

@@ -185,7 +185,7 @@ def test_kernel_criteria_agree_on_random_elements():
 
 
 def test_conjugate_matrix_is_classical_adjoint():
-    from iterant_lab.iterants import conjugate_period2, shift_element
+    from iterant_lab.iterants import alternations_and_shifts, conjugate_period2
 
     alg = period_two_algebra()
     rng = random.Random(26)
@@ -198,7 +198,7 @@ def test_conjugate_matrix_is_classical_adjoint():
         assert m * adj == SquareMatrix.identity(2).scale(det)
         assert adj * m == SquareMatrix.identity(2).scale(det)
     # the bare shift conjugates to its negative
-    e = shift_element()
+    (_, e), = alternations_and_shifts(1)
     assert conjugate_period2(e) == -e
 
 
