@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
-from .iterants import parse_period2
+from .iterants import natural_sn_algebra, parse_period2, regular_algebra
 from .matrix import SquareMatrix
 from .scalars import parse_integer, parse_rational, scalar_to_json
 
@@ -181,14 +181,14 @@ def cmd_matrep_isocheck(args):
         family, degree = groups.parse_group_name(args.group)
         if family != "s":
             raise ValueError("--natural requires a symmetric group (s<n>)")
-        action = groups.natural_action(degree)
+        algebra = natural_sn_algebra(degree)
     else:
         group = groups.builtin_group(args.group)
         if group.order > groups.MAX_ISOCHECK_ORDER:
             raise ValueError(f"group order {group.order} exceeds the desk-scale cap of "
                              f"{groups.MAX_ISOCHECK_ORDER}")
-        action = groups.regular_action(group)
-    payload = matrep.iso_check(action)
+        algebra = regular_algebra(group)
+    payload = matrep.iso_check(algebra)
     return (0 if payload["homomorphism_ok"] else 1), {
         "json": payload,
         "text": lambda: (f"{key}: {value}" for key, value in payload.items()),

@@ -38,12 +38,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import groups
-from .groups import MAX_ENUMERATED_DEGREE, GroupAction, Permutation, natural_action
+from .groups import MAX_ENUMERATED_DEGREE, Permutation, natural_action
 from .iterants import IterantAlgebra, IterantElement, natural_sn_algebra
-from .matrix import ZERO, SquareMatrix, bareiss, integer_rows
+from .matrix import SquareMatrix, bareiss, from_tables, integer_rows
 from .scalars import GaussianRational
 
 
@@ -58,11 +58,14 @@ class DecompositionTerm:
 def _placed(n: int, terms) -> SquareMatrix:
     """The sum of diag(vec) * P(images) over the (vec, images) terms: row i of
     diag(vec) * P(images) holds vec[i] at column images[i] and zeros elsewhere."""
-    rows = [[ZERO] * n for _ in range(n)]
+    terms = list(terms)
+    den = lcm(*(c.den for vec, _ in terms for c in vec))
+    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     for vec, images in terms:
-        for row, j, c in zip(rows, images, vec):
-            row[j] = c if row[j] is ZERO else row[j] + c
-    return SquareMatrix(tuple(tuple(row) for row in rows))
+        for re_row, im_row, j, c in zip(re, im, images, vec):
+            re_row[j] += c.re_num * (den // c.den)
+            im_row[j] += c.im_num * (den // c.den)
+    return from_tables(tuple(map(tuple, re)), tuple(map(tuple, im)), den)
 
 
 def to_matrix(x: IterantElement) -> SquareMatrix:
@@ -88,8 +91,9 @@ def embed_matrix(m: SquareMatrix) -> IterantElement:
 def decompose_matrix(m: SquareMatrix) -> list[DecompositionTerm]:
     """All n! diagonal-times-permutation summands (leading 1/(n-1)! not folded in)."""
     n = m.n
-    if n > MAX_ENUMERATED_DEGREE:
-        raise ValueError(f"decomposition enumerates n! permutations; n <= {MAX_ENUMERATED_DEGREE} required, got {n}")
+    if not 1 <= n <= MAX_ENUMERATED_DEGREE:
+        raise ValueError(f"decomposition enumerates n! permutations; 1 <= n <= "
+                         f"{MAX_ENUMERATED_DEGREE} required, got a {n}x{n} matrix")
     return [
         DecompositionTerm(_entry_vector(m, p), p) for p in natural_action(n).point_maps
     ]
@@ -125,7 +129,7 @@ def product_relation(
 
 def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
     """Rank over the scalar field, by Bareiss elimination of the rows scaled to integers."""
-    return bareiss(integer_rows(vectors)[0])[0]
+    return bareiss(integer_rows(vectors))[0]
 
 
 def generator_cases(algebra: IterantAlgebra,
@@ -138,14 +142,11 @@ def generator_cases(algebra: IterantAlgebra,
     return list(itertools.product([elements[s] for s in gens], elements + units))
 
 
-_ONE = GaussianRational(1)
-
-
 def matrix_unit(n: int, i: int, j: int) -> SquareMatrix:
     """The n x n matrix with a single entry 1, at (i, j)."""
-    zeros = (ZERO,) * n
-    return SquareMatrix((zeros,) * i + (zeros[:j] + (_ONE,) + zeros[j + 1:],)
-                        + (zeros,) * (n - i - 1))
+    zeros = (0,) * n
+    return from_tables((zeros,) * i + (zeros[:j] + (1,) + zeros[j + 1:],)
+                       + (zeros,) * (n - i - 1), (zeros,) * n, 1)
 
 
 def basis_image(b: IterantElement) -> tuple[SquareMatrix, SquareMatrix]:
@@ -156,33 +157,35 @@ def basis_image(b: IterantElement) -> tuple[SquareMatrix, SquareMatrix]:
     return to_matrix(b), matrix_unit(b.algebra.degree, i, b.algebra.action.point_maps[g][i])
 
 
-def iso_check(action: GroupAction) -> dict:
-    """Decide whether to_matrix is an isomorphism onto the full matrix algebra:
-    the fields ``matrep isocheck`` prints, in its order.
+def iso_check(algebra: IterantAlgebra) -> dict:
+    """Decide whether to_matrix is an isomorphism of the algebra onto the full
+    matrix algebra: the fields ``matrep isocheck`` prints, in its order.
 
     The homomorphism is proved as the module docstring argues: generators(G)
     must close to all of G, product_relation must hold on every
     generator_cases pair, and each basis_image must be its matrix unit.  The
     checks stop at the first that fails; the basis images are built once, for
     that check and for the rank."""
-    algebra = IterantAlgebra(action)
-    group, n = action.group, action.degree
-    images = [basis_image(b) for b in algebra.basis()]
+    group, n = algebra.group, algebra.degree
+    # a repeated image adds nothing to the rank (a natural action repeats each
+    # (n-1)! times), so only the distinct ones are kept
+    distinct, units_ok = {}, True
+    for m, unit in map(basis_image, algebra.basis()):
+        distinct[m] = None
+        units_ok = units_ok and m == unit
     gens = groups.generators(group)
     hom_ok = (len(groups.closure(group, gens)) == group.order
               and all(lhs == rhs for lhs, rhs in map(product_relation,
                                                      generator_cases(algebra, gens)))
-              and all(m == unit for m, unit in images))
-    # a repeated image adds nothing to the rank; a natural action repeats each (n-1)! times
-    distinct = dict.fromkeys(m for m, _ in images)
+              and units_ok)
     rank = _matrix_rank([[m.rows[i][j] for i in range(n) for j in range(n)] for m in distinct])
     dim, n2 = algebra.dimension(), n * n
     return {
-        "action": action.label,
+        "action": algebra.action.label,
         "algebra_dim": dim,
         "matrix_dim": n2,
         "homomorphism_ok": hom_ok,
-        "distinct_basis_images": len(distinct) == len(images),
+        "distinct_basis_images": len(distinct) == dim,
         "image_rank": rank,
         "spans_matrix_algebra": rank == n2,
         # rank = n^2 = dim already makes the basis images distinct

@@ -1,27 +1,30 @@
-"""Dense square matrices over the Gaussian rationals, all arithmetic exact.
+"""Square matrices over the Gaussian rationals, all arithmetic exact.
 
-Entries are ``GaussianRational`` values, each an integer triple
-``(re_num, im_num, den)``, and the two costly operations read those triples
-directly.  A product reads each factor's integer view, computed at most once
-per matrix: the lcm ``d`` of the entry denominators and integer tables of
-the real and imaginary numerators scaled to it, so that ``A * B`` is a table
-of integer dot products over ``dA * dB``, each entry reduced once by its own
-gcd.  Of the four part products of ``(Ar + i Ai)(Br + i Bi)`` only those whose
-two tables both hold a nonzero entry are summed: most products here are of
-real or purely imaginary signed permutations, where one to three of the four
-are zero.  The determinant here and the rank in ``matrep`` both call
-``bareiss``, one fraction-free elimination over the Gaussian integers
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968), after scaling each row to integers by
-the lcm of its entry denominators.
+A matrix is stored as integer tables: ``re`` and ``im`` hold the real and
+imaginary numerators of its entries over one denominator ``den``, the lcm of
+the entry denominators, so that gcd(den, every numerator) = 1 and equal
+matrices have equal ``(re, im, den)``; equality and hashing read these.  The
+entries, ``GaussianRational`` values, are built from the tables on the first
+read of ``rows`` and kept; a matrix built from entries keeps those it was
+given.  Every operation here runs on the tables and ends in one gcd
+(``from_tables``).  Almost every matrix the package multiplies is a signed
+permutation or has at most two nonzeros a row, so ``A * B`` goes row by row
+over A's nonzeros: for each nonzero x + i*y in column k it adds x*B_k and
+y*(i B_k) to the result row, as ``map``s over B's integer rows k.  The
+determinant here and the rank in ``matrep`` both call ``bareiss``, one
+fraction-free elimination over the Gaussian integers (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+22, 1968), the determinant on the tables and the rank on rows scaled to
+integers by the lcm of their entry denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from math import lcm
-from operator import mul
+from functools import cache, cached_property, partial, reduce
+from itertools import chain, compress
+from math import gcd, lcm
+from operator import add, or_
 from typing import Iterable, Sequence
 
 from .scalars import GaussianRational, ScalarLike, _from_triple, parse_rational, parse_scalar
@@ -29,21 +32,35 @@ from .scalars import scalar_from_json, scalar_to_json
 
 GaussianInteger = tuple[int, int]
 IntegerTable = tuple[tuple[int, ...], ...]
-IntegerView = tuple[IntegerTable, IntegerTable, int]  # (re, im, den)
-# The zero entry that products and matrep.to_matrix place: equal matrices
-# built by them compare most entries by identity, without calling __eq__.
-ZERO = GaussianRational()
+ZERO = GaussianRational()  # the one zero entry that rows places
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SquareMatrix:
-    rows: tuple[tuple[GaussianRational, ...], ...]
+    """An n x n matrix (re + i*im) / den; see the module docstring.
+    ``SquareMatrix(rows)`` takes n rows of n ``GaussianRational`` entries."""
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
+    re: IntegerTable
+    im: IntegerTable
+    den: int
+
+    def __new__(cls, rows: Sequence[Sequence[GaussianRational]]) -> SquareMatrix:
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: row of length {len(row)} in {n}x{n}")
+        den = lcm(*(z.den for row in rows for z in row))
+        m = from_tables(tuple(tuple(z.re_num * (den // z.den) for z in row) for row in rows),
+                        tuple(tuple(z.im_num * (den // z.den) for z in row) for row in rows), den)
+        vars(m)["rows"] = rows
+        return m
+
+    @cached_property
+    def rows(self) -> Sequence[Sequence[GaussianRational]]:
+        """The entries, built from the tables on first read."""
+        den = self.den
+        return tuple(tuple(_from_triple(x, y, den) if x or y else ZERO for x, y in zip(xs, ys))
+                     for xs, ys in zip(self.re, self.im))
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[ScalarLike]]) -> SquareMatrix:
@@ -54,14 +71,15 @@ class SquareMatrix:
     @staticmethod
     @cache
     def identity(n: int) -> SquareMatrix:
-        """The n x n identity, one shared matrix per n (with its integer view)."""
-        return SquareMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        """The n x n identity, one shared matrix per n."""
+        zeros = ((0,) * n,) * n
+        return from_tables(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                           zeros, 1)
 
     @staticmethod
     def zero(n: int) -> SquareMatrix:
-        return SquareMatrix.from_rows([[0] * n for _ in range(n)])
+        zeros = ((0,) * n,) * n
+        return from_tables(zeros, zeros, 1)
 
     @staticmethod
     def diagonal(entries: Sequence[ScalarLike]) -> SquareMatrix:
@@ -72,68 +90,54 @@ class SquareMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.re)
 
     def __add__(self, other: SquareMatrix) -> SquareMatrix:
-        self._check_dim(other)
-        return SquareMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: SquareMatrix) -> SquareMatrix:
+        return self._combine(other, -1)
+
+    def _combine(self, other: SquareMatrix, sign: int) -> SquareMatrix:
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_dim(other)
-        return SquareMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return from_tables(_mix(f, self.re, g, other.re), _mix(f, self.im, g, other.im), den)
 
     def __neg__(self) -> SquareMatrix:
-        return SquareMatrix(tuple(tuple(-a for a in row) for row in self.rows))
-
-    @cached_property
-    def integers(self) -> IntegerView:
-        """The matrix as (re + i*im) / den with integer tables and the least
-        den > 0, the lcm of the entry denominators; computed on first use."""
-        den = lcm(*(z.den for row in self.rows for z in row))
-        return (tuple(tuple(z.re_num * (den // z.den) for z in row) for row in self.rows),
-                tuple(tuple(z.im_num * (den // z.den) for z in row) for row in self.rows),
-                den)
+        return from_tables(_times(-1, self.re), _times(-1, self.im), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, SquareMatrix):
-            self._check_dim(other)
-            a_re, a_im, a_den = self.integers
-            b_re, b_im, b_den = other.integers
-            den = a_den * b_den
-            # a part product whose real or imaginary table is all zero is zero
-            a_r, a_i = any(map(any, a_re)), any(map(any, a_im))
-            b_r, b_i = any(map(any, b_re)), any(map(any, b_im))
-            rr, ii, ri, ir = a_r and b_r, a_i and b_i, a_r and b_i, a_i and b_r
-            cols = tuple(zip(zip(*b_re), zip(*b_im)))
-            rows = []
-            for ar, ai in zip(a_re, a_im):
-                row = []
-                for br, bi in cols:
-                    xr = ((sum(map(mul, ar, br)) if rr else 0)
-                          - (sum(map(mul, ai, bi)) if ii else 0))
-                    xi = ((sum(map(mul, ar, bi)) if ri else 0)
-                          + (sum(map(mul, ai, br)) if ir else 0))
-                    row.append(_from_triple(xr, xi, den) if xr or xi else ZERO)
-                rows.append(tuple(row))
-            return SquareMatrix(tuple(rows))
-        return self.scale(other)
+        if not isinstance(other, SquareMatrix):
+            return self.scale(other)
+        self._check_dim(other)
+        b_re, b_im = other.re, other.im
+        cols, zeros = range(len(b_re)), (0,) * len(b_re)
+        re, im = [], []
+        for xs, ys in zip(self.re, self.im):
+            # (x + iy)(B_re + i B_im) = (x B_re - y B_im) + i (x B_im + y B_re)
+            row_re, row_im = [], []
+            for k in compress(cols, map(or_, xs, ys)):
+                x, y = xs[k], ys[k]
+                if x:
+                    row_re.append(_row_times(x, b_re[k]))
+                    row_im.append(_row_times(x, b_im[k]))
+                if y:
+                    row_re.append(_row_times(-y, b_im[k]))
+                    row_im.append(_row_times(y, b_re[k]))
+            re.append(tuple(reduce(_add_rows, row_re)) if row_re else zeros)
+            im.append(tuple(reduce(_add_rows, row_im)) if row_im else zeros)
+        return from_tables(tuple(re), tuple(im), self.den * other.den)
 
     def __rmul__(self, other: ScalarLike) -> SquareMatrix:
         return self.scale(other)
 
     def scale(self, factor: ScalarLike) -> SquareMatrix:
         c = GaussianRational.of(factor)
-        return SquareMatrix(tuple(tuple(c * a for a in row) for row in self.rows))
+        p, q = c.re_num, c.im_num
+        return from_tables(_mix(p, self.re, -q, self.im), _mix(p, self.im, q, self.re),
+                           c.den * self.den)
 
     def __pow__(self, k: int) -> SquareMatrix:
         if k < 0:
@@ -145,26 +149,24 @@ class SquareMatrix:
 
     def conjugate(self) -> SquareMatrix:
         """The entrywise complex conjugate."""
-        return SquareMatrix(tuple(tuple(a.conjugate() for a in row) for row in self.rows))
+        return from_tables(self.re, _times(-1, self.im), self.den)
 
     def conjugate_transpose(self) -> SquareMatrix:
-        return SquareMatrix(
-            tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows))
-        )
+        return from_tables(tuple(zip(*self.re)), _times(-1, tuple(zip(*self.im))), self.den)
 
     def trace(self) -> GaussianRational:
-        return sum((self.rows[i][i] for i in range(self.n)), GaussianRational())
+        return _from_triple(sum(row[i] for i, row in enumerate(self.re)),
+                            sum(row[i] for i, row in enumerate(self.im)), self.den)
 
     def determinant(self) -> GaussianRational:
-        """Exact determinant: Bareiss elimination of the rows scaled to integers."""
-        rows, scale = integer_rows(self.rows)
-        rank, (re, im) = bareiss(rows)
+        """Exact determinant: Bareiss elimination of the integer tables."""
+        rank, (re, im) = bareiss([list(zip(xs, ys)) for xs, ys in zip(self.re, self.im)])
         if rank < self.n:
             return GaussianRational()
-        return _from_triple(re, im, scale)
+        return _from_triple(re, im, self.den ** self.n)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not any(map(any, self.re)) and not any(map(any, self.im))
 
     def anticommutator(self, other: SquareMatrix) -> SquareMatrix:
         return self * other + other * self
@@ -212,18 +214,49 @@ class SquareMatrix:
             raise ValueError(f"dimension mismatch: {self.n}x{self.n} vs {other.n}x{other.n}")
 
 
-def integer_rows(
-    rows: Iterable[Sequence[GaussianRational]],
-) -> tuple[list[list[GaussianInteger]], int]:
+_add_rows = partial(map, add)
+
+
+def from_tables(re: IntegerTable, im: IntegerTable, den: int) -> SquareMatrix:
+    """The matrix (re + i*im) / den for integer tables and den > 0, divided by
+    the gcd of den and every numerator when that gcd is not 1.  The fields
+    are written to __dict__, past the frozen class's refusing __setattr__."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g != 1:
+            re = tuple(tuple(map(g.__rfloordiv__, row)) for row in re)
+            im = tuple(tuple(map(g.__rfloordiv__, row)) for row in im)
+            den //= g
+    m = object.__new__(SquareMatrix)
+    vars(m).update(re=re, im=im, den=den)
+    return m
+
+
+def _row_times(c: int, row: tuple[int, ...]):
+    """The integer row c * row, as an iterator unless c is 1."""
+    return row if c == 1 else map(c.__mul__, row)
+
+
+def _times(c: int, table: IntegerTable) -> IntegerTable:
+    """The integer table c * table."""
+    return table if c == 1 else tuple(tuple(map(c.__mul__, row)) for row in table)
+
+
+def _mix(p: int, s: IntegerTable, q: int, t: IntegerTable) -> IntegerTable:
+    """The integer table p*s + q*t."""
+    if not q:
+        return _times(p, s)
+    return tuple(tuple(map(add, x, y)) for x, y in zip(_times(p, s), _times(q, t)))
+
+
+def integer_rows(rows: Iterable[Sequence[GaussianRational]]) -> list[list[GaussianInteger]]:
     """Each row times the lcm of its entry denominators, as Gaussian-integer
-    pairs, and the product of those multipliers.  Scaling a row by a nonzero
-    integer keeps the rank and multiplies the determinant by that integer."""
-    scaled, scale = [], 1
+    pairs; scaling a row by a nonzero integer keeps the rank."""
+    scaled = []
     for row in rows:
         m = lcm(*(z.den for z in row))
         scaled.append([(z.re_num * (m // z.den), z.im_num * (m // z.den)) for z in row])
-        scale *= m
-    return scaled, scale
+    return scaled
 
 
 def bareiss(rows: list[list[GaussianInteger]]) -> tuple[int, GaussianInteger]:

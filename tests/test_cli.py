@@ -580,6 +580,10 @@ def test_decompose_bad_cell_is_a_usage_error(tmp_path, capsys, cell, message):
     ([1, 2], "error: matrix row 0 is 1; use a list of cells"),
     ([[1, 2], "34"], "error: matrix row 1 is '34'; use a list of cells"),
     (5, "error: the matrix is 5; use a list of rows"),
+    ([], "error: decomposition enumerates n! permutations; 1 <= n <= 5 required, "
+         "got a 0x0 matrix"),
+    ([[1] * 6] * 6, "error: decomposition enumerates n! permutations; 1 <= n <= 5 required, "
+                    "got a 6x6 matrix"),
 ])
 def test_decompose_rows_that_are_not_lists_are_a_usage_error(tmp_path, capsys, matrix, message):
     path = tmp_path / "m.json"

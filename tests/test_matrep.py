@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from iterant_lab import groups, matrep
-from iterant_lab.groups import from_cycles, natural_action, regular_action
+from iterant_lab import groups, matrep, verify
+from iterant_lab.cli import main
+from iterant_lab.groups import from_cycles
 from iterant_lab.iterants import (
+    IterantAlgebra,
     determinant_period2,
     natural_sn_algebra,
     period_two_algebra,
@@ -211,19 +213,19 @@ def test_determinant_bridge():
 
 
 def test_iso_check_cyclic_regular():
-    report = matrep.iso_check(regular_action(groups.cyclic(3)))
+    report = matrep.iso_check(regular_algebra(groups.cyclic(3)))
     assert report["isomorphism"]
     assert report["algebra_dim"] == 9 == report["matrix_dim"]
 
 
 def test_iso_check_s3_regular():
-    report = matrep.iso_check(regular_action(groups.symmetric(3)))
+    report = matrep.iso_check(regular_algebra(groups.symmetric(3)))
     assert report["isomorphism"]
     assert report["matrix_dim"] == 36
 
 
 def test_iso_check_natural_action_not_faithful():
-    report = matrep.iso_check(natural_action(3))
+    report = matrep.iso_check(natural_sn_algebra(3))
     assert report["homomorphism_ok"]
     assert not report["distinct_basis_images"]
     assert report["algebra_dim"] == 18
@@ -277,33 +279,49 @@ ISOCHECK_TABLE = [
 ]
 
 
-def _action(label):
+def _algebra(label):
     name, kind = label.split()
     if kind == "natural":
-        return natural_action(groups.parse_group_name(name)[1])
-    return regular_action(groups.builtin_group(name))
+        return natural_sn_algebra(groups.parse_group_name(name)[1])
+    return regular_algebra(groups.builtin_group(name))
 
 
 @pytest.mark.parametrize("row", ISOCHECK_TABLE, ids=[row[0] for row in ISOCHECK_TABLE])
 def test_iso_check_table(row):
-    assert tuple(matrep.iso_check(_action(row[0])).values()) == row
+    assert tuple(matrep.iso_check(_algebra(row[0])).values()) == row
 
 
-def _swap_two_points(action, g):
-    """action with the images of points 0 and 1 under g exchanged."""
+def test_isocheck_and_c04_prove_the_one_klein4_algebra(monkeypatch):
+    # both reach the product cases through generator_cases, so the algebras it
+    # is handed are those the two proofs run on
+    seen = []
+    real = matrep.generator_cases
+    monkeypatch.setattr(matrep, "generator_cases",
+                        lambda algebra, gens: seen.append(algebra) or real(algebra, gens))
+    assert main(["matrep", "isocheck", "--group", "klein4"]) == 0
+    (checked,) = seen
+    list(verify.check_g_table_theorem(7))
+    proved = [a for a in seen[1:] if a.group is groups.klein4()]
+    assert len(proved) == 1 and proved[0] is checked is regular_algebra(groups.klein4())
+
+
+def _swap_two_points(algebra, g):
+    """The algebra of algebra's action with the images of points 0 and 1
+    under g exchanged."""
+    action = algebra.action
     maps = list(action.point_maps)
     images = list(maps[g])
     images[0], images[1] = images[1], images[0]
     maps[g] = tuple(images)
-    return groups.GroupAction(action.group, tuple(maps), action.label)
+    return IterantAlgebra(groups.GroupAction(action.group, tuple(maps), action.label))
 
 
 @pytest.mark.parametrize("label", ["c8 regular", "s4 natural"])
 def test_iso_check_catches_each_swapped_point_map(label):
-    action = _action(label)
-    caught = [g for g in range(1, action.group.order)
-              if not matrep.iso_check(_swap_two_points(action, g))["homomorphism_ok"]]
-    assert caught == list(range(1, action.group.order))
+    algebra = _algebra(label)
+    caught = [g for g in range(1, algebra.group.order)
+              if not matrep.iso_check(_swap_two_points(algebra, g))["homomorphism_ok"]]
+    assert caught == list(range(1, algebra.group.order))
 
 
 @pytest.mark.parametrize("label", ["c8 regular", "klein4 regular", "s3 regular",
@@ -314,7 +332,7 @@ def test_iso_check_needs_a_generating_set(monkeypatch, label):
     # generator_cases
     real = groups.generators
     monkeypatch.setattr(groups, "generators", lambda group: real(group)[:-1])
-    report = matrep.iso_check(_action(label))
+    report = matrep.iso_check(_algebra(label))
     assert not report["homomorphism_ok"]
     assert not report["isomorphism"]
 
@@ -329,11 +347,10 @@ def test_matrix_unit_has_a_single_entry_one(n):
 def test_iso_check_reads_the_basis_terms(monkeypatch):
     # conjugating by the swap of points 0 and 1 keeps every product case, but
     # moves the basis images off the matrix units at (i, i*g)
-    action = _action("c8 regular")
-    swap = groups.perm_matrix((1, 0) + tuple(range(2, action.degree)))
+    algebra = _algebra("c8 regular")
+    swap = groups.perm_matrix((1, 0) + tuple(range(2, algebra.degree)))
     plain = matrep.to_matrix
     monkeypatch.setattr(matrep, "to_matrix", lambda x: swap * plain(x) * swap)
-    algebra = regular_algebra(groups.cyclic(8))
     x, y = algebra.element_of("S"), algebra.vector(range(8))
     assert matrep.product_relation((x, y))[0] == matrep.product_relation((x, y))[1]
-    assert not matrep.iso_check(action)["homomorphism_ok"]
+    assert not matrep.iso_check(algebra)["homomorphism_ok"]

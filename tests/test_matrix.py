@@ -1,22 +1,42 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterant_lab import clifford, groups, matrep, scalars
+from iterant_lab.iterants import regular_algebra
 from iterant_lab.matrix import SquareMatrix, integer_rows
 from iterant_lab.scalars import GaussianRational
 
 
-def rand_matrix(rng, n, complex_entries=True):
+def rand_matrix(rng, n, complex_entries=True, shape="dense"):
+    """A dense matrix, a signed permutation (entries 1, -1, i, -i) or one with
+    at most two nonzeros a row: most products the package makes are of the
+    last two shapes."""
     def cell():
         re = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         im = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if complex_entries else Fraction(0)
         return GaussianRational(re, im)
 
-    return SquareMatrix(tuple(tuple(cell() for _ in range(n)) for _ in range(n)))
+    if shape == "dense":
+        return SquareMatrix(tuple(tuple(cell() for _ in range(n)) for _ in range(n)))
+    perm = rng.sample(range(n), n)
+    units = [GaussianRational(1), GaussianRational(-1),
+             GaussianRational(0, 1), GaussianRational(0, -1)]
+    rows = [[GaussianRational()] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        if shape == "signed":
+            row[perm[i]] = rng.choice(units)
+        else:
+            for j in rng.sample(range(n), min(n, 2)):
+                row[j] = cell()
+    return SquareMatrix(tuple(map(tuple, rows)))
+
+
+SHAPES = ("dense", "signed", "two-per-row")
 
 
 def test_rejects_non_square():
@@ -38,10 +58,13 @@ def test_identity_is_shared_per_size():
 def test_ring_axioms_random():
     rng = random.Random(70)
     for _ in range(50):
-        a, b, c = (rand_matrix(rng, 3) for _ in range(3))
+        n = rng.randint(1, 5)
+        a, b, c = (rand_matrix(rng, n, shape=rng.choice(SHAPES)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
         assert (a + b) - b == a
+        assert (a * b).conjugate_transpose() == b.conjugate_transpose() * a.conjugate_transpose()
 
 
 def test_determinant_against_cofactor_oracle():
@@ -59,8 +82,10 @@ def test_determinant_2x2_and_multiplicative():
         m = rand_matrix(rng, 2)
         (a, b), (c, d) = m.rows
         assert m.determinant() == a * d - b * c
-        w = rand_matrix(rng, 2)
-        assert (m * w).determinant() == m.determinant() * w.determinant()
+        for shape in SHAPES:
+            w = rand_matrix(rng, 2, shape=shape)
+            assert (m * w).determinant() == m.determinant() * w.determinant()
+            assert (w * m).determinant() == w.determinant() * m.determinant()
 
 
 def test_determinant_singular():
@@ -139,14 +164,51 @@ mixed_matrices = st.integers(min_value=1, max_value=4).flatmap(
 @given(mixed_matrices)
 def test_integer_view_is_the_lcm_of_the_part_denominators(rows):
     m = SquareMatrix(tuple(map(tuple, rows)))
-    assert m.integers == lcm_view(m)
-    # each row scaled by the lcm of its own part denominators, as the
-    # determinant and the rank read it
-    scaled, scale = integer_rows(m.rows)
-    expected_scale = 1
-    for row, pairs in zip(m.rows, scaled):
+    assert (m.re, m.im, m.den) == lcm_view(m)
+    # each row scaled by the lcm of its own part denominators, as the rank
+    # reads it
+    for row, pairs in zip(m.rows, integer_rows(m.rows)):
         row_den = lcm(*(x.denominator for z in row for x in (z.re, z.im)))
         assert pairs == [(z.re.numerator * (row_den // z.re.denominator),
                           z.im.numerator * (row_den // z.im.denominator)) for z in row]
-        expected_scale *= row_den
-    assert scale == expected_scale
+
+
+def tables(m: SquareMatrix):
+    return m.re, m.im, m.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_matrices, st.sampled_from([Fraction(1, 3), Fraction(-2, 5), GaussianRational(1, 2)]))
+def test_equal_matrices_have_one_stored_form(rows, c):
+    m = SquareMatrix(tuple(map(tuple, rows)))
+    n = m.n
+    one, other = SquareMatrix.identity(n), SquareMatrix.from_rows([[c] * n] * n)
+    algebra = regular_algebra(groups.cyclic(n))
+    units = [matrep.matrix_unit(n, i, j).scale(m.rows[i][j]) for i in range(n) for j in range(n)]
+    built = [
+        SquareMatrix.from_rows(m.rows),
+        # row i of M is the sum over g of its entry at (i, i*g), placed by to_matrix
+        matrep.to_matrix(sum((algebra.term([m.rows[i][(i + g) % n] for i in range(n)], g)
+                              for g in range(1, n)),
+                             algebra.term([m.rows[i][i] for i in range(n)], 0))),
+        sum(units[1:], units[0]),
+        one * m, m * one, (m.scale(c) * one).scale(1 / c),
+        (m + other) - other, -(other - m) + other,
+        m.conjugate_transpose().conjugate_transpose(),
+    ]
+    den = lcm(*(z.den for row in m.rows for z in row))
+    assert m.den == den and gcd(den, *(x for t in (m.re, m.im) for row in t for x in row)) == 1
+    for b in built:
+        assert b == m and hash(b) == hash(m) and tables(b) == tables(m)
+
+
+def test_a_ladder_product_builds_its_entries_only_when_read(monkeypatch):
+    a, b = clifford.clifford_generators(4)[:2]
+    made = []
+    allocate = scalars._allocate  # every GaussianRational is made through it
+    monkeypatch.setattr(scalars, "_allocate", lambda cls: made.append(cls) or allocate(cls))
+    product = a * b
+    assert made == []
+    rows = product.rows
+    assert len(made) == sum(not z.is_zero() for row in rows for z in row) == 4
+    assert product.rows is rows and len(made) == 4
