@@ -128,10 +128,6 @@ def _aligned(rows: list[list[str]]) -> str:
     )
 
 
-def _cells(matrix: SquareMatrix) -> list[list[str]]:
-    return [[str(c) for c in row] for row in matrix.rows]
-
-
 def _outcomes(relations) -> dict[str, bool]:
     """Whether each (name, lhs, rhs) relation holds, by name."""
     return {name: lhs == rhs for name, lhs, rhs in relations}
@@ -153,7 +149,13 @@ def cmd_group_table(args):
 
 def cmd_matrep_decompose(args):
     with open(args.matrix) as handle:
-        data = json.load(handle, parse_int=parse_integer)
+        try:
+            data = json.load(handle, parse_int=parse_integer)
+        except RecursionError:
+            raise ValueError("the matrix file nests its JSON too deeply to read") from None
+    if isinstance(data, dict) and "matrix" not in data:
+        raise ValueError('the matrix file\'s JSON object has no "matrix" key; '
+                         'write {"matrix": [[...], ...]} or a list of rows')
     matrix = SquareMatrix.from_lists(data["matrix"] if isinstance(data, dict) else data)
     terms = matrep.decompose_matrix(matrix)
     exact = matrep.reassemble(terms, matrix.n) == matrix
@@ -201,8 +203,8 @@ def cmd_iterant_eval(args):
     results = {
         "sum": str(z + w),
         "product": str(z * w),
-        "left_matrix": _cells(matrep.to_matrix(z)),
-        "product_matrix": _cells(matrep.to_matrix(z * w)),
+        "left_matrix": matrep.to_matrix(z).cells(),
+        "product_matrix": matrep.to_matrix(z * w).cells(),
     }
     return 0, {
         "json": results,
@@ -219,7 +221,7 @@ def cmd_clifford_quaternions(args):
         "table_holds": table_ok,
     }
     if args.verify:
-        payload |= {name: _cells(getattr(triple, name)) for name in "IJK"}
+        payload |= {name: getattr(triple, name).cells() for name in "IJK"}
 
     def text():
         yield (f"variant {args.variant} ({triple.dim}x{triple.dim}); "
@@ -244,7 +246,7 @@ def _braid_word(text: str) -> list[int]:
 def cmd_clifford_braid(args):
     word = _braid_word(args.word)
     lhs = clifford.braid_word_matrix(args.n, word)
-    payload = {"n": args.n, "word": word, "matrix": _cells(lhs)}
+    payload = {"n": args.n, "word": word, "matrix": lhs.cells()}
     if args.compare is not None:
         other = _braid_word(args.compare)
         payload["compare"] = other
@@ -310,7 +312,7 @@ def cmd_dirac_majorana(args):
     }
     matrices = gens.items() if args.emit_matrices else ()
     if matrices:
-        payload["matrices"] = {name: _cells(matrix) for name, matrix in matrices}
+        payload["matrices"] = {name: matrix.cells() for name, matrix in matrices}
     ok = all_real and all(relations.values()) and copies_ok
 
     def text():

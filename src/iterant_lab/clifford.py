@@ -29,8 +29,8 @@ from typing import Any
 from .groups import klein4
 from .iterants import alternations_and_shifts, regular_algebra
 from .matrep import to_matrix
-from .matrix import SquareMatrix
-from .scalars import I_UNIT
+from .matrix import SquareMatrix, from_entries
+from .scalars import I_UNIT, ONE
 
 # Each identity is one (name, lhs, rhs) triple; it holds when lhs == rhs.
 Relations = Iterator[tuple[str, Any, Any]]
@@ -141,14 +141,8 @@ def braid_basis_matrix(n: int, k: int) -> SquareMatrix:
     _check_generator_count(n)
     if not 1 <= k < n:
         raise ValueError(f"braid index must satisfy 1 <= k < {n}, got {k}")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    rows[k - 1][k - 1] = 0
-    rows[k - 1][k] = 1
-    rows[k][k] = 0
-    rows[k][k - 1] = -1
-    return SquareMatrix.from_rows(rows)
+    fixed = [(i, i, ONE) for i in range(n) if i not in (k - 1, k)]
+    return from_entries(n, fixed + [(k - 1, k, ONE), (k, k - 1, -ONE)])
 
 
 def braid_word_matrix(n: int, word: list[int]) -> SquareMatrix:

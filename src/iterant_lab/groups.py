@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .matrix import SquareMatrix
-from .scalars import parse_integer
+from .matrix import SquareMatrix, from_entries
+from .scalars import ONE, parse_integer
 
 
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
 # embedding or decomposing an n x n matrix over the n! permutations stops at
 # n = 5, the isocheck of a regular action, whose algebra has dimension
-# order^2, stops at order 8 (c8 takes about 6 ms, and s6 natural, the largest
-# natural isocheck, about 0.3 s), the random mark trees of
+# order^2, stops at order 8 (c8 takes about 4 ms, and s6 natural, the largest
+# natural isocheck, about 0.15 s), the random mark trees of
 # the confluence fuzz, which hold up to 4^depth marks (about 1.4^depth * 10 on average), stop at depth 8 and at 2000
 # trees (about 5 s at depth 8), a parsed mark expression stops at 4000 marks
 # (a flat list of 4000 reduces in about 0.6 s), a lattice run stops at
@@ -239,10 +239,7 @@ def g_table_names(group: Group) -> list[list[str]]:
 
 def perm_matrix(images: Permutation) -> SquareMatrix:
     """0/1 matrix with the row-i one in column i*p; products track composition."""
-    n = len(images)
-    return SquareMatrix.from_rows(
-        [[1 if j == images[i] else 0 for j in range(n)] for i in range(n)]
-    )
+    return from_entries(len(images), [(i, j, ONE) for i, j in enumerate(images)])
 
 
 def matrix_to_perm(m: SquareMatrix) -> Permutation:
@@ -280,9 +277,6 @@ class GroupAction:
     def degree(self) -> int:
         return len(self.point_maps[0])
 
-    def matrix_of(self, g: int) -> SquareMatrix:
-        return perm_matrix(self.point_maps[g])
-
 
 def regular_action(group: Group) -> GroupAction:
     """Right regular action: point i moves under g to the index of g_i * g."""
@@ -319,15 +313,12 @@ def natural_action(n: int) -> GroupAction:
 def element_matrices_from_g_table(group: Group) -> dict[str, SquareMatrix]:
     """For each element g, the 0/1 matrix marking the positions of g in the
     rearranged identity-diagonal table; these realize the regular representation."""
-    table = g_table(group)
-    out = {}
-    for g in range(group.order):
-        rows = [
-            [1 if table[i][j] == g else 0 for j in range(group.order)]
-            for i in range(group.order)
-        ]
-        out[group.names[g]] = SquareMatrix.from_rows(rows)
-    return out
+    placed = [[] for _ in range(group.order)]
+    for i, row in enumerate(g_table(group)):
+        for j, g in enumerate(row):
+            placed[g].append((i, j, ONE))
+    return {name: from_entries(group.order, entries)
+            for name, entries in zip(group.names, placed)}
 
 
 def parse_group_name(name: str) -> tuple[str, int]:

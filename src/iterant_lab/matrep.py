@@ -1,10 +1,11 @@
 """Bridge between iterant algebras and matrix algebras.
 
 ``to_matrix`` sends a sum of vector-times-group-element terms to the matching
-sum of diagonal-times-permutation matrices.  For the natural symmetric-group
-algebras it has a one-sided inverse ``embed_matrix`` built from the exact
-decomposition  M = (1/(n-1)!) * sum over all permutations of diag(v) * P,
-where v picks the matrix entries (m_{1p(1)}, ..., m_{np(n)}).
+sum of diagonal-times-permutation matrices, built by ``matrix.from_entries``
+from each entry v[i] of a term v g placed at (i, i*g).  For the natural
+symmetric-group algebras it has a one-sided inverse ``embed_matrix`` built
+from the exact decomposition  M = (1/(n-1)!) * sum over all permutations of
+diag(v) * P, where v picks the matrix entries (m_{1p(1)}, ..., m_{np(n)}).
 
 The checks hand back two sides for the caller to compare: ``entry_sums`` is
 the kernel's entry-sum criterion as a matrix, equal to ``to_matrix`` of the
@@ -38,13 +39,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from . import groups
 from .groups import MAX_ENUMERATED_DEGREE, Permutation, natural_action
 from .iterants import IterantAlgebra, IterantElement, natural_sn_algebra
-from .matrix import SquareMatrix, bareiss, from_tables, integer_rows
-from .scalars import GaussianRational
+from .matrix import SquareMatrix, bareiss, from_entries, integer_rows
+from .scalars import ONE, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,8 @@ class DecompositionTerm:
 def _placed(n: int, terms) -> SquareMatrix:
     """The sum of diag(vec) * P(images) over the (vec, images) terms: row i of
     diag(vec) * P(images) holds vec[i] at column images[i] and zeros elsewhere."""
-    terms = list(terms)
-    den = lcm(*(c.den for vec, _ in terms for c in vec))
-    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-    for vec, images in terms:
-        for re_row, im_row, j, c in zip(re, im, images, vec):
-            re_row[j] += c.re_num * (den // c.den)
-            im_row[j] += c.im_num * (den // c.den)
-    return from_tables(tuple(map(tuple, re)), tuple(map(tuple, im)), den)
+    return from_entries(n, ((i, j, c) for vec, images in terms
+                            for i, j, c in zip(range(n), images, vec)))
 
 
 def to_matrix(x: IterantElement) -> SquareMatrix:
@@ -144,9 +139,7 @@ def generator_cases(algebra: IterantAlgebra,
 
 def matrix_unit(n: int, i: int, j: int) -> SquareMatrix:
     """The n x n matrix with a single entry 1, at (i, j)."""
-    zeros = (0,) * n
-    return from_tables((zeros,) * i + (zeros[:j] + (1,) + zeros[j + 1:],)
-                       + (zeros,) * (n - i - 1), (zeros,) * n, 1)
+    return from_entries(n, [(i, j, ONE)])
 
 
 def basis_image(b: IterantElement) -> tuple[SquareMatrix, SquareMatrix]:

@@ -5,11 +5,12 @@ imaginary numerators of its entries over one denominator ``den``, the lcm of
 the entry denominators, so that gcd(den, every numerator) = 1 and equal
 matrices have equal ``(re, im, den)``; equality and hashing read these.  The
 entries, ``GaussianRational`` values, are built from the tables on the first
-read of ``rows`` and kept; a matrix built from entries keeps those it was
-given.  Every operation here runs on the tables and ends in one gcd
-(``from_tables``).  Almost every matrix the package multiplies is a signed
-permutation or has at most two nonzeros a row, so ``A * B`` goes row by row
-over A's nonzeros: for each nonzero x + i*y in column k it adds x*B_k and
+read of ``rows`` and kept; ``cells`` writes them as text from the tables.
+The one builder from entries, ``from_entries``, sums the values placed at each
+(i, j); it and every operation here end in one gcd (``_from_tables``), which
+no other module calls.  Almost every matrix the package multiplies is a
+signed permutation or has at most two nonzeros a row, so ``A * B`` goes row by
+row over A's nonzeros: for each nonzero x + i*y in column k it adds x*B_k and
 y*(i B_k) to the result row, as ``map``s over B's integer rows k.  The
 determinant here and the rank in ``matrep`` both call ``bareiss``, one
 fraction-free elimination over the Gaussian integers (Bareiss, "Sylvester's
@@ -27,8 +28,8 @@ from math import gcd, lcm
 from operator import add, or_
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ScalarLike, _from_triple, parse_rational, parse_scalar
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import ONE, GaussianRational, ScalarLike, _from_triple, format_triple
+from .scalars import parse_rational, parse_scalar, scalar_from_json, scalar_to_json
 
 GaussianInteger = tuple[int, int]
 IntegerTable = tuple[tuple[int, ...], ...]
@@ -49,11 +50,8 @@ class SquareMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: row of length {len(row)} in {n}x{n}")
-        den = lcm(*(z.den for row in rows for z in row))
-        m = from_tables(tuple(tuple(z.re_num * (den // z.den) for z in row) for row in rows),
-                        tuple(tuple(z.im_num * (den // z.den) for z in row) for row in rows), den)
-        vars(m)["rows"] = rows
-        return m
+        return from_entries(n, ((i, j, z) for i, row in enumerate(rows)
+                                for j, z in enumerate(row)))
 
     @cached_property
     def rows(self) -> Sequence[Sequence[GaussianRational]]:
@@ -72,21 +70,16 @@ class SquareMatrix:
     @cache
     def identity(n: int) -> SquareMatrix:
         """The n x n identity, one shared matrix per n."""
-        zeros = ((0,) * n,) * n
-        return from_tables(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-                           zeros, 1)
+        return from_entries(n, [(i, i, ONE) for i in range(n)])
 
     @staticmethod
     def zero(n: int) -> SquareMatrix:
-        zeros = ((0,) * n,) * n
-        return from_tables(zeros, zeros, 1)
+        return from_entries(n, ())
 
     @staticmethod
     def diagonal(entries: Sequence[ScalarLike]) -> SquareMatrix:
-        n = len(entries)
-        return SquareMatrix.from_rows(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return from_entries(len(entries),
+                            [(i, i, GaussianRational.of(c)) for i, c in enumerate(entries)])
 
     @property
     def n(self) -> int:
@@ -103,10 +96,10 @@ class SquareMatrix:
         self._check_dim(other)
         den = lcm(self.den, other.den)
         f, g = den // self.den, sign * (den // other.den)
-        return from_tables(_mix(f, self.re, g, other.re), _mix(f, self.im, g, other.im), den)
+        return _from_tables(_mix(f, self.re, g, other.re), _mix(f, self.im, g, other.im), den)
 
     def __neg__(self) -> SquareMatrix:
-        return from_tables(_times(-1, self.re), _times(-1, self.im), self.den)
+        return _from_tables(_times(-1, self.re), _times(-1, self.im), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -128,7 +121,7 @@ class SquareMatrix:
                     row_im.append(_row_times(y, b_re[k]))
             re.append(tuple(reduce(_add_rows, row_re)) if row_re else zeros)
             im.append(tuple(reduce(_add_rows, row_im)) if row_im else zeros)
-        return from_tables(tuple(re), tuple(im), self.den * other.den)
+        return _from_tables(tuple(re), tuple(im), self.den * other.den)
 
     def __rmul__(self, other: ScalarLike) -> SquareMatrix:
         return self.scale(other)
@@ -136,8 +129,8 @@ class SquareMatrix:
     def scale(self, factor: ScalarLike) -> SquareMatrix:
         c = GaussianRational.of(factor)
         p, q = c.re_num, c.im_num
-        return from_tables(_mix(p, self.re, -q, self.im), _mix(p, self.im, q, self.re),
-                           c.den * self.den)
+        return _from_tables(_mix(p, self.re, -q, self.im), _mix(p, self.im, q, self.re),
+                            c.den * self.den)
 
     def __pow__(self, k: int) -> SquareMatrix:
         if k < 0:
@@ -149,10 +142,10 @@ class SquareMatrix:
 
     def conjugate(self) -> SquareMatrix:
         """The entrywise complex conjugate."""
-        return from_tables(self.re, _times(-1, self.im), self.den)
+        return _from_tables(self.re, _times(-1, self.im), self.den)
 
     def conjugate_transpose(self) -> SquareMatrix:
-        return from_tables(tuple(zip(*self.re)), _times(-1, tuple(zip(*self.im))), self.den)
+        return _from_tables(tuple(zip(*self.re)), _times(-1, tuple(zip(*self.im))), self.den)
 
     def trace(self) -> GaussianRational:
         return _from_triple(sum(row[i] for i, row in enumerate(self.re)),
@@ -202,8 +195,14 @@ class SquareMatrix:
             rows.append(tuple(parsed))
         return SquareMatrix(tuple(rows))
 
+    def cells(self) -> list[list[str]]:
+        """Each entry as ``str`` writes it, read from the tables."""
+        den = self.den
+        return [[format_triple(x, y, den) for x, y in zip(xs, ys)]
+                for xs, ys in zip(self.re, self.im)]
+
     def __str__(self) -> str:
-        cells = [[str(a) for a in row] for row in self.rows]
+        cells = self.cells()
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(
             "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
@@ -217,7 +216,22 @@ class SquareMatrix:
 _add_rows = partial(map, add)
 
 
-def from_tables(re: IntegerTable, im: IntegerTable, den: int) -> SquareMatrix:
+def from_entries(n: int, entries: Iterable[tuple[int, int, GaussianRational]]) -> SquareMatrix:
+    """The n x n matrix holding at each (i, j) the sum of the values that the
+    (i, j, value) entries, 0 <= i, j < n, give there, and zero where they give none."""
+    entries = list(entries)
+    den = lcm(*{z.den for _, _, z in entries})
+    re, im = [0] * (n * n), [0] * (n * n)  # row-major
+    for i, j, z in entries:
+        f = den // z.den
+        re[i * n + j] += z.re_num * f
+        im[i * n + j] += z.im_num * f
+    # the rows are n items at a time of one iterator; a real matrix shares zero rows
+    return _from_tables(tuple(zip(*[iter(re)] * n)),
+                        tuple(zip(*[iter(im)] * n)) if any(im) else ((0,) * n,) * n, den)
+
+
+def _from_tables(re: IntegerTable, im: IntegerTable, den: int) -> SquareMatrix:
     """The matrix (re + i*im) / den for integer tables and den > 0, divided by
     the gcd of den and every numerator when that gcd is not 1.  The fields
     are written to __dict__, past the frozen class's refusing __setattr__."""

@@ -181,6 +181,7 @@ def _from_triple(re_num: int, im_num: int, den: int) -> GaussianRational:
     return _make(re_num, im_num, den)
 
 
+ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
 
 
@@ -198,7 +199,11 @@ def _rational_text(num: int, den: int) -> str:
 
 def format_scalar(z: GaussianRational) -> str:
     """Emit "a/b" for reals and "a/b+c/di" otherwise (canonical reduced form)."""
-    re_num, im_num, den = z.re_num, z.im_num, z.den
+    return format_triple(z.re_num, z.im_num, z.den)
+
+
+def format_triple(re_num: int, im_num: int, den: int) -> str:
+    """(re_num + im_num*i) / den for den > 0, in any terms, as format_scalar writes it."""
     if im_num == 0:
         return _rational_text(re_num, den)
     if im_num == den:

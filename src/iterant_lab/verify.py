@@ -354,7 +354,7 @@ def check_g_table_theorem(seed: int):
         def placement(g: int):
             placed = table_mats[group.names[g]]
             return ((placed, groups.matrix_to_perm(placed)),
-                    (action.matrix_of(g), action.point_maps[g]))
+                    (groups.perm_matrix(action.point_maps[g]), action.point_maps[g]))
 
         yield (f"C04.{name}-regular-placement",
                f"{name}: table placement of each element equals its regular permutation matrix",

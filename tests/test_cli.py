@@ -584,10 +584,16 @@ def test_decompose_bad_cell_is_a_usage_error(tmp_path, capsys, cell, message):
          "got a 0x0 matrix"),
     ([[1] * 6] * 6, "error: decomposition enumerates n! permutations; 1 <= n <= 5 required, "
                     "got a 6x6 matrix"),
+    # a str is the text of the whole file
+    pytest.param('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "error: the matrix file nests its JSON too deeply to read", id="deep"),
+    pytest.param('{"rows": [[1]]}', 'error: the matrix file\'s JSON object has no "matrix" key; '
+                                    'write {"matrix": [[...], ...]} or a list of rows',
+                 id="no-matrix-key"),
 ])
 def test_decompose_rows_that_are_not_lists_are_a_usage_error(tmp_path, capsys, matrix, message):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"matrix": matrix}))
+    path.write_text(matrix if isinstance(matrix, str) else json.dumps({"matrix": matrix}))
     code = main(["matrep", "decompose", "--matrix", str(path)])
     captured = capsys.readouterr()
     assert code == 2

@@ -206,7 +206,7 @@ def test_table_placement_equals_regular_matrices():
         action = regular_action(g)
         mats = groups.element_matrices_from_g_table(g)
         for gid in range(g.order):
-            assert mats[g.names[gid]] == action.matrix_of(gid)
+            assert mats[g.names[gid]] == groups.perm_matrix(action.point_maps[gid])
 
 
 def test_regular_action_is_homomorphism():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from iterant_lab import clifford, groups, matrep, scalars
 from iterant_lab.iterants import regular_algebra
-from iterant_lab.matrix import SquareMatrix, integer_rows
+from iterant_lab.matrix import SquareMatrix, from_entries, integer_rows
 from iterant_lab.scalars import GaussianRational
 
 
@@ -173,6 +173,14 @@ def test_integer_view_is_the_lcm_of_the_part_denominators(rows):
                           z.im.numerator * (row_den // z.im.denominator)) for z in row]
 
 
+@settings(max_examples=60, deadline=None)
+@given(mixed_matrices)
+def test_cells_are_the_entries_as_str_writes_them(rows):
+    # the tables' common denominator leaves most entries out of lowest terms
+    m = SquareMatrix(tuple(map(tuple, rows)))
+    assert m.cells() == [[str(z) for z in row] for row in rows]
+
+
 def tables(m: SquareMatrix):
     return m.re, m.im, m.den
 
@@ -195,11 +203,45 @@ def test_equal_matrices_have_one_stored_form(rows, c):
         one * m, m * one, (m.scale(c) * one).scale(1 / c),
         (m + other) - other, -(other - m) + other,
         m.conjugate_transpose().conjugate_transpose(),
+        matrep.reassemble(matrep.decompose_matrix(m), n),
     ]
+    # M = sum over g of diag(its entries at (i, i*g)) * P_g, with each P_g
+    # placed once from the g-table and once from the action
+    table_mats = groups.element_matrices_from_g_table(algebra.group)
+    for perms in ([table_mats[name] for name in algebra.group.names],
+                  [groups.perm_matrix(images) for images in algebra.action.point_maps]):
+        terms = [SquareMatrix.diagonal([m.rows[i][(i + g) % n] for i in range(n)]) * p
+                 for g, p in enumerate(perms)]
+        built.append(sum(terms[1:], terms[0]))
+    if n > 1:
+        b = clifford.braid_basis_matrix(n, 1)
+        built.append(m * b * b.conjugate_transpose())
     den = lcm(*(z.den for row in m.rows for z in row))
     assert m.den == den and gcd(den, *(x for t in (m.re, m.im) for row in t for x in row)) == 1
     for b in built:
         assert b == m and hash(b) == hash(m) and tables(b) == tables(m)
+
+
+placed_entries = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.builds(GaussianRational, mixed_parts, mixed_parts)), max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(placed_entries)
+def test_from_entries_adds_the_values_at_each_position(case):
+    n, entries = case
+    m = from_entries(n, iter(entries))
+    sums = {}
+    for i, j, z in entries:
+        sums[i, j] = sums.get((i, j), GaussianRational()) + z
+    assert m.rows == tuple(tuple(sums.get((i, j), GaussianRational()) for j in range(n))
+                           for i in range(n))
+    units = [matrep.matrix_unit(n, i, j).scale(z) for i, j, z in entries]
+    assert m == sum(units, SquareMatrix.zero(n))
+    den = lcm(*(z.den for z in sums.values()))
+    assert m.den == den and gcd(den, *(x for t in (m.re, m.im) for row in t for x in row)) == 1
 
 
 def test_a_ladder_product_builds_its_entries_only_when_read(monkeypatch):
