@@ -6,6 +6,9 @@ chose to stdout or to the --out file.  JSON is ``json.dumps(payload,
 indent=2, sort_keys=True)`` byte for byte, written by one encoder in pieces:
 each item of the outer two levels on its own, each deeper subtree joined into
 one string, so a long ``lof reduce --trace`` list is never held as one text.
+Within one write, a dict inside a joined subtree is written once per (id,
+indent), so the cell object that 24 terms of a 5x5 ``matrep decompose``
+share is one text; an array of one scalar type is joined through one map.
 No verify-all row draws, so ``verify-all --seed`` changes no output.  Exit
 codes: 0 success, 1 failed check (or the unmarked state for ``lof reduce``),
 2 usage error.
@@ -24,7 +27,7 @@ from dataclasses import asdict
 from . import clifford, dirac, discrete, groups, lof, matrep, schrodinger, verify
 from .iterants import natural_sn_algebra, parse_period2, regular_algebra
 from .matrix import SquareMatrix
-from .scalars import parse_integer, parse_rational, scalar_to_json
+from .scalars import parse_integer, parse_rational, quoted, scalar_to_json
 
 JSON_TEXT = ("json", "text")
 JSON_TEXT_CSV = ("json", "text", "csv")
@@ -64,20 +67,25 @@ _JSON_SCALARS = {
 }
 
 
-def _json_text(value, indent: str) -> str:
+def _json_text(value, indent: str, memo: dict) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
-    indent (a newline and spaces) starting each line after the first."""
+    indent (a newline and spaces) starting each line after the first.  Each
+    dict below value is written once per (id, indent) into memo, so one object
+    that the payload holds in many places costs one text."""
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
     inner = indent + "  "
     if type(value) is dict:
         brackets = "{}"
-        items = [f"{_json_string(key)}: {_json_text(item, inner)}"
+        items = [f"{_json_string(key)}: {_json_item(item, inner, memo)}"
                  for key, item in sorted(value.items())]
     elif type(value) in (list, tuple):
         brackets = "[]"
-        items = [_json_text(item, inner) for item in value]
+        kinds = set(map(type, value))
+        leaf = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = (list(map(leaf, value)) if leaf
+                 else [_json_item(item, inner, memo) for item in value])
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not items:
@@ -85,11 +93,26 @@ def _json_text(value, indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _json_pieces(value, indent: str = "\n", levels: int = 2):
+def _json_item(value, indent: str, memo: dict) -> str:
+    """_json_text of an item inside a joined subtree, a dict through memo.  The
+    payload holds every object while it is written, so no id is reused."""
+    if type(value) is not dict:
+        return _json_text(value, indent, memo)
+    key = (id(value), indent)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _json_text(value, indent, memo)
+    return text
+
+
+def _json_pieces(value, indent: str = "\n", levels: int = 2, memo: dict | None = None):
     """Yield _json_text(value, indent) in pieces: the items of the outer
-    levels of containers one at a time, each deeper subtree as one string."""
+    levels of containers one at a time, each deeper subtree as one string.
+    The memo lasts for one call and keeps the dicts nested in those subtrees,
+    never a streamed item itself."""
+    memo = {} if memo is None else memo
     if not (levels and value and type(value) in (dict, list, tuple)):
-        yield _json_text(value, indent)
+        yield _json_text(value, indent, memo)
         return
     inner = indent + "  "
     is_dict = type(value) is dict
@@ -97,7 +120,7 @@ def _json_pieces(value, indent: str = "\n", levels: int = 2):
     # a list's keys are its indexes, which the text does not show
     for n, (key, item) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
         yield ("," if n else "") + inner + (f"{_json_string(key)}: " if is_dict else "")
-        yield from _json_pieces(item, inner, levels - 1)
+        yield from _json_pieces(item, inner, levels - 1, memo)
     yield indent + ("}" if is_dict else "]")
 
 
@@ -159,10 +182,12 @@ def cmd_matrep_decompose(args):
     matrix = SquareMatrix.from_lists(data["matrix"] if isinstance(data, dict) else data)
     terms = matrep.decompose_matrix(matrix)
     exact = matrep.reassemble(terms, matrix.n) == matrix
+    # one object per cell, which every term that picks the cell refers to
+    cells = [[scalar_to_json(c) for c in row] for row in matrix.rows]
     payload = [
         {
             "perm": groups.cycle_string(term.perm),
-            "diag": [scalar_to_json(c) for c in term.diag],
+            "diag": [cells[i][j] for i, j in enumerate(term.perm)],
         }
         for term in terms
     ]
@@ -237,7 +262,7 @@ def _braid_word(text: str) -> list[int]:
     word = []
     for token in text.split():
         if not (token[1:] if token[0] in "+-" else token).isdecimal():
-            raise ValueError(f"braid word token {token!r} is not an integer; "
+            raise ValueError(f"braid word token {quoted(token)} is not an integer; "
                              "separate the indices with spaces")
         word.append(parse_integer(token))
     return word
@@ -377,7 +402,8 @@ def _initial_fields(cfg, text: str):
             fields = schrodinger.gaussian_fields(cfg, mu, sigma)
             if all(math.isfinite(v) for field in fields for v in field):
                 return fields
-    raise ValueError(f"cannot read init {text!r}; use gaussian:mu=..,sigma=.. or planewave:k")
+    raise ValueError(f"cannot read init {quoted(text)}; "
+                     "use gaussian:mu=..,sigma=.. or planewave:k")
 
 
 def cmd_schrodinger_run(args):

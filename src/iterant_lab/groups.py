@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from .matrix import SquareMatrix, from_entries
-from .scalars import ONE, parse_integer
+from .scalars import ONE, parse_integer, quoted
 
 
 # The desk-scale caps: S_6 has 720 elements, S_7 already a 5040^2 table,
@@ -329,7 +329,7 @@ def parse_group_name(name: str) -> tuple[str, int]:
         return key, 4
     if key[:1] in ("c", "s") and key[1:].isdigit():
         return key[0], parse_integer(key[1:])
-    raise KeyError(f"unknown group {name!r}; try c<n>, s<n> or klein4")
+    raise KeyError(f"unknown group {quoted(name)}; try c<n>, s<n> or klein4")
 
 
 def builtin_group(name: str) -> Group:

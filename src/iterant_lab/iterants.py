@@ -20,6 +20,7 @@ from .scalars import (
     GaussianRational,
     ScalarLike,
     parse_scalar,
+    quoted,
     scalar_from_json,
     scalar_to_json,
 )
@@ -306,16 +307,16 @@ def parse_period2(text: str) -> IterantElement:
     while True:
         if pos == len(s):
             raise ValueError(
-                f"expected a term after the sign at position {kept[pos - 1]} in {text!r}")
+                f"expected a term after the sign at position {kept[pos - 1]} in {quoted(text)}")
         if s[pos] != "[":
-            raise ValueError(f"expected '[' at position {kept[pos]} in {text!r}")
+            raise ValueError(f"expected '[' at position {kept[pos]} in {quoted(text)}")
         close = s.find("]", pos)
         if close < 0:
-            raise ValueError(f"missing ']' for the '[' at position {kept[pos]} in {text!r}")
+            raise ValueError(f"missing ']' for the '[' at position {kept[pos]} in {quoted(text)}")
         inner = s[pos + 1 : close]
         entries = [parse_scalar(p) for p in inner.split(",")]
         if len(entries) != 2:
-            raise ValueError(f"expected two components in {inner!r}")
+            raise ValueError(f"expected two components in {quoted(inner)}")
         pos = close + 1
         g = "1"
         if pos < len(s) and s[pos] == "e":
@@ -326,7 +327,7 @@ def parse_period2(text: str) -> IterantElement:
             return total
         if s[pos] not in "+-":
             raise ValueError(
-                f"expected '+' or '-' between terms at position {kept[pos]} in {text!r}")
+                f"expected '+' or '-' between terms at position {kept[pos]} in {quoted(text)}")
         sign, pos = (1 if s[pos] == "+" else -1), pos + 1
 
 

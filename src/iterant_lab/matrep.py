@@ -31,12 +31,16 @@ the closure of the generators makes that every element.  ``basis_image``
 gives the premise M(e_i g) = diag(e_i) P_g: M(e_i g) beside the matrix unit
 at (i, i*g).  Two callers run these two pieces: ``iso_check``, for
 ``matrep isocheck``, and the C04.<group>-homomorphism and
-C04.<group>-basis-images rows of verify-all.
+C04.<group>-basis-images rows of verify-all.  Each caller passes both pieces
+one ``image_memo``, so the image of each distinct element is built once per
+check: the basis elements e_i g, and the group elements s, h and sh (a
+product s e_i is a basis element).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -114,12 +118,28 @@ def entry_sums(x: IterantElement) -> SquareMatrix:
         for i in range(n)))
 
 
+def image_memo() -> Callable[[IterantElement], SquareMatrix]:
+    """to_matrix for the elements of one algebra, building the image of each
+    distinct element once, for as long as the caller keeps the function.  A
+    check makes one and drops it when it ends, so no image outlives it."""
+    images: dict[tuple, SquareMatrix] = {}
+
+    def image(x: IterantElement) -> SquareMatrix:
+        m = images.get(x.terms)
+        if m is None:
+            m = images[x.terms] = to_matrix(x)
+        return m
+
+    return image
+
+
 def product_relation(
-    pair: tuple[IterantElement, IterantElement],
+    pair: tuple[IterantElement, IterantElement], image=None,
 ) -> tuple[SquareMatrix, SquareMatrix]:
-    """M(xy) against M(x) M(y)."""
+    """M(xy) against M(x) M(y), with M an image_memo, or to_matrix by default."""
     x, y = pair
-    return to_matrix(x * y), to_matrix(x) * to_matrix(y)
+    image = image or to_matrix
+    return image(x * y), image(x) * image(y)
 
 
 def _matrix_rank(vectors: list[list[GaussianRational]]) -> int:
@@ -142,12 +162,13 @@ def matrix_unit(n: int, i: int, j: int) -> SquareMatrix:
     return from_entries(n, [(i, j, ONE)])
 
 
-def basis_image(b: IterantElement) -> tuple[SquareMatrix, SquareMatrix]:
+def basis_image(b: IterantElement, image=None) -> tuple[SquareMatrix, SquareMatrix]:
     """M(e_i g) against the matrix unit at (i, i*g), for the basis element
-    b = e_i g."""
+    b = e_i g, with M as in product_relation."""
     (g, vec), = b.terms
     i = [c.is_zero() for c in vec].index(False)
-    return to_matrix(b), matrix_unit(b.algebra.degree, i, b.algebra.action.point_maps[g][i])
+    unit = matrix_unit(b.algebra.degree, i, b.algebra.action.point_maps[g][i])
+    return (image or to_matrix)(b), unit
 
 
 def iso_check(algebra: IterantAlgebra) -> dict:
@@ -157,19 +178,20 @@ def iso_check(algebra: IterantAlgebra) -> dict:
     The homomorphism is proved as the module docstring argues: generators(G)
     must close to all of G, product_relation must hold on every
     generator_cases pair, and each basis_image must be its matrix unit.  The
-    checks stop at the first that fails; the basis images are built once, for
-    that check and for the rank."""
+    checks stop at the first that fails.  One image_memo serves both pieces
+    and the rank."""
     group, n = algebra.group, algebra.degree
+    image = image_memo()
     # a repeated image adds nothing to the rank (a natural action repeats each
     # (n-1)! times), so only the distinct ones are kept
     distinct, units_ok = {}, True
-    for m, unit in map(basis_image, algebra.basis()):
+    for m, unit in (basis_image(b, image) for b in algebra.basis()):
         distinct[m] = None
         units_ok = units_ok and m == unit
     gens = groups.generators(group)
     hom_ok = (len(groups.closure(group, gens)) == group.order
-              and all(lhs == rhs for lhs, rhs in map(product_relation,
-                                                     generator_cases(algebra, gens)))
+              and all(lhs == rhs for lhs, rhs in (product_relation(pair, image) for pair
+                                                  in generator_cases(algebra, gens)))
               and units_ok)
     rank = _matrix_rank([[m.rows[i][j] for i in range(n) for j in range(n)] for m in distinct])
     dim, n2 = algebra.dimension(), n * n

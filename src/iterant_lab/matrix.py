@@ -29,7 +29,7 @@ from operator import add, or_
 from typing import Iterable, Sequence
 
 from .scalars import ONE, GaussianRational, ScalarLike, _from_triple, format_triple
-from .scalars import parse_rational, parse_scalar, scalar_from_json, scalar_to_json
+from .scalars import parse_rational, parse_scalar, quoted, scalar_from_json, scalar_to_json
 
 GaussianInteger = tuple[int, int]
 IntegerTable = tuple[tuple[int, ...], ...]
@@ -173,11 +173,11 @@ class SquareMatrix:
     @staticmethod
     def from_lists(data: Sequence[Sequence]) -> SquareMatrix:
         if not isinstance(data, (list, tuple)):
-            raise ValueError(f"the matrix is {data!r}; use a list of rows")
+            raise ValueError(f"the matrix is {quoted(data)}; use a list of rows")
         rows = []
         for r, row in enumerate(data):
             if not isinstance(row, (list, tuple)):
-                raise ValueError(f"matrix row {r} is {row!r}; use a list of cells")
+                raise ValueError(f"matrix row {r} is {quoted(row)}; use a list of cells")
             parsed = []
             for c, cell in enumerate(row):
                 if isinstance(cell, dict):
@@ -190,7 +190,7 @@ class SquareMatrix:
                     parsed.append(GaussianRational.of(cell))
                 else:
                     raise ValueError(
-                        f"matrix cell ({r}, {c}) is {cell!r}; use an int, a text literal, "
+                        f"matrix cell ({r}, {c}) is {quoted(cell)}; use an int, a text literal, "
                         'a [num, den] pair or a {"re", "im"} object')
             rows.append(tuple(parsed))
         return SquareMatrix(tuple(rows))

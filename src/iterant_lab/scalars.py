@@ -223,6 +223,19 @@ def format_triple(re_num: int, im_num: int, den: int) -> str:
 MAX_LITERAL_DIGITS = 1000
 
 
+# The most characters of an input that an error message quotes.
+MAX_QUOTED_CHARS = 60
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, cut to MAX_QUOTED_CHARS characters,
+    with its full length, when it is longer."""
+    text = repr(value)
+    if len(text) <= MAX_QUOTED_CHARS:
+        return text
+    return f"{text[:MAX_QUOTED_CHARS]}... ({len(text)} characters)"
+
+
 def parse_rational(value, denominator=1) -> Fraction:
     """value/denominator from ints or text like "-2/5" or "0.5"; any other part
     (a float, a bool, null), an exponent such as "1e9", text of more than
@@ -231,17 +244,21 @@ def parse_rational(value, denominator=1) -> Fraction:
     takes unbounded time and memory."""
     if not all(isinstance(part, (int, str)) and not isinstance(part, bool)
                for part in (value, denominator)):
-        raise ValueError(f"cannot read {value!r}/{denominator!r} as a rational")
+        raise ValueError(f"cannot read {quoted(value)}/{quoted(denominator)} as a rational")
     for part in (value, denominator):
         if isinstance(part, str):
             if "e" in part.lower():
-                raise ValueError(f"exponent in {part!r}; write the number as a/b or a decimal")
+                raise ValueError(f"exponent in {quoted(part)}; "
+                                 "write the number as a/b or a decimal")
             _check_digits(part)
     try:
         return Fraction(value) / Fraction(denominator)
     except ZeroDivisionError:
-        literal = value if denominator == 1 else f"{value}/{denominator}"
-        raise ValueError(f"zero denominator in {literal!r}") from None
+        reason = "zero denominator in {}"
+    except ValueError:  # Fraction's own message would quote the whole text
+        reason = "cannot read {} as a rational"
+    literal = value if denominator == 1 else f"{value}/{denominator}"
+    raise ValueError(reason.format(quoted(literal)))
 
 
 def parse_integer(text: str) -> int:
@@ -266,7 +283,7 @@ def parse_scalar(text: str) -> GaussianRational:
     if "i" not in s:
         return GaussianRational(parse_rational(s))
     if not s.endswith("i"):
-        raise ValueError(f"malformed scalar literal {text!r}: i must end the imaginary part")
+        raise ValueError(f"malformed scalar literal {quoted(text)}: i must end the imaginary part")
     body = s[:-1]
     # Split the real part from the imaginary coefficient at the last sign
     # that is not the leading one.
@@ -296,7 +313,7 @@ def scalar_from_json(obj: dict) -> GaussianRational:
     for key in ("re", "im"):
         part = obj.get(key, [0, 1])
         if not (isinstance(part, (list, tuple)) and len(part) == 2):
-            raise ValueError(f"the {key!r} part {part!r} is not a [num, den] pair")
+            raise ValueError(f"the {key!r} part {quoted(part)} is not a [num, den] pair")
         parts.append(parse_rational(*part))
     return GaussianRational(*parts)
 

@@ -67,7 +67,8 @@ These rows are proofs through generators:
   for s in groups.generators(G), and C04.<group>-basis-images runs
   matrep.basis_image on every basis element: the matrep docstring's
   induction on word length, which iso_check runs on the same two pieces, and
-  whose premise C04.<group>-generated prints;
+  whose premise C04.<group>-generated prints.  As in iso_check, one
+  matrep.image_memo per group builds each element's image once for both rows;
 * C09.spinor-determinant and C09.spinor-hermitian: E12(x) = [[1, x], [0, 1]]
   and E21(x) = [[1, 0], [x, 1]] generate SL(2, Q(i)), as [[a, b], [c, d]] =
   E12((a-1)/c) E21(c) E12((d-1)/c) for c != 0, and E21(1) A has c != 0 if A
@@ -335,15 +336,17 @@ def check_g_table_theorem(seed: int):
         action = algebra.action
         gens = groups.generators(group)
         cases, basis = matrep.generator_cases(algebra, gens), algebra.basis()
+        image = matrep.image_memo()  # shared by the two rows, as in iso_check
         yield (f"C04.{name}-homomorphism",
                f"{name}: regular-algebra product maps to matrix product on every (s, h) and "
                f"(s, e_i) for the generators s, so on every pair of elements the generators "
                f"reach ({len(cases)} cases)",
-               cases, matrep.product_relation, lambda xy: [x.to_json() for x in xy])
+               cases, functools.partial(matrep.product_relation, image=image),
+               lambda xy: [x.to_json() for x in xy])
         yield (f"C04.{name}-basis-images",
                f"{name}: M(e_i g) is the matrix unit at (i, i*g) on all {len(basis)} basis "
                "elements e_i g, as the homomorphism proof needs",
-               basis, matrep.basis_image, lambda b: b.to_json())
+               basis, functools.partial(matrep.basis_image, image=image), lambda b: b.to_json())
         named = ", ".join(group.names[s] for s in gens)
         yield (f"C04.{name}-generated",
                f"{name}: the closure of the generators {{{named}}} is the whole group",

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iterant_lab import groups, lof, matrep, verify
+from iterant_lab import cli, groups, lof, matrep, verify
 from iterant_lab.cli import _json_pieces, build_parser, main
 from iterant_lab.iterants import (element_from_json, parse_period2, period_two_algebra,
                                   regular_algebra)
-from iterant_lab.scalars import MAX_LITERAL_DIGITS, GaussianRational
+from iterant_lab.scalars import MAX_LITERAL_DIGITS, GaussianRational, scalar_to_json
 
 
 def run_cli(capsys, *argv):
@@ -801,6 +801,48 @@ def test_unreadable_literals_are_usage_errors_at_once(tmp_path, capsys, argv, ma
     assert elapsed < 1.0
 
 
+# each message quotes a long input, cut to MAX_QUOTED_CHARS characters and
+# its full length
+@pytest.mark.parametrize("argv, matrix", [
+    (["matrep", "decompose"], {"matrix": "x" * 5000}),
+    (["matrep", "decompose"], {"matrix": [[1, 2], "x" * 5000]}),
+    (["matrep", "decompose"], {"matrix": [[[None] * 5000, 1], [2, 3]]}),
+    (["matrep", "decompose"], {"matrix": [[{"re": "x" * 5000}, 1], [2, 3]]}),
+    (["matrep", "decompose"], {"matrix": [["1" + "x" * 5000 + "i", 1], [2, 3]]}),
+    (["clifford", "braid", "--n", "3", "--word", "x" * 3000], None),
+    (["clifford", "braid", "--n", "3", "--word", "1", "--compare", "1 x" + "y" * 3000], None),
+    (["schrodinger", "run", "--n", "8", "--steps", "4", "--init", "x" * 3000], None),
+    (["iterant", "eval", "[1," + "x" * 3000, "[1,2]"], None),
+    (["discrete", "commutator", "--seq", "1e" + "9" * 900 + "x" * 3000], None),
+    (["group", "table", "--group", "x" * 3000], None),
+], ids=["matrix-text", "row-text", "long-cell", "re-part", "scalar-text", "braid-token",
+        "compare-token", "init", "iterant", "exponent", "group-name"])
+def test_a_usage_error_cuts_the_input_it_quotes(tmp_path, capsys, argv, matrix):
+    if matrix is not None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix))
+        argv = argv + ["--matrix", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1
+    assert " characters)" in captured.err
+    assert len(captured.err) < 200
+
+
+def test_a_5x5_decompose_writes_each_cell_once(tmp_path, capsys, monkeypatch):
+    # the 120 terms pick 600 cells, each cell 24 times, all from one object per cell
+    written = []
+    monkeypatch.setattr(cli, "scalar_to_json",
+                        lambda z: written.append(z) or scalar_to_json(z))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[f"{i}/{j + 1}+{j}i" for j in range(5)]
+                                           for i in range(5)]}))
+    code, out = run_cli(capsys, "matrep", "decompose", "--matrix", str(path))
+    assert code == 0 and len(json.loads(out)["terms"]) == 120
+    assert len(written) == 25
+
+
 # One call per subcommand and --format it takes, the call without --format
 # standing for the default; the schrodinger CSV is written through --out and
 # verify-all runs the stand-in checks above.  Each digest is the sha256 of the
@@ -917,8 +959,17 @@ _JSON_TREES = st.recursive(
     max_leaves=30)
 
 
+# one object that a payload holds in several places, as the cells of a decompose
+_SHARED = {"re": [1, 2], "im": [0, 1], "more": {"x": [None, True]}}
+
+
 @given(_JSON_TREES)
 @example([[[[]], {}, ()], {"a": {"b": {"c": [{}]}}}])
+@example([_SHARED, _SHARED])  # twice at one indent
+@example([_SHARED, [_SHARED, {"a": _SHARED}]])  # at three indents
+@example([[[_SHARED, _SHARED]], [[_SHARED]]])  # below streamed items
+@example([1, True])  # mixed scalars are not one leaf type
+@example([[[1, 1.5, "a"], [False, None]]])
 @settings(max_examples=300, deadline=None)
 def test_json_pieces_join_to_json_dumps(tree):
     # each tree also goes in below the two streamed levels
@@ -933,6 +984,16 @@ def test_json_pieces_refuse_a_non_json_leaf_and_a_non_str_key(bad, depth):
     value = bad
     for _ in range(depth):
         value = [value]
+    with pytest.raises(TypeError):
+        "".join(_json_pieces(value))
+
+
+@pytest.mark.parametrize("bad", [{3: 2}, {"a": 1, 3: 2}])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_json_pieces_refuse_a_shared_object_with_a_non_str_key(bad, depth):
+    value = [bad, bad]
+    for _ in range(depth):
+        value = [value, value]
     with pytest.raises(TypeError):
         "".join(_json_pieces(value))
 

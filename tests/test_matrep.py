@@ -354,3 +354,18 @@ def test_iso_check_reads_the_basis_terms(monkeypatch):
     x, y = algebra.element_of("S"), algebra.vector(range(8))
     assert matrep.product_relation((x, y))[0] == matrep.product_relation((x, y))[1]
     assert not matrep.iso_check(algebra)["homomorphism_ok"]
+
+
+def test_iso_check_builds_each_distinct_image_once(monkeypatch):
+    # the 96 basis images e_i g and the 24 group elements: a product s e_i is a
+    # basis element, and s h a group element
+    algebra = natural_sn_algebra(4)
+    built, related = [], []
+    plain_image, plain_relation = matrep.to_matrix, matrep.product_relation
+    monkeypatch.setattr(matrep, "to_matrix", lambda x: built.append(x) or plain_image(x))
+    monkeypatch.setattr(matrep, "product_relation", lambda pair, image=None:
+                        related.append(pair) or plain_relation(pair, image))
+    assert matrep.iso_check(algebra)["homomorphism_ok"]
+    assert len(built) == len({x.terms for x in built}) == 120
+    # product_relation is still the relation, on every generator case
+    assert related == matrep.generator_cases(algebra, groups.generators(algebra.group))

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iterant_lab.scalars import (
+    MAX_QUOTED_CHARS,
     GaussianRational,
     _from_triple,
     format_scalar,
     parse_rational,
     parse_scalar,
+    quoted,
     scalar_from_json,
     scalar_to_json,
     sqrt_exact,
@@ -304,3 +306,11 @@ def test_constructor_rejects_inexact_parts():
             GaussianRational(bad)
         with pytest.raises(TypeError, match="exact rational"):
             GaussianRational(1, bad)
+
+
+def test_quoted_cuts_a_long_repr_and_gives_its_length():
+    assert MAX_QUOTED_CHARS == 60
+    assert quoted("ab") == "'ab'"
+    assert quoted("x" * 58) == repr("x" * 58)  # 60 characters with its quotes
+    assert quoted("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
+    assert quoted([None] * 5000) == repr([None] * 5000)[:60] + "... (30000 characters)"

@@ -949,6 +949,15 @@ def test_a_swap_of_two_points_fails_each_basis_images_row_with_a_witness_that_re
         assert lhs != rhs
 
 
+def test_c04_builds_each_image_once_for_its_two_proof_rows(monkeypatch):
+    # per group of order n, the n^2 basis elements e_i g and the n elements g
+    built = []
+    plain = matrep.to_matrix
+    monkeypatch.setattr(matrep, "to_matrix", lambda x: built.append(x) or plain(x))
+    assert all(row.passed for row in verify.check_g_table_theorem(7))
+    assert len(built) == sum(n * n + n for n in (3, 6, 6, 4))
+
+
 @pytest.mark.parametrize("check", verify.ALL_CHECKS)
 def test_a_criterion_that_draws_nothing_gives_the_same_rows_at_every_seed(check):
     rows = [check(seed) for seed in range(1, 11)]
